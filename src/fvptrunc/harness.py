@@ -25,7 +25,8 @@ from .quadrature import SCHEME_ORDER
 from .reference import (ReferenceSolution, closed_form_solution, combined_closed_form,
                         illposed_pair, self_convergent_reference)
 from .solver import DEFAULT_QUADRATURE_ORDER, SolverConfig, picard_solve
-from .spectral import EigenModel, GevreyParams, SpectralField, gevrey_norm, l2_norm
+from .spectral import (EigenModel, GevreyParams, SpectralField, exp_log_norm, gevrey_log_norms,
+                       l2_norm, scaled_norm_rows)
 
 DESK_SCALE_EXPONENT_CAP = 700.0  # reject configs with lambda_N * tau above this
 RHO_SAFETY = 1.01                # grid-max to essential-sup safety factor
@@ -61,9 +62,11 @@ def add_noise(g: SpectralField, delta: float, direction: str = "seeded_random",
             e[0] = 1.0
     else:
         raise ValueError(f"unknown noise direction {direction!r}")
-    e = e / np.linalg.norm(e)
+    # the overflow/underflow-safe norm: plain sums of squares underflow
+    # for delta below ~1e-154
+    e = e / scaled_norm_rows(e)[0]
     d = delta * e
-    d *= delta / np.linalg.norm(d)
+    d *= delta / scaled_norm_rows(d)[0]
     return SpectralField(g.model, g.coeffs + d)
 
 
@@ -338,8 +341,15 @@ class ExperimentReport:
 
 
 def _certified_rho(reference: ReferenceSolution, gp: GevreyParams) -> float:
+    """RHO_SAFETY times the largest Gevrey norm over the reference's grid points.
+
+    One row-wise log-norm pass over the modes that are nonzero anywhere,
+    and one exp of the largest row.
+    """
     traj = reference.trajectory
-    worst = max(gevrey_norm(traj.state(i), gp) for i in range(traj.grid.n_steps + 1))
+    live = np.any(traj.states != 0.0, axis=0)
+    log_norms = gevrey_log_norms(traj.model.lambdas[live], traj.states[:, live], gp)
+    worst = exp_log_norm(float(np.max(log_norms)))
     if worst <= 0.0:
         raise ConfigError("cannot certify rho: reference has zero weighted norm")
     return RHO_SAFETY * worst

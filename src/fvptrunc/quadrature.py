@@ -14,7 +14,11 @@ against a piecewise-polynomial interpolant of w:
   order 6 -- degree-5 interpolant on a sliding 6-point stencil; the
              weighted moments int_0^1 s^m e^{z s} ds come from the
              confluent hypergeometric function, which is stable for all
-             z >= 0 of interest.
+             z >= 0 of interest.  Only 5 stencil shapes occur (the
+             centred one inside, and two one-sided ones at each end), so
+             the interior intervals are one 6-tap correlation of w with
+             the centred weight row and the 4 edge intervals are dot
+             products with their own rows.
 
 Per-mode arithmetic only ever uses growth factors e^{lam (s - t)} with
 s >= t (the per-interval factor e^{lam h} inside a backward recurrence),
@@ -24,6 +28,7 @@ so magnitudes never exceed what the mathematical result requires.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.signal import lfilter
@@ -89,48 +94,42 @@ def lagrange_exp_weights(offsets: np.ndarray, z: float) -> np.ndarray:
     return Vinv.T @ _exp_moments(z, k - 1)
 
 
-from functools import lru_cache
-
-
 @lru_cache(maxsize=256)
-def _interval_weight_table(n_steps: int, z: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-interval stencil weights for a grid with n_steps intervals.
+def _interval_weight_table(z: float, order: int) -> np.ndarray:
+    """Stencil weight rows: interval i integrates to h * dot(row, w[stencil]).
 
-    Returns (bases, weights): interval i integrates to
-    h * dot(weights[i], w[bases[i] : bases[i] + k]).  Cached because the
-    table depends only on (grid size, lam * h, order) and is reused across
-    fixed-point iterations.
+    order 2 -- one row (a0, a1) over the stencil (i, i+1).
+    order 6 -- 5 rows; row s + 4 serves the stencil i+s .. i+s+5, whose
+               leftmost node lies s = -4..0 steps from the interval start.
+               Interior intervals use s = -2 (centred); intervals 0, 1
+               use s = 0, -1 and the last two use s = -3, -4, so every
+               stencil stays on the grid.
+    The rows depend only on (lam * h, order), not on the grid size, and
+    are cached because they are reused across fixed-point iterations.
     """
     if order == 2:
-        k = 2
-        bases = np.arange(n_steps)
-        weights = np.tile(_pl_interval_weights(z), (n_steps, 1))
+        table = _pl_interval_weights(z)[None, :]
     else:
-        k = 6
-        if n_steps + 1 < k:
-            raise ValueError(f"order-6 quadrature needs at least {k} grid points")
-        bases = np.clip(np.arange(n_steps) - 2, 0, n_steps + 1 - k)
-        weights = np.empty((n_steps, k))
-        # distinct stencil shapes: leftmost node offset relative to interval start
-        for shift in range(-(k - 2), 1):
-            rows = (bases - np.arange(n_steps)) == shift
-            if np.any(rows):
-                weights[rows] = lagrange_exp_weights(np.arange(shift, shift + k), z)
-    bases.flags.writeable = False
-    weights.flags.writeable = False
-    return bases, weights
+        table = np.array([lagrange_exp_weights(np.arange(s, s + 6), z) for s in range(-4, 1)])
+    table.flags.writeable = False
+    return table
 
 
 def _interval_integrals(w: np.ndarray, h: float, z: float, order: int) -> np.ndarray:
     """A_i = int_{t_i}^{t_{i+1}} e^{z (s - t_i)/h} w_interp(s) ds, all intervals."""
     n = w.size - 1
-    bases, weights = _interval_weight_table(n, z, order)
-    k = weights.shape[1]
+    table = _interval_weight_table(z, order)
     if order == 2:
-        A = weights[:, 0] * w[:-1] + weights[:, 1] * w[1:]
-    else:
-        idx = bases[:, None] + np.arange(k)[None, :]
-        A = np.einsum("ik,ik->i", weights, w[idx])
+        return h * np.correlate(w, table[0], "valid")
+    if n < 5:
+        raise ValueError("order-6 quadrature needs at least 6 grid points")
+    A = np.empty(n)
+    A[2:n - 2] = np.correlate(w, table[2], "valid")
+    head, tail = w[:6], w[-6:]
+    A[0] = table[4] @ head
+    A[1] = table[3] @ head
+    A[n - 2] = table[1] @ tail
+    A[n - 1] = table[0] @ tail
     return h * A
 
 

@@ -145,21 +145,61 @@ class SpectralField:
     __rmul__ = __mul__
 
 
+# Row norms inside this range take the unscaled path (see scaled_norm_rows).
+FAST_NORM_MIN = 1e-140
+FAST_NORM_MAX = 1e140
+
+
 def scaled_norm_rows(a: np.ndarray) -> np.ndarray:
     """Row-wise Euclidean norms, safe for entries near the double range.
 
-    Plain sum-of-squares overflows for entries above ~1e154, which
-    backward-grown modes legitimately reach; scale by the row maximum first.
+    Fast path: sqrt of the plain row sum of squares.  A result inside
+    [FAST_NORM_MIN, FAST_NORM_MAX] is kept as it is: no square in such a
+    row can overflow, and squares that underflow are below 1e-308 against
+    a sum of at least 1e-280, so they change the norm by less than 1e-27
+    relative.  Every other row (zero, inf, NaN, or a sum of squares that
+    overflowed or underflowed: backward-grown modes legitimately pass
+    1e154) is recomputed scaled by its row maximum.
     """
     a = np.atleast_2d(a)
-    row_max = np.max(np.abs(a), axis=1)
-    safe = np.where(row_max[:, None] > 0.0, row_max[:, None], 1.0)
-    return row_max * np.linalg.norm(a / safe, axis=1)
+    out = np.sqrt(np.einsum("ij,ij->i", a, a))
+    slow = ~((out >= FAST_NORM_MIN) & (out <= FAST_NORM_MAX))
+    if np.any(slow):
+        b = a[slow]
+        row_max = np.max(np.abs(b), axis=1)
+        safe = np.where(row_max[:, None] > 0.0, row_max[:, None], 1.0)
+        out[slow] = row_max * np.linalg.norm(b / safe, axis=1)
+    return out
 
 
 def l2_norm(psi: SpectralField) -> float:
     """Parseval norm sqrt(sum c_j^2)."""
     return float(scaled_norm_rows(psi.coeffs)[0])
+
+
+def gevrey_log_norms(lambdas: np.ndarray, coeffs: np.ndarray, gp: GevreyParams) -> np.ndarray:
+    """Row-wise log Gevrey norms 0.5 log sum_j lambda_j^{2p} e^{2q lambda_j} c_ij^2.
+
+    `coeffs` holds one coefficient vector per row against `lambdas`.  One
+    log-sum-exp over the mode axis, so terms far outside the double range
+    do no harm.  Zero coefficients never contribute, however large their
+    weight would be; a row with none but zeros gives -inf.
+    """
+    lam = np.asarray(lambdas, dtype=float)
+    c = np.atleast_2d(coeffs)
+    nz = c != 0.0
+    with np.errstate(divide="ignore"):
+        log_terms = np.where(nz, 2.0 * gp.p * np.log(lam) + 2.0 * gp.q * lam
+                             + 2.0 * np.log(np.abs(c)), -np.inf)
+        return 0.5 * logsumexp(log_terms, axis=1)
+
+
+def exp_log_norm(log_norm: float) -> float:
+    """exp(log_norm); ExponentOverflowError past the double range."""
+    if log_norm > MAX_EXP_ARG:
+        raise ExponentOverflowError(
+            f"Gevrey norm exceeds the floating range (log norm = {log_norm:.6g})")
+    return math.exp(log_norm)
 
 
 def gevrey_norm(psi: SpectralField, gp: GevreyParams) -> float:
@@ -170,18 +210,7 @@ def gevrey_norm(psi: SpectralField, gp: GevreyParams) -> float:
     exceed it without harm).  Zero coefficients never contribute, however
     large their weight would be.
     """
-    lam = psi.model.lambdas
-    c = psi.coeffs
-    nz = c != 0.0
-    if not np.any(nz):
-        return 0.0
-    log_terms = (2.0 * gp.p * np.log(lam[nz]) + 2.0 * gp.q * lam[nz]
-                 + 2.0 * np.log(np.abs(c[nz])))
-    half = 0.5 * logsumexp(log_terms)
-    if half > MAX_EXP_ARG:
-        raise ExponentOverflowError(
-            f"Gevrey norm exceeds the floating range (log norm = {half:.6g})")
-    return float(math.exp(half))
+    return exp_log_norm(float(gevrey_log_norms(psi.model.lambdas, psi.coeffs, gp)[0]))
 
 
 def evaluate_on_grid(psi: SpectralField, x_points) -> np.ndarray:

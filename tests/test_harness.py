@@ -43,6 +43,15 @@ class TestAddNoise:
             noisy = add_noise(g, delta, seed=k)
             assert l2_norm(noisy - g) == pytest.approx(delta, rel=1e-15)
 
+    @pytest.mark.parametrize("delta", [1e-160, 1e-200, 1e-300])
+    def test_norm_matches_tiny_delta(self, model, delta):
+        # sums of squares of entries below ~1e-154 underflow
+        for k in range(20):
+            d = add_noise(SpectralField.zero(model), delta, seed=k).coeffs
+            assert np.all(np.isfinite(d)) and np.any(d != 0.0)
+            norm = math.sqrt(math.fsum((x / delta) ** 2 for x in d))
+            assert abs(norm - 1.0) <= 1e-14
+
     def test_worst_case_mode_is_exact_on_clean_mode(self, model):
         # data has no mode-3 content: the perturbation is stored exactly
         g = SpectralField.basis(model, 1)
