@@ -35,6 +35,25 @@ EXIT_NONCONVERGENCE = 3
 EXIT_VIOLATION = 4
 
 
+def _number(text: str, admits, meaning: str) -> float:
+    """Parse a finite float that satisfies `admits`, or fail with a usage error."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not (math.isfinite(x) and admits(x)):
+        raise argparse.ArgumentTypeError(f"expected a finite number {meaning}, got {text!r}")
+    return x
+
+
+def _positive(text: str) -> float:
+    return _number(text, lambda x: x > 0.0, "> 0")
+
+
+def _non_negative(text: str) -> float:
+    return _number(text, lambda x: x >= 0.0, ">= 0")
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -149,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one instance, write the trajectory CSV")
     p.add_argument("--config", required=True, help="experiment JSON document")
     p.add_argument("--level", type=int, required=True, help="truncation level N")
-    p.add_argument("--delta", type=float, default=0.0, help="noise level (0 = exact data)")
+    p.add_argument("--delta", type=_non_negative, default=0.0,
+                   help="noise level (0 = exact data)")
     p.add_argument("--output", default=None, help="CSV path (stdout if omitted)")
     p.set_defaults(func=_cmd_solve)
 
@@ -160,8 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("choose-n", help="print the rule-chosen truncation level")
     p.add_argument("--rule", choices=("log", "holder"), required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--rho", type=float, required=True)
+    p.add_argument("--delta", type=_positive, required=True)
+    p.add_argument("--rho", type=_positive, required=True)
     p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--tau", type=float, default=1.0)
     p.add_argument("--d", type=int, default=1)

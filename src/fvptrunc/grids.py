@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import EigenModel, SpectralField, _readonly, scaled_norm_rows
+from .spectral import EigenModel, SpectralField, _readonly, scaled_norm_rows, sup_row_norm
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ class Trajectory:
 
     def sup_norm(self) -> float:
         """max over grid points of the L2 norm (the C([0,tau]; L2) norm)."""
-        return float(self.norms().max())
+        return sup_row_norm(self.states)
 
     def sup_distance(self, other: "Trajectory") -> float:
         """Sup-over-time L2 distance; grids must share their points or nest."""
@@ -87,4 +87,4 @@ class Trajectory:
             if rem != 0:
                 raise ValueError("grids are not nested; cannot compare trajectories")
             d = fine.states[::r] - coarse.states
-        return float(scaled_norm_rows(d).max())
+        return sup_row_norm(d)

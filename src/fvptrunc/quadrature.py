@@ -125,7 +125,9 @@ def _interval_integrals(w: np.ndarray, h: float, z: float, order: int) -> np.nda
         raise ValueError("order-6 quadrature needs at least 6 grid points")
     A = np.empty(n)
     A[2:n - 2] = np.correlate(w, table[2], "valid")
-    head, tail = w[:6], w[-6:]
+    # contiguous copies: BLAS sums a strided dot in another order, and the
+    # result must not depend on the caller's memory layout
+    head, tail = np.ascontiguousarray(w[:6]), np.ascontiguousarray(w[-6:])
     A[0] = table[4] @ head
     A[1] = table[3] @ head
     A[n - 2] = table[1] @ tail

@@ -11,6 +11,10 @@ Successive substitution converges for every N because the m-th iterate of
 the map contracts like x^m / m! (x independent of the iterate); the solver
 reports the first m at which that a-priori factor drops below one as a
 diagnostic, together with the observed increments.
+
+Every iterate vanishes above mode N, so the Picard loop carries only the N
+retained columns, shape (n_steps + 1, N), and pads to the model's mode
+count once, when it returns.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 from .errors import ExponentOverflowError, NonConvergenceError
 from .grids import TimeGrid, Trajectory
 from .problem import FvpInstance
-from .spectral import MAX_EXP_ARG, SpectralField
+from .spectral import MAX_EXP_ARG, EigenModel, SpectralField, sup_row_norm
 from .quadrature import SCHEME_ORDER, backward_cumulative, exp_kernel_profile
 
 DEFAULT_PICARD_TOL = 1e-11
@@ -39,8 +43,6 @@ class SolverConfig:
     n_steps: int
     picard_tol: float = DEFAULT_PICARD_TOL
     max_iters: int = DEFAULT_MAX_ITERS
-    acceleration: str = "plain"      # "plain" | "anderson"
-    anderson_depth: int = 5
     quadrature_order: int = DEFAULT_QUADRATURE_ORDER
 
     def __post_init__(self):
@@ -52,10 +54,6 @@ class SolverConfig:
             raise ValueError("picard_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.acceleration not in ("plain", "anderson"):
-            raise ValueError("acceleration must be 'plain' or 'anderson'")
-        if self.anderson_depth < 1:
-            raise ValueError("anderson_depth must be >= 1")
         if self.quadrature_order not in SCHEME_ORDER:
             raise ValueError(f"quadrature_order must be one of {tuple(SCHEME_ORDER)}")
 
@@ -75,16 +73,8 @@ def apply_spectral_growth(t: float, psi: SpectralField, level: int) -> SpectralF
         raise ValueError(f"level must lie in 1..{model.mode_count}")
     if t < 0.0:
         raise ValueError("t must be >= 0")
-    lam = model.lambdas[:level]
     out = np.zeros(model.mode_count)
-    args = lam * t
-    big = args > MAX_EXP_ARG
-    if np.any(big & (psi.coeffs[:level] != 0.0)):
-        j = int(np.argmax(big & (psi.coeffs[:level] != 0.0))) + 1
-        raise ExponentOverflowError(
-            f"e^(lambda_{j} t) overflows for t = {t:.6g} (lambda = {lam[j - 1]:.6g})")
-    safe = np.where(big, 0.0, args)
-    out[:level] = np.where(big, 0.0, np.exp(safe) * psi.coeffs[:level])
+    out[:level] = _growth_columns(model.lambdas[:level], np.array([t]), psi.coeffs[:level])[0]
     return SpectralField(model, out)
 
 
@@ -103,7 +93,12 @@ def exp_kernel_integral(lam: float, grid: TimeGrid, w: np.ndarray, t_index: int,
 
 
 def _growth_columns(lam: np.ndarray, back: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """e^{lam_j * back_i} * data_j with overflow containment per mode."""
+    """G_N on a grid: e^{lam_j * back_i} * data_j, one row per entry of back.
+
+    A growth factor past the double range is harmless on a zero coefficient
+    (its column is zero); on a nonzero one it raises ExponentOverflowError
+    naming the first such mode.
+    """
     args = np.outer(back, lam)
     over = args > MAX_EXP_ARG
     if np.any(over):
@@ -111,9 +106,43 @@ def _growth_columns(lam: np.ndarray, back: np.ndarray, data: np.ndarray) -> np.n
         if np.any(bad):
             j = int(np.argmax(bad)) + 1
             raise ExponentOverflowError(
-                f"e^(lambda_{j} (tau - t)) overflows (lambda = {lam[j - 1]:.6g})")
+                f"e^(lambda_{j} s) overflows for s = {float(np.max(back)):.6g} "
+                f"(lambda = {lam[j - 1]:.6g})")
         args = np.where(over, 0.0, args)  # zero data: column is zero anyway
     return np.exp(args) * data
+
+
+def _check_level(cfg: SolverConfig, model: EigenModel) -> None:
+    if cfg.level > model.mode_count:
+        raise ValueError("truncation level exceeds the model mode count")
+
+
+def _map_retained(states: np.ndarray, instance: FvpInstance, cfg: SolverConfig,
+                  data: SpectralField, grid: TimeGrid) -> np.ndarray:
+    """fixed_point_map on the retained columns: (n+1, N) states to their
+    (n+1, N) image."""
+    N = cfg.level
+    lam = instance.model.lambdas[:N]
+    pts = grid.points
+    order = cfg.quadrature_order
+
+    F = instance.source.apply(pts, states)
+    W = np.empty_like(F)
+    for j in range(N):
+        W[:, j] = backward_cumulative(grid.h, states[:, j], order)
+    integrand = F + W
+
+    out = _growth_columns(lam, instance.tau - pts, data.coeffs[:N])
+    for j in range(N):
+        out[:, j] -= exp_kernel_profile(lam[j], grid.h, integrand[:, j], order)
+    return out
+
+
+def _padded(grid: TimeGrid, model: EigenModel, states: np.ndarray) -> Trajectory:
+    """The trajectory whose first columns are `states` and the rest zero."""
+    out = np.zeros((grid.n_steps + 1, model.mode_count))
+    out[:, :states.shape[1]] = states
+    return Trajectory(grid, model, out)
 
 
 def fixed_point_map(v: Trajectory, instance: FvpInstance, cfg: SolverConfig,
@@ -124,24 +153,9 @@ def fixed_point_map(v: Trajectory, instance: FvpInstance, cfg: SolverConfig,
     integral of F_j(s, v(s)) + W_j(s), where W_j(s) = int_s^tau v_j.
     Modes beyond the truncation level are zero.
     """
-    model, grid, N = instance.model, v.grid, cfg.level
-    if N > model.mode_count:
-        raise ValueError("truncation level exceeds the model mode count")
-    lam = model.lambdas[:N]
-    pts = grid.points
-    order = cfg.quadrature_order
-
-    F = instance.source.apply(pts, v.states[:, :N])
-    W = np.empty_like(F)
-    for j in range(N):
-        W[:, j] = backward_cumulative(grid.h, v.states[:, j], order)
-    integrand = F + W
-
-    out = np.zeros_like(v.states)
-    out[:, :N] = _growth_columns(lam, instance.tau - pts, data.coeffs[:N])
-    for j in range(N):
-        out[:, j] -= exp_kernel_profile(lam[j], grid.h, integrand[:, j], order)
-    return Trajectory(grid, model, out)
+    _check_level(cfg, instance.model)
+    image = _map_retained(v.states[:, :cfg.level], instance, cfg, data, v.grid)
+    return _padded(v.grid, instance.model, image)
 
 
 def fixed_point_defect(v: Trajectory, instance: FvpInstance, cfg: SolverConfig,
@@ -193,21 +207,6 @@ class PicardResult:
     apriori_contraction_m: float = math.nan
 
 
-def _anderson_update(x_hist: list[np.ndarray], g_hist: list[np.ndarray]) -> np.ndarray:
-    """Type-II Anderson mixing step from iterate/image history."""
-    R = np.stack([g - x for g, x in zip(g_hist, x_hist)], axis=1)  # residuals
-    dR = R[:, 1:] - R[:, :-1]
-    if dR.size == 0:
-        return g_hist[-1]
-    gamma, *_ = np.linalg.lstsq(dR, R[:, -1], rcond=None)
-    G = np.stack(g_hist, axis=1)
-    dG = G[:, 1:] - G[:, :-1]
-    out = g_hist[-1] - dG @ gamma
-    if not np.all(np.isfinite(out)):
-        return g_hist[-1]
-    return out
-
-
 def picard_solve(instance: FvpInstance, cfg: SolverConfig, data: SpectralField,
                  initial: Trajectory | None = None) -> PicardResult:
     """Iterate the fixed-point map to convergence.
@@ -216,46 +215,44 @@ def picard_solve(instance: FvpInstance, cfg: SolverConfig, data: SpectralField,
     `initial` is given.  Stops when the sup-norm increment falls below
     picard_tol * (1 + ||v||); raises NonConvergenceError with the increment
     history when max_iters is exhausted.
+
+    The iterates are (n+1, N) arrays of the retained modes; the result is
+    padded to the model's mode count once, at the end.  The first increment
+    from a given `initial` also counts its modes above N, which the map
+    drops.
     """
     grid = cfg.grid(instance.tau)
     model = instance.model
     N = cfg.level
+    _check_level(cfg, model)
 
     if initial is None:
-        lead = np.zeros((grid.n_steps + 1, model.mode_count))
-        lead[:, :N] = _growth_columns(model.lambdas[:N], instance.tau - grid.points,
-                                      data.coeffs[:N])
-        v = Trajectory(grid, model, lead)
+        v = _growth_columns(model.lambdas[:N], instance.tau - grid.points, data.coeffs[:N])
+        dropped = None
     else:
         if initial.grid.n_steps != grid.n_steps:
             raise ValueError("initial trajectory must live on the solver grid")
-        v = initial
+        v = initial.states[:, :N]
+        dropped = initial.states[:, N:]
 
     increments: list[float] = []
-    x_hist: list[np.ndarray] = []
-    g_hist: list[np.ndarray] = []
     converged = False
     its = 0
     for its in range(1, cfg.max_iters + 1):
-        image = fixed_point_map(v, instance, cfg, data)
-        if cfg.acceleration == "anderson":
-            x_hist.append(v.states.ravel().copy())
-            g_hist.append(image.states.ravel().copy())
-            if len(x_hist) > cfg.anderson_depth:
-                x_hist.pop(0)
-                g_hist.pop(0)
-            nxt = Trajectory(grid, model,
-                             _anderson_update(x_hist, g_hist).reshape(v.states.shape))
-        else:
-            nxt = image
-        inc = v.sup_distance(nxt)
+        image = _map_retained(v, instance, cfg, data, grid)
+        step = v - image
+        if dropped is not None:
+            step = np.hstack((step, dropped))
+            dropped = None
+        inc = sup_row_norm(step)
         increments.append(inc)
-        v = nxt
-        if inc <= cfg.picard_tol * (1.0 + v.sup_norm()):
+        v = image
+        if inc <= cfg.picard_tol * (1.0 + sup_row_norm(v)):
             converged = True
             break
 
-    defect = fixed_point_defect(v, instance, cfg, data)
+    solution = _padded(grid, model, v)
+    defect = fixed_point_defect(solution, instance, cfg, data)
     if not converged:
         raise NonConvergenceError(
             f"no convergence after {cfg.max_iters} iterations "
@@ -263,5 +260,5 @@ def picard_solve(instance: FvpInstance, cfg: SolverConfig, data: SpectralField,
             increments=increments, defect=defect)
     m_star = apriori_contraction_iteration(instance.source.kappa,
                                            model.lambdas[N - 1], instance.tau)
-    return PicardResult(trajectory=v, iterations=its, defect=defect,
+    return PicardResult(trajectory=solution, iterations=its, defect=defect,
                         increments=increments, apriori_contraction_m=m_star)

@@ -172,6 +172,25 @@ def scaled_norm_rows(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def sup_row_norm(a: np.ndarray) -> float:
+    """scaled_norm_rows(a).max(), bit for bit, in one pass where it can.
+
+    sqrt is monotone and correctly rounded, so the sqrt of the largest row
+    sum of squares is the largest plain row norm.  If that lies in the fast
+    range, scaled_norm_rows keeps it unchanged, and no row is inf, NaN or
+    overflowed (it would be the largest).  A row below the range is
+    recomputed there with scaling: its plain norm is under FAST_NORM_MIN
+    and its scaled one within a few ulps of that, so the doubled lower
+    limit keeps it under the maximum.  Every other array goes through
+    scaled_norm_rows.
+    """
+    a = np.atleast_2d(a)
+    top = math.sqrt(np.einsum("ij,ij->i", a, a).max())
+    if 2.0 * FAST_NORM_MIN <= top <= FAST_NORM_MAX:
+        return top
+    return float(scaled_norm_rows(a).max())
+
+
 def l2_norm(psi: SpectralField) -> float:
     """Parseval norm sqrt(sum c_j^2)."""
     return float(scaled_norm_rows(psi.coeffs)[0])

@@ -36,6 +36,19 @@ def test_choose_n_noise_too_large_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["choose-n", "--rule", "holder", "--delta", "0", "--rho", "1.0"],
+    ["choose-n", "--rule", "holder", "--delta", "1e-8", "--rho", "-1"],
+    ["solve", "--config", "unused.json", "--level", "1", "--delta", "-1"],
+])
+def test_out_of_range_option_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "expected a finite number" in err
+
+
 def test_demo_illposed(capsys):
     code = main(["demo-illposed", "--modes", "6"])
     out = capsys.readouterr().out

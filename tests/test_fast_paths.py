@@ -1,16 +1,17 @@
 """The vectorised hot loops against the loop-level formulas they replaced.
 
-scaled_norm_rows takes an unscaled path for rows of moderate norm, the
-certified rho is one row-wise log-sum-exp pass, and the order-6 interval
-integrals are a 6-tap correlation plus four edge rows.  Each is held here
-to an independent reference kept in this file.
+scaled_norm_rows takes an unscaled path for rows of moderate norm,
+sup_row_norm takes the largest of them in one pass, the certified rho is
+one row-wise log-sum-exp pass, and the order-6 interval integrals are a
+6-tap correlation plus four edge rows.  Each is held here to an
+independent reference kept in this file.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fvptrunc import (ConfigError, EigenModel, ExponentOverflowError, GevreyParams,
@@ -18,7 +19,7 @@ from fvptrunc import (ConfigError, EigenModel, ExponentOverflowError, GevreyPara
 from fvptrunc.harness import RHO_SAFETY, _certified_rho
 from fvptrunc.quadrature import _interval_integrals, _pl_interval_weights, lagrange_exp_weights
 from fvptrunc.reference import ReferenceSolution
-from fvptrunc.spectral import FAST_NORM_MAX, FAST_NORM_MIN, scaled_norm_rows
+from fvptrunc.spectral import FAST_NORM_MAX, FAST_NORM_MIN, scaled_norm_rows, sup_row_norm
 
 
 # --------------------------------------------------------------------------
@@ -100,6 +101,51 @@ class TestScaledNormRows:
         a = np.array([[1.0, np.nan], [3.0, 4.0]])
         got = scaled_norm_rows(a)
         assert math.isnan(got[0]) and got[1] == 5.0
+
+
+# --------------------------------------------------------------------------
+# sup_row_norm
+
+def with_entry(row: list, k: int, value: float) -> list:
+    row = list(row)
+    row[k] = value
+    return row
+
+
+@st.composite
+def sup_arrays(draw):
+    """Arrays mixing decade-scaled rows, rows at the edges of the fast range
+    and far outside it, zero rows, and rows holding an inf or a NaN."""
+    width = draw(st.integers(1, 12))
+    mantissas = st.lists(st.floats(-10.0, 10.0), min_size=width, max_size=width)
+    near_edges = st.tuples(st.sampled_from([1e200, 1e140, 1e-140, 2e-140, 1e-170]), mantissas) \
+        .map(lambda sm: [sm[0] * x for x in sm[1]])
+    special = st.tuples(scaled_rows(width), st.integers(0, width - 1),
+                        st.sampled_from([math.inf, -math.inf, math.nan])) \
+        .map(lambda r: with_entry(*r))
+    row = st.one_of(scaled_rows(width), near_edges, st.just([0.0] * width), special)
+    return np.array(draw(st.lists(row, min_size=1, max_size=20)))
+
+
+def bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestSupRowNorm:
+    @settings(max_examples=300, deadline=None)
+    @given(sup_arrays())
+    @example(np.array([[3.0, 4.0]]))                  # a single row
+    @example(np.array([[1e200], [0.0], [-1e-170]]))   # a single column
+    # the second row's plain norm rounds under FAST_NORM_MIN and its scaled
+    # norm over the first row's: the case the doubled lower limit is for
+    @example(np.array([[1e-140, 0.0, 0.0],
+                       [6.55089397473976e-141, 4.5885451350623376e-141, 6.002586248877566e-141]]))
+    def test_equals_max_of_scaled_norm_rows_bit_for_bit(self, a):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN rows
+            assert bits(sup_row_norm(a)) == bits(scaled_norm_rows(a).max())
+
+    def test_one_dimensional_input_is_one_row(self):
+        assert sup_row_norm(np.array([3.0, 4.0])) == 5.0
 
 
 # --------------------------------------------------------------------------

@@ -8,6 +8,8 @@ from fvptrunc import (EigenModel, ExponentOverflowError, FvpInstance,
                       SpectralField, TimeGrid, Trajectory, apply_spectral_growth,
                       closed_form_solution, fixed_point_defect, fixed_point_map,
                       l2_norm, picard_solve)
+from fvptrunc.quadrature import backward_cumulative, exp_kernel_profile
+from fvptrunc.spectral import scaled_norm_rows
 
 PI2 = math.pi ** 2
 
@@ -241,11 +243,112 @@ class TestPicard:
         assert len(exc.value.increments) == 2
         assert exc.value.defect > 0
 
-    def test_anderson_matches_plain_fixed_point(self, model):
+    def test_level_above_mode_count_rejected(self, model):
         data = SpectralField.basis(model, 1)
-        inst = make_instance(model, SourceFunction.linear(1.0), data)
-        plain = picard_solve(inst, SolverConfig(level=2, n_steps=128), data)
-        accel = picard_solve(inst, SolverConfig(level=2, n_steps=128,
-                                                acceleration="anderson"), data)
-        dist = plain.trajectory.sup_distance(accel.trajectory)
-        assert dist <= 100 * plain.trajectory.sup_norm() * 1e-11
+        inst = make_instance(model, SourceFunction.zero(), data)
+        cfg = SolverConfig(level=model.mode_count + 1, n_steps=16)
+        with pytest.raises(ValueError, match="exceeds the model mode count"):
+            picard_solve(inst, cfg, data)
+        with pytest.raises(ValueError, match="exceeds the model mode count"):
+            picard_solve(inst, cfg, data, initial=Trajectory.zero(cfg.grid(1.0), model))
+
+
+# --------------------------------------------------------------------------
+# Reference: the Picard loop on full-width (n+1, mode_count) arrays, every
+# norm through scaled_norm_rows.  picard_solve, which carries only the N
+# retained columns, must match it bit for bit.
+
+def full_width_map(states, instance, cfg, data, grid):
+    N, order, pts = cfg.level, cfg.quadrature_order, grid.points
+    lam = instance.model.lambdas[:N]
+    F = instance.source.apply(pts, states[:, :N])
+    W = np.empty_like(F)
+    for j in range(N):
+        W[:, j] = backward_cumulative(grid.h, states[:, j], order)
+    integrand = F + W
+    out = np.zeros_like(states)
+    out[:, :N] = np.exp(np.outer(instance.tau - pts, lam)) * data.coeffs[:N]
+    for j in range(N):
+        out[:, j] -= exp_kernel_profile(lam[j], grid.h, integrand[:, j], order)
+    return out
+
+
+def full_width_picard(instance, cfg, data, initial=None):
+    """(states, increments, iterations, defect, converged)."""
+    grid = cfg.grid(instance.tau)
+    N = cfg.level
+    if initial is None:
+        v = np.zeros((grid.n_steps + 1, instance.model.mode_count))
+        v[:, :N] = np.exp(np.outer(instance.tau - grid.points,
+                                   instance.model.lambdas[:N])) * data.coeffs[:N]
+    else:
+        v = initial.states
+    increments = []
+    converged = False
+    for its in range(1, cfg.max_iters + 1):
+        nxt = full_width_map(v, instance, cfg, data, grid)
+        inc = float(scaled_norm_rows(v - nxt).max())
+        increments.append(inc)
+        v = nxt
+        if inc <= cfg.picard_tol * (1.0 + float(scaled_norm_rows(v).max())):
+            converged = True
+            break
+    defect = float(scaled_norm_rows(v - full_width_map(v, instance, cfg, data, grid)).max())
+    return v, increments, its, defect, converged
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+SOURCES = {"zero": SourceFunction.zero(), "linear": SourceFunction.linear(1.0),
+           "sin": SourceFunction.bounded_nonlinear("sin")}
+
+
+class TestRetainedColumnLoop:
+    """picard_solve against full_width_picard: same bits in every output."""
+
+    @staticmethod
+    def check(model, source, level, tau, initial_scale=None, max_iters=500, data_scale=1.0):
+        rng = np.random.default_rng(10 * level + len(source))
+        data = SpectralField(model, data_scale * rng.standard_normal(model.mode_count))
+        inst = make_instance(model, SOURCES[source], data, tau=tau)
+        cfg = SolverConfig(level=level, n_steps=96, max_iters=max_iters)
+        initial = None
+        if initial_scale is not None:
+            initial = Trajectory(cfg.grid(tau), model, initial_scale
+                                 * rng.standard_normal((97, model.mode_count)))
+        states, increments, its, defect, converged = full_width_picard(
+            inst, cfg, data, initial)
+        if not converged:
+            with pytest.raises(NonConvergenceError) as exc:
+                picard_solve(inst, cfg, data, initial=initial)
+            assert bits(exc.value.increments) == bits(increments)
+            assert bits(exc.value.defect) == bits(defect)
+            return
+        res = picard_solve(inst, cfg, data, initial=initial)
+        assert res.iterations == its
+        assert res.trajectory.states.tobytes() == states.tobytes()
+        assert bits(res.increments) == bits(increments)
+        assert bits(res.defect) == bits(defect)
+
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    @pytest.mark.parametrize("level", [1, 2, 4, 8])
+    def test_from_the_leading_term(self, model, source, level):
+        self.check(model, source, level, tau=0.25)
+
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    @pytest.mark.parametrize("level", [1, 2, 4])
+    def test_from_an_initial_guess_with_modes_above_the_level(self, model, source, level):
+        # the first increment counts the modes the map drops: scale 1e6
+        # makes them the largest part of it
+        self.check(model, source, level, tau=0.25, initial_scale=1e6)
+
+    @pytest.mark.parametrize("level", [1, 8])
+    def test_rows_past_the_fast_norm_range(self, model, level):
+        # the iterates pass 1e154, so their sums of squares overflow
+        self.check(model, "linear", level, tau=0.25, data_scale=1e160)
+
+    def test_nonconvergence(self, model):
+        self.check(model, "sin", 4, tau=0.25, max_iters=2)
+
