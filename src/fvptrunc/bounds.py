@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ExponentOverflowError, UnsupportedRegimeError
 from .spectral import MAX_EXP_ARG, EigenModel
@@ -48,6 +47,10 @@ def gronwall_comparison_solution(c0: float, c1: float, tau: float,
     so that X(t) = c0 + c1 int_t^tau (X + int_s^tau X) holds exactly.
     Returns (grid points, U = X on them).
     """
+    # imported here, not at module level: scipy.integrate loads scipy.optimize,
+    # which every `import fvptrunc` would pay for, and only this demo needs it
+    from scipy.integrate import solve_ivp
+
     pts = np.linspace(0.0, tau, n_steps + 1)
 
     def rhs(t, xy):

@@ -82,6 +82,51 @@ def _check_keys(obj: dict, allowed: set, where: str):
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+# Typed readers of JSON values: a value of the wrong type is a ConfigError
+# naming its key, never a TypeError or ValueError from a conversion.
+
+def _section(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    return value
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number; booleans are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer literal past the double range
+        return False
+
+
+def _number(value, where: str) -> float:
+    if not _is_number(value):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{where} must be a non-empty list")
+    return value
+
+
+def _mode_coeff(pair) -> tuple:
+    """One [mode, coeff] entry of a self-convergent reference's data."""
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ConfigError(f"instance.reference.data entries must be [mode, coeff], got {pair!r}")
+    return (_integer(pair[0], "instance.reference.data mode"),
+            _number(pair[1], "instance.reference.data coeff"))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Mirror of the JSON experiment document."""
@@ -115,39 +160,35 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("config document must be a JSON object")
+        _section(doc, "config document")
         _check_keys(doc, {"instance", "noise", "solver", "choice", "eval_times"}, "config")
         for section in ("instance", "noise", "solver", "choice", "eval_times"):
             if section not in doc:
                 raise ConfigError(f"missing config section {section!r}")
 
-        inst = doc["instance"]
+        inst = _section(doc["instance"], "instance")
         _check_keys(inst, {"tau", "mode_count", "source", "reference"}, "instance")
-        src = inst.get("source", {})
+        src = _section(inst.get("source", {}), "instance.source")
         kind = src.get("kind")
-        if kind not in _SOURCE_KEYS:
+        if not isinstance(kind, str) or kind not in _SOURCE_KEYS:
             raise ConfigError(f"instance.source.kind must be one of {sorted(_SOURCE_KEYS)}")
         _check_keys(src, {"kind"} | _SOURCE_KEYS[kind], "instance.source")
-        ref = inst.get("reference", {})
+        ref = _section(inst.get("reference", {}), "instance.reference")
         rkind = ref.get("kind")
         if rkind == "closed_form":
             _check_keys(ref, {"kind", "mode"}, "instance.reference")
-            rdata = ((int(ref.get("mode", 1)), 1.0),)
+            rdata = ((_integer(ref.get("mode", 1), "instance.reference.mode"), 1.0),)
         elif rkind == "self_convergent":
             _check_keys(ref, {"kind", "data"}, "instance.reference")
-            data = ref.get("data")
-            if not isinstance(data, list) or not data:
-                raise ConfigError("instance.reference.data must be a non-empty list of [mode, coeff]")
-            rdata = tuple((int(m), float(c)) for m, c in data)
+            rdata = tuple(_mode_coeff(pair)
+                          for pair in _list(ref.get("data"), "instance.reference.data"))
         else:
             raise ConfigError("instance.reference.kind must be 'closed_form' or 'self_convergent'")
 
-        noise = doc["noise"]
+        noise = _section(doc["noise"], "noise")
         _check_keys(noise, {"deltas", "direction", "seed", "trials"}, "noise")
-        deltas = tuple(float(d) for d in noise.get("deltas", []))
-        if not deltas:
-            raise ConfigError("noise.deltas must be a non-empty list")
+        deltas = tuple(_number(d, "noise.deltas entry")
+                       for d in _list(noise.get("deltas"), "noise.deltas"))
         if any(b >= a for a, b in zip(deltas, deltas[1:])):
             raise ConfigError("noise.deltas must be strictly decreasing")
         if any(d <= 0 for d in deltas):
@@ -156,10 +197,10 @@ class ExperimentConfig:
         if direction not in ("seeded_random", "worst_case_mode"):
             raise ConfigError("noise.direction must be 'seeded_random' or 'worst_case_mode'")
 
-        solver = doc["solver"]
+        solver = _section(doc["solver"], "solver")
         _check_keys(solver, {"n_steps", "picard_tol", "max_iters"}, "solver")
 
-        choice = doc["choice"]
+        choice = _section(doc["choice"], "choice")
         _check_keys(choice, {"regime", "p", "q", "rho"}, "choice")
         regime = choice.get("regime")
         if regime not in (LOG_RULE, HOLDER_RULE):
@@ -169,32 +210,30 @@ class ExperimentConfig:
         if regime == HOLDER_RULE and "p" in choice:
             raise ConfigError("choice.p is not used by the holder rule")
         rho = choice.get("rho", "certified")
-        if not (rho == "certified" or (isinstance(rho, (int, float)) and rho > 0)):
+        if not (rho == "certified" or (_is_number(rho) and rho > 0)):
             raise ConfigError("choice.rho must be a positive number or 'certified'")
 
-        times = doc["eval_times"]
-        if not isinstance(times, list) or not times:
-            raise ConfigError("eval_times must be a non-empty list")
+        times = _list(doc["eval_times"], "eval_times")
 
         cfg = ExperimentConfig(
-            tau=float(inst.get("tau", 1.0)),
-            mode_count=int(inst.get("mode_count", 8)),
+            tau=_number(inst.get("tau", 1.0), "instance.tau"),
+            mode_count=_integer(inst.get("mode_count", 8), "instance.mode_count"),
             source_kind=kind,
-            source_c=float(src.get("c", 0.0)),
+            source_c=_number(src.get("c", 0.0), "instance.source.c"),
             reference_kind=rkind,
             reference_data=rdata,
             deltas=deltas,
             direction=direction,
-            seed=int(noise.get("seed", 0)),
-            trials=int(noise.get("trials", 3)),
-            n_steps=int(solver.get("n_steps", 1024)),
-            picard_tol=float(solver.get("picard_tol", 1e-11)),
-            max_iters=int(solver.get("max_iters", 500)),
+            seed=_integer(noise.get("seed", 0), "noise.seed"),
+            trials=_integer(noise.get("trials", 3), "noise.trials"),
+            n_steps=_integer(solver.get("n_steps", 1024), "solver.n_steps"),
+            picard_tol=_number(solver.get("picard_tol", 1e-11), "solver.picard_tol"),
+            max_iters=_integer(solver.get("max_iters", 500), "solver.max_iters"),
             regime=regime,
-            p=float(choice.get("p", 0.0)),
-            q=float(choice.get("q", 0.0)),
+            p=_number(choice.get("p", 0.0), "choice.p"),
+            q=_number(choice.get("q", 0.0), "choice.q"),
             rho=rho if rho == "certified" else float(rho),
-            eval_times=tuple(float(t) for t in times),
+            eval_times=tuple(_number(t, "eval_times entry") for t in times),
         )
         cfg.validate()
         return cfg
@@ -204,10 +243,18 @@ class ExperimentConfig:
             raise ConfigError("instance.tau must be positive")
         if self.mode_count < 1:
             raise ConfigError("instance.mode_count must be >= 1")
+        if any(not 1 <= m <= self.mode_count for m, _ in self.reference_data):
+            raise ConfigError(f"instance.reference modes must lie in 1..{self.mode_count}")
+        if self.seed < 0:
+            raise ConfigError("noise.seed must be >= 0")
         if self.trials < 1:
             raise ConfigError("noise.trials must be >= 1")
         if self.n_steps < 16 or self.n_steps % 2:
             raise ConfigError("solver.n_steps must be an even integer >= 16")
+        if not self.picard_tol > 0.0:
+            raise ConfigError("solver.picard_tol must be positive")
+        if self.max_iters < 1:
+            raise ConfigError("solver.max_iters must be >= 1")
         if self.regime == LOG_RULE and not self.p > 0.0:
             raise ConfigError("the log rule needs choice.p > 0")
         if self.regime == HOLDER_RULE and not self.q > 0.0:
@@ -399,10 +446,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     grid = TimeGrid(cfg.tau, cfg.n_steps)
     order = SCHEME_ORDER[DEFAULT_QUADRATURE_ORDER]
     kappa = source.kappa
+    eval_idx = [grid.index_of(t) for t in cfg.eval_times]
+    # (level, delta, trial) -> (states at the eval times, iterations, defect,
+    # Richardson term): only what the rows read, not the whole trajectory
     solve_cache: dict = {}
     samples = []
 
-    for t in cfg.eval_times:
+    for ti, t in enumerate(cfg.eval_times):
+        idx = eval_idx[ti]
         series = []
         for di, delta in enumerate(cfg.deltas):
             worst_err = -math.inf
@@ -440,10 +491,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                             f"converge: {exc}", increments=exc.increments,
                             defect=exc.defect) from exc
                     rich = res.trajectory.sup_distance(coarse.trajectory) / (2 ** order - 1)
-                    solve_cache[key] = (res, rich)
-                res, rich = solve_cache[key]
-                idx = grid.index_of(t)
-                err = l2_norm(reference.trajectory.state(idx) - res.trajectory.state(idx))
+                    # fancy indexing copies the rows, so the cache pins no trajectory
+                    solve_cache[key] = (res.trajectory.states[eval_idx], res.iterations,
+                                        res.defect, rich)
+                at_eval, iterations, defect, rich = solve_cache[key]
+                err = l2_norm(reference.trajectory.state(idx)
+                              - SpectralField(model, at_eval[ti]))
                 bi = BoundInputs(model=model, level=level, t=t, tau=cfg.tau,
                                  delta=delta, rho=rho, kappa=kappa,
                                  regime=regime, p=cfg.p, q=cfg.q)
@@ -455,7 +508,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                     truncation_bound=truncation_bound(bi),
                     noise_bound=noise_bound(bi),
                     total_bound=total_bound(bi),
-                    iterations=res.iterations, residual=res.defect))
+                    iterations=iterations, residual=defect))
                 worst_err = max(worst_err, err)
             series.append((delta, worst_err))
         if len(series) >= 4 and all(e > 0 for _, e in series):

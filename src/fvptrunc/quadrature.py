@@ -20,6 +20,10 @@ against a piecewise-polynomial interpolant of w:
              the centred weight row and the 4 edge intervals are dot
              products with their own rows.
 
+The backward recurrence I_k = A_k + e^{lam h} I_{k+1} that sums the
+interval integrals is one unit-bidiagonal banded triangular solve (BLAS
+dtbsv, transposed lower form); see `exp_kernel_profile` for why that form.
+
 Per-mode arithmetic only ever uses growth factors e^{lam (s - t)} with
 s >= t (the per-interval factor e^{lam h} inside a backward recurrence),
 so magnitudes never exceed what the mathematical result requires.
@@ -31,7 +35,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg.blas import dtbsv
 from scipy.special import hyp1f1
 
 from .errors import ExponentOverflowError
@@ -139,7 +143,14 @@ def exp_kernel_profile(lam: float, h: float, w: np.ndarray, order: int = 2) -> n
     """I(t_k) = int_{t_k}^{tau} e^{lam (s - t_k)} w_interp(s) ds at every grid point.
 
     Uses the backward recurrence I_k = A_k + e^{lam h} I_{k+1}, which keeps
-    every factor of the form e^{lam (s - t)} with s >= t.
+    every factor of the form e^{lam (s - t)} with s >= t.  The recurrence
+    is the unit-bidiagonal system L^T I = A, where L has -e^{lam h} on its
+    subdiagonal, solved by BLAS dtbsv in its transposed-lower form.  That
+    form takes each step as a length-1 dot followed by a subtraction, so
+    every I_k is fl(A_k + fl(e^{lam h} I_{k+1})), the plain recurrence
+    rounded step by step.  The equivalent upper, non-transposed form runs
+    through an axpy kernel that may fuse the multiply and the add, which
+    rounds differently and would move results in their last bits.
     """
     if lam < 0.0:
         raise ValueError("kernel rate lam must be >= 0")
@@ -154,11 +165,14 @@ def exp_kernel_profile(lam: float, h: float, w: np.ndarray, order: int = 2) -> n
         raise ExponentOverflowError(
             f"per-interval growth e^(lam h) overflows (lam h = {z:.6g})")
     A = _interval_integrals(w, h, z, order)
-    E = math.exp(z)
-    # y[m] = A_rev[m] + E y[m-1]  ==>  y reversed is I_0..I_{n-1}
-    y = lfilter([1.0], [1.0, -E], A[::-1])
+    # band storage of L: row 1 holds the subdiagonal; row 0, the unit
+    # diagonal, is never read (diag=1)
+    band = np.full((2, n), -math.exp(z), order="F")
     out = np.zeros(n + 1)
-    out[:-1] = y[::-1]
+    # dtbsv subtracts a zero product as +0.0 and so keeps the sign of an
+    # A_k = -0.0; the recurrence adds e^{lam h} I_{k+1} and never returns -0.0.
+    # Adding 0.0 (in place of the copy into `out`) changes only that sign.
+    np.add(dtbsv(1, band, A, lower=1, trans=1, diag=1), 0.0, out=out[:-1])
     if not np.all(np.isfinite(out)):
         raise ExponentOverflowError(
             f"exponential-kernel integral overflows for lam = {lam:.6g}")

@@ -118,9 +118,10 @@ def _check_level(cfg: SolverConfig, model: EigenModel) -> None:
 
 
 def _map_retained(states: np.ndarray, instance: FvpInstance, cfg: SolverConfig,
-                  data: SpectralField, grid: TimeGrid) -> np.ndarray:
+                  lead: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """fixed_point_map on the retained columns: (n+1, N) states to their
-    (n+1, N) image."""
+    (n+1, N) image.  `lead` is the map's term that does not depend on the
+    iterate, G_N(tau - t) data on the grid, computed once per solve."""
     N = cfg.level
     lam = instance.model.lambdas[:N]
     pts = grid.points
@@ -132,9 +133,9 @@ def _map_retained(states: np.ndarray, instance: FvpInstance, cfg: SolverConfig,
         W[:, j] = backward_cumulative(grid.h, states[:, j], order)
     integrand = F + W
 
-    out = _growth_columns(lam, instance.tau - pts, data.coeffs[:N])
+    out = np.empty_like(lead)
     for j in range(N):
-        out[:, j] -= exp_kernel_profile(lam[j], grid.h, integrand[:, j], order)
+        out[:, j] = lead[:, j] - exp_kernel_profile(lam[j], grid.h, integrand[:, j], order)
     return out
 
 
@@ -154,7 +155,10 @@ def fixed_point_map(v: Trajectory, instance: FvpInstance, cfg: SolverConfig,
     Modes beyond the truncation level are zero.
     """
     _check_level(cfg, instance.model)
-    image = _map_retained(v.states[:, :cfg.level], instance, cfg, data, v.grid)
+    N = cfg.level
+    lead = _growth_columns(instance.model.lambdas[:N], instance.tau - v.grid.points,
+                           data.coeffs[:N])
+    image = _map_retained(v.states[:, :N], instance, cfg, lead, v.grid)
     return _padded(v.grid, instance.model, image)
 
 
@@ -225,13 +229,14 @@ def picard_solve(instance: FvpInstance, cfg: SolverConfig, data: SpectralField,
     model = instance.model
     N = cfg.level
     _check_level(cfg, model)
+    if initial is not None and initial.grid.n_steps != grid.n_steps:
+        raise ValueError("initial trajectory must live on the solver grid")
 
+    lead = _growth_columns(model.lambdas[:N], instance.tau - grid.points, data.coeffs[:N])
     if initial is None:
-        v = _growth_columns(model.lambdas[:N], instance.tau - grid.points, data.coeffs[:N])
+        v = lead
         dropped = None
     else:
-        if initial.grid.n_steps != grid.n_steps:
-            raise ValueError("initial trajectory must live on the solver grid")
         v = initial.states[:, :N]
         dropped = initial.states[:, N:]
 
@@ -239,7 +244,7 @@ def picard_solve(instance: FvpInstance, cfg: SolverConfig, data: SpectralField,
     converged = False
     its = 0
     for its in range(1, cfg.max_iters + 1):
-        image = _map_retained(v, instance, cfg, data, grid)
+        image = _map_retained(v, instance, cfg, lead, grid)
         step = v - image
         if dropped is not None:
             step = np.hstack((step, dropped))

@@ -99,6 +99,37 @@ def test_config_error_exit_code(tmp_path):
                  str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("instance", "tau", "abc"),
+    ("noise", "deltas", 5),
+    ("solver", "n_steps", [1]),
+    ("noise", "deltas", [1e-4, "x"]),
+    ("noise", "trials", 1.5),
+    ("noise", "seed", -1),
+    ("solver", "picard_tol", 0),
+    ("solver", "max_iters", 0),
+    ("choice", "q", None),
+    ("choice", "rho", True),
+    ("instance", "mode_count", "6"),
+    ("instance", "source", {"kind": ["linear"]}),
+    ("instance", "reference", {"kind": "closed_form", "mode": 7}),
+    ("eval_times", None, [0.0, "0.5"]),
+])
+def test_mistyped_config_value_is_a_config_error(tmp_path, config_path, capsys,
+                                                  section, key, value):
+    doc = json.loads(config_path.read_text())
+    if key is None:
+        doc[section] = value
+    else:
+        doc[section][key] = value
+    bad = tmp_path / "typed.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["experiment", "--config", str(bad),
+                 "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and section in err
+
+
 def test_unknown_key_exit_code(tmp_path, config_path):
     doc = json.loads(config_path.read_text())
     doc["noise"]["surprise"] = 1

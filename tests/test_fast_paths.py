@@ -2,8 +2,9 @@
 
 scaled_norm_rows takes an unscaled path for rows of moderate norm,
 sup_row_norm takes the largest of them in one pass, the certified rho is
-one row-wise log-sum-exp pass, and the order-6 interval integrals are a
-6-tap correlation plus four edge rows.  Each is held here to an
+one row-wise log-sum-exp pass, the order-6 interval integrals are a
+6-tap correlation plus four edge rows, and the exponential-kernel
+recurrence is one banded triangular solve.  Each is held here to an
 independent reference kept in this file.
 """
 
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 from fvptrunc import (ConfigError, EigenModel, ExponentOverflowError, GevreyParams,
                       SpectralField, TimeGrid, Trajectory, closed_form_solution, gevrey_norm)
 from fvptrunc.harness import RHO_SAFETY, _certified_rho
-from fvptrunc.quadrature import _interval_integrals, _pl_interval_weights, lagrange_exp_weights
+from fvptrunc.quadrature import (_interval_integrals, _pl_interval_weights, exp_kernel_profile,
+                                 lagrange_exp_weights)
 from fvptrunc.reference import ReferenceSolution
 from fvptrunc.spectral import FAST_NORM_MAX, FAST_NORM_MIN, scaled_norm_rows, sup_row_norm
 
@@ -256,3 +258,53 @@ def test_stencil_matches_gather(n, z, order):
 def test_order6_needs_six_points():
     with pytest.raises(ValueError, match="at least 6 grid points"):
         _interval_integrals(np.ones(5), 0.25, 0.1, 6)
+
+
+# --------------------------------------------------------------------------
+# exponential-kernel recurrence
+
+def recurrence_loop(w: np.ndarray, h: float, z: float, order: int) -> np.ndarray:
+    """I_k = A_k + e^z I_{k+1} from I_n = 0, one rounded step at a time."""
+    A = _interval_integrals(np.ascontiguousarray(w), h, z, order)
+    E = math.exp(z)
+    out = np.zeros(A.size + 1)
+    acc = 0.0
+    for k in range(A.size - 1, -1, -1):
+        acc = float(A[k]) + E * acc
+        out[k] = acc
+    return out
+
+
+def layouts(w: np.ndarray) -> list:
+    """w as a contiguous array, a strided column and a reversed view."""
+    strided = np.stack([w, -w], axis=1)[:, 0]
+    reversed_view = w[::-1].copy()[::-1]
+    assert strided.strides != w.strides and reversed_view.strides[0] < 0
+    return [w, strided, reversed_view]
+
+
+@pytest.mark.parametrize("z", [0.0, 1e-9, 1e-3, 0.5, 30.0, 699.0])
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 7, 128, 4096])
+def test_kernel_profile_is_the_rounded_recurrence(n, z):
+    """The banded solve reproduces the plain loop byte for byte.
+
+    Two integrands: one of unit size everywhere (it overflows for large
+    z n, and then both must report it) and one that decays like e^{-lam t},
+    which keeps the order-2 profile finite up to z = 699 and whose
+    underflowing tail gives some A_k = -0.0 (n = 4096, z = 0.5).
+    """
+    rng = np.random.default_rng(n)
+    h = 1.0 / n
+    lam = z / h
+    dense = rng.standard_normal(n + 1)
+    decaying = dense * np.exp(-z * np.arange(n + 1))
+    for order in (2, 6) if n >= 5 else (2,):
+        for w in (dense, decaying):
+            want = recurrence_loop(w, h, lam * h, order)
+            for view in layouts(w):
+                if not np.all(np.isfinite(want)):
+                    with pytest.raises(ExponentOverflowError):
+                        exp_kernel_profile(lam, h, view, order)
+                    continue
+                got = exp_kernel_profile(lam, h, view, order)
+                assert got.tobytes() == want.tobytes(), (order, view.strides)
