@@ -7,8 +7,18 @@ Subcommands:
   experiment      full delta-ladder run -> report CSV + summary
   gronwall-check  property sweep of the iterated-integral inequality
 
-Exit codes: 0 success, 2 config error, 3 solver non-convergence,
-4 dominance (or inequality) violation.
+Exit codes, one message line on stderr and no traceback for every
+package error:
+  0  success
+  2  the input cannot be run: a config error (ConfigError), noise too
+     large for the rule (NoiseTooLargeError), a value past the double
+     range (ExponentOverflowError), an unsupported regime or domain
+     (UnsupportedRegimeError, UnsupportedDomainError) or a failed root
+     bracket (BracketError)
+  3  a numerical method gave up: Picard non-convergence
+     (NonConvergenceError) or a self-convergent reference ladder that did
+     not contract (ReferenceRejectedError)
+  4  dominance (or inequality) violation
 """
 
 from __future__ import annotations
@@ -21,7 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import gronwall_bound, gronwall_comparison_solution
-from .errors import ConfigError, NoiseTooLargeError, NonConvergenceError
+from .errors import (ConfigError, ExponentOverflowError, FvptruncError, NoiseTooLargeError,
+                     NonConvergenceError, ReferenceRejectedError)
 from .harness import (ExperimentConfig, add_noise, build_reference, illposed_table,
                       run_experiment)
 from .param_choice import (HOLDER_RULE, LOG_RULE, ChoiceInputs, choose_level)
@@ -214,6 +225,15 @@ def main(argv=None) -> int:
     except NonConvergenceError as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
+    except ReferenceRejectedError as exc:
+        print(f"reference rejected: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
+    except ExponentOverflowError as exc:
+        print(f"range error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except FvptruncError as exc:  # UnsupportedRegime/Domain, BracketError
+        print(f"unsupported input: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

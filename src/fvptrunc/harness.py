@@ -25,10 +25,14 @@ from .quadrature import SCHEME_ORDER
 from .reference import (ReferenceSolution, closed_form_solution, combined_closed_form,
                         illposed_pair, self_convergent_reference)
 from .solver import DEFAULT_QUADRATURE_ORDER, SolverConfig, picard_solve
-from .spectral import (EigenModel, GevreyParams, SpectralField, exp_log_norm, gevrey_log_norms,
-                       l2_norm, scaled_norm_rows)
+from .spectral import (MAX_EXP_ARG, EigenModel, GevreyParams, SpectralField, exp_log_norm,
+                       gevrey_log_norms, l2_norm, scaled_norm_rows)
 
-DESK_SCALE_EXPONENT_CAP = 700.0  # reject configs with lambda_N * tau above this
+# Reject configs with lambda_N * tau above this.  The margin of 9 below the
+# double range keeps the leading term e^{lambda_N tau} g_N finite for data
+# coefficients up to e^9 ~ 8e3, the same headroom as quadrature's
+# per-interval cap.
+DESK_SCALE_EXPONENT_CAP = MAX_EXP_ARG - 9.0
 RHO_SAFETY = 1.01                # grid-max to essential-sup safety factor
 
 
@@ -559,7 +563,9 @@ def holder_bound_staircase(model: EigenModel, tau: float, t: float, q: float,
     deltas, levels, log_bounds = [], [], []
     for r in rs:
         log_delta = math.log(rho) - denom * r ** (2.0 / model.dimension)
-        if log_delta < -700.0:
+        # the mirror of the overflow cap: e^{-700} ~ 1e-304 is still a
+        # normal double, a factor e^8 above the smallest one (~ e^{-708.4})
+        if log_delta < -(MAX_EXP_ARG - 9.0):
             raise ValueError("ladder extends past the double range; reduce r_max")
         delta = math.exp(log_delta)
         ci = ChoiceInputs(regime=HOLDER_RULE, rho=rho, delta=delta, t=t, tau=tau,

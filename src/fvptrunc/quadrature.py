@@ -39,6 +39,7 @@ from scipy.linalg.blas import dtbsv
 from scipy.special import hyp1f1
 
 from .errors import ExponentOverflowError
+from .spectral import MAX_EXP_ARG
 
 #: interpolation orders accepted by the routines below
 ORDERS = (2, 6)
@@ -119,6 +120,19 @@ def _interval_weight_table(z: float, order: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=64)
+def _recurrence_band(z: float, n: int) -> np.ndarray:
+    """Band storage of the n x n recurrence matrix L, read-only.
+
+    Row 1 holds the subdiagonal -e^z; row 0, the unit diagonal, is never
+    read (dtbsv with diag=1).  Like the weight tables it depends only on
+    (lam * h, n) and is reused across fixed-point iterations.
+    """
+    band = np.full((2, n), -math.exp(z), order="F")
+    band.flags.writeable = False
+    return band
+
+
 def _interval_integrals(w: np.ndarray, h: float, z: float, order: int) -> np.ndarray:
     """A_i = int_{t_i}^{t_{i+1}} e^{z (s - t_i)/h} w_interp(s) ds, all intervals."""
     n = w.size - 1
@@ -161,19 +175,22 @@ def exp_kernel_profile(lam: float, h: float, w: np.ndarray, order: int = 2) -> n
     if n < 1:
         raise ValueError("need at least two grid points")
     z = lam * h
-    if z > 700.0:
+    # 9 below the double range: e^{lam h} stays under e^700 ~ 1e304, so a
+    # step e^{lam h} I_{k+1} with |I_{k+1}| up to e^9 ~ 8e3 is finite; the
+    # finiteness check below catches the rest
+    if z > MAX_EXP_ARG - 9.0:
         raise ExponentOverflowError(
             f"per-interval growth e^(lam h) overflows (lam h = {z:.6g})")
     A = _interval_integrals(w, h, z, order)
-    # band storage of L: row 1 holds the subdiagonal; row 0, the unit
-    # diagonal, is never read (diag=1)
-    band = np.full((2, n), -math.exp(z), order="F")
     out = np.zeros(n + 1)
     # dtbsv subtracts a zero product as +0.0 and so keeps the sign of an
     # A_k = -0.0; the recurrence adds e^{lam h} I_{k+1} and never returns -0.0.
     # Adding 0.0 (in place of the copy into `out`) changes only that sign.
-    np.add(dtbsv(1, band, A, lower=1, trans=1, diag=1), 0.0, out=out[:-1])
-    if not np.all(np.isfinite(out)):
+    np.add(dtbsv(1, _recurrence_band(z, n), A, lower=1, trans=1, diag=1), 0.0,
+           out=out[:-1])
+    # A non-finite I_{k+1} makes every later step non-finite: e^{lam h} >= 1,
+    # so fl(A_k + e^{lam h} I_{k+1}) is +-inf or NaN.  I_0 checks them all.
+    if not math.isfinite(out[0]):
         raise ExponentOverflowError(
             f"exponential-kernel integral overflows for lam = {lam:.6g}")
     return out
@@ -186,5 +203,6 @@ def backward_cumulative(h: float, w: np.ndarray, order: int = 2) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     inc = _interval_integrals(w, h, 0.0, order)
     out = np.zeros(w.size)
-    out[:-1] = np.cumsum(inc[::-1])[::-1]
+    # out[-2::-1] is out[:-1] reversed: the running sums land in place
+    np.cumsum(inc[::-1], out=out[-2::-1])
     return out

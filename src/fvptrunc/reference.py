@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ReferenceRejectedError, UnsupportedRegimeError
+from .errors import ExponentOverflowError, ReferenceRejectedError, UnsupportedRegimeError
 from .grids import TimeGrid, Trajectory
 from .problem import FvpInstance
 from .quadrature import SCHEME_ORDER
@@ -62,11 +62,30 @@ def mode_roots(lam: float, c: float) -> LinearModeRoots:
     return LinearModeRoots(alpha=alpha, beta=beta, lam=lam, c=c)
 
 
+def _in_range(values: np.ndarray, roots: LinearModeRoots, w: np.ndarray) -> np.ndarray:
+    """`values`, or ExponentOverflowError if one left the double range.
+
+    Callers compute `values` with overflow warnings off: the growth factor
+    e^{|beta| w} is the only term that can overflow, and it makes the value
+    itself infinite when it does.
+    """
+    if not np.all(np.isfinite(values)):
+        raise ExponentOverflowError(
+            f"e^(|beta| (tau - t)) overflows: |beta| (tau - t) = "
+            f"{abs(roots.beta) * float(np.max(w)):.6g} (lambda = {roots.lam:.6g})")
+    return values
+
+
 def mode_coefficient(roots: LinearModeRoots, tau: float, t) -> np.ndarray:
-    """u(t) of the closed form, normalized to u(tau) = 1."""
+    """u(t) of the closed form, normalized to u(tau) = 1.
+
+    Raises ExponentOverflowError where u(t) leaves the double range.
+    """
     a, b = roots.alpha, roots.beta
     w = tau - np.asarray(t, dtype=float)
-    return (a * np.exp(-a * w) - b * np.exp(-b * w)) / (a - b)
+    with np.errstate(over="ignore"):
+        u = (a * np.exp(-a * w) - b * np.exp(-b * w)) / (a - b)
+    return _in_range(u, roots, w)
 
 
 @dataclass(frozen=True)
@@ -143,9 +162,12 @@ class IllposedPair:
         return np.abs(mode_coefficient(self.roots, self.tau, t)) * self.data_norm
 
     def lower_bound(self, t) -> np.ndarray:
-        """e^{|beta| (tau - t)} / |beta|."""
+        """e^{|beta| (tau - t)} / |beta|; ExponentOverflowError past the double range."""
         b = abs(self.roots.beta)
-        return np.exp(b * (self.tau - np.asarray(t, dtype=float))) / b
+        w = self.tau - np.asarray(t, dtype=float)
+        with np.errstate(over="ignore"):
+            bound = np.exp(b * w) / b
+        return _in_range(bound, self.roots, w)
 
 
 def illposed_pair(model: EigenModel, n: int, tau: float) -> IllposedPair:

@@ -13,8 +13,14 @@ reports the first m at which that a-priori factor drops below one as a
 diagnostic, together with the observed increments.
 
 Every iterate vanishes above mode N, so the Picard loop carries only the N
-retained columns, shape (n_steps + 1, N), and pads to the model's mode
-count once, when it returns.
+retained modes, and it stores them mode-major, shape (N, n_steps + 1): each
+mode's time series is one contiguous row, which the per-mode quadratures
+read and write without copies; the sup norms take the transposed view.
+The loop transposes and pads to the model's (n_steps + 1, mode_count)
+layout once, when it returns, and takes the returned defect on the
+retained rows with the solve's own leading term.  `fixed_point_map` and
+`fixed_point_defect` keep the full-width layout and check a solution
+independently of the loop.
 """
 
 from __future__ import annotations
@@ -74,7 +80,7 @@ def apply_spectral_growth(t: float, psi: SpectralField, level: int) -> SpectralF
     if t < 0.0:
         raise ValueError("t must be >= 0")
     out = np.zeros(model.mode_count)
-    out[:level] = _growth_columns(model.lambdas[:level], np.array([t]), psi.coeffs[:level])[0]
+    out[:level] = _growth_rows(model.lambdas[:level], np.array([t]), psi.coeffs[:level])[:, 0]
     return SpectralField(model, out)
 
 
@@ -92,24 +98,24 @@ def exp_kernel_integral(lam: float, grid: TimeGrid, w: np.ndarray, t_index: int,
     return float(profile[t_index])
 
 
-def _growth_columns(lam: np.ndarray, back: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """G_N on a grid: e^{lam_j * back_i} * data_j, one row per entry of back.
+def _growth_rows(lam: np.ndarray, back: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """G_N on a grid, mode-major: e^{lam_j * back_i} * data_j at [j, i].
 
     A growth factor past the double range is harmless on a zero coefficient
-    (its column is zero); on a nonzero one it raises ExponentOverflowError
+    (its row is zero); on a nonzero one it raises ExponentOverflowError
     naming the first such mode.
     """
-    args = np.outer(back, lam)
+    args = np.outer(lam, back)
     over = args > MAX_EXP_ARG
     if np.any(over):
-        bad = np.any(over, axis=0) & (data != 0.0)
+        bad = np.any(over, axis=1) & (data != 0.0)
         if np.any(bad):
             j = int(np.argmax(bad)) + 1
             raise ExponentOverflowError(
                 f"e^(lambda_{j} s) overflows for s = {float(np.max(back)):.6g} "
                 f"(lambda = {lam[j - 1]:.6g})")
-        args = np.where(over, 0.0, args)  # zero data: column is zero anyway
-    return np.exp(args) * data
+        args = np.where(over, 0.0, args)  # zero data: row is zero anyway
+    return np.exp(args) * data[:, None]
 
 
 def _check_level(cfg: SolverConfig, model: EigenModel) -> None:
@@ -117,32 +123,27 @@ def _check_level(cfg: SolverConfig, model: EigenModel) -> None:
         raise ValueError("truncation level exceeds the model mode count")
 
 
-def _map_retained(states: np.ndarray, instance: FvpInstance, cfg: SolverConfig,
+def _map_retained(rows: np.ndarray, instance: FvpInstance, cfg: SolverConfig,
                   lead: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """fixed_point_map on the retained columns: (n+1, N) states to their
-    (n+1, N) image.  `lead` is the map's term that does not depend on the
-    iterate, G_N(tau - t) data on the grid, computed once per solve."""
-    N = cfg.level
-    lam = instance.model.lambdas[:N]
-    pts = grid.points
-    order = cfg.quadrature_order
-
-    F = instance.source.apply(pts, states)
-    W = np.empty_like(F)
-    for j in range(N):
-        W[:, j] = backward_cumulative(grid.h, states[:, j], order)
-    integrand = F + W
-
+    """fixed_point_map on the retained modes, mode-major: (N, n+1) rows to
+    their (N, n+1) image.  `lead` is the map's term that does not depend on
+    the iterate, G_N(tau - t) data on the grid (`_growth_rows`), computed
+    once per solve."""
+    lam = instance.model.lambdas[:cfg.level]
+    h, order = grid.h, cfg.quadrature_order
+    integrand = instance.source.apply(grid.points, rows)  # F, a new array
     out = np.empty_like(lead)
-    for j in range(N):
-        out[:, j] = lead[:, j] - exp_kernel_profile(lam[j], grid.h, integrand[:, j], order)
+    for j, row in enumerate(rows):
+        integrand[j] += backward_cumulative(h, row, order)  # F + W
+        np.subtract(lead[j], exp_kernel_profile(lam[j], h, integrand[j], order),
+                    out=out[j])
     return out
 
 
-def _padded(grid: TimeGrid, model: EigenModel, states: np.ndarray) -> Trajectory:
-    """The trajectory whose first columns are `states` and the rest zero."""
+def _padded(grid: TimeGrid, model: EigenModel, rows: np.ndarray) -> Trajectory:
+    """The trajectory whose first modes are the mode-major `rows`, the rest zero."""
     out = np.zeros((grid.n_steps + 1, model.mode_count))
-    out[:, :states.shape[1]] = states
+    out[:, :rows.shape[0]] = rows.T
     return Trajectory(grid, model, out)
 
 
@@ -156,9 +157,9 @@ def fixed_point_map(v: Trajectory, instance: FvpInstance, cfg: SolverConfig,
     """
     _check_level(cfg, instance.model)
     N = cfg.level
-    lead = _growth_columns(instance.model.lambdas[:N], instance.tau - v.grid.points,
-                           data.coeffs[:N])
-    image = _map_retained(v.states[:, :N], instance, cfg, lead, v.grid)
+    lead = _growth_rows(instance.model.lambdas[:N], instance.tau - v.grid.points,
+                        data.coeffs[:N])
+    image = _map_retained(v.states[:, :N].T.copy(), instance, cfg, lead, v.grid)
     return _padded(v.grid, instance.model, image)
 
 
@@ -180,8 +181,10 @@ def apriori_contraction_iteration(kappa: float, lam_n: float, tau: float) -> flo
     log_x = math.log(kappa0) + lam_n * tau + math.log1p(tau) + math.log(tau)
     if log_x <= 0.0:
         return 1.0
-    # m ln x < lgamma(m+1); the crossover sits near e^(1 + ln x)
-    if log_x > 702.0:
+    # m ln x < lgamma(m+1); the crossover sits near e^(1 + ln x).  The
+    # margin of 7 below the double range keeps the bisection's upper end
+    # 4 e^(1 + ln x) <= e^(703 + ln 4) ~ 4e305 finite.
+    if log_x > MAX_EXP_ARG - 7.0:
         return math.inf
 
     def crosses(m: float) -> bool:
@@ -220,10 +223,15 @@ def picard_solve(instance: FvpInstance, cfg: SolverConfig, data: SpectralField,
     picard_tol * (1 + ||v||); raises NonConvergenceError with the increment
     history when max_iters is exhausted.
 
-    The iterates are (n+1, N) arrays of the retained modes; the result is
-    padded to the model's mode count once, at the end.  The first increment
-    from a given `initial` also counts its modes above N, which the map
-    drops.
+    The iterates are the (N, n+1) mode-major rows of the retained modes;
+    the result is transposed and padded to the model's mode count once, at
+    the end.  The first increment from a given `initial` also counts its
+    modes above N, which the map drops.  The returned defect is
+    fixed_point_defect of the result taken on the retained rows, since the
+    modes above N are zero in the result and in its image.  Each grid
+    point's squares are summed over the modes in order there, and in
+    numpy's vectorised order over the full width in fixed_point_defect, so
+    the two may differ in the last bit.
     """
     grid = cfg.grid(instance.tau)
     model = instance.model
@@ -232,12 +240,12 @@ def picard_solve(instance: FvpInstance, cfg: SolverConfig, data: SpectralField,
     if initial is not None and initial.grid.n_steps != grid.n_steps:
         raise ValueError("initial trajectory must live on the solver grid")
 
-    lead = _growth_columns(model.lambdas[:N], instance.tau - grid.points, data.coeffs[:N])
+    lead = _growth_rows(model.lambdas[:N], instance.tau - grid.points, data.coeffs[:N])
     if initial is None:
         v = lead
         dropped = None
     else:
-        v = initial.states[:, :N]
+        v = initial.states[:, :N].T.copy()
         dropped = initial.states[:, N:]
 
     increments: list[float] = []
@@ -245,19 +253,18 @@ def picard_solve(instance: FvpInstance, cfg: SolverConfig, data: SpectralField,
     its = 0
     for its in range(1, cfg.max_iters + 1):
         image = _map_retained(v, instance, cfg, lead, grid)
-        step = v - image
+        step = (v - image).T
         if dropped is not None:
             step = np.hstack((step, dropped))
             dropped = None
         inc = sup_row_norm(step)
         increments.append(inc)
         v = image
-        if inc <= cfg.picard_tol * (1.0 + sup_row_norm(v)):
+        if inc <= cfg.picard_tol * (1.0 + sup_row_norm(v.T)):
             converged = True
             break
 
-    solution = _padded(grid, model, v)
-    defect = fixed_point_defect(solution, instance, cfg, data)
+    defect = sup_row_norm((v - _map_retained(v, instance, cfg, lead, grid)).T)
     if not converged:
         raise NonConvergenceError(
             f"no convergence after {cfg.max_iters} iterations "
@@ -265,5 +272,5 @@ def picard_solve(instance: FvpInstance, cfg: SolverConfig, data: SpectralField,
             increments=increments, defect=defect)
     m_star = apriori_contraction_iteration(instance.source.kappa,
                                            model.lambdas[N - 1], instance.tau)
-    return PicardResult(trajectory=solution, iterations=its, defect=defect,
+    return PicardResult(trajectory=_padded(grid, model, v), iterations=its, defect=defect,
                         increments=increments, apriori_contraction_m=m_star)

@@ -147,3 +147,58 @@ def test_nonconvergence_exit_code(tmp_path, config_path):
     bad.write_text(json.dumps(doc))
     assert main(["experiment", "--config", str(bad),
                  "--output-dir", str(tmp_path / "out")]) == 3
+
+
+SIN_LADDER = {
+    "instance": {"tau": 0.25, "mode_count": 12, "source": {"kind": "sin"},
+                 "reference": {"kind": "self_convergent", "data": [[1, 0.2], [2, 1e-4]]}},
+    "noise": {"deltas": [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8],
+              "direction": "seeded_random", "seed": 0, "trials": 4},
+    "solver": {"n_steps": 4096, "picard_tol": 1e-11, "max_iters": 500},
+    "choice": {"regime": "holder_rule", "q": 50, "rho": "certified"},
+    "eval_times": [0.0, 0.125, 0.25],
+}
+
+
+def run_experiment_cli(tmp_path, doc) -> int:
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return main(["experiment", "--config", str(path), "--output-dir", str(tmp_path / "out")])
+
+
+def test_gevrey_norm_overflow_exits_2(tmp_path, capsys):
+    # q = 50 puts the certified rho's weight e^{2 (q + tau) lambda} far
+    # past the double range
+    assert run_experiment_cli(tmp_path, SIN_LADDER) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("range error:") and "Gevrey norm" in err
+
+
+def test_unsupported_regime_exits_2(tmp_path, config_path, capsys):
+    # c = lambda_1 gives complex mode roots, which the closed form excludes
+    doc = json.loads(config_path.read_text())
+    doc["instance"]["source"]["c"] = 9.8696
+    assert run_experiment_cli(tmp_path, doc) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("unsupported input:") and "real distinct roots" in err
+
+
+def test_rejected_reference_exits_3(tmp_path, config_path, capsys, monkeypatch):
+    import fvptrunc.harness
+    from fvptrunc import ReferenceRejectedError
+
+    def reject(cfg):
+        raise ReferenceRejectedError("ladder differences do not shrink")
+
+    monkeypatch.setattr(fvptrunc.harness, "build_reference", reject)
+    doc = json.loads(config_path.read_text())
+    assert run_experiment_cli(tmp_path, doc) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("reference rejected:") and "do not shrink" in err
+
+
+def test_demo_illposed_past_the_double_range_exits_2(capsys):
+    # e^{|beta_n|} overflows from n = 9 on (|beta_9| ~ 798 at tau = 1)
+    assert main(["demo-illposed", "--modes", "40"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("range error:") and "overflows" in err

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from fvptrunc import (ConfigError, EigenModel, ExponentOverflowError, GevreyParams,
                       SpectralField, TimeGrid, Trajectory, closed_form_solution, gevrey_norm)
 from fvptrunc.harness import RHO_SAFETY, _certified_rho
-from fvptrunc.quadrature import (_interval_integrals, _pl_interval_weights, exp_kernel_profile,
-                                 lagrange_exp_weights)
+from fvptrunc.quadrature import (_interval_integrals, _pl_interval_weights, backward_cumulative,
+                                 exp_kernel_profile, lagrange_exp_weights)
 from fvptrunc.reference import ReferenceSolution
 from fvptrunc.spectral import FAST_NORM_MAX, FAST_NORM_MIN, scaled_norm_rows, sup_row_norm
 
@@ -308,3 +308,20 @@ def test_kernel_profile_is_the_rounded_recurrence(n, z):
                     continue
                 got = exp_kernel_profile(lam, h, view, order)
                 assert got.tobytes() == want.tobytes(), (order, view.strides)
+
+
+@pytest.mark.parametrize("order", [2, 6])
+@pytest.mark.parametrize("n", [5, 6, 7, 128, 4096])
+def test_backward_cumulative_is_the_rounded_running_sum(n, order):
+    """W_k = W_{k+1} + A_k from W_n = 0, one rounded step at a time."""
+    rng = np.random.default_rng(n)
+    w = rng.standard_normal(n + 1)
+    h = 1.0 / n
+    A = _interval_integrals(w, h, 0.0, order)
+    want = np.zeros(n + 1)
+    acc = 0.0
+    for k in range(n - 1, -1, -1):
+        acc = acc + float(A[k])
+        want[k] = acc
+    for view in layouts(w):
+        assert backward_cumulative(h, view, order).tobytes() == want.tobytes()

@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from fvptrunc import ExponentOverflowError, TimeGrid, backward_cumulative
-from fvptrunc.quadrature import (exp_kernel_profile, lagrange_exp_weights, phi1, phi2)
+from fvptrunc.quadrature import (_recurrence_band, exp_kernel_profile, lagrange_exp_weights,
+                                 phi1, phi2)
 from fvptrunc.solver import exp_kernel_integral
 
 PI2 = math.pi ** 2
@@ -138,3 +139,23 @@ class TestValidation:
         grid = TimeGrid(1.0, 8)
         with pytest.raises(IndexError):
             exp_kernel_integral(1.0, grid, np.ones(9), 9, order=2)
+
+
+class TestRecurrenceBand:
+    def test_band_is_read_only_and_reused(self):
+        h = 1.0 / 64
+        lam = 0.75 / h
+        w = np.linspace(0.0, 1.0, 65)
+        first = exp_kernel_profile(lam, h, w, 6)
+        band = _recurrence_band(lam * h, 64)
+        assert not band.flags.writeable
+        with pytest.raises(ValueError):
+            band[1, 0] = 0.0
+        hits = _recurrence_band.cache_info().hits
+        again = exp_kernel_profile(lam, h, 2.0 * w, 6)
+        assert _recurrence_band.cache_info().hits == hits + 1
+        assert _recurrence_band(lam * h, 64) is band
+        assert again.tobytes() == (2.0 * first).tobytes()
+        assert band.shape == (2, 64) and band.flags.f_contiguous
+        assert np.all(band[1] == -math.exp(lam * h))
+        assert _recurrence_band(lam * h, 65) is not band

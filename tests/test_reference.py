@@ -4,7 +4,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fvptrunc import (EigenModel, FvpInstance, ReferenceRejectedError, SolverConfig,
+from fvptrunc import (EigenModel, ExponentOverflowError, FvpInstance,
+                      ReferenceRejectedError, SolverConfig,
                       SourceFunction, TimeGrid, UnsupportedRegimeError,
                       closed_form_solution, combined_closed_form, illposed_pair,
                       mode_roots, self_convergent_reference)
@@ -145,6 +146,21 @@ class TestIllposedPair:
         model = EigenModel.dirichlet_1d(4)
         pair = illposed_pair(model, 1, 1.0)
         assert float(pair.solution_norm(1.0)) == pytest.approx(pair.data_norm, rel=1e-14)
+
+    def test_past_the_double_range_raises(self):
+        # |beta_8| ~ 630 and |beta_9| ~ 798: e^{|beta|} overflows from mode 9 on
+        model = EigenModel.dirichlet_1d(9)
+        last = illposed_pair(model, 8, 1.0)
+        assert math.isfinite(float(last.solution_norm(0.0)))
+        assert math.isfinite(float(last.lower_bound(0.0)))
+        pair = illposed_pair(model, 9, 1.0)
+        with pytest.raises(ExponentOverflowError, match="overflows"):
+            pair.solution_norm(0.0)
+        with pytest.raises(ExponentOverflowError, match="overflows"):
+            pair.lower_bound(np.array([0.5, 0.0]))
+        assert math.isfinite(float(pair.solution_norm(0.5)))
+        with pytest.raises(ExponentOverflowError):
+            closed_form_solution(model, 9, 1.0, 1.0, TimeGrid(1.0, 16))
 
     def test_norms_match_extended_precision(self):
         model = EigenModel.dirichlet_1d(8)

@@ -352,3 +352,30 @@ class TestRetainedColumnLoop:
     def test_nonconvergence(self, model):
         self.check(model, "sin", 4, tau=0.25, max_iters=2)
 
+
+
+class TestDefectOnTheRetainedRows:
+    """picard_solve takes its defect on the N retained rows with its own
+    leading term; fixed_point_defect rebuilds G_N(tau - t) g and differences
+    the full-width trajectories.  Both must give the same bits."""
+
+    MODES = 12
+    TAU = 0.1  # e^{2 lambda_12 tau} stays in range: the kernel integral squares the growth
+
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    @pytest.mark.parametrize("level", [1, 2, 4, 8, MODES])
+    @pytest.mark.parametrize("with_initial", [False, True])
+    def test_defect_is_fixed_point_defect(self, source, level, with_initial):
+        model = EigenModel.dirichlet_1d(self.MODES)
+        rng = np.random.default_rng(level + 100 * with_initial + len(source))
+        data = SpectralField(model, rng.standard_normal(model.mode_count))
+        inst = make_instance(model, SOURCES[source], data, tau=self.TAU)
+        cfg = SolverConfig(level=level, n_steps=96)
+        initial = None
+        if with_initial:
+            # nonzero in every mode, the modes above the level included
+            initial = Trajectory(cfg.grid(self.TAU), model,
+                                 rng.standard_normal((97, model.mode_count)))
+        res = picard_solve(inst, cfg, data, initial=initial)
+        assert not np.any(res.trajectory.states[:, level:])
+        assert bits(res.defect) == bits(fixed_point_defect(res.trajectory, inst, cfg, data))
