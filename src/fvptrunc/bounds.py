@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExponentOverflowError, UnsupportedRegimeError
-from .spectral import MAX_EXP_ARG, EigenModel
+from .errors import UnsupportedRegimeError
+from .spectral import EigenModel, exp_checked
 
 REGIMES = ("gevrey_p", "gevrey_q")
 
@@ -131,23 +131,16 @@ def log_total_bound(b: BoundInputs) -> float:
     return float(np.logaddexp(log_truncation_bound(b), log_noise_bound(b)))
 
 
-def _exp_checked(log_value: float, what: str) -> float:
-    if log_value > MAX_EXP_ARG:
-        raise ExponentOverflowError(f"{what} exceeds the floating range "
-                                    f"(log value = {log_value:.6g})")
-    return math.exp(log_value)
-
-
 def truncation_bound(b: BoundInputs) -> float:
     """Bound on the pure truncation error at time t."""
-    return _exp_checked(log_truncation_bound(b), "truncation bound")
+    return exp_checked(log_truncation_bound(b), "truncation bound")
 
 
 def noise_bound(b: BoundInputs) -> float:
     """Bound on the noise-propagation error: delta e^{(lambda_N + kappa1)(tau-t)}."""
     if b.delta == 0.0:
         return 0.0
-    return _exp_checked(log_noise_bound(b), "noise bound")
+    return exp_checked(log_noise_bound(b), "noise bound")
 
 
 def total_bound(b: BoundInputs) -> float:

@@ -53,16 +53,24 @@ def _number(text: str, admits, meaning: str) -> float:
     except ValueError:
         x = math.nan
     if not (math.isfinite(x) and admits(x)):
-        raise argparse.ArgumentTypeError(f"expected a finite number {meaning}, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected {meaning}, got {text!r}")
     return x
 
 
 def _positive(text: str) -> float:
-    return _number(text, lambda x: x > 0.0, "> 0")
+    return _number(text, lambda x: x > 0.0, "a finite number > 0")
 
 
 def _non_negative(text: str) -> float:
-    return _number(text, lambda x: x >= 0.0, ">= 0")
+    return _number(text, lambda x: x >= 0.0, "a finite number >= 0")
+
+
+def _positive_int(text: str) -> int:
+    return int(_number(text, lambda x: x >= 1.0 and x.is_integer(), "an integer >= 1"))
+
+
+def _non_negative_int(text: str) -> int:
+    return int(_number(text, lambda x: x >= 0.0 and x.is_integer(), "an integer >= 0"))
 
 
 def _fmt(x: float) -> str:
@@ -80,6 +88,9 @@ def _load_config(path: str) -> ExperimentConfig:
 def _cmd_solve(args) -> int:
     cfg = _load_config(args.config)
     model = cfg.model()
+    if args.level > model.mode_count:
+        raise ConfigError(f"--level {args.level} exceeds instance.mode_count "
+                          f"{model.mode_count}")
     reference = build_reference(cfg)
     g = reference.final_data
     delta = args.delta
@@ -109,7 +120,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_demo_illposed(args) -> int:
-    model = EigenModel.dirichlet_1d(max(args.modes, 1))
+    model = EigenModel.dirichlet_1d(args.modes)
     rows = illposed_table(model, args.tau, args.modes)
     print(f"{'n':>3} {'data_norm':>24} {'solution_norm(0)':>24} {'lower_bound(0)':>24}")
     for r in rows:
@@ -127,6 +138,8 @@ def _cmd_demo_illposed(args) -> int:
 
 
 def _cmd_choose_n(args) -> int:
+    if args.t > args.tau:
+        raise ConfigError(f"--t {args.t:g} lies past --tau {args.tau:g}")
     regime = LOG_RULE if args.rule == "log" else HOLDER_RULE
     ci = ChoiceInputs(regime=regime, rho=args.rho, delta=args.delta, t=args.t,
                       tau=args.tau, d=args.d, e1=args.e1, e2=args.e2,
@@ -178,28 +191,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve one instance, write the trajectory CSV")
     p.add_argument("--config", required=True, help="experiment JSON document")
-    p.add_argument("--level", type=int, required=True, help="truncation level N")
+    p.add_argument("--level", type=_positive_int, required=True, help="truncation level N")
     p.add_argument("--delta", type=_non_negative, default=0.0,
                    help="noise level (0 = exact data)")
     p.add_argument("--output", default=None, help="CSV path (stdout if omitted)")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("demo-illposed", help="print the instability table")
-    p.add_argument("--modes", type=int, default=8)
-    p.add_argument("--tau", type=float, default=1.0)
+    p.add_argument("--modes", type=_positive_int, default=8)
+    p.add_argument("--tau", type=_positive, default=1.0)
     p.set_defaults(func=_cmd_demo_illposed)
 
     p = sub.add_parser("choose-n", help="print the rule-chosen truncation level")
     p.add_argument("--rule", choices=("log", "holder"), required=True)
     p.add_argument("--delta", type=_positive, required=True)
     p.add_argument("--rho", type=_positive, required=True)
-    p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--e1", type=float, default=math.pi ** 2)
-    p.add_argument("--e2", type=float, default=math.pi ** 2)
-    p.add_argument("--p", type=float, default=0.0)
-    p.add_argument("--q", type=float, default=0.0)
+    p.add_argument("--t", type=_non_negative, default=0.0)
+    p.add_argument("--tau", type=_positive, default=1.0)
+    p.add_argument("--d", type=_positive_int, default=1)
+    p.add_argument("--e1", type=_positive, default=math.pi ** 2)
+    p.add_argument("--e2", type=_positive, default=math.pi ** 2)
+    p.add_argument("--p", type=_non_negative, default=0.0)
+    p.add_argument("--q", type=_non_negative, default=0.0)
     p.set_defaults(func=_cmd_choose_n)
 
     p = sub.add_parser("experiment", help="run a delta-ladder experiment")
@@ -208,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("gronwall-check", help="sweep the iterated-integral inequality")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--samples", type=_positive_int, default=100)
+    p.add_argument("--seed", type=_non_negative_int, default=7)
     p.set_defaults(func=_cmd_gronwall_check)
     return parser
 

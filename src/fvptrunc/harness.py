@@ -22,10 +22,10 @@ from .grids import TimeGrid
 from .param_choice import (HOLDER_RULE, LOG_RULE, ChoiceInputs, choose_level)
 from .problem import FvpInstance, SourceFunction
 from .quadrature import SCHEME_ORDER
-from .reference import (ReferenceSolution, closed_form_solution, combined_closed_form,
-                        illposed_pair, self_convergent_reference)
+from .reference import (ReferenceSolution, combined_closed_form, illposed_pair,
+                        self_convergent_reference)
 from .solver import DEFAULT_QUADRATURE_ORDER, SolverConfig, picard_solve
-from .spectral import (MAX_EXP_ARG, EigenModel, GevreyParams, SpectralField, exp_log_norm,
+from .spectral import (MAX_EXP_ARG, EigenModel, GevreyParams, SpectralField, exp_checked,
                        gevrey_log_norms, l2_norm, scaled_norm_rows)
 
 # Reject configs with lambda_N * tau above this.  The margin of 9 below the
@@ -400,7 +400,7 @@ def _certified_rho(reference: ReferenceSolution, gp: GevreyParams) -> float:
     traj = reference.trajectory
     live = np.any(traj.states != 0.0, axis=0)
     log_norms = gevrey_log_norms(traj.model.lambdas[live], traj.states[:, live], gp)
-    worst = exp_log_norm(float(np.max(log_norms)))
+    worst = exp_checked(float(np.max(log_norms)), "Gevrey norm")
     if worst <= 0.0:
         raise ConfigError("cannot certify rho: reference has zero weighted norm")
     return RHO_SAFETY * worst
@@ -411,8 +411,6 @@ def build_reference(cfg: ExperimentConfig) -> ReferenceSolution:
     grid = TimeGrid(cfg.tau, cfg.n_steps)
     if cfg.reference_kind == "closed_form":
         c = cfg.source_c if cfg.source_kind == "linear" else 0.0
-        if len(cfg.reference_data) == 1:
-            return closed_form_solution(model, cfg.reference_data[0][0], c, cfg.tau, grid)
         return combined_closed_form(model, cfg.reference_data, c, cfg.tau, grid)
     data = SpectralField.from_coeffs(model, cfg.reference_data)
     instance = FvpInstance(model=model, tau=cfg.tau, source=cfg.source(),
@@ -430,10 +428,10 @@ def build_reference(cfg: ExperimentConfig) -> ReferenceSolution:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Solve every (t, delta, trial) cell with the rule-chosen level.
 
-    Per cell: choose N by the configured rule, perturb the final data,
-    solve, measure the error against the reference at t, and record the
-    theoretical bounds.  Per t, fit ln(error) vs ln(delta) over the ladder
-    (max error across trials) when it has >= 4 points.
+    Per (t, delta): choose N by the configured rule.  Per cell: perturb
+    the final data, solve, measure the error against the reference at t,
+    and record the theoretical bounds.  Per t, fit ln(error) vs ln(delta)
+    over the ladder (max error across trials) when it has >= 4 points.
     """
     model = cfg.model()
     source = cfg.source()
@@ -460,20 +458,20 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         idx = eval_idx[ti]
         series = []
         for di, delta in enumerate(cfg.deltas):
+            ci = ChoiceInputs(regime=cfg.regime, rho=rho, delta=delta,
+                              t=t, tau=cfg.tau, d=model.dimension,
+                              e1=model.e1, e2=model.e2, p=cfg.p, q=cfg.q)
+            level = choose_level(ci).level
+            if level > model.mode_count:
+                level = model.mode_count
+                report.flags.append(
+                    f"level capped at mode_count for t={t:g}, delta={delta:g}")
+            if model.eigenvalue(level) * cfg.tau > DESK_SCALE_EXPONENT_CAP:
+                raise ConfigError(
+                    f"desk-scale guard: lambda_{level} * tau = "
+                    f"{model.eigenvalue(level) * cfg.tau:.3g} > {DESK_SCALE_EXPONENT_CAP}")
             worst_err = -math.inf
             for trial in range(cfg.trials):
-                ci = ChoiceInputs(regime=cfg.regime, rho=rho, delta=delta,
-                                  t=t, tau=cfg.tau, d=model.dimension,
-                                  e1=model.e1, e2=model.e2, p=cfg.p, q=cfg.q)
-                level = choose_level(ci).level
-                if level > model.mode_count:
-                    level = model.mode_count
-                    report.flags.append(
-                        f"level capped at mode_count for t={t:g}, delta={delta:g}")
-                if model.eigenvalue(level) * cfg.tau > DESK_SCALE_EXPONENT_CAP:
-                    raise ConfigError(
-                        f"desk-scale guard: lambda_{level} * tau = "
-                        f"{model.eigenvalue(level) * cfg.tau:.3g} > {DESK_SCALE_EXPONENT_CAP}")
                 seed = int(np.random.SeedSequence(cfg.seed, spawn_key=(di, trial))
                            .generate_state(1)[0])
                 key = (level, di, trial)

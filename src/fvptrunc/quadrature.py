@@ -70,10 +70,14 @@ def phi2(z: float) -> float:
 
 
 def _pl_interval_weights(z: float) -> np.ndarray:
-    """Weights (a0, a1): int_0^1 e^{z s} (w0 (1-s) + w1 s) ds = a0 w0 + a1 w1."""
+    """Weights (a0, a1): int_0^1 e^{z s} (w0 (1-s) + w1 s) ds = a0 w0 + a1 w1.
+
+    The left node's weight is a0 = int_0^1 (1-s) e^{z s} ds = phi2(z), the
+    right node's a1 = int_0^1 s e^{z s} ds = phi1(z) - phi2(z).
+    """
     p1 = phi1(z)
     p2 = phi2(z)
-    return np.array([p1 - p2, p2])
+    return np.array([p2, p1 - p2])
 
 
 def _exp_moments(z: float, mmax: int) -> np.ndarray:

@@ -112,31 +112,27 @@ class ReferenceSolution:
 def closed_form_solution(model: EigenModel, n: int, c: float, tau: float,
                          grid: TimeGrid) -> ReferenceSolution:
     """Single-mode exact solution with final data phi_n."""
-    if not 1 <= n <= model.mode_count:
-        raise IndexError(f"mode index {n} out of range 1..{model.mode_count}")
-    if abs(grid.tau - tau) > 1e-12 * max(tau, 1.0):
-        raise ValueError("grid must span [0, tau]")
-    roots = mode_roots(model.eigenvalue(n), c)
-    states = np.zeros((grid.n_steps + 1, model.mode_count))
-    states[:, n - 1] = mode_coefficient(roots, tau, grid.points)
-    states[-1, n - 1] = 1.0  # (alpha - beta)/(alpha - beta), exactly
-    return ReferenceSolution(
-        trajectory=Trajectory(grid, model, states),
-        final_data=SpectralField.basis(model, n),
-        provenance="closed_form")
+    return combined_closed_form(model, ((n, 1.0),), c, tau, grid)
 
 
 def combined_closed_form(model: EigenModel, weights, c: float, tau: float,
                          grid: TimeGrid) -> ReferenceSolution:
-    """Exact solution with final data sum_n w_n phi_n (linear source only)."""
+    """Exact solution with final data sum_n w_n phi_n (linear source only).
+
+    `weights` holds (1-based mode, w_n) pairs; the grid must span [0, tau].
+    """
+    if abs(grid.tau - tau) > 1e-12 * max(tau, 1.0):
+        raise ValueError("grid must span [0, tau]")
     states = np.zeros((grid.n_steps + 1, model.mode_count))
     data = np.zeros(model.mode_count)
     for n, w in weights:
+        if not 1 <= n <= model.mode_count:
+            raise IndexError(f"mode index {n} out of range 1..{model.mode_count}")
         if w == 0.0:
             continue
         roots = mode_roots(model.eigenvalue(n), c)
         states[:, n - 1] = w * mode_coefficient(roots, tau, grid.points)
-        states[-1, n - 1] = w
+        states[-1, n - 1] = w  # w (alpha - beta)/(alpha - beta), exactly
         data[n - 1] = w
     return ReferenceSolution(
         trajectory=Trajectory(grid, model, states),

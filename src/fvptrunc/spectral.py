@@ -213,12 +213,12 @@ def gevrey_log_norms(lambdas: np.ndarray, coeffs: np.ndarray, gp: GevreyParams) 
         return 0.5 * logsumexp(log_terms, axis=1)
 
 
-def exp_log_norm(log_norm: float) -> float:
-    """exp(log_norm); ExponentOverflowError past the double range."""
-    if log_norm > MAX_EXP_ARG:
-        raise ExponentOverflowError(
-            f"Gevrey norm exceeds the floating range (log norm = {log_norm:.6g})")
-    return math.exp(log_norm)
+def exp_checked(log_value: float, what: str) -> float:
+    """exp(log_value); ExponentOverflowError naming `what` past the double range."""
+    if log_value > MAX_EXP_ARG:
+        raise ExponentOverflowError(f"{what} exceeds the floating range "
+                                    f"(log value = {log_value:.6g})")
+    return math.exp(log_value)
 
 
 def gevrey_norm(psi: SpectralField, gp: GevreyParams) -> float:
@@ -229,7 +229,8 @@ def gevrey_norm(psi: SpectralField, gp: GevreyParams) -> float:
     exceed it without harm).  Zero coefficients never contribute, however
     large their weight would be.
     """
-    return exp_log_norm(float(gevrey_log_norms(psi.model.lambdas, psi.coeffs, gp)[0]))
+    return exp_checked(float(gevrey_log_norms(psi.model.lambdas, psi.coeffs, gp)[0]),
+                       "Gevrey norm")
 
 
 def evaluate_on_grid(psi: SpectralField, x_points) -> np.ndarray:

@@ -49,6 +49,35 @@ def test_out_of_range_option_is_a_usage_error(argv, capsys):
     assert err.startswith("usage:") and "expected a finite number" in err
 
 
+CHOOSE_N = ["choose-n", "--rule", "holder", "--delta", "1e-8", "--rho", "1.0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--config", "CONFIG", "--level", "0"],
+    ["solve", "--config", "CONFIG", "--level", "-3"],
+    ["solve", "--config", "CONFIG", "--level", "9"],  # the config has 6 modes
+    CHOOSE_N + ["--t", "5"],  # past tau
+    CHOOSE_N + ["--d", "0"],
+    CHOOSE_N + ["--e1", "-1"],
+    CHOOSE_N + ["--p", "-1"],
+    CHOOSE_N + ["--q", "nan"],
+    CHOOSE_N + ["--tau", "0"],
+    ["gronwall-check", "--seed", "-1"],
+    ["demo-illposed", "--tau", "0"],
+    ["demo-illposed", "--tau", "-1"],
+    ["demo-illposed", "--modes", "0"],
+], ids=" ".join)
+def test_bad_option_value_exits_2_with_one_message(argv, config_path, capsys):
+    argv = [str(config_path) if a == "CONFIG" else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # an argparse usage error
+        code = exc.code
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert [line for line in lines if "error:" in line] == lines[-1:]
+
+
 def test_demo_illposed(capsys):
     code = main(["demo-illposed", "--modes", "6"])
     out = capsys.readouterr().out

@@ -234,8 +234,11 @@ class TestRunExperiment:
         doc["noise"]["deltas"] = [1e-4, math.exp(-134)]  # raw level 3 > mode_count
         doc["choice"] = {"regime": "holder_rule", "q": 0.5, "rho": 1.0}
         doc["eval_times"] = [0.0]
+        doc["noise"]["trials"] = 3
         report = run_experiment(ExperimentConfig.from_dict(doc))
-        assert any("capped" in f for f in report.flags)
+        # one flag for the one capped (t, delta), however many trials
+        assert [f for f in report.flags if "capped" in f] == [
+            f"level capped at mode_count for t=0, delta={math.exp(-134):g}"]
         assert max(r.level for r in report.rows) == 2
 
     def test_csv_column_layout(self):

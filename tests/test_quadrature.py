@@ -56,6 +56,18 @@ class TestKernelProfile:
         expected = (grid.tau ** 2 - grid.points ** 2) / 2.0
         assert prof == pytest.approx(expected, rel=1e-13, abs=1e-14)
 
+    def test_linear_integrand_closed_form(self, order):
+        # w(s) = s is its own interpolant at both orders, so the profile is
+        # exact: with L = tau - t, e^{lam L} (lam L - 1) + 1 over lam^2 plus
+        # t (e^{lam L} - 1) / lam.  lam h = 5 makes each node's weight count.
+        grid = TimeGrid(1.0, 10)
+        lam = 50.0
+        prof = exp_kernel_profile(lam, grid.h, grid.points.copy(), order)
+        L = grid.tau - grid.points
+        growth = np.exp(lam * L)
+        expected = (growth * (lam * L - 1.0) + 1.0) / lam ** 2 + grid.points * (growth - 1.0) / lam
+        assert prof == pytest.approx(expected, rel=1e-13, abs=1e-15)
+
     def test_overflow_signalled(self, order):
         grid = TimeGrid(1.0, 8)
         with pytest.raises(ExponentOverflowError):

@@ -123,6 +123,18 @@ class TestClosedForm:
         assert ref.trajectory.states[:, 0] == pytest.approx(0.5 * one.trajectory.states[:, 0])
         assert ref.trajectory.states[:, 1] == pytest.approx(2.0 * two.trajectory.states[:, 1])
 
+    def test_modes_and_grid_span_checked(self):
+        model = EigenModel.dirichlet_1d(4)
+        grid = TimeGrid(1.0, 16)
+        with pytest.raises(IndexError):
+            combined_closed_form(model, [(1, 1.0), (5, 0.0)], 1.0, 1.0, grid)
+        with pytest.raises(IndexError):
+            closed_form_solution(model, 0, 1.0, 1.0, grid)
+        with pytest.raises(ValueError, match="span"):
+            combined_closed_form(model, [(1, 1.0)], 1.0, 1.0, TimeGrid(2.0, 64))
+        with pytest.raises(ValueError, match="span"):
+            closed_form_solution(model, 1, 1.0, 1.0, TimeGrid(2.0, 64))
+
 
 class TestIllposedPair:
     def test_blowup_across_modes(self):

@@ -180,13 +180,22 @@ class TestPicard:
         assert np.array_equal(a.trajectory.states, b.trajectory.states)
 
     def test_fixed_point_unique_across_initial_guesses(self, model):
+        # the map iterated from zero reaches the fixed point picard_solve
+        # reaches from the leading term
         data = SpectralField.basis(model, 1)
         cfg = SolverConfig(level=2, n_steps=256)
         inst = make_instance(model, SourceFunction.linear(1.0), data)
         from_lead = picard_solve(inst, cfg, data)
-        from_zero = picard_solve(inst, cfg, data,
-                                 initial=Trajectory.zero(cfg.grid(1.0), model))
-        dist = from_lead.trajectory.sup_distance(from_zero.trajectory)
+        v = Trajectory.zero(cfg.grid(1.0), model)
+        for _ in range(cfg.max_iters):
+            nxt = fixed_point_map(v, inst, cfg, data)
+            inc = nxt.sup_distance(v)
+            v = nxt
+            if inc <= cfg.picard_tol * (1.0 + v.sup_norm()):
+                break
+        else:
+            pytest.fail("the map iterated from zero did not converge")
+        dist = from_lead.trajectory.sup_distance(v)
         assert dist <= 10 * cfg.picard_tol * (1 + from_lead.trajectory.sup_norm())
 
     def test_mode_confinement(self, model):
@@ -249,8 +258,6 @@ class TestPicard:
         cfg = SolverConfig(level=model.mode_count + 1, n_steps=16)
         with pytest.raises(ValueError, match="exceeds the model mode count"):
             picard_solve(inst, cfg, data)
-        with pytest.raises(ValueError, match="exceeds the model mode count"):
-            picard_solve(inst, cfg, data, initial=Trajectory.zero(cfg.grid(1.0), model))
 
 
 # --------------------------------------------------------------------------
@@ -273,16 +280,13 @@ def full_width_map(states, instance, cfg, data, grid):
     return out
 
 
-def full_width_picard(instance, cfg, data, initial=None):
+def full_width_picard(instance, cfg, data):
     """(states, increments, iterations, defect, converged)."""
     grid = cfg.grid(instance.tau)
     N = cfg.level
-    if initial is None:
-        v = np.zeros((grid.n_steps + 1, instance.model.mode_count))
-        v[:, :N] = np.exp(np.outer(instance.tau - grid.points,
-                                   instance.model.lambdas[:N])) * data.coeffs[:N]
-    else:
-        v = initial.states
+    v = np.zeros((grid.n_steps + 1, instance.model.mode_count))
+    v[:, :N] = np.exp(np.outer(instance.tau - grid.points,
+                               instance.model.lambdas[:N])) * data.coeffs[:N]
     increments = []
     converged = False
     for its in range(1, cfg.max_iters + 1):
@@ -309,24 +313,19 @@ class TestRetainedColumnLoop:
     """picard_solve against full_width_picard: same bits in every output."""
 
     @staticmethod
-    def check(model, source, level, tau, initial_scale=None, max_iters=500, data_scale=1.0):
+    def check(model, source, level, tau, max_iters=500, data_scale=1.0):
         rng = np.random.default_rng(10 * level + len(source))
         data = SpectralField(model, data_scale * rng.standard_normal(model.mode_count))
         inst = make_instance(model, SOURCES[source], data, tau=tau)
         cfg = SolverConfig(level=level, n_steps=96, max_iters=max_iters)
-        initial = None
-        if initial_scale is not None:
-            initial = Trajectory(cfg.grid(tau), model, initial_scale
-                                 * rng.standard_normal((97, model.mode_count)))
-        states, increments, its, defect, converged = full_width_picard(
-            inst, cfg, data, initial)
+        states, increments, its, defect, converged = full_width_picard(inst, cfg, data)
         if not converged:
             with pytest.raises(NonConvergenceError) as exc:
-                picard_solve(inst, cfg, data, initial=initial)
+                picard_solve(inst, cfg, data)
             assert bits(exc.value.increments) == bits(increments)
             assert bits(exc.value.defect) == bits(defect)
             return
-        res = picard_solve(inst, cfg, data, initial=initial)
+        res = picard_solve(inst, cfg, data)
         assert res.iterations == its
         assert res.trajectory.states.tobytes() == states.tobytes()
         assert bits(res.increments) == bits(increments)
@@ -336,13 +335,6 @@ class TestRetainedColumnLoop:
     @pytest.mark.parametrize("level", [1, 2, 4, 8])
     def test_from_the_leading_term(self, model, source, level):
         self.check(model, source, level, tau=0.25)
-
-    @pytest.mark.parametrize("source", sorted(SOURCES))
-    @pytest.mark.parametrize("level", [1, 2, 4])
-    def test_from_an_initial_guess_with_modes_above_the_level(self, model, source, level):
-        # the first increment counts the modes the map drops: scale 1e6
-        # makes them the largest part of it
-        self.check(model, source, level, tau=0.25, initial_scale=1e6)
 
     @pytest.mark.parametrize("level", [1, 8])
     def test_rows_past_the_fast_norm_range(self, model, level):
@@ -364,18 +356,46 @@ class TestDefectOnTheRetainedRows:
 
     @pytest.mark.parametrize("source", sorted(SOURCES))
     @pytest.mark.parametrize("level", [1, 2, 4, 8, MODES])
-    @pytest.mark.parametrize("with_initial", [False, True])
+    # picard_solve has no warm start, so with_initial is always False; the
+    # axis stays so that the case ids ([False-N-source]) and data seeds do
+    # not change
+    @pytest.mark.parametrize("with_initial", [False])
     def test_defect_is_fixed_point_defect(self, source, level, with_initial):
         model = EigenModel.dirichlet_1d(self.MODES)
         rng = np.random.default_rng(level + 100 * with_initial + len(source))
         data = SpectralField(model, rng.standard_normal(model.mode_count))
         inst = make_instance(model, SOURCES[source], data, tau=self.TAU)
         cfg = SolverConfig(level=level, n_steps=96)
-        initial = None
-        if with_initial:
-            # nonzero in every mode, the modes above the level included
-            initial = Trajectory(cfg.grid(self.TAU), model,
-                                 rng.standard_normal((97, model.mode_count)))
-        res = picard_solve(inst, cfg, data, initial=initial)
+        res = picard_solve(inst, cfg, data)
         assert not np.any(res.trajectory.states[:, level:])
         assert bits(res.defect) == bits(fixed_point_defect(res.trajectory, inst, cfg, data))
+
+
+class TestNormsAtSmallTau:
+    """At small tau no mode dominates a grid point's sum of squares, so the
+    order in which it is summed shows: the loop sums the N retained modes
+    in order, scaled_norm_rows and fixed_point_defect sum all mode_count
+    columns in numpy's vectorised order.  The iterates do not depend on the
+    norms, so iterations and states are the same bits; the increments and
+    the defect agree to mode_count * eps relative."""
+
+    MODES = 12
+    RTOL = MODES * np.finfo(float).eps
+
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    @pytest.mark.parametrize("level", [3, 5, 6, 7])
+    @pytest.mark.parametrize("tau", [0.003, 0.01, 0.03])
+    def test_norms_agree_to_mode_count_eps(self, tau, level, source):
+        # tau 0.03, level 7, linear: the defects differ by 0.67 eps
+        model = EigenModel.dirichlet_1d(self.MODES)
+        data = SpectralField(model, np.random.default_rng(0).standard_normal(self.MODES))
+        inst = make_instance(model, SOURCES[source], data, tau=tau)
+        cfg = SolverConfig(level=level, n_steps=96)
+        states, increments, its, _, converged = full_width_picard(inst, cfg, data)
+        assert converged
+        res = picard_solve(inst, cfg, data)
+        assert res.iterations == its
+        assert res.trajectory.states.tobytes() == states.tobytes()
+        np.testing.assert_allclose(res.increments, increments, rtol=self.RTOL, atol=0.0)
+        assert res.defect == pytest.approx(
+            fixed_point_defect(res.trajectory, inst, cfg, data), rel=self.RTOL, abs=0.0)
