@@ -33,11 +33,10 @@ import numpy as np
 from .bounds import gronwall_bound, gronwall_comparison_solution
 from .errors import (ConfigError, ExponentOverflowError, FvptruncError, NoiseTooLargeError,
                      NonConvergenceError, ReferenceRejectedError)
-from .harness import (ExperimentConfig, add_noise, build_reference, illposed_table,
-                      run_experiment)
+from .harness import ExperimentConfig, add_noise, illposed_table, run_experiment
 from .param_choice import (HOLDER_RULE, LOG_RULE, ChoiceInputs, choose_level)
 from .problem import FvpInstance
-from .solver import SolverConfig, picard_solve
+from .solver import picard_solve
 from .spectral import EigenModel
 
 EXIT_OK = 0
@@ -91,17 +90,14 @@ def _cmd_solve(args) -> int:
     if args.level > model.mode_count:
         raise ConfigError(f"--level {args.level} exceeds instance.mode_count "
                           f"{model.mode_count}")
-    reference = build_reference(cfg)
-    g = reference.final_data
+    g = cfg.final_data()
     delta = args.delta
     data = g if delta == 0.0 else add_noise(g, delta, cfg.direction,
                                             seed=cfg.seed, mode=args.level)
-    scfg = SolverConfig(level=args.level, n_steps=cfg.n_steps,
-                        picard_tol=cfg.picard_tol, max_iters=cfg.max_iters)
     instance = FvpInstance(model=model, tau=cfg.tau, source=cfg.source(),
                            final_data=g, noisy_data=None if delta == 0 else data,
                            delta=delta)
-    res = picard_solve(instance, scfg, data)
+    res = picard_solve(instance, cfg.solver(args.level, cfg.n_steps), data)
     traj = res.trajectory
     header = "t," + ",".join(f"c{j}" for j in range(1, model.mode_count + 1)) + ",l2_norm"
     lines = [header]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -21,10 +22,9 @@ from .errors import ConfigError, NonConvergenceError
 from .grids import TimeGrid
 from .param_choice import (HOLDER_RULE, LOG_RULE, ChoiceInputs, choose_level)
 from .problem import FvpInstance, SourceFunction
-from .quadrature import SCHEME_ORDER
 from .reference import (ReferenceSolution, combined_closed_form, illposed_pair,
-                        self_convergent_reference)
-from .solver import DEFAULT_QUADRATURE_ORDER, SolverConfig, picard_solve
+                        richardson_estimate, self_convergent_reference)
+from .solver import DEFAULT_MAX_ITERS, DEFAULT_PICARD_TOL, SolverConfig, picard_solve
 from .spectral import (MAX_EXP_ARG, EigenModel, GevreyParams, SpectralField, exp_checked,
                        gevrey_log_norms, l2_norm, scaled_norm_rows)
 
@@ -231,8 +231,10 @@ class ExperimentConfig:
             seed=_integer(noise.get("seed", 0), "noise.seed"),
             trials=_integer(noise.get("trials", 3), "noise.trials"),
             n_steps=_integer(solver.get("n_steps", 1024), "solver.n_steps"),
-            picard_tol=_number(solver.get("picard_tol", 1e-11), "solver.picard_tol"),
-            max_iters=_integer(solver.get("max_iters", 500), "solver.max_iters"),
+            picard_tol=_number(solver.get("picard_tol", DEFAULT_PICARD_TOL),
+                               "solver.picard_tol"),
+            max_iters=_integer(solver.get("max_iters", DEFAULT_MAX_ITERS),
+                               "solver.max_iters"),
             regime=regime,
             p=_number(choice.get("p", 0.0), "choice.p"),
             q=_number(choice.get("q", 0.0), "choice.q"),
@@ -247,8 +249,10 @@ class ExperimentConfig:
             raise ConfigError("instance.tau must be positive")
         if self.mode_count < 1:
             raise ConfigError("instance.mode_count must be >= 1")
-        if any(not 1 <= m <= self.mode_count for m, _ in self.reference_data):
-            raise ConfigError(f"instance.reference modes must lie in 1..{self.mode_count}")
+        try:  # each mode in 1..mode_count, at most once
+            self.final_data()
+        except (IndexError, ValueError) as exc:
+            raise ConfigError(f"instance.reference: {exc}") from exc
         if self.seed < 0:
             raise ConfigError("noise.seed must be >= 0")
         if self.trials < 1:
@@ -271,25 +275,29 @@ class ExperimentConfig:
                 grid.index_of(t)
             except ValueError as exc:
                 raise ConfigError(f"eval time {t} is not a grid point") from exc
+        # the closed form is exact for the zero and linear sources only
+        if (self.reference_kind == "closed_form") != (self.source_kind in ("zero", "linear")):
+            raise ConfigError("the zero and linear sources take a closed_form reference, "
+                              "the sin source a self_convergent one")
         if self.reference_kind == "self_convergent":
-            if self.source_kind != "sin":
-                # linear/zero sources have exact closed forms; use them
-                raise ConfigError("self_convergent references are for the nonlinear source")
             if self.n_steps < 64 or self.n_steps % 4:
                 raise ConfigError("self_convergent references need n_steps divisible "
                                   "by 4 and >= 64")
-        if self.source_kind in ("zero", "linear") and self.reference_kind != "closed_form":
-            raise ConfigError("linear and zero sources use closed_form references")
 
     def source(self) -> SourceFunction:
-        if self.source_kind == "zero":
-            return SourceFunction.zero()
-        if self.source_kind == "linear":
-            return SourceFunction.linear(self.source_c)
-        return SourceFunction.bounded_nonlinear("sin")
+        return SourceFunction(self.source_kind, self.source_c)
 
     def model(self) -> EigenModel:
         return EigenModel.dirichlet_1d(self.mode_count)
+
+    def final_data(self) -> SpectralField:
+        """The exact final data g: the reference's data coefficients."""
+        return SpectralField.from_coeffs(self.model(), self.reference_data)
+
+    def solver(self, level: int, n_steps: int) -> SolverConfig:
+        """This experiment's Picard controls at truncation level `level` on n_steps."""
+        return SolverConfig(level=level, n_steps=n_steps,
+                            picard_tol=self.picard_tol, max_iters=self.max_iters)
 
 
 # --------------------------------------------------------------------------
@@ -407,22 +415,22 @@ def _certified_rho(reference: ReferenceSolution, gp: GevreyParams) -> float:
 
 
 def build_reference(cfg: ExperimentConfig) -> ReferenceSolution:
-    model = cfg.model()
     grid = TimeGrid(cfg.tau, cfg.n_steps)
     if cfg.reference_kind == "closed_form":
-        c = cfg.source_c if cfg.source_kind == "linear" else 0.0
-        return combined_closed_form(model, cfg.reference_data, c, cfg.tau, grid)
-    data = SpectralField.from_coeffs(model, cfg.reference_data)
-    instance = FvpInstance(model=model, tau=cfg.tau, source=cfg.source(),
+        # source_c is 0.0 for the zero source, which takes no "c" key
+        return combined_closed_form(cfg.model(), cfg.reference_data, cfg.source_c,
+                                    cfg.tau, grid)
+    data = cfg.final_data()
+    instance = FvpInstance(model=data.model, tau=cfg.tau, source=cfg.source(),
                            final_data=data)
     level = max(m for m, _ in cfg.reference_data)
-    ladder = [SolverConfig(level=level, n_steps=cfg.n_steps // 4,
-                           picard_tol=cfg.picard_tol, max_iters=cfg.max_iters),
-              SolverConfig(level=level, n_steps=cfg.n_steps // 2,
-                           picard_tol=cfg.picard_tol, max_iters=cfg.max_iters),
-              SolverConfig(level=level, n_steps=cfg.n_steps,
-                           picard_tol=cfg.picard_tol, max_iters=cfg.max_iters)]
-    return self_convergent_reference(instance, ladder)
+    return self_convergent_reference(
+        instance, [cfg.solver(level, cfg.n_steps // k) for k in (4, 2, 1)])
+
+
+def _cell_seed(cfg: ExperimentConfig, di: int, trial: int) -> int:
+    """The noise seed of delta number `di`, trial `trial`; the same at every t."""
+    return int(np.random.SeedSequence(cfg.seed, spawn_key=(di, trial)).generate_state(1)[0])
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -446,16 +454,24 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     report = ExperimentReport(rho=rho, reference=reference)
     grid = TimeGrid(cfg.tau, cfg.n_steps)
-    order = SCHEME_ORDER[DEFAULT_QUADRATURE_ORDER]
-    kappa = source.kappa
     eval_idx = [grid.index_of(t) for t in cfg.eval_times]
-    # (level, delta, trial) -> (states at the eval times, iterations, defect,
-    # Richardson term): only what the rows read, not the whole trajectory
-    solve_cache: dict = {}
     samples = []
 
-    for ti, t in enumerate(cfg.eval_times):
-        idx = eval_idx[ti]
+    @cache
+    def solve(level: int, di: int, trial: int):
+        """(states at the eval times, iterations, defect, Richardson term) of one
+        noisy solve, shared by every t that chose its level: what the rows read."""
+        delta = cfg.deltas[di]
+        noisy = add_noise(g, delta, cfg.direction, seed=_cell_seed(cfg, di, trial), mode=level)
+        instance = FvpInstance(model=model, tau=cfg.tau, source=source,
+                               final_data=g, noisy_data=noisy, delta=delta)
+        res = picard_solve(instance, cfg.solver(level, cfg.n_steps), noisy)
+        coarse = picard_solve(instance, cfg.solver(level, cfg.n_steps // 2), noisy)
+        rich = richardson_estimate(res.trajectory.sup_distance(coarse.trajectory))
+        # fancy indexing copies the rows, so the cache pins no trajectory
+        return res.trajectory.states[eval_idx], res.iterations, res.defect, rich
+
+    for ti, (t, idx) in enumerate(zip(cfg.eval_times, eval_idx)):
         series = []
         for di, delta in enumerate(cfg.deltas):
             ci = ChoiceInputs(regime=cfg.regime, rho=rho, delta=delta,
@@ -472,40 +488,22 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                     f"{model.eigenvalue(level) * cfg.tau:.3g} > {DESK_SCALE_EXPONENT_CAP}")
             worst_err = -math.inf
             for trial in range(cfg.trials):
-                seed = int(np.random.SeedSequence(cfg.seed, spawn_key=(di, trial))
-                           .generate_state(1)[0])
-                key = (level, di, trial)
-                if key not in solve_cache:
-                    noisy = add_noise(g, delta, cfg.direction, seed=seed, mode=level)
-                    instance = FvpInstance(model=model, tau=cfg.tau, source=source,
-                                           final_data=g, noisy_data=noisy, delta=delta)
-                    scfg = SolverConfig(level=level, n_steps=cfg.n_steps,
-                                        picard_tol=cfg.picard_tol, max_iters=cfg.max_iters)
-                    coarse_cfg = SolverConfig(level=level, n_steps=cfg.n_steps // 2,
-                                              picard_tol=cfg.picard_tol,
-                                              max_iters=cfg.max_iters)
-                    try:
-                        res = picard_solve(instance, scfg, noisy)
-                        coarse = picard_solve(instance, coarse_cfg, noisy)
-                    except NonConvergenceError as exc:
-                        raise NonConvergenceError(
-                            f"cell (t={t:g}, delta={delta:g}, trial={trial}) did not "
-                            f"converge: {exc}", increments=exc.increments,
-                            defect=exc.defect) from exc
-                    rich = res.trajectory.sup_distance(coarse.trajectory) / (2 ** order - 1)
-                    # fancy indexing copies the rows, so the cache pins no trajectory
-                    solve_cache[key] = (res.trajectory.states[eval_idx], res.iterations,
-                                        res.defect, rich)
-                at_eval, iterations, defect, rich = solve_cache[key]
+                try:
+                    at_eval, iterations, defect, rich = solve(level, di, trial)
+                except NonConvergenceError as exc:
+                    raise NonConvergenceError(
+                        f"cell (t={t:g}, delta={delta:g}, trial={trial}) did not "
+                        f"converge: {exc}", increments=exc.increments,
+                        defect=exc.defect) from exc
                 err = l2_norm(reference.trajectory.state(idx)
                               - SpectralField(model, at_eval[ti]))
                 bi = BoundInputs(model=model, level=level, t=t, tau=cfg.tau,
-                                 delta=delta, rho=rho, kappa=kappa,
+                                 delta=delta, rho=rho, kappa=source.kappa,
                                  regime=regime, p=cfg.p, q=cfg.q)
                 slack = 10.0 * rich + reference.error_estimate
                 samples.append(DominanceSample(inputs=bi, measured=err, slack=slack))
                 report.rows.append(ExperimentRow(
-                    t=t, delta=delta, seed=seed, level=level,
+                    t=t, delta=delta, seed=_cell_seed(cfg, di, trial), level=level,
                     measured_error=err,
                     truncation_bound=truncation_bound(bi),
                     noise_bound=noise_bound(bi),

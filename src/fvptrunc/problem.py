@@ -55,12 +55,6 @@ class SourceFunction:
     def linear(c: float) -> "SourceFunction":
         return SourceFunction("linear", c=float(c))
 
-    @staticmethod
-    def bounded_nonlinear(name: str = "sin") -> "SourceFunction":
-        if name != "sin":
-            raise ValueError(f"unknown bounded nonlinear source {name!r}")
-        return SourceFunction("sin")
-
 
 @dataclass(frozen=True)
 class FvpInstance:

@@ -31,7 +31,7 @@ from .errors import ExponentOverflowError, ReferenceRejectedError, UnsupportedRe
 from .grids import TimeGrid, Trajectory
 from .problem import FvpInstance
 from .quadrature import SCHEME_ORDER
-from .solver import SolverConfig, picard_solve
+from .solver import DEFAULT_QUADRATURE_ORDER, SolverConfig, picard_solve
 from .spectral import EigenModel, SpectralField
 
 
@@ -119,24 +119,22 @@ def combined_closed_form(model: EigenModel, weights, c: float, tau: float,
                          grid: TimeGrid) -> ReferenceSolution:
     """Exact solution with final data sum_n w_n phi_n (linear source only).
 
-    `weights` holds (1-based mode, w_n) pairs; the grid must span [0, tau].
+    `weights` holds (1-based mode, w_n) pairs, each mode at most once; the
+    grid must span [0, tau].
     """
     if abs(grid.tau - tau) > 1e-12 * max(tau, 1.0):
         raise ValueError("grid must span [0, tau]")
+    data = SpectralField.from_coeffs(model, weights)  # checks the mode indices
     states = np.zeros((grid.n_steps + 1, model.mode_count))
-    data = np.zeros(model.mode_count)
     for n, w in weights:
-        if not 1 <= n <= model.mode_count:
-            raise IndexError(f"mode index {n} out of range 1..{model.mode_count}")
         if w == 0.0:
             continue
         roots = mode_roots(model.eigenvalue(n), c)
         states[:, n - 1] = w * mode_coefficient(roots, tau, grid.points)
         states[-1, n - 1] = w  # w (alpha - beta)/(alpha - beta), exactly
-        data[n - 1] = w
     return ReferenceSolution(
         trajectory=Trajectory(grid, model, states),
-        final_data=SpectralField(model, data),
+        final_data=data,
         provenance="closed_form")
 
 
@@ -192,6 +190,13 @@ def check_ladder_contraction(diffs, ratios, floor: float = 0.0):
                 f"{diffs[i] / diffs[i + 1]:.2f} < required {required:.2f}")
 
 
+def richardson_estimate(diff: float, ratio: float = 2.0) -> float:
+    """Error of the finer of two solves that differ by `diff`, whose step
+    sizes differ by `ratio`: diff / (ratio^p - 1) at the solver's scheme
+    order p."""
+    return diff / (ratio ** SCHEME_ORDER[DEFAULT_QUADRATURE_ORDER] - 1.0)
+
+
 def self_convergent_reference(instance: FvpInstance, ladder: list[SolverConfig]) -> ReferenceSolution:
     """Reference by grid refinement for sources without a closed form.
 
@@ -220,12 +225,9 @@ def self_convergent_reference(instance: FvpInstance, ladder: list[SolverConfig])
     floor = 1e-13 * max(s.sup_norm() for s in solves)  # rounding floor: treat as converged
     check_ladder_contraction(diffs, [b / a for a, b in zip(steps, steps[1:])], floor)
 
-    order = SCHEME_ORDER[ladder[-1].quadrature_order]
-    r_last = steps[-1] / steps[-2]
-    est = diffs[-1] / (r_last ** order - 1.0)
     finest = solves[-1]
     return ReferenceSolution(
         trajectory=finest,
         final_data=finest.state(finest.grid.n_steps),
         provenance="self_convergent",
-        error_estimate=float(est))
+        error_estimate=float(richardson_estimate(diffs[-1], steps[-1] / steps[-2])))

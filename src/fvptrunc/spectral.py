@@ -116,11 +116,16 @@ class SpectralField:
 
     @staticmethod
     def from_coeffs(model: EigenModel, pairs) -> "SpectralField":
-        """Build from an iterable of (1-based mode, coefficient) pairs."""
+        """Build from an iterable of (1-based mode, coefficient) pairs, each
+        mode at most once."""
         c = np.zeros(model.mode_count)
+        seen = set()
         for j, val in pairs:
             if not 1 <= j <= model.mode_count:
                 raise IndexError(f"mode index {j} out of range 1..{model.mode_count}")
+            if j in seen:
+                raise ValueError(f"mode {j} is given twice")
+            seen.add(j)
             c[j - 1] = val
         return SpectralField(model, c)
 

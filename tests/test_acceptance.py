@@ -18,8 +18,7 @@ from fvptrunc import (BoundInputs, DominanceSample, EigenModel, FvpInstance,
                       holder_bound_staircase, illposed_pair, l2_norm, picard_solve,
                       zeta, zeta_inverse)
 from fvptrunc.harness import ExperimentConfig, run_experiment
-from fvptrunc.quadrature import SCHEME_ORDER
-from fvptrunc.solver import DEFAULT_QUADRATURE_ORDER
+from fvptrunc.reference import richardson_estimate
 
 PI2 = math.pi ** 2
 MODEL = EigenModel.dirichlet_1d(8)
@@ -130,7 +129,6 @@ class TestCriterion5BoundDominance:
         start = time.monotonic()
         tau, q = 1.0, 0.5
         n_steps = 256
-        order = SCHEME_ORDER[DEFAULT_QUADRATURE_ORDER]
         grid = TimeGrid(tau, n_steps)
         ref = closed_form_solution(MODEL, 1, 1.0, tau, grid)
         gp = GevreyParams(0.0, q + tau)
@@ -148,8 +146,7 @@ class TestCriterion5BoundDominance:
                                     noisy)
                 coarse = picard_solve(inst, SolverConfig(level=level,
                                                          n_steps=n_steps // 2), noisy)
-                rich = fine.trajectory.sup_distance(coarse.trajectory) \
-                    / (2 ** order - 1)
+                rich = richardson_estimate(fine.trajectory.sup_distance(coarse.trajectory))
                 for t in (0.0, tau / 2):
                     idx = grid.index_of(t)
                     measured = l2_norm(ref.trajectory.state(idx)

@@ -1,6 +1,13 @@
+import contextlib
+import copy
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fvptrunc.cli import main
 
@@ -226,8 +233,124 @@ def test_rejected_reference_exits_3(tmp_path, config_path, capsys, monkeypatch):
     assert err.startswith("reference rejected:") and "do not shrink" in err
 
 
+def test_solve_does_not_build_the_reference_ladder(tmp_path, capsys, monkeypatch):
+    # solve reads the final data off the config; the reference's ladder
+    # solves (and their rejection, exit 3) are the experiment's business
+    import fvptrunc.reference
+
+    def no_ladder(*args, **kwargs):
+        raise AssertionError("solve ran a reference ladder solve")
+
+    monkeypatch.setattr(fvptrunc.reference, "picard_solve", no_ladder)
+    doc = dict(SIN_LADDER, solver={"n_steps": 64, "picard_tol": 1e-11, "max_iters": 500})
+    path = tmp_path / "sin.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--config", str(path), "--level", "2", "--delta", "1e-6",
+                 "--output", str(tmp_path / "traj.csv")]) == 0
+    assert capsys.readouterr().err == ""
+    assert len((tmp_path / "traj.csv").read_text().splitlines()) == 66
+
+
+def test_sin_source_with_closed_form_reference_exits_2(tmp_path, capsys):
+    doc = dict(SIN_LADDER, instance={"tau": 0.25, "mode_count": 12, "source": {"kind": "sin"},
+                                     "reference": {"kind": "closed_form", "mode": 1}})
+    assert run_experiment_cli(tmp_path, doc) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "closed_form" in err
+
+
 def test_demo_illposed_past_the_double_range_exits_2(capsys):
     # e^{|beta_n|} overflows from n = 9 on (|beta_9| ~ 798 at tau = 1)
     assert main(["demo-illposed", "--modes", "40"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("range error:") and "overflows" in err
+
+
+# --------------------------------------------------------------------------
+# fuzzing config documents: one leaf replaced by a palette value
+
+FUZZ_BASES = {
+    "linear": {
+        "instance": {"tau": 1.0, "mode_count": 4, "source": {"kind": "linear", "c": 1.0},
+                     "reference": {"kind": "closed_form", "mode": 1}},
+        "noise": {"deltas": [1e-4, 1e-6, 1e-8, 1e-10], "direction": "seeded_random",
+                  "seed": 3, "trials": 1},
+        "solver": {"n_steps": 32, "picard_tol": 1e-11, "max_iters": 500},
+        "choice": {"regime": "holder_rule", "q": 0.5, "rho": "certified"},
+        "eval_times": [0.0, 0.5],
+    },
+    # 64 steps: the least a self-convergent reference's ladder admits
+    "sin": {
+        "instance": {"tau": 0.25, "mode_count": 4, "source": {"kind": "sin"},
+                     "reference": {"kind": "self_convergent",
+                                   "data": [[1, 0.2], [2, 1e-4]]}},
+        "noise": {"deltas": [1e-3, 1e-5, 1e-7, 1e-9], "direction": "seeded_random",
+                  "seed": 3, "trials": 1},
+        "solver": {"n_steps": 64, "picard_tol": 1e-11, "max_iters": 500},
+        "choice": {"regime": "holder_rule", "q": 0.5, "rho": "certified"},
+        "eval_times": [0.0, 0.125],
+    },
+}
+
+UNKNOWN_KEY = object()  # the object holding the leaf gains an unknown key
+
+# Wrong type, bool, null, negative, zero, one (a repeated mode where it
+# replaces the second reference mode, a weaker setting elsewhere), empty
+# list and object, unknown key.  None of them raises n_steps, mode_count,
+# trials or max_iters above the base document's, so no example costs more
+# than the base run.
+PALETTE = ("x", True, None, -1, 0, 1, [], {}, UNKNOWN_KEY)
+
+
+def _leaf_paths(node, path=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaf_paths(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+LEAVES = [(name, path) for name, doc in sorted(FUZZ_BASES.items())
+          for path in _leaf_paths(doc)]
+
+
+def _mutated(name, path, value) -> dict:
+    doc = copy.deepcopy(FUZZ_BASES[name])
+    *outer, last = path
+    parent, holder = doc, doc
+    for key in outer:
+        parent = parent[key]
+        if isinstance(parent, dict):
+            holder = parent
+    if value is UNKNOWN_KEY:
+        holder["unknown"] = 1
+    else:
+        parent[last] = value
+    return doc
+
+
+def _experiment_exit(doc) -> tuple:
+    """(exit code, stderr) of `fvptrunc experiment` on `doc`."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["experiment", "--config", str(path),
+                         "--output-dir", str(Path(tmp) / "out")])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(FUZZ_BASES))
+def test_fuzz_base_documents_run(name):
+    assert _experiment_exit(FUZZ_BASES[name]) == (0, "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(LEAVES), st.sampled_from(PALETTE))
+@example(("sin", ("instance", "reference", "data", 1, 0)), 1)  # a repeated mode
+def test_mutated_config_exits_with_a_documented_code(leaf, value):
+    code, err = _experiment_exit(_mutated(*leaf, value))
+    assert code in (0, 2, 3, 4)
+    assert len(err.splitlines()) <= 1

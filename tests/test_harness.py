@@ -6,6 +6,7 @@ import pytest
 
 from fvptrunc import (ConfigError, EigenModel, ExperimentConfig, SpectralField,
                       add_noise, fit_rate, illposed_table, l2_norm, run_experiment)
+from fvptrunc.harness import build_reference
 
 PI2 = math.pi ** 2
 
@@ -28,6 +29,10 @@ def config_doc(**over):
     }
     doc.update(over)
     return doc
+
+
+SIN_INSTANCE = {"tau": 0.25, "mode_count": 4, "source": {"kind": "sin"},
+                "reference": {"kind": "self_convergent", "data": [[1, 0.2], [2, 1e-4]]}}
 
 
 class TestAddNoise:
@@ -151,6 +156,35 @@ class TestExperimentConfig:
         doc["instance"]["reference"] = {"kind": "self_convergent", "data": [[1, 0.2]]}
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(doc)
+
+    def test_sin_source_rejects_closed_form_reference(self):
+        # the closed form solves the zero-source problem, not the sin one
+        doc = config_doc()
+        doc["instance"]["source"] = {"kind": "sin"}
+        with pytest.raises(ConfigError, match="closed_form"):
+            ExperimentConfig.from_dict(doc)
+
+    def test_repeated_reference_mode_rejected(self):
+        doc = config_doc(instance=dict(SIN_INSTANCE, reference={
+            "kind": "self_convergent", "data": [[1, 0.2], [2, 1e-4], [2, 0.5]]}))
+        with pytest.raises(ConfigError, match="mode 2 is given twice"):
+            ExperimentConfig.from_dict(doc)
+
+    def test_solver_settings_come_from_the_document(self):
+        doc = config_doc()
+        doc["solver"] = {"n_steps": 64, "picard_tol": 1e-9, "max_iters": 40}
+        scfg = ExperimentConfig.from_dict(doc).solver(3, 32)
+        assert (scfg.level, scfg.n_steps, scfg.picard_tol, scfg.max_iters) == (3, 32, 1e-9, 40)
+
+    @pytest.mark.parametrize("instance", [None, "sin"])
+    def test_final_data_is_the_reference_final_data(self, instance):
+        # a ladder solve ends on its data exactly: G_N(0) = I and the
+        # kernel integral over [tau, tau] is zero
+        doc = config_doc() if instance is None else config_doc(instance=SIN_INSTANCE,
+                                                                 eval_times=[0.0])
+        cfg = ExperimentConfig.from_dict(doc)
+        assert np.array_equal(cfg.final_data().coeffs,
+                              build_reference(cfg).final_data.coeffs)
 
 
 class TestRunExperiment:

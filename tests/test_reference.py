@@ -9,6 +9,7 @@ from fvptrunc import (EigenModel, ExponentOverflowError, FvpInstance,
                       SourceFunction, TimeGrid, UnsupportedRegimeError,
                       closed_form_solution, combined_closed_form, illposed_pair,
                       mode_roots, self_convergent_reference)
+from fvptrunc.reference import richardson_estimate
 
 PI2 = math.pi ** 2
 
@@ -123,6 +124,12 @@ class TestClosedForm:
         assert ref.trajectory.states[:, 0] == pytest.approx(0.5 * one.trajectory.states[:, 0])
         assert ref.trajectory.states[:, 1] == pytest.approx(2.0 * two.trajectory.states[:, 1])
 
+    def test_repeated_mode_rejected(self):
+        # the second weight of mode 1 would overwrite the first
+        model = EigenModel.dirichlet_1d(4)
+        with pytest.raises(ValueError, match="mode 1 is given twice"):
+            combined_closed_form(model, [(1, 1.0), (1, 0.5)], 1.0, 1.0, TimeGrid(1.0, 16))
+
     def test_modes_and_grid_span_checked(self):
         model = EigenModel.dirichlet_1d(4)
         grid = TimeGrid(1.0, 16)
@@ -195,6 +202,11 @@ class TestSelfConvergentReference:
     def ladder(self, level, steps, **kw):
         return [SolverConfig(level=level, n_steps=n, **kw) for n in steps]
 
+    def test_richardson_estimate_at_sixth_order(self):
+        # diff = err(h) - err(h / r) with err ~ h^6: err(h / r) = diff / (r^6 - 1)
+        assert richardson_estimate(63.0) == 1.0
+        assert richardson_estimate(4095.0, ratio=4.0) == 1.0
+
     def test_linear_cross_validates_against_closed_form(self):
         model = EigenModel.dirichlet_1d(4)
         inst = self.make_instance(model, SourceFunction.linear(1.0), [(1, 1.0)], 1.0)
@@ -215,7 +227,7 @@ class TestSelfConvergentReference:
 
     def test_nonlinear_source_ladder_contracts(self):
         model = EigenModel.dirichlet_1d(4)
-        inst = self.make_instance(model, SourceFunction.bounded_nonlinear("sin"),
+        inst = self.make_instance(model, SourceFunction("sin"),
                                   [(1, 0.2), (2, 1e-4)], 0.25)
         ref = self_convergent_reference(inst, self.ladder(2, (64, 128, 256)))
         assert ref.error_estimate < 1e-9

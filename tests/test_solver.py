@@ -9,6 +9,7 @@ from fvptrunc import (EigenModel, ExponentOverflowError, FvpInstance,
                       closed_form_solution, fixed_point_defect, fixed_point_map,
                       l2_norm, picard_solve)
 from fvptrunc.quadrature import backward_cumulative, exp_kernel_profile
+from fvptrunc.solver import DEFAULT_QUADRATURE_ORDER
 from fvptrunc.spectral import scaled_norm_rows
 
 PI2 = math.pi ** 2
@@ -27,17 +28,15 @@ class TestSourceFunction:
     def test_kappa_values(self):
         assert SourceFunction.zero().kappa == 0.0
         assert SourceFunction.linear(-2.5).kappa == 2.5
-        assert SourceFunction.bounded_nonlinear("sin").kappa == 1.0
+        assert SourceFunction("sin").kappa == 1.0
 
     def test_unknown_kinds_rejected(self):
         with pytest.raises(ValueError):
             SourceFunction("cubic")
-        with pytest.raises(ValueError):
-            SourceFunction.bounded_nonlinear("tanh")
 
     @pytest.mark.parametrize("source", [SourceFunction.zero(),
                                         SourceFunction.linear(1.7),
-                                        SourceFunction.bounded_nonlinear("sin")])
+                                        SourceFunction("sin")])
     def test_lipschitz_by_random_sampling(self, model, source):
         rng = np.random.default_rng(17)
         for _ in range(200):
@@ -123,17 +122,6 @@ class TestFixedPointMap:
         assert defects[0] / defects[1] >= 3.5
         assert defects[1] / defects[2] >= 3.5
 
-    def test_order2_defect_shrinks_fourfold(self, model):
-        defects = []
-        for n in (500, 1000, 2000):
-            grid = TimeGrid(1.0, n)
-            ref = closed_form_solution(model, 1, 1.0, 1.0, grid)
-            cfg = SolverConfig(level=1, n_steps=n, quadrature_order=2)
-            inst = make_instance(model, SourceFunction.linear(1.0), ref.final_data)
-            defects.append(fixed_point_defect(ref.trajectory, inst, cfg, ref.final_data))
-        assert defects[0] / defects[1] == pytest.approx(4.0, rel=0.15)
-        assert defects[1] / defects[2] == pytest.approx(4.0, rel=0.15)
-
 
 class TestDefect:
     def test_zero_everything_has_zero_defect(self, model):
@@ -202,7 +190,7 @@ class TestPicard:
         rng = np.random.default_rng(5)
         data = SpectralField(model, rng.standard_normal(model.mode_count))
         cfg = SolverConfig(level=3, n_steps=64)
-        inst = make_instance(model, SourceFunction.bounded_nonlinear("sin"), data,
+        inst = make_instance(model, SourceFunction("sin"), data,
                              tau=0.25)
         res = picard_solve(inst, cfg, data)
         assert np.all(res.trajectory.states[:, 3:] == 0.0)
@@ -266,7 +254,7 @@ class TestPicard:
 # retained columns, must match it bit for bit.
 
 def full_width_map(states, instance, cfg, data, grid):
-    N, order, pts = cfg.level, cfg.quadrature_order, grid.points
+    N, order, pts = cfg.level, DEFAULT_QUADRATURE_ORDER, grid.points
     lam = instance.model.lambdas[:N]
     F = instance.source.apply(pts, states[:, :N])
     W = np.empty_like(F)
@@ -306,7 +294,7 @@ def bits(x) -> bytes:
 
 
 SOURCES = {"zero": SourceFunction.zero(), "linear": SourceFunction.linear(1.0),
-           "sin": SourceFunction.bounded_nonlinear("sin")}
+           "sin": SourceFunction("sin")}
 
 
 class TestRetainedColumnLoop:

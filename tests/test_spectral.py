@@ -63,6 +63,11 @@ class TestL2Norm:
         psi = SpectralField.from_coeffs(model, [(2, 3.0), (5, 4.0)])
         assert l2_norm(psi) == pytest.approx(5.0, rel=1e-15)
 
+    def test_repeated_mode_rejected(self, model):
+        # a second (2, x) pair would overwrite the first
+        with pytest.raises(ValueError, match="mode 2 is given twice"):
+            SpectralField.from_coeffs(model, [(2, 3.0), (1, 1.0), (2, 4.0)])
+
     def test_parseval_random(self, model):
         rng = np.random.default_rng(42)
         for _ in range(50):
