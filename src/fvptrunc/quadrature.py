@@ -24,6 +24,11 @@ The backward recurrence I_k = A_k + e^{lam h} I_{k+1} that sums the
 interval integrals is one unit-bidiagonal banded triangular solve (BLAS
 dtbsv, transposed lower form); see `exp_kernel_profile` for why that form.
 
+A solve runs these quadratures for every retained mode on every Picard
+iteration, so their checks, table lookups and scratch row live in a
+`QuadraturePlan` built once per solve; `exp_kernel_profile` and
+`backward_cumulative` run the same code on a one-off plan.
+
 Per-mode arithmetic only ever uses growth factors e^{lam (s - t)} with
 s >= t (the per-interval factor e^{lam h} inside a backward recurrence),
 so magnitudes never exceed what the mathematical result requires.
@@ -137,24 +142,88 @@ def _recurrence_band(z: float, n: int) -> np.ndarray:
     return band
 
 
-def _interval_integrals(w: np.ndarray, h: float, z: float, order: int) -> np.ndarray:
-    """A_i = int_{t_i}^{t_{i+1}} e^{z (s - t_i)/h} w_interp(s) ds, all intervals."""
-    n = w.size - 1
-    table = _interval_weight_table(z, order)
-    if order == 2:
-        return h * np.correlate(w, table[0], "valid")
-    if n < 5:
-        raise ValueError("order-6 quadrature needs at least 6 grid points")
-    A = np.empty(n)
-    A[2:n - 2] = np.correlate(w, table[2], "valid")
-    # contiguous copies: BLAS sums a strided dot in another order, and the
-    # result must not depend on the caller's memory layout
-    head, tail = np.ascontiguousarray(w[:6]), np.ascontiguousarray(w[-6:])
-    A[0] = table[4] @ head
-    A[1] = table[3] @ head
-    A[n - 2] = table[1] @ tail
-    A[n - 1] = table[0] @ tail
-    return h * A
+def _interval_integrals(w: np.ndarray, h: float, table: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = A_i = int_{t_i}^{t_{i+1}} e^{z (s - t_i)/h} w_interp(s) ds, unchecked.
+
+    `table` is `_interval_weight_table(z, order)`, `w` a contiguous float
+    row of n + 1 samples (n >= 5 at order 6) and `out` n slots.  BLAS sums
+    a strided dot in another order, and the result must not depend on the
+    caller's memory layout, hence the contiguous row.
+    """
+    n = out.size
+    if table.shape[0] == 1:
+        np.multiply(np.correlate(w, table[0], "valid"), h, out=out)
+        return
+    np.multiply(np.correlate(w, table[2], "valid"), h, out=out[2:n - 2])
+    head, tail = w[:6], w[-6:]
+    out[0] = h * table[4].dot(head)
+    out[1] = h * table[3].dot(head)
+    out[n - 2] = h * table[1].dot(tail)
+    out[n - 1] = h * table[0].dot(tail)
+
+
+class QuadraturePlan:
+    """The per-mode quadratures of one grid, with every check done once.
+
+    For the kernel rates `lams` on a grid of n steps of width h, the plan
+    looks up each rate's weight table and recurrence band and the table of
+    the plain integral once, and owns the scratch row of interval
+    integrals.  `cumulative` and `profile` then do only the arithmetic of
+    `backward_cumulative` and `exp_kernel_profile`, which are these same
+    calls on a one-off plan.  The rows passed in must be contiguous float
+    rows of n + 1 samples.
+    """
+
+    def __init__(self, lams, h: float, n: int, order: int):
+        if any(lam < 0.0 for lam in lams):
+            raise ValueError("kernel rate lam must be >= 0")
+        if order not in ORDERS:
+            raise ValueError(f"order must be one of {ORDERS}")
+        if n < 1:
+            raise ValueError("need at least two grid points")
+        if order == 6 and n < 5:
+            raise ValueError("order-6 quadrature needs at least 6 grid points")
+        zs = [lam * h for lam in lams]
+        for z in zs:
+            # 9 below the double range: e^{lam h} stays under e^700 ~ 1e304,
+            # so a step e^{lam h} I_{k+1} with |I_{k+1}| up to e^9 ~ 8e3 is
+            # finite; `profile`'s finiteness check catches the rest
+            if z > MAX_EXP_ARG - 9.0:
+                raise ExponentOverflowError(
+                    f"per-interval growth e^(lam h) overflows (lam h = {z:.6g})")
+        self.lams, self.h = lams, h
+        self.tables = [_interval_weight_table(z, order) for z in zs]
+        self.bands = [_recurrence_band(z, n) for z in zs]
+        self.plain_table = _interval_weight_table(0.0, order)
+        self.scratch = np.empty(n)
+
+    def cumulative(self, w: np.ndarray, out: np.ndarray) -> None:
+        """out = W, W(t_k) = int_{t_k}^{tau} w_interp(s) ds at every grid point."""
+        inc = self.scratch
+        _interval_integrals(w, self.h, self.plain_table, inc)
+        # out[-2::-1] is out[:-1] reversed: the running sums land in place
+        np.add.accumulate(inc[::-1], out=out[-2::-1])
+        out[-1] = 0.0
+
+    def profile(self, j: int, w: np.ndarray, out: np.ndarray) -> None:
+        """out = I for rate lams[j], I(t_k) = int_{t_k}^{tau} e^{lam (s - t_k)} w_interp(s) ds.
+
+        The recurrence I_k = A_k + e^{lam h} I_{k+1} is solved in place on
+        the scratch row; see `exp_kernel_profile` for the banded form.
+        """
+        A = self.scratch
+        _interval_integrals(w, self.h, self.tables[j], A)
+        # dtbsv subtracts a zero product as +0.0 and so keeps the sign of an
+        # A_k = -0.0; the recurrence adds e^{lam h} I_{k+1} and never returns
+        # -0.0.  Adding 0.0 on the way into `out` changes only that sign.
+        np.add(dtbsv(1, self.bands[j], A, lower=1, trans=1, diag=1, overwrite_x=1), 0.0,
+               out=out[:-1])
+        out[-1] = 0.0
+        # A non-finite I_{k+1} makes every later step non-finite: e^{lam h} >= 1,
+        # so fl(A_k + e^{lam h} I_{k+1}) is +-inf or NaN.  I_0 checks them all.
+        if not math.isfinite(out[0]):
+            raise ExponentOverflowError(
+                f"exponential-kernel integral overflows for lam = {self.lams[j]:.6g}")
 
 
 def exp_kernel_profile(lam: float, h: float, w: np.ndarray, order: int = 2) -> np.ndarray:
@@ -170,43 +239,15 @@ def exp_kernel_profile(lam: float, h: float, w: np.ndarray, order: int = 2) -> n
     through an axpy kernel that may fuse the multiply and the add, which
     rounds differently and would move results in their last bits.
     """
-    if lam < 0.0:
-        raise ValueError("kernel rate lam must be >= 0")
-    if order not in ORDERS:
-        raise ValueError(f"order must be one of {ORDERS}")
-    w = np.asarray(w, dtype=float)
-    n = w.size - 1
-    if n < 1:
-        raise ValueError("need at least two grid points")
-    z = lam * h
-    # 9 below the double range: e^{lam h} stays under e^700 ~ 1e304, so a
-    # step e^{lam h} I_{k+1} with |I_{k+1}| up to e^9 ~ 8e3 is finite; the
-    # finiteness check below catches the rest
-    if z > MAX_EXP_ARG - 9.0:
-        raise ExponentOverflowError(
-            f"per-interval growth e^(lam h) overflows (lam h = {z:.6g})")
-    A = _interval_integrals(w, h, z, order)
-    out = np.zeros(n + 1)
-    # dtbsv subtracts a zero product as +0.0 and so keeps the sign of an
-    # A_k = -0.0; the recurrence adds e^{lam h} I_{k+1} and never returns -0.0.
-    # Adding 0.0 (in place of the copy into `out`) changes only that sign.
-    np.add(dtbsv(1, _recurrence_band(z, n), A, lower=1, trans=1, diag=1), 0.0,
-           out=out[:-1])
-    # A non-finite I_{k+1} makes every later step non-finite: e^{lam h} >= 1,
-    # so fl(A_k + e^{lam h} I_{k+1}) is +-inf or NaN.  I_0 checks them all.
-    if not math.isfinite(out[0]):
-        raise ExponentOverflowError(
-            f"exponential-kernel integral overflows for lam = {lam:.6g}")
+    w = np.ascontiguousarray(w, dtype=float)
+    out = np.empty(w.size)
+    QuadraturePlan((lam,), h, w.size - 1, order).profile(0, w, out)
     return out
 
 
 def backward_cumulative(h: float, w: np.ndarray, order: int = 2) -> np.ndarray:
     """W(t_k) = int_{t_k}^{tau} w_interp(s) ds at every grid point."""
-    if order not in ORDERS:
-        raise ValueError(f"order must be one of {ORDERS}")
-    w = np.asarray(w, dtype=float)
-    inc = _interval_integrals(w, h, 0.0, order)
-    out = np.zeros(w.size)
-    # out[-2::-1] is out[:-1] reversed: the running sums land in place
-    np.cumsum(inc[::-1], out=out[-2::-1])
+    w = np.ascontiguousarray(w, dtype=float)
+    out = np.empty(w.size)
+    QuadraturePlan((), h, w.size - 1, order).cumulative(w, out)
     return out

@@ -17,16 +17,18 @@ retained modes, and it stores them mode-major, shape (N, n_steps + 1): each
 mode's time series is one contiguous row, which the per-mode quadratures
 read and write without copies; the sup norms take the transposed view.
 The loop transposes and pads to the model's (n_steps + 1, mode_count)
-layout once, when it returns, and takes the returned defect on the
-retained rows with the solve's own leading term.  `fixed_point_map` and
-`fixed_point_defect` keep the full-width layout and check a solution
-independently of the loop.
+layout once, when it returns, and takes the defect, when it is read, on
+the retained rows with the solve's own leading term and quadrature plan.
+`fixed_point_map` and `fixed_point_defect` keep the full-width layout and
+check a solution independently of the loop.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from .errors import ExponentOverflowError, NonConvergenceError
 from .grids import TimeGrid, Trajectory
 from .problem import FvpInstance
 from .spectral import MAX_EXP_ARG, EigenModel, SpectralField, sup_row_norm
-from .quadrature import backward_cumulative, exp_kernel_profile
+from .quadrature import QuadraturePlan, exp_kernel_profile
 
 DEFAULT_PICARD_TOL = 1e-11
 DEFAULT_MAX_ITERS = 500
@@ -121,20 +123,26 @@ def _check_level(cfg: SolverConfig, model: EigenModel) -> None:
         raise ValueError("truncation level exceeds the model mode count")
 
 
-def _map_retained(rows: np.ndarray, instance: FvpInstance, cfg: SolverConfig,
+def _quadrature_plan(model: EigenModel, level: int, grid: TimeGrid) -> QuadraturePlan:
+    """The solver's quadratures of modes 1..level on `grid`."""
+    return QuadraturePlan(model.lambdas[:level], grid.h, grid.n_steps,
+                          DEFAULT_QUADRATURE_ORDER)
+
+
+def _map_retained(rows: np.ndarray, instance: FvpInstance, plan: QuadraturePlan,
                   lead: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """fixed_point_map on the retained modes, mode-major: (N, n+1) rows to
     their (N, n+1) image.  `lead` is the map's term that does not depend on
-    the iterate, G_N(tau - t) data on the grid (`_growth_rows`), computed
-    once per solve."""
-    lam = instance.model.lambdas[:cfg.level]
-    h, order = grid.h, DEFAULT_QUADRATURE_ORDER
+    the iterate, G_N(tau - t) data on the grid (`_growth_rows`), and `plan`
+    holds the modes' quadratures; both are built once per solve."""
     integrand = instance.source.apply(grid.points, rows)  # F, a new array
     out = np.empty_like(lead)
     for j, row in enumerate(rows):
-        integrand[j] += backward_cumulative(h, row, order)  # F + W
-        np.subtract(lead[j], exp_kernel_profile(lam[j], h, integrand[j], order),
-                    out=out[j])
+        image = out[j]
+        plan.cumulative(row, image)  # W, until the profile overwrites it
+        integrand[j] += image  # F + W
+        plan.profile(j, integrand[j], image)
+        np.subtract(lead[j], image, out=image)
     return out
 
 
@@ -157,7 +165,8 @@ def fixed_point_map(v: Trajectory, instance: FvpInstance, cfg: SolverConfig,
     N = cfg.level
     lead = _growth_rows(instance.model.lambdas[:N], instance.tau - v.grid.points,
                         data.coeffs[:N])
-    image = _map_retained(v.states[:, :N].T.copy(), instance, cfg, lead, v.grid)
+    plan = _quadrature_plan(instance.model, N, v.grid)
+    image = _map_retained(v.states[:, :N].T.copy(), instance, plan, lead, v.grid)
     return _padded(v.grid, instance.model, image)
 
 
@@ -205,11 +214,18 @@ def apriori_contraction_iteration(kappa: float, lam_n: float, tau: float) -> flo
 
 @dataclass(frozen=True)
 class PicardResult:
+    """A converged solve.  `defect` is fixed_point_defect of the trajectory;
+    it takes one more map, run when `defect` is first read and then kept."""
+
     trajectory: Trajectory
     iterations: int
-    defect: float
+    defect_of: Callable[[], float] = field(repr=False, compare=False)
     increments: list[float] = field(repr=False)
     apriori_contraction_m: float = math.nan
+
+    @cached_property
+    def defect(self) -> float:
+        return self.defect_of()
 
 
 def picard_solve(instance: FvpInstance, cfg: SolverConfig, data: SpectralField) -> PicardResult:
@@ -217,17 +233,24 @@ def picard_solve(instance: FvpInstance, cfg: SolverConfig, data: SpectralField) 
 
     Starts from v_0(t) = G_N(tau - t) data, the map's leading term.  Stops
     when the sup-norm increment falls below picard_tol * (1 + ||v||);
-    raises NonConvergenceError with the increment history when max_iters
-    is exhausted.
+    raises NonConvergenceError with the increment history and the defect
+    when max_iters is exhausted.
 
     The iterates are the (N, n+1) mode-major rows of the retained modes;
     the result is transposed and padded to the model's mode count once, at
-    the end.  The returned defect is fixed_point_defect of the result taken
-    on the retained rows, since the modes above N are zero in the result
-    and in its image.  Each grid point's squares are summed over the modes
-    in order there, and in numpy's vectorised order over the full width in
-    fixed_point_defect; the two sums, and so the loop's increments against
-    a full-width loop's, agree to mode_count * eps relative.
+    the end.  The leading term and a `QuadraturePlan` of the N modes are
+    built once per solve, so the checks, weight tables, recurrence bands
+    and scratch row of the quadratures are not repeated per iteration.
+
+    The defect is fixed_point_defect of the result taken on the retained
+    rows, since the modes above N are zero in the result and in its image.
+    It costs one more map, so a converged solve runs it only when
+    `PicardResult.defect` is first read: a solve whose defect nobody reads
+    runs exactly `iterations` maps.  Each grid point's squares are summed
+    over the modes in order there, and in numpy's vectorised order over the
+    full width in fixed_point_defect; the two sums, and so the loop's
+    increments against a full-width loop's, agree to mode_count * eps
+    relative.
     """
     grid = cfg.grid(instance.tau)
     model = instance.model
@@ -235,12 +258,13 @@ def picard_solve(instance: FvpInstance, cfg: SolverConfig, data: SpectralField) 
     _check_level(cfg, model)
 
     lead = _growth_rows(model.lambdas[:N], instance.tau - grid.points, data.coeffs[:N])
+    plan = _quadrature_plan(model, N, grid)
     v = lead
     increments: list[float] = []
     converged = False
     its = 0
     for its in range(1, cfg.max_iters + 1):
-        image = _map_retained(v, instance, cfg, lead, grid)
+        image = _map_retained(v, instance, plan, lead, grid)
         inc = sup_row_norm((v - image).T)
         increments.append(inc)
         v = image
@@ -248,13 +272,16 @@ def picard_solve(instance: FvpInstance, cfg: SolverConfig, data: SpectralField) 
             converged = True
             break
 
-    defect = sup_row_norm((v - _map_retained(v, instance, cfg, lead, grid)).T)
+    def defect_of() -> float:
+        return sup_row_norm((v - _map_retained(v, instance, plan, lead, grid)).T)
+
     if not converged:
         raise NonConvergenceError(
             f"no convergence after {cfg.max_iters} iterations "
             f"(last increment {increments[-1]:.3e})",
-            increments=increments, defect=defect)
+            increments=increments, defect=defect_of())
     m_star = apriori_contraction_iteration(instance.source.kappa,
                                            model.lambdas[N - 1], instance.tau)
-    return PicardResult(trajectory=_padded(grid, model, v), iterations=its, defect=defect,
-                        increments=increments, apriori_contraction_m=m_star)
+    return PicardResult(trajectory=_padded(grid, model, v), iterations=its,
+                        defect_of=defect_of, increments=increments,
+                        apriori_contraction_m=m_star)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ExponentOverflowError, UnsupportedDomainError
 
@@ -201,6 +200,33 @@ def l2_norm(psi: SpectralField) -> float:
     return float(scaled_norm_rows(psi.coeffs)[0])
 
 
+def _row_logsumexp(a: np.ndarray) -> np.ndarray:
+    """log sum_j e^{a_ij} for every row of the 2-D array `a`.
+
+    The steps of SciPy 1.17's `special.logsumexp(a, axis=1)` for real
+    input, so the bits are the same: with M the row maximum and m the
+    number of entries equal to it, the other entries sum to
+    s = sum e^{a_ij - M}, and the result is log1p(s / m) + log(m) + M.  A
+    row for which that is not finite (a NaN, a +inf or every entry -inf)
+    is evaluated directly as log(sum e^{a_ij}), which yields the NaN, +inf
+    or -inf the row calls for.  A row of width 0 gives -inf.
+    """
+    if a.shape[1] == 0:
+        return np.full(a.shape[0], -np.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = np.max(a, axis=1, keepdims=True)
+        ties = a == top
+        m = np.sum(ties, axis=1, keepdims=True, dtype=float)
+        s = np.sum(np.exp(np.where(ties, -np.inf, a) - top), axis=1, keepdims=True)
+        # s is +0.0 only with m >= 1, so s / m is s there, as SciPy's
+        # where(s == 0, s, s / m) keeps it
+        out = (np.log1p(s / m) + np.log(m) + top)[:, 0]
+        bad = ~np.isfinite(out)
+        if np.any(bad):
+            out[bad] = np.log(np.sum(np.exp(a[bad]), axis=1))
+    return out
+
+
 def gevrey_log_norms(lambdas: np.ndarray, coeffs: np.ndarray, gp: GevreyParams) -> np.ndarray:
     """Row-wise log Gevrey norms 0.5 log sum_j lambda_j^{2p} e^{2q lambda_j} c_ij^2.
 
@@ -215,7 +241,7 @@ def gevrey_log_norms(lambdas: np.ndarray, coeffs: np.ndarray, gp: GevreyParams) 
     with np.errstate(divide="ignore"):
         log_terms = np.where(nz, 2.0 * gp.p * np.log(lam) + 2.0 * gp.q * lam
                              + 2.0 * np.log(np.abs(c)), -np.inf)
-        return 0.5 * logsumexp(log_terms, axis=1)
+    return 0.5 * _row_logsumexp(log_terms)
 
 
 def exp_checked(log_value: float, what: str) -> float:

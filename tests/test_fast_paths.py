@@ -2,26 +2,30 @@
 
 scaled_norm_rows takes an unscaled path for rows of moderate norm,
 sup_row_norm takes the largest of them in one pass, the certified rho is
-one row-wise log-sum-exp pass, the order-6 interval integrals are a
-6-tap correlation plus four edge rows, and the exponential-kernel
-recurrence is one banded triangular solve.  Each is held here to an
-independent reference kept in this file.
+one row-wise log-sum-exp pass (numpy code following scipy's algorithm),
+the order-6 interval integrals are a 6-tap correlation plus four edge
+rows, and the exponential-kernel recurrence is one banded triangular
+solve.  Each is held here to an independent reference kept in this file.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fvptrunc import (ConfigError, EigenModel, ExponentOverflowError, GevreyParams,
                       SpectralField, TimeGrid, Trajectory, closed_form_solution, gevrey_norm)
 from fvptrunc.harness import RHO_SAFETY, _certified_rho
-from fvptrunc.quadrature import (_interval_integrals, _pl_interval_weights, backward_cumulative,
-                                 exp_kernel_profile, lagrange_exp_weights)
+from fvptrunc.quadrature import (QuadraturePlan, _interval_integrals, _interval_weight_table,
+                                 _pl_interval_weights, backward_cumulative, exp_kernel_profile,
+                                 lagrange_exp_weights)
 from fvptrunc.reference import ReferenceSolution
-from fvptrunc.spectral import FAST_NORM_MAX, FAST_NORM_MIN, scaled_norm_rows, sup_row_norm
+from fvptrunc.spectral import (FAST_NORM_MAX, FAST_NORM_MIN, _row_logsumexp, scaled_norm_rows,
+                               sup_row_norm)
 
 
 # --------------------------------------------------------------------------
@@ -151,6 +155,79 @@ class TestSupRowNorm:
 
 
 # --------------------------------------------------------------------------
+# row log-sum-exp
+
+#: scipy.special.logsumexp of scipy 1.17 separates the row maximum and its
+#: ties from the sum, the form `_row_logsumexp` reproduces step for step
+SCIPY_MINOR = tuple(int(part) for part in scipy.__version__.split(".")[:2])
+MAX_SEPARATED_SCIPY = (1, 17)
+
+
+def lse_entries(specials: bool):
+    """Finite entries past the exp range, exact repeats (ties), and with
+    `specials` the non-finite values."""
+    pool = [0.0, -2.5, 700.0, 710.0, -math.inf] + ([math.inf, math.nan] if specials else [])
+    return st.one_of(st.floats(-1e3, 1e3), st.sampled_from(pool))
+
+
+@st.composite
+def lse_arrays(draw, specials: bool = True, min_width: int = 0):
+    width = draw(st.integers(min_width, 8))
+    rows = draw(st.lists(st.lists(lse_entries(specials), min_size=width, max_size=width),
+                         min_size=0 if specials else 1, max_size=6))
+    a = np.array(rows, dtype=float).reshape(len(rows), width)
+    # whole-row cases the entry draws rarely produce
+    if a.size:
+        kind = draw(st.sampled_from(["as drawn", "all -inf", "all tied"]))
+        if kind == "all -inf":
+            a[0] = -math.inf
+        elif kind == "all tied":
+            a[-1] = a[-1, 0]
+    return a
+
+
+class TestRowLogSumExp:
+    @pytest.mark.skipif(SCIPY_MINOR != MAX_SEPARATED_SCIPY,
+                        reason="the bits are those of scipy 1.17's logsumexp")
+    @settings(max_examples=500, deadline=None)
+    @given(lse_arrays())
+    @example(np.zeros((0, 0)))
+    @example(np.zeros((3, 0)))                                  # zero width
+    @example(np.array([[-math.inf, -math.inf], [1.0, 1.0]]))    # all -inf; a tie
+    @example(np.array([[math.inf, -math.inf, 3.0], [math.nan, 1.0, math.inf]]))
+    def test_matches_scipy_bit_for_bit(self, a):
+        from scipy.special import logsumexp
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            want = np.asarray(logsumexp(a, axis=1), dtype=float).reshape(a.shape[0])
+        assert _row_logsumexp(a).tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(lse_arrays(specials=False, min_width=1))
+    @example(np.array([[-math.log(2.0), -math.log(2.0), -30.0]]))  # log m cancels the max
+    def test_within_four_ulp_of_mpmath(self, a):
+        """Four ulp of the largest of the result, the row maximum M and their
+        difference (the terms the last additions combine), plus what the
+        rounded shifts carry: fl(x - M) is off by up to |x - M| eps / 2,
+        which e^{x - M} turns into a relative error of that size."""
+        got = _row_logsumexp(a)
+        with mpmath.workdps(60):
+            for value, row in zip(got, a):
+                finite = [mpmath.mpf(float(x)) for x in row if x != -math.inf]
+                if not finite:
+                    assert value == -math.inf
+                    continue
+                # M + log1p(the other terms over e^M): no 1 + tiny to round
+                rest = sorted(finite)
+                top = rest.pop()
+                terms = [mpmath.exp(x - top) for x in rest]
+                exact = top + mpmath.log1p(mpmath.fsum(terms))
+                scale = max(abs(exact), abs(top), abs(exact - top))
+                shifts = mpmath.fsum(t * (top - x) for t, x in zip(terms, rest))
+                tol = 4 * np.spacing(float(scale)) + np.finfo(float).eps * float(shifts)
+                assert abs(mpmath.mpf(float(value)) - exact) <= tol
+
+
+# --------------------------------------------------------------------------
 # certified rho
 
 def fsum_rho(reference: ReferenceSolution, gp: GevreyParams) -> float:
@@ -181,6 +258,15 @@ def synthetic_reference(states: np.ndarray, tau: float = 0.5) -> ReferenceSoluti
                              SpectralField(model, states[-1]), "self_convergent")
 
 
+def random_states(seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    states = rng.standard_normal((65, 10)) * np.exp(rng.uniform(-5.0, 5.0, (65, 1)))
+    states[:, [1, 4, 9]] = 0.0          # modes that are zero everywhere
+    states[7] = 0.0                     # one all-zero grid point
+    states[::5, 2] = 0.0                # a live mode that vanishes at some points
+    return states
+
+
 class TestCertifiedRho:
     def test_closed_form_reference(self):
         model = EigenModel.dirichlet_1d(8)
@@ -191,16 +277,51 @@ class TestCertifiedRho:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_states_with_zero_columns_and_rows(self, seed):
-        rng = np.random.default_rng(seed)
-        states = rng.standard_normal((65, 10)) * np.exp(rng.uniform(-5.0, 5.0, (65, 1)))
-        states[:, [1, 4, 9]] = 0.0          # modes that are zero everywhere
-        states[7] = 0.0                     # one all-zero grid point
-        states[::5, 2] = 0.0                # a live mode that vanishes at some points
-        ref = synthetic_reference(states)
+        ref = synthetic_reference(random_states(seed))
         gp = GevreyParams(0.5, 0.05)
         got = _certified_rho(ref, gp)
         assert got == pytest.approx(fsum_rho(ref, gp), rel=1e-14)
         assert got == pytest.approx(per_row_rho(ref, gp), rel=1e-14)
+
+    # (certified rho, gevrey_norm at the first, middle and last grid point)
+    # as float.hex, recorded from the scipy.special.logsumexp implementation
+    PINNED = {
+        ("closed", 1, 1.0, 0): ("0x1.041862fc251abp+34", ("0x1.018522a378616p+34",
+                                "0x1.9dc0090b7f099p+27", "0x1.482848d9caf33p+21")),
+        ("closed", 1, 1.0, 1): ("0x1.2763ab06365ecp+30", ("0x1.2476f55edd1e7p+30",
+                                "0x1.d5e508cc8af9bp+23", "0x1.74afee6f7f796p+17")),
+        ("closed", 2, 0.0, 0): ("0x1.4a282fb6b4fddp+142", ("0x1.46e35a5494c8ap+142",
+                                "0x1.db7e054052188p+113", "0x1.599a9d4f0da06p+85")),
+        ("closed", 2, 0.0, 1): ("0x1.24828cb60e3b9p+119", ("0x1.219d2365adc66p+119",
+                                "0x1.a545e3ff357b4p+90", "0x1.3232104daa653p+62")),
+        ("closed", 1, -0.5, 0): ("0x1.274e5c8fc1a4ap+36", ("0x1.2461dce994a30p+36",
+                                 "0x1.b81f769f5cc89p+28", "0x1.482848d9caf33p+21")),
+        ("closed", 1, -0.5, 1): ("0x1.4f60cf421c3bdp+32", ("0x1.4c0ebdff8e037p+32",
+                                 "0x1.f3d89be0d831cp+24", "0x1.74afee6f7f796p+17")),
+        ("random", 0): ("0x1.cc4bb7a605f6ep+69", ("0x1.02b0a6ddfe175p+59", "0x0.0p+0",
+                        "0x1.8372dcd500189p+62")),
+        ("random", 1): ("0x1.b426a74d1649cp+69", ("0x1.e9036cdfefb5dp+62", "0x0.0p+0",
+                        "0x1.9b17388c34d28p+64")),
+        ("random", 2): ("0x1.84c771634ee7ap+69", ("0x1.77a91b4895645p+62", "0x0.0p+0",
+                        "0x1.03383d7e6dbf5p+51")),
+    }
+
+    def test_values_keep_their_bits(self):
+        """The inputs of the tests above: closed forms on a 400-step grid and
+        the random states of seeds 0-2 (grid point 7 is all zero)."""
+        model = EigenModel.dirichlet_1d(8)
+        cases = {}
+        for mode, c in ((1, 1.0), (2, 0.0), (1, -0.5)):
+            ref = closed_form_solution(model, mode, c, 1.0, TimeGrid(1.0, 400))
+            for k, gp in enumerate((GevreyParams(0.0, 1.5), GevreyParams(1.0, 1.0))):
+                cases[("closed", mode, c, k)] = (ref, gp, (0, 200, 400))
+        for seed in (0, 1, 2):
+            ref = synthetic_reference(random_states(seed))
+            cases[("random", seed)] = (ref, GevreyParams(0.5, 0.05), (0, 7, 64))
+        for key, (ref, gp, rows) in cases.items():
+            got = (_certified_rho(ref, gp).hex(),
+                   tuple(gevrey_norm(ref.trajectory.state(i), gp).hex() for i in rows))
+            assert got == self.PINNED[key], key
 
     def test_all_zero_reference_rejected(self):
         ref = synthetic_reference(np.zeros((9, 4)))
@@ -241,6 +362,13 @@ def gather_integrals(w: np.ndarray, h: float, z: float, order: int) -> tuple:
     return h * np.einsum("ik->i", products), h * np.sum(np.abs(products), axis=1)
 
 
+def interval_integrals(w: np.ndarray, h: float, z: float, order: int) -> np.ndarray:
+    """The stencil kernel's interval integrals, as a new array."""
+    out = np.empty(w.size - 1)
+    _interval_integrals(np.ascontiguousarray(w), h, _interval_weight_table(z, order), out)
+    return out
+
+
 @pytest.mark.parametrize("order", [2, 6])
 @pytest.mark.parametrize("z", [0.0, 1e-3, 0.5, 30.0])
 @pytest.mark.parametrize("n", [5, 6, 7, 8, 128, 4000])
@@ -249,7 +377,7 @@ def test_stencil_matches_gather(n, z, order):
     w = rng.standard_normal(n + 1)
     h = 1.0 / n
     want, scale = gather_integrals(w, h, z, order)
-    got = _interval_integrals(w, h, z, order)
+    got = interval_integrals(w, h, z, order)
     assert got.shape == (n,)
     # relative to the summed magnitudes: the stencil sums may cancel
     assert np.all(np.abs(got - want) <= 1e-14 * scale)
@@ -257,7 +385,7 @@ def test_stencil_matches_gather(n, z, order):
 
 def test_order6_needs_six_points():
     with pytest.raises(ValueError, match="at least 6 grid points"):
-        _interval_integrals(np.ones(5), 0.25, 0.1, 6)
+        QuadraturePlan((0.4,), 0.25, 4, 6)
 
 
 # --------------------------------------------------------------------------
@@ -265,7 +393,7 @@ def test_order6_needs_six_points():
 
 def recurrence_loop(w: np.ndarray, h: float, z: float, order: int) -> np.ndarray:
     """I_k = A_k + e^z I_{k+1} from I_n = 0, one rounded step at a time."""
-    A = _interval_integrals(np.ascontiguousarray(w), h, z, order)
+    A = interval_integrals(w, h, z, order)
     E = math.exp(z)
     out = np.zeros(A.size + 1)
     acc = 0.0
@@ -317,7 +445,7 @@ def test_backward_cumulative_is_the_rounded_running_sum(n, order):
     rng = np.random.default_rng(n)
     w = rng.standard_normal(n + 1)
     h = 1.0 / n
-    A = _interval_integrals(w, h, 0.0, order)
+    A = interval_integrals(w, h, 0.0, order)
     want = np.zeros(n + 1)
     acc = 0.0
     for k in range(n - 1, -1, -1):

@@ -5,8 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from fvptrunc import ExponentOverflowError, TimeGrid, backward_cumulative
-from fvptrunc.quadrature import (_recurrence_band, exp_kernel_profile, lagrange_exp_weights,
-                                 phi1, phi2)
+from fvptrunc.quadrature import (QuadraturePlan, _recurrence_band, exp_kernel_profile,
+                                 lagrange_exp_weights, phi1, phi2)
 from fvptrunc.solver import exp_kernel_integral
 
 PI2 = math.pi ** 2
@@ -171,3 +171,34 @@ class TestRecurrenceBand:
         assert band.shape == (2, 64) and band.flags.f_contiguous
         assert np.all(band[1] == -math.exp(lam * h))
         assert _recurrence_band(lam * h, 65) is not band
+
+
+class TestQuadraturePlan:
+    """One plan serves every mode of a solve, reusing one scratch row; each
+    mode's rows must come out as the one-off calls give them."""
+
+    ZS = (0.0, 1e-3, 0.5, 30.0)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 128, 4000])
+    def test_rows_equal_the_one_off_calls(self, n):
+        h = 1.0 / n
+        lams = np.array(self.ZS) / h
+        rng = np.random.default_rng(n)
+        # decaying like e^{-lam t}, so the profile stays finite at z = 30
+        rows = rng.standard_normal((len(self.ZS), n + 1)) \
+            * np.exp(-np.outer(self.ZS, np.arange(n + 1)))
+        plan = QuadraturePlan(lams, h, n, 6)
+        cumulative, profile = np.empty_like(rows), np.empty_like(rows)
+        for _ in range(2):  # a second pass over the same plan and scratch
+            for j, row in enumerate(rows):
+                plan.cumulative(row, cumulative[j])
+                plan.profile(j, row, profile[j])
+            for j, row in enumerate(rows):
+                assert cumulative[j].tobytes() == backward_cumulative(h, row, 6).tobytes()
+                assert profile[j].tobytes() == exp_kernel_profile(lams[j], h, row, 6).tobytes()
+
+    def test_checks_every_rate_up_front(self):
+        with pytest.raises(ExponentOverflowError, match="per-interval growth"):
+            QuadraturePlan(np.array([1.0, 800.0]), 1.0, 16, 6)
+        with pytest.raises(ValueError, match="lam must be >= 0"):
+            QuadraturePlan(np.array([1.0, -1.0]), 0.1, 16, 6)

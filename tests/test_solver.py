@@ -387,3 +387,41 @@ class TestNormsAtSmallTau:
         np.testing.assert_allclose(res.increments, increments, rtol=self.RTOL, atol=0.0)
         assert res.defect == pytest.approx(
             fixed_point_defect(res.trajectory, inst, cfg, data), rel=self.RTOL, abs=0.0)
+
+
+class TestLazyDefect:
+    """The defect costs one map more than the iterations; a converged solve
+    runs it only when `defect` is read, and only once."""
+
+    @staticmethod
+    def counting_maps(monkeypatch) -> list:
+        import fvptrunc.solver as solver
+        calls = []
+        original = solver._map_retained
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(solver, "_map_retained", counted)
+        return calls
+
+    def test_maps_run_only_for_a_read_defect(self, model, monkeypatch):
+        data = SpectralField(model, np.random.default_rng(5).standard_normal(model.mode_count))
+        inst = make_instance(model, SOURCES["sin"], data, tau=0.25)
+        cfg = SolverConfig(level=3, n_steps=96)
+        calls = self.counting_maps(monkeypatch)
+        res = picard_solve(inst, cfg, data)
+        assert len(calls) == res.iterations
+        first = res.defect
+        assert len(calls) == res.iterations + 1
+        assert bits(res.defect) == bits(first)
+        assert len(calls) == res.iterations + 1
+
+    def test_nonconvergence_carries_the_defect(self, model, monkeypatch):
+        data = SpectralField(model, np.random.default_rng(5).standard_normal(model.mode_count))
+        inst = make_instance(model, SOURCES["sin"], data, tau=0.25)
+        calls = self.counting_maps(monkeypatch)
+        with pytest.raises(NonConvergenceError) as exc:
+            picard_solve(inst, SolverConfig(level=3, n_steps=96, max_iters=2), data)
+        assert len(calls) == 3 and exc.value.defect > 0.0
