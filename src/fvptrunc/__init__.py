@@ -21,8 +21,8 @@ from .reference import (IllposedPair, LinearModeRoots, ReferenceSolution,
                         closed_form_solution, combined_closed_form, illposed_pair,
                         mode_coefficient, mode_roots, self_convergent_reference)
 from .solver import (PicardResult, SolverConfig, apply_spectral_growth,
-                     apriori_contraction_iteration, exp_kernel_integral,
-                     fixed_point_defect, fixed_point_map, picard_solve)
+                     apriori_contraction_iteration, fixed_point_defect, fixed_point_map,
+                     picard_solve)
 from .spectral import (EigenModel, GevreyParams, SpectralField, evaluate_on_grid,
                        gevrey_norm, l2_norm)
 
@@ -40,7 +40,7 @@ __all__ = [
     "apply_spectral_growth", "apriori_contraction_iteration", "backward_cumulative",
     "check_dominance", "choose_level", "choose_n_holder", "choose_n_log",
     "closed_form_solution", "combined_closed_form", "evaluate_on_grid",
-    "exp_kernel_integral", "exp_kernel_profile", "fit_rate", "fixed_point_defect",
+    "exp_kernel_profile", "fit_rate", "fixed_point_defect",
     "fixed_point_map", "gevrey_norm", "gronwall_bound",
     "gronwall_comparison_solution", "holder_bound_staircase", "illposed_pair",
     "illposed_table", "l2_norm", "log_noise_bound", "log_total_bound",

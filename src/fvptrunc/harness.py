@@ -25,14 +25,13 @@ from .problem import FvpInstance, SourceFunction
 from .reference import (ReferenceSolution, combined_closed_form, illposed_pair,
                         richardson_estimate, self_convergent_reference)
 from .solver import DEFAULT_MAX_ITERS, DEFAULT_PICARD_TOL, SolverConfig, picard_solve
-from .spectral import (MAX_EXP_ARG, EigenModel, GevreyParams, SpectralField, exp_checked,
+from .spectral import (SAFE_EXP_ARG, EigenModel, GevreyParams, SpectralField, exp_checked,
                        gevrey_log_norms, l2_norm, scaled_norm_rows)
 
-# Reject configs with lambda_N * tau above this.  The margin of 9 below the
-# double range keeps the leading term e^{lambda_N tau} g_N finite for data
-# coefficients up to e^9 ~ 8e3, the same headroom as quadrature's
-# per-interval cap.
-DESK_SCALE_EXPONENT_CAP = MAX_EXP_ARG - 9.0
+# Reject configs with lambda_N * tau above this.  It keeps the leading term
+# e^{lambda_N tau} g_N finite for data coefficients up to e^9 ~ 8e3, the same
+# headroom as quadrature's per-interval cap.
+DESK_SCALE_EXPONENT_CAP = SAFE_EXP_ARG
 RHO_SAFETY = 1.01                # grid-max to essential-sup safety factor
 
 
@@ -560,8 +559,8 @@ def holder_bound_staircase(model: EigenModel, tau: float, t: float, q: float,
     for r in rs:
         log_delta = math.log(rho) - denom * r ** (2.0 / model.dimension)
         # the mirror of the overflow cap: e^{-700} ~ 1e-304 is still a
-        # normal double, a factor e^8 above the smallest one (~ e^{-708.4})
-        if log_delta < -(MAX_EXP_ARG - 9.0):
+        # normal double
+        if log_delta < -SAFE_EXP_ARG:
             raise ValueError("ladder extends past the double range; reduce r_max")
         delta = math.exp(log_delta)
         ci = ChoiceInputs(regime=HOLDER_RULE, rho=rho, delta=delta, t=t, tau=tau,

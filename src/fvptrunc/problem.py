@@ -35,11 +35,10 @@ class SourceFunction:
             return abs(self.c)
         return 1.0
 
-    def apply(self, t, coeffs: np.ndarray) -> np.ndarray:
+    def apply(self, coeffs: np.ndarray) -> np.ndarray:
         """F evaluated on coefficient arrays; shape is preserved.
 
-        `t` is accepted for interface generality; the built-in kinds are
-        autonomous.
+        Every kind is autonomous, so F does not depend on t.
         """
         if self.kind == "zero":
             return np.zeros_like(coeffs)

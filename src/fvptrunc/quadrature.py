@@ -6,19 +6,13 @@ Everything here evaluates integrals of the form
 
 for w sampled at the grid points, plus the plain backward cumulative
 integral W(t_k) = int_{t_k}^{tau} w ds.  The kernel is integrated exactly
-against a piecewise-polynomial interpolant of w:
-
-  order 2 -- piecewise-linear interpolant; per-interval antiderivatives
-             use the scaled functions (e^z - 1)/z and (e^z - 1 - z)/z^2,
-             evaluated by series for small z to avoid cancellation.
-  order 6 -- degree-5 interpolant on a sliding 6-point stencil; the
-             weighted moments int_0^1 s^m e^{z s} ds come from the
-             confluent hypergeometric function, which is stable for all
-             z >= 0 of interest.  Only 5 stencil shapes occur (the
-             centred one inside, and two one-sided ones at each end), so
-             the interior intervals are one 6-tap correlation of w with
-             the centred weight row and the 4 edge intervals are dot
-             products with their own rows.
+against the degree-5 interpolant of w on a sliding 6-point stencil, a
+sixth-order scheme.  The weighted moments int_0^1 s^m e^{z s} ds come from
+the confluent hypergeometric function, which is stable for all z >= 0 of
+interest.  Only 5 stencil shapes occur (the centred one inside, and two
+one-sided ones at each end), so the interior intervals are one 6-tap
+correlation of w with the centred weight row and the 4 edge intervals are
+dot products with their own rows.  A grid needs at least 6 points.
 
 The backward recurrence I_k = A_k + e^{lam h} I_{k+1} that sums the
 interval integrals is one unit-bidiagonal banded triangular solve (BLAS
@@ -44,45 +38,11 @@ from scipy.linalg.blas import dtbsv
 from scipy.special import hyp1f1
 
 from .errors import ExponentOverflowError
-from .spectral import MAX_EXP_ARG
+from .spectral import SAFE_EXP_ARG
 
-#: interpolation orders accepted by the routines below
-ORDERS = (2, 6)
-
-#: convergence order of the composite scheme, keyed by `order`
-SCHEME_ORDER = {2: 2, 6: 6}
-
-
-def phi1(z: float) -> float:
-    """(e^z - 1)/z, continuously extended through z = 0."""
-    if abs(z) < 1e-8:
-        return 1.0 + z * (0.5 + z / 6.0)
-    return math.expm1(z) / z
-
-
-def phi2(z: float) -> float:
-    """(e^z - 1 - z)/z^2, by series for small |z| (direct form cancels)."""
-    if abs(z) < 0.35:
-        term = 0.5
-        acc = term
-        for k in range(3, 24):
-            term *= z / k
-            acc += term
-            if abs(term) < 1e-18 * abs(acc):
-                break
-        return acc
-    return (math.expm1(z) - z) / (z * z)
-
-
-def _pl_interval_weights(z: float) -> np.ndarray:
-    """Weights (a0, a1): int_0^1 e^{z s} (w0 (1-s) + w1 s) ds = a0 w0 + a1 w1.
-
-    The left node's weight is a0 = int_0^1 (1-s) e^{z s} ds = phi2(z), the
-    right node's a1 = int_0^1 s e^{z s} ds = phi1(z) - phi2(z).
-    """
-    p1 = phi1(z)
-    p2 = phi2(z)
-    return np.array([p2, p1 - p2])
+#: convergence order of the composite scheme, keyed by its interpolation
+#: order (`solver.DEFAULT_QUADRATURE_ORDER`)
+SCHEME_ORDER = {6: 6}
 
 
 def _exp_moments(z: float, mmax: int) -> np.ndarray:
@@ -109,22 +69,17 @@ def lagrange_exp_weights(offsets: np.ndarray, z: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _interval_weight_table(z: float, order: int) -> np.ndarray:
+def _interval_weight_table(z: float) -> np.ndarray:
     """Stencil weight rows: interval i integrates to h * dot(row, w[stencil]).
 
-    order 2 -- one row (a0, a1) over the stencil (i, i+1).
-    order 6 -- 5 rows; row s + 4 serves the stencil i+s .. i+s+5, whose
-               leftmost node lies s = -4..0 steps from the interval start.
-               Interior intervals use s = -2 (centred); intervals 0, 1
-               use s = 0, -1 and the last two use s = -3, -4, so every
-               stencil stays on the grid.
-    The rows depend only on (lam * h, order), not on the grid size, and
-    are cached because they are reused across fixed-point iterations.
+    Row s + 4 of the 5 rows serves the stencil i+s .. i+s+5, whose leftmost
+    node lies s = -4..0 steps from the interval start.  Interior intervals
+    use s = -2 (centred); intervals 0, 1 use s = 0, -1 and the last two use
+    s = -3, -4, so every stencil stays on the grid.  The rows depend only
+    on lam * h, not on the grid size, and are cached because they are
+    reused across fixed-point iterations.
     """
-    if order == 2:
-        table = _pl_interval_weights(z)[None, :]
-    else:
-        table = np.array([lagrange_exp_weights(np.arange(s, s + 6), z) for s in range(-4, 1)])
+    table = np.array([lagrange_exp_weights(np.arange(s, s + 6), z) for s in range(-4, 1)])
     table.flags.writeable = False
     return table
 
@@ -145,15 +100,12 @@ def _recurrence_band(z: float, n: int) -> np.ndarray:
 def _interval_integrals(w: np.ndarray, h: float, table: np.ndarray, out: np.ndarray) -> None:
     """out[i] = A_i = int_{t_i}^{t_{i+1}} e^{z (s - t_i)/h} w_interp(s) ds, unchecked.
 
-    `table` is `_interval_weight_table(z, order)`, `w` a contiguous float
-    row of n + 1 samples (n >= 5 at order 6) and `out` n slots.  BLAS sums
-    a strided dot in another order, and the result must not depend on the
-    caller's memory layout, hence the contiguous row.
+    `table` is `_interval_weight_table(z)`, `w` a contiguous float row of
+    n + 1 samples (n >= 5) and `out` n slots.  BLAS sums a strided dot in
+    another order, and the result must not depend on the caller's memory
+    layout, hence the contiguous row.
     """
     n = out.size
-    if table.shape[0] == 1:
-        np.multiply(np.correlate(w, table[0], "valid"), h, out=out)
-        return
     np.multiply(np.correlate(w, table[2], "valid"), h, out=out[2:n - 2])
     head, tail = w[:6], w[-6:]
     out[0] = h * table[4].dot(head)
@@ -174,27 +126,23 @@ class QuadraturePlan:
     rows of n + 1 samples.
     """
 
-    def __init__(self, lams, h: float, n: int, order: int):
+    def __init__(self, lams, h: float, n: int):
         if any(lam < 0.0 for lam in lams):
             raise ValueError("kernel rate lam must be >= 0")
-        if order not in ORDERS:
-            raise ValueError(f"order must be one of {ORDERS}")
-        if n < 1:
-            raise ValueError("need at least two grid points")
-        if order == 6 and n < 5:
-            raise ValueError("order-6 quadrature needs at least 6 grid points")
+        if n < 5:
+            raise ValueError("the quadrature needs at least 6 grid points")
         zs = [lam * h for lam in lams]
         for z in zs:
-            # 9 below the double range: e^{lam h} stays under e^700 ~ 1e304,
-            # so a step e^{lam h} I_{k+1} with |I_{k+1}| up to e^9 ~ 8e3 is
-            # finite; `profile`'s finiteness check catches the rest
-            if z > MAX_EXP_ARG - 9.0:
+            # e^{lam h} stays under e^700 ~ 1e304, so a step e^{lam h} I_{k+1}
+            # with |I_{k+1}| up to e^9 ~ 8e3 is finite; `profile`'s
+            # finiteness check catches the rest
+            if z > SAFE_EXP_ARG:
                 raise ExponentOverflowError(
                     f"per-interval growth e^(lam h) overflows (lam h = {z:.6g})")
         self.lams, self.h = lams, h
-        self.tables = [_interval_weight_table(z, order) for z in zs]
+        self.tables = [_interval_weight_table(z) for z in zs]
         self.bands = [_recurrence_band(z, n) for z in zs]
-        self.plain_table = _interval_weight_table(0.0, order)
+        self.plain_table = _interval_weight_table(0.0)
         self.scratch = np.empty(n)
 
     def cumulative(self, w: np.ndarray, out: np.ndarray) -> None:
@@ -226,8 +174,11 @@ class QuadraturePlan:
                 f"exponential-kernel integral overflows for lam = {self.lams[j]:.6g}")
 
 
-def exp_kernel_profile(lam: float, h: float, w: np.ndarray, order: int = 2) -> np.ndarray:
+def exp_kernel_profile(lam: float, h: float, w: np.ndarray) -> np.ndarray:
     """I(t_k) = int_{t_k}^{tau} e^{lam (s - t_k)} w_interp(s) ds at every grid point.
+
+    w_interp is the sixth-order stencil interpolant, as in the solver (this
+    routine once defaulted to a piecewise-linear one, now removed).
 
     Uses the backward recurrence I_k = A_k + e^{lam h} I_{k+1}, which keeps
     every factor of the form e^{lam (s - t)} with s >= t.  The recurrence
@@ -241,13 +192,17 @@ def exp_kernel_profile(lam: float, h: float, w: np.ndarray, order: int = 2) -> n
     """
     w = np.ascontiguousarray(w, dtype=float)
     out = np.empty(w.size)
-    QuadraturePlan((lam,), h, w.size - 1, order).profile(0, w, out)
+    QuadraturePlan((lam,), h, w.size - 1).profile(0, w, out)
     return out
 
 
-def backward_cumulative(h: float, w: np.ndarray, order: int = 2) -> np.ndarray:
-    """W(t_k) = int_{t_k}^{tau} w_interp(s) ds at every grid point."""
+def backward_cumulative(h: float, w: np.ndarray) -> np.ndarray:
+    """W(t_k) = int_{t_k}^{tau} w_interp(s) ds at every grid point.
+
+    w_interp is the sixth-order stencil interpolant, as in the solver (this
+    routine once defaulted to a piecewise-linear one, now removed).
+    """
     w = np.ascontiguousarray(w, dtype=float)
     out = np.empty(w.size)
-    QuadraturePlan((), h, w.size - 1, order).cumulative(w, out)
+    QuadraturePlan((), h, w.size - 1).cumulative(w, out)
     return out

@@ -36,11 +36,12 @@ from .errors import ExponentOverflowError, NonConvergenceError
 from .grids import TimeGrid, Trajectory
 from .problem import FvpInstance
 from .spectral import MAX_EXP_ARG, EigenModel, SpectralField, sup_row_norm
-from .quadrature import QuadraturePlan, exp_kernel_profile
+from .quadrature import QuadraturePlan
 
 DEFAULT_PICARD_TOL = 1e-11
 DEFAULT_MAX_ITERS = 500
-#: the solver's only quadrature order (order 2 stalls near 3e-3; see the README)
+#: interpolation order of the quadrature, the sixth-order stencil scheme; it
+#: is the only one (a piecewise-linear scheme stalled near 3e-3; see the README)
 DEFAULT_QUADRATURE_ORDER = 6
 
 
@@ -84,20 +85,6 @@ def apply_spectral_growth(t: float, psi: SpectralField, level: int) -> SpectralF
     return SpectralField(model, out)
 
 
-def exp_kernel_integral(lam: float, grid: TimeGrid, w: np.ndarray, t_index: int,
-                        order: int = 2) -> float:
-    """int_{t}^{tau} e^{lam (s - t)} w(s) ds at grid point t = t_{t_index}.
-
-    w holds samples on the grid; the kernel is integrated exactly against
-    the piecewise-polynomial interpolant of the given order (2 = linear,
-    the documented default; 6 = the solver's high-order variant).
-    """
-    if not 0 <= t_index <= grid.n_steps:
-        raise IndexError("t_index outside the grid")
-    profile = exp_kernel_profile(lam, grid.h, np.asarray(w, dtype=float), order)
-    return float(profile[t_index])
-
-
 def _growth_rows(lam: np.ndarray, back: np.ndarray, data: np.ndarray) -> np.ndarray:
     """G_N on a grid, mode-major: e^{lam_j * back_i} * data_j at [j, i].
 
@@ -123,19 +110,13 @@ def _check_level(cfg: SolverConfig, model: EigenModel) -> None:
         raise ValueError("truncation level exceeds the model mode count")
 
 
-def _quadrature_plan(model: EigenModel, level: int, grid: TimeGrid) -> QuadraturePlan:
-    """The solver's quadratures of modes 1..level on `grid`."""
-    return QuadraturePlan(model.lambdas[:level], grid.h, grid.n_steps,
-                          DEFAULT_QUADRATURE_ORDER)
-
-
 def _map_retained(rows: np.ndarray, instance: FvpInstance, plan: QuadraturePlan,
-                  lead: np.ndarray, grid: TimeGrid) -> np.ndarray:
+                  lead: np.ndarray) -> np.ndarray:
     """fixed_point_map on the retained modes, mode-major: (N, n+1) rows to
     their (N, n+1) image.  `lead` is the map's term that does not depend on
     the iterate, G_N(tau - t) data on the grid (`_growth_rows`), and `plan`
     holds the modes' quadratures; both are built once per solve."""
-    integrand = instance.source.apply(grid.points, rows)  # F, a new array
+    integrand = instance.source.apply(rows)  # F, a new array
     out = np.empty_like(lead)
     for j, row in enumerate(rows):
         image = out[j]
@@ -165,8 +146,8 @@ def fixed_point_map(v: Trajectory, instance: FvpInstance, cfg: SolverConfig,
     N = cfg.level
     lead = _growth_rows(instance.model.lambdas[:N], instance.tau - v.grid.points,
                         data.coeffs[:N])
-    plan = _quadrature_plan(instance.model, N, v.grid)
-    image = _map_retained(v.states[:, :N].T.copy(), instance, plan, lead, v.grid)
+    plan = QuadraturePlan(instance.model.lambdas[:N], v.grid.h, v.grid.n_steps)
+    image = _map_retained(v.states[:, :N].T.copy(), instance, plan, lead)
     return _padded(v.grid, instance.model, image)
 
 
@@ -258,13 +239,13 @@ def picard_solve(instance: FvpInstance, cfg: SolverConfig, data: SpectralField) 
     _check_level(cfg, model)
 
     lead = _growth_rows(model.lambdas[:N], instance.tau - grid.points, data.coeffs[:N])
-    plan = _quadrature_plan(model, N, grid)
+    plan = QuadraturePlan(model.lambdas[:N], grid.h, grid.n_steps)
     v = lead
     increments: list[float] = []
     converged = False
     its = 0
     for its in range(1, cfg.max_iters + 1):
-        image = _map_retained(v, instance, plan, lead, grid)
+        image = _map_retained(v, instance, plan, lead)
         inc = sup_row_norm((v - image).T)
         increments.append(inc)
         v = image
@@ -273,7 +254,7 @@ def picard_solve(instance: FvpInstance, cfg: SolverConfig, data: SpectralField) 
             break
 
     def defect_of() -> float:
-        return sup_row_norm((v - _map_retained(v, instance, plan, lead, grid)).T)
+        return sup_row_norm((v - _map_retained(v, instance, plan, lead)).T)
 
     if not converged:
         raise NonConvergenceError(

@@ -17,6 +17,10 @@ from .errors import ExponentOverflowError, UnsupportedDomainError
 
 # exp(x) overflows double precision just above this
 MAX_EXP_ARG = 709.0
+# The exponent caps on config and grid values, 9 below the double range:
+# e^700 ~ 1e304 leaves a factor e^9 ~ 8e3 of headroom before overflow, and
+# e^{-700} is still a normal double, e^8 above the smallest (~ e^{-708.4}).
+SAFE_EXP_ARG = MAX_EXP_ARG - 9.0
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

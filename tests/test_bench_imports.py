@@ -1,0 +1,61 @@
+"""Every fvptrunc name the benchmark under `bench/` reads still exists.
+
+The bench scripts import the package inside their workload bodies, so a
+deleted or renamed name would only show when a workload runs.  Here their
+source is parsed, not run: every `import fvptrunc...` and
+`from fvptrunc... import name` must resolve, and so must every traced
+callable in `bench/spans.py`'s TARGETS, which the tracer otherwise skips
+without failing.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+from fvptrunc.quadrature import SCHEME_ORDER
+from fvptrunc.solver import DEFAULT_QUADRATURE_ORDER
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SCRIPTS = sorted(BENCH.glob("*.py"))
+
+
+def package_imports(tree: ast.AST) -> list[tuple[str, str | None]]:
+    """(module, name) of each fvptrunc import; name is None for `import m`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(a.name, None) for a in node.names if a.name.split(".")[0] == "fvptrunc"]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module \
+                and node.module.split(".")[0] == "fvptrunc":
+            found += [(node.module, a.name) for a in node.names]
+    return found
+
+
+def test_bench_scripts_found():
+    assert BENCH / "workloads.py" in SCRIPTS
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_package_imports_resolve(script):
+    for module, name in package_imports(ast.parse(script.read_text())):
+        mod = importlib.import_module(module)
+        assert name is None or hasattr(mod, name), f"{script.name}: {module}.{name}"
+
+
+def test_traced_targets_resolve():
+    tree = ast.parse((BENCH / "spans.py").read_text())
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "TARGETS" for t in node.targets))
+    assert targets
+    for _, module, path in targets:
+        obj = importlib.import_module(module)
+        for attr in path.split("."):
+            assert hasattr(obj, attr), f"{module}.{path}"
+            obj = getattr(obj, attr)
+
+
+def test_scheme_order_the_bench_reads():
+    assert SCHEME_ORDER[DEFAULT_QUADRATURE_ORDER] == 6

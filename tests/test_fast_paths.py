@@ -20,9 +20,8 @@ from hypothesis import strategies as st
 from fvptrunc import (ConfigError, EigenModel, ExponentOverflowError, GevreyParams,
                       SpectralField, TimeGrid, Trajectory, closed_form_solution, gevrey_norm)
 from fvptrunc.harness import RHO_SAFETY, _certified_rho
-from fvptrunc.quadrature import (QuadraturePlan, _interval_integrals, _interval_weight_table,
-                                 _pl_interval_weights, backward_cumulative, exp_kernel_profile,
-                                 lagrange_exp_weights)
+from fvptrunc.quadrature import (_interval_integrals, _interval_weight_table, backward_cumulative,
+                                 exp_kernel_profile, lagrange_exp_weights)
 from fvptrunc.reference import ReferenceSolution
 from fvptrunc.spectral import (FAST_NORM_MAX, FAST_NORM_MIN, _row_logsumexp, scaled_norm_rows,
                                sup_row_norm)
@@ -344,56 +343,44 @@ class TestCertifiedRho:
 # --------------------------------------------------------------------------
 # stencil quadrature
 
-def gather_integrals(w: np.ndarray, h: float, z: float, order: int) -> tuple:
+def gather_integrals(w: np.ndarray, h: float, z: float) -> tuple:
     """(integrals, summed magnitudes of their terms), all intervals, by a
     per-interval gather of stencil values and an einsum."""
     n = w.size - 1
-    if order == 2:
-        k = 2
-        bases = np.arange(n)
-        weights = np.tile(_pl_interval_weights(z), (n, 1))
-    else:
-        k = 6
-        bases = np.clip(np.arange(n) - 2, 0, n + 1 - k)
-        weights = np.array([lagrange_exp_weights(np.arange(b - i, b - i + k), z)
-                            for i, b in enumerate(bases)])
-    idx = bases[:, None] + np.arange(k)[None, :]
+    bases = np.clip(np.arange(n) - 2, 0, n - 5)
+    weights = np.array([lagrange_exp_weights(np.arange(b - i, b - i + 6), z)
+                        for i, b in enumerate(bases)])
+    idx = bases[:, None] + np.arange(6)[None, :]
     products = weights * w[idx]
     return h * np.einsum("ik->i", products), h * np.sum(np.abs(products), axis=1)
 
 
-def interval_integrals(w: np.ndarray, h: float, z: float, order: int) -> np.ndarray:
+def interval_integrals(w: np.ndarray, h: float, z: float) -> np.ndarray:
     """The stencil kernel's interval integrals, as a new array."""
     out = np.empty(w.size - 1)
-    _interval_integrals(np.ascontiguousarray(w), h, _interval_weight_table(z, order), out)
+    _interval_integrals(np.ascontiguousarray(w), h, _interval_weight_table(z), out)
     return out
 
 
-@pytest.mark.parametrize("order", [2, 6])
 @pytest.mark.parametrize("z", [0.0, 1e-3, 0.5, 30.0])
 @pytest.mark.parametrize("n", [5, 6, 7, 8, 128, 4000])
-def test_stencil_matches_gather(n, z, order):
+def test_stencil_matches_gather(n, z):
     rng = np.random.default_rng(n)
     w = rng.standard_normal(n + 1)
     h = 1.0 / n
-    want, scale = gather_integrals(w, h, z, order)
-    got = interval_integrals(w, h, z, order)
+    want, scale = gather_integrals(w, h, z)
+    got = interval_integrals(w, h, z)
     assert got.shape == (n,)
     # relative to the summed magnitudes: the stencil sums may cancel
     assert np.all(np.abs(got - want) <= 1e-14 * scale)
 
 
-def test_order6_needs_six_points():
-    with pytest.raises(ValueError, match="at least 6 grid points"):
-        QuadraturePlan((0.4,), 0.25, 4, 6)
-
-
 # --------------------------------------------------------------------------
 # exponential-kernel recurrence
 
-def recurrence_loop(w: np.ndarray, h: float, z: float, order: int) -> np.ndarray:
+def recurrence_loop(w: np.ndarray, h: float, z: float) -> np.ndarray:
     """I_k = A_k + e^z I_{k+1} from I_n = 0, one rounded step at a time."""
-    A = interval_integrals(w, h, z, order)
+    A = interval_integrals(w, h, z)
     E = math.exp(z)
     out = np.zeros(A.size + 1)
     acc = 0.0
@@ -412,44 +399,41 @@ def layouts(w: np.ndarray) -> list:
 
 
 @pytest.mark.parametrize("z", [0.0, 1e-9, 1e-3, 0.5, 30.0, 699.0])
-@pytest.mark.parametrize("n", [1, 2, 5, 6, 7, 128, 4096])
+@pytest.mark.parametrize("n", [5, 6, 7, 128, 4096])
 def test_kernel_profile_is_the_rounded_recurrence(n, z):
     """The banded solve reproduces the plain loop byte for byte.
 
     Two integrands: one of unit size everywhere (it overflows for large
     z n, and then both must report it) and one that decays like e^{-lam t},
-    which keeps the order-2 profile finite up to z = 699 and whose
-    underflowing tail gives some A_k = -0.0 (n = 4096, z = 0.5).
+    whose underflowing tail gives some A_k = -0.0 (n = 4096, z = 0.5).
     """
     rng = np.random.default_rng(n)
     h = 1.0 / n
     lam = z / h
     dense = rng.standard_normal(n + 1)
     decaying = dense * np.exp(-z * np.arange(n + 1))
-    for order in (2, 6) if n >= 5 else (2,):
-        for w in (dense, decaying):
-            want = recurrence_loop(w, h, lam * h, order)
-            for view in layouts(w):
-                if not np.all(np.isfinite(want)):
-                    with pytest.raises(ExponentOverflowError):
-                        exp_kernel_profile(lam, h, view, order)
-                    continue
-                got = exp_kernel_profile(lam, h, view, order)
-                assert got.tobytes() == want.tobytes(), (order, view.strides)
+    for w in (dense, decaying):
+        want = recurrence_loop(w, h, lam * h)
+        for view in layouts(w):
+            if not np.all(np.isfinite(want)):
+                with pytest.raises(ExponentOverflowError):
+                    exp_kernel_profile(lam, h, view)
+                continue
+            got = exp_kernel_profile(lam, h, view)
+            assert got.tobytes() == want.tobytes(), view.strides
 
 
-@pytest.mark.parametrize("order", [2, 6])
 @pytest.mark.parametrize("n", [5, 6, 7, 128, 4096])
-def test_backward_cumulative_is_the_rounded_running_sum(n, order):
+def test_backward_cumulative_is_the_rounded_running_sum(n):
     """W_k = W_{k+1} + A_k from W_n = 0, one rounded step at a time."""
     rng = np.random.default_rng(n)
     w = rng.standard_normal(n + 1)
     h = 1.0 / n
-    A = interval_integrals(w, h, 0.0, order)
+    A = interval_integrals(w, h, 0.0)
     want = np.zeros(n + 1)
     acc = 0.0
     for k in range(n - 1, -1, -1):
         acc = acc + float(A[k])
         want[k] = acc
     for view in layouts(w):
-        assert backward_cumulative(h, view, order).tobytes() == want.tobytes()
+        assert backward_cumulative(h, view).tobytes() == want.tobytes()

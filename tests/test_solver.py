@@ -8,7 +8,7 @@ from fvptrunc import (EigenModel, ExponentOverflowError, FvpInstance,
                       SpectralField, TimeGrid, Trajectory, apply_spectral_growth,
                       closed_form_solution, fixed_point_defect, fixed_point_map,
                       l2_norm, picard_solve)
-from fvptrunc.quadrature import backward_cumulative, exp_kernel_profile
+from fvptrunc.quadrature import SCHEME_ORDER, backward_cumulative, exp_kernel_profile
 from fvptrunc.solver import DEFAULT_QUADRATURE_ORDER
 from fvptrunc.spectral import scaled_norm_rows
 
@@ -42,8 +42,8 @@ class TestSourceFunction:
         for _ in range(200):
             a = rng.standard_normal(model.mode_count) * rng.uniform(0.1, 10)
             b = rng.standard_normal(model.mode_count) * rng.uniform(0.1, 10)
-            fa = source.apply(0.0, a)
-            fb = source.apply(0.0, b)
+            fa = source.apply(a)
+            fb = source.apply(b)
             lhs = np.linalg.norm(fa - fb)
             rhs = source.kappa * np.linalg.norm(a - b)
             assert lhs <= rhs * (1 + 1e-12)
@@ -111,7 +111,8 @@ class TestFixedPointMap:
 
     def test_closed_form_defect_shrinks_at_scheme_order(self, model):
         # the closed form is the exact fixed point; the defect is pure
-        # quadrature error and must drop >= 3.5x per halving
+        # quadrature error and must drop by 3/4 of 2^order per halving
+        # (measured: 65x and 62x)
         defects = []
         for n in (100, 200, 400):
             grid = TimeGrid(1.0, n)
@@ -119,8 +120,9 @@ class TestFixedPointMap:
             cfg = SolverConfig(level=1, n_steps=n)
             inst = make_instance(model, SourceFunction.linear(1.0), ref.final_data)
             defects.append(fixed_point_defect(ref.trajectory, inst, cfg, ref.final_data))
-        assert defects[0] / defects[1] >= 3.5
-        assert defects[1] / defects[2] >= 3.5
+        rate = 0.75 * 2 ** SCHEME_ORDER[DEFAULT_QUADRATURE_ORDER]
+        assert defects[0] / defects[1] >= rate
+        assert defects[1] / defects[2] >= rate
 
 
 class TestDefect:
@@ -254,17 +256,17 @@ class TestPicard:
 # retained columns, must match it bit for bit.
 
 def full_width_map(states, instance, cfg, data, grid):
-    N, order, pts = cfg.level, DEFAULT_QUADRATURE_ORDER, grid.points
+    N, pts = cfg.level, grid.points
     lam = instance.model.lambdas[:N]
-    F = instance.source.apply(pts, states[:, :N])
+    F = instance.source.apply(states[:, :N])
     W = np.empty_like(F)
     for j in range(N):
-        W[:, j] = backward_cumulative(grid.h, states[:, j], order)
+        W[:, j] = backward_cumulative(grid.h, states[:, j])
     integrand = F + W
     out = np.zeros_like(states)
     out[:, :N] = np.exp(np.outer(instance.tau - pts, lam)) * data.coeffs[:N]
     for j in range(N):
-        out[:, j] -= exp_kernel_profile(lam[j], grid.h, integrand[:, j], order)
+        out[:, j] -= exp_kernel_profile(lam[j], grid.h, integrand[:, j])
     return out
 
 
