@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 from fvptrunc import (ConfigError, EigenModel, ExponentOverflowError, GevreyParams,
                       SpectralField, TimeGrid, Trajectory, closed_form_solution, gevrey_norm)
 from fvptrunc.harness import RHO_SAFETY, _certified_rho
-from fvptrunc.quadrature import (_interval_integrals, _interval_weight_table, backward_cumulative,
-                                 exp_kernel_profile, lagrange_exp_weights)
+from fvptrunc.quadrature import (SCHEME_ORDER, QuadraturePlan, _interval_integrals,
+                                 _interval_weight_table, backward_cumulative, exp_kernel_profile,
+                                 lagrange_exp_weights)
 from fvptrunc.reference import ReferenceSolution
 from fvptrunc.spectral import (FAST_NORM_MAX, FAST_NORM_MIN, _row_logsumexp, scaled_norm_rows,
                                sup_row_norm)
@@ -343,14 +344,19 @@ class TestCertifiedRho:
 # --------------------------------------------------------------------------
 # stencil quadrature
 
-def gather_integrals(w: np.ndarray, h: float, z: float) -> tuple:
+#: the quadrature's interpolation orders (one: the 6-point stencil); the
+#: stencil tests run once per order and carry it in their ids
+ORDERS = sorted(SCHEME_ORDER)
+
+
+def gather_integrals(w: np.ndarray, h: float, z: float, order: int) -> tuple:
     """(integrals, summed magnitudes of their terms), all intervals, by a
-    per-interval gather of stencil values and an einsum."""
+    per-interval gather of `order`-point stencil values and an einsum."""
     n = w.size - 1
-    bases = np.clip(np.arange(n) - 2, 0, n - 5)
-    weights = np.array([lagrange_exp_weights(np.arange(b - i, b - i + 6), z)
+    bases = np.clip(np.arange(n) - (order // 2 - 1), 0, n + 1 - order)
+    weights = np.array([lagrange_exp_weights(np.arange(b - i, b - i + order), z)
                         for i, b in enumerate(bases)])
-    idx = bases[:, None] + np.arange(6)[None, :]
+    idx = bases[:, None] + np.arange(order)[None, :]
     products = weights * w[idx]
     return h * np.einsum("ik->i", products), h * np.sum(np.abs(products), axis=1)
 
@@ -362,17 +368,25 @@ def interval_integrals(w: np.ndarray, h: float, z: float) -> np.ndarray:
     return out
 
 
+@pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("z", [0.0, 1e-3, 0.5, 30.0])
 @pytest.mark.parametrize("n", [5, 6, 7, 8, 128, 4000])
-def test_stencil_matches_gather(n, z):
+def test_stencil_matches_gather(n, z, order):
     rng = np.random.default_rng(n)
     w = rng.standard_normal(n + 1)
     h = 1.0 / n
-    want, scale = gather_integrals(w, h, z)
+    want, scale = gather_integrals(w, h, z, order)
     got = interval_integrals(w, h, z)
     assert got.shape == (n,)
     # relative to the summed magnitudes: the stencil sums may cancel
     assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+def test_order6_needs_six_points():
+    # the plan refuses 5 grid points and takes 6, the smallest stencil
+    with pytest.raises(ValueError, match="at least 6 grid points"):
+        QuadraturePlan((0.4,), 0.25, 4)
+    QuadraturePlan((0.4,), 0.2, 5)
 
 
 # --------------------------------------------------------------------------
@@ -399,19 +413,28 @@ def layouts(w: np.ndarray) -> list:
 
 
 @pytest.mark.parametrize("z", [0.0, 1e-9, 1e-3, 0.5, 30.0, 699.0])
-@pytest.mark.parametrize("n", [5, 6, 7, 128, 4096])
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 7, 128, 4096])
 def test_kernel_profile_is_the_rounded_recurrence(n, z):
     """The banded solve reproduces the plain loop byte for byte.
 
     Two integrands: one of unit size everywhere (it overflows for large
     z n, and then both must report it) and one that decays like e^{-lam t},
     whose underflowing tail gives some A_k = -0.0 (n = 4096, z = 0.5).
+    Grids of 2 and 3 points are too short for the 6-point stencil, and
+    there is no lower-order scheme to fall back on: at every rate and in
+    every layout they are refused.
     """
     rng = np.random.default_rng(n)
     h = 1.0 / n
     lam = z / h
     dense = rng.standard_normal(n + 1)
     decaying = dense * np.exp(-z * np.arange(n + 1))
+    if n < 5:
+        for w in (dense, decaying):
+            for view in layouts(w):
+                with pytest.raises(ValueError, match="at least 6 grid points"):
+                    exp_kernel_profile(lam, h, view)
+        return
     for w in (dense, decaying):
         want = recurrence_loop(w, h, lam * h)
         for view in layouts(w):
@@ -423,12 +446,15 @@ def test_kernel_profile_is_the_rounded_recurrence(n, z):
             assert got.tobytes() == want.tobytes(), view.strides
 
 
+@pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("n", [5, 6, 7, 128, 4096])
-def test_backward_cumulative_is_the_rounded_running_sum(n):
+def test_backward_cumulative_is_the_rounded_running_sum(n, order):
     """W_k = W_{k+1} + A_k from W_n = 0, one rounded step at a time."""
     rng = np.random.default_rng(n)
     w = rng.standard_normal(n + 1)
     h = 1.0 / n
+    # A_k integrates an `order`-point stencil, one of its order - 1 shapes
+    assert _interval_weight_table(0.0).shape == (order - 1, order)
     A = interval_integrals(w, h, 0.0)
     want = np.zeros(n + 1)
     acc = 0.0

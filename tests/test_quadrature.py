@@ -11,6 +11,10 @@ from fvptrunc.solver import DEFAULT_QUADRATURE_ORDER
 
 PI2 = math.pi ** 2
 
+#: the quadrature's interpolation orders (one: the 6-point stencil); the
+#: classes below run once per order and carry it in their ids
+ORDERS = sorted(SCHEME_ORDER)
+
 
 class TestScaledExponentials:
     def test_lagrange_weights_reproduce_plain_moments_at_zero(self):
@@ -19,8 +23,9 @@ class TestScaledExponentials:
         assert float(np.sum(w)) == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("order", ORDERS)
 class TestKernelProfile:
-    def test_constant_integrand_closed_form(self):
+    def test_constant_integrand_closed_form(self, order):
         grid = TimeGrid(1.0, 64)
         lam = PI2
         w = np.ones(grid.n_steps + 1)
@@ -28,19 +33,19 @@ class TestKernelProfile:
         expected = (np.exp(lam * (grid.tau - grid.points)) - 1.0) / lam
         assert prof == pytest.approx(expected, rel=1e-12)
 
-    def test_constant_integrand_zero_rate(self):
+    def test_constant_integrand_zero_rate(self, order):
         grid = TimeGrid(2.0, 32)
         prof = exp_kernel_profile(0.0, grid.h, np.ones(grid.n_steps + 1))
         assert prof == pytest.approx(grid.tau - grid.points, rel=1e-13, abs=1e-14)
 
-    def test_linear_integrand_zero_rate(self):
+    def test_linear_integrand_zero_rate(self, order):
         # w(s) = s, lam = 0: integral = (tau^2 - t^2)/2, exact
         grid = TimeGrid(1.5, 48)
         prof = exp_kernel_profile(0.0, grid.h, grid.points.copy())
         expected = (grid.tau ** 2 - grid.points ** 2) / 2.0
         assert prof == pytest.approx(expected, rel=1e-13, abs=1e-14)
 
-    def test_linear_integrand_closed_form(self):
+    def test_linear_integrand_closed_form(self, order):
         # w(s) = s is its own interpolant, so the profile is
         # exact: with L = tau - t, e^{lam L} (lam L - 1) + 1 over lam^2 plus
         # t (e^{lam L} - 1) / lam.  lam h = 5 makes each node's weight count.
@@ -52,7 +57,7 @@ class TestKernelProfile:
         expected = (growth * (lam * L - 1.0) + 1.0) / lam ** 2 + grid.points * (growth - 1.0) / lam
         assert prof == pytest.approx(expected, rel=1e-13, abs=1e-15)
 
-    def test_overflow_signalled(self):
+    def test_overflow_signalled(self, order):
         grid = TimeGrid(1.0, 8)
         with pytest.raises(ExponentOverflowError):
             exp_kernel_profile(1e5, grid.h, np.ones(grid.n_steps + 1))
@@ -91,19 +96,20 @@ class TestAgainstAdaptiveQuadrature:
         assert errs[1] / errs[2] >= rate
 
 
+@pytest.mark.parametrize("order", ORDERS)
 class TestBackwardCumulative:
-    def test_linear_function(self):
+    def test_linear_function(self, order):
         grid = TimeGrid(1.0, 40)
         out = backward_cumulative(grid.h, grid.points.copy())
         expected = (grid.tau ** 2 - grid.points ** 2) / 2.0
         assert out == pytest.approx(expected, rel=1e-13, abs=1e-15)
 
-    def test_endpoint_is_zero(self):
+    def test_endpoint_is_zero(self, order):
         grid = TimeGrid(1.0, 16)
         out = backward_cumulative(grid.h, np.cos(grid.points))
         assert out[-1] == 0.0
 
-    def test_smooth_function_order6_accuracy(self):
+    def test_smooth_function_order6_accuracy(self, order):
         grid = TimeGrid(1.0, 256)
         out = backward_cumulative(grid.h, np.exp(grid.points))
         expected = math.e - np.exp(grid.points)
@@ -111,16 +117,35 @@ class TestBackwardCumulative:
 
 
 class TestValidation:
+    def test_bad_order(self):
+        # there is one scheme, so no routine takes an order: a caller that
+        # still passes one fails loudly instead of getting another scheme
+        grid = TimeGrid(1.0, 8)
+        with pytest.raises(TypeError):
+            exp_kernel_profile(1.0, grid.h, np.ones(9), 2)
+        with pytest.raises(TypeError):
+            backward_cumulative(grid.h, np.ones(9), order=6)
+        with pytest.raises(TypeError):
+            QuadraturePlan((1.0,), grid.h, 8, 6)
+
     def test_order6_needs_six_points(self):
         with pytest.raises(ValueError, match="at least 6 grid points"):
             exp_kernel_profile(1.0, 0.25, np.ones(5))
         with pytest.raises(ValueError, match="at least 6 grid points"):
             backward_cumulative(0.25, np.ones(5))
-        QuadraturePlan((0.4,), 0.2, 5)
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             exp_kernel_profile(-1.0, 0.1, np.ones(9))
+
+    def test_t_index_out_of_range(self):
+        # a value at grid point t_k is profile[k]: one entry per point
+        # t_0 .. t_n, so an index past the grid raises
+        grid = TimeGrid(1.0, 8)
+        prof = exp_kernel_profile(1.0, grid.h, np.ones(9))
+        assert prof.shape == (grid.n_steps + 1,)
+        with pytest.raises(IndexError):
+            prof[grid.n_steps + 1]
 
 
 class TestRecurrenceBand:
