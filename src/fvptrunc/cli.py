@@ -103,7 +103,7 @@ def _cmd_solve(args) -> int:
     lines = [header]
     norms = traj.norms()
     for i, t in enumerate(traj.grid.points):
-        coeffs = ",".join(_fmt(c) for c in traj.states[i])
+        coeffs = ",".join(_fmt(c) for c in traj.states[:, i])
         lines.append(f"{_fmt(t)},{coeffs},{_fmt(norms[i])}")
     out = "\n".join(lines) + "\n"
     if args.output:

@@ -40,11 +40,19 @@ class TimeGrid:
         return i
 
 
+def sup_over_time(rows: np.ndarray) -> float:
+    """max over grid points of the L2 norm of mode-major rows; in the unscaled
+    range a point's squares add in mode order, so zero rows keep the bits."""
+    return sup_row_norm(rows.T)
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """One SpectralField per grid point; piecewise-linear in time between them.
 
-    states[i, j-1] is the coefficient of mode j at t_i.
+    Stored mode-major, shape (mode_count, n_steps + 1): states[j-1, i] is
+    the coefficient of mode j at t_i, so each mode's time series is one
+    contiguous row.
     """
 
     grid: TimeGrid
@@ -53,38 +61,36 @@ class Trajectory:
 
     def __post_init__(self):
         object.__setattr__(self, "states", _readonly(self.states))
-        expected = (self.grid.n_steps + 1, self.model.mode_count)
+        expected = (self.model.mode_count, self.grid.n_steps + 1)
         if self.states.shape != expected:
-            raise ValueError(f"states must have shape {expected}, got {self.states.shape}")
+            raise ValueError(f"states must have shape (mode_count, n_steps + 1) = {expected}, "
+                             f"got {self.states.shape}")
 
     @staticmethod
     def zero(grid: TimeGrid, model: EigenModel) -> "Trajectory":
-        return Trajectory(grid, model, np.zeros((grid.n_steps + 1, model.mode_count)))
+        return Trajectory(grid, model, np.zeros((model.mode_count, grid.n_steps + 1)))
 
     def state(self, i: int) -> SpectralField:
-        return SpectralField(self.model, self.states[i])
-
-    def at_time(self, t: float) -> SpectralField:
-        return self.state(self.grid.index_of(t))
+        return SpectralField(self.model, self.states[:, i])
 
     def norms(self) -> np.ndarray:
         """Per-grid-point L2 norms (overflow-safe)."""
-        return scaled_norm_rows(self.states)
+        return scaled_norm_rows(self.states.T)
 
     def sup_norm(self) -> float:
         """max over grid points of the L2 norm (the C([0,tau]; L2) norm)."""
-        return sup_row_norm(self.states)
+        return sup_over_time(self.states)
 
     def sup_distance(self, other: "Trajectory") -> float:
-        """Sup-over-time L2 distance; grids must share their points or nest."""
+        """Sup-over-time L2 distance; grids must span one interval and nest."""
+        if abs(self.grid.tau - other.grid.tau) > 1e-12 * max(self.grid.tau, 1.0):
+            raise ValueError("trajectories live on different time intervals")
         if self.grid.n_steps == other.grid.n_steps:
-            if abs(self.grid.tau - other.grid.tau) > 1e-12 * max(self.grid.tau, 1.0):
-                raise ValueError("trajectories live on different time intervals")
             d = self.states - other.states
         else:
             fine, coarse = (self, other) if self.grid.n_steps > other.grid.n_steps else (other, self)
             r, rem = divmod(fine.grid.n_steps, coarse.grid.n_steps)
             if rem != 0:
                 raise ValueError("grids are not nested; cannot compare trajectories")
-            d = fine.states[::r] - coarse.states
-        return sup_row_norm(d)
+            d = fine.states[:, ::r] - coarse.states
+        return sup_over_time(d)

@@ -405,8 +405,8 @@ def _certified_rho(reference: ReferenceSolution, gp: GevreyParams) -> float:
     and one exp of the largest row.
     """
     traj = reference.trajectory
-    live = np.any(traj.states != 0.0, axis=0)
-    log_norms = gevrey_log_norms(traj.model.lambdas[live], traj.states[:, live], gp)
+    live = np.any(traj.states != 0.0, axis=1)
+    log_norms = gevrey_log_norms(traj.model.lambdas[live], traj.states[live].T, gp)
     worst = exp_checked(float(np.max(log_norms)), "Gevrey norm")
     if worst <= 0.0:
         raise ConfigError("cannot certify rho: reference has zero weighted norm")
@@ -467,8 +467,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         res = picard_solve(instance, cfg.solver(level, cfg.n_steps), noisy)
         coarse = picard_solve(instance, cfg.solver(level, cfg.n_steps // 2), noisy)
         rich = richardson_estimate(res.trajectory.sup_distance(coarse.trajectory))
-        # fancy indexing copies the rows, so the cache pins no trajectory
-        return res.trajectory.states[eval_idx], res.iterations, res.defect, rich
+        # fancy indexing copies the columns, so the cache pins no trajectory
+        return res.trajectory.states[:, eval_idx], res.iterations, res.defect, rich
 
     for ti, (t, idx) in enumerate(zip(cfg.eval_times, eval_idx)):
         series = []
@@ -495,7 +495,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                         f"converge: {exc}", increments=exc.increments,
                         defect=exc.defect) from exc
                 err = l2_norm(reference.trajectory.state(idx)
-                              - SpectralField(model, at_eval[ti]))
+                              - SpectralField(model, at_eval[:, ti]))
                 bi = BoundInputs(model=model, level=level, t=t, tau=cfg.tau,
                                  delta=delta, rho=rho, kappa=source.kappa,
                                  regime=regime, p=cfg.p, q=cfg.q)

@@ -105,7 +105,7 @@ class ReferenceSolution:
     def __post_init__(self):
         if self.provenance not in ("closed_form", "self_convergent"):
             raise ValueError(f"unknown provenance {self.provenance!r}")
-        if not np.array_equal(self.trajectory.states[-1], self.final_data.coeffs):
+        if not np.array_equal(self.trajectory.states[:, -1], self.final_data.coeffs):
             raise ValueError("trajectory at tau must equal the final data exactly")
 
 
@@ -125,13 +125,13 @@ def combined_closed_form(model: EigenModel, weights, c: float, tau: float,
     if abs(grid.tau - tau) > 1e-12 * max(tau, 1.0):
         raise ValueError("grid must span [0, tau]")
     data = SpectralField.from_coeffs(model, weights)  # checks the mode indices
-    states = np.zeros((grid.n_steps + 1, model.mode_count))
+    states = np.zeros((model.mode_count, grid.n_steps + 1))
     for n, w in weights:
         if w == 0.0:
             continue
         roots = mode_roots(model.eigenvalue(n), c)
-        states[:, n - 1] = w * mode_coefficient(roots, tau, grid.points)
-        states[-1, n - 1] = w  # w (alpha - beta)/(alpha - beta), exactly
+        states[n - 1] = w * mode_coefficient(roots, tau, grid.points)
+        states[n - 1, -1] = w  # w (alpha - beta)/(alpha - beta), exactly
     return ReferenceSolution(
         trajectory=Trajectory(grid, model, states),
         final_data=data,

@@ -13,14 +13,12 @@ reports the first m at which that a-priori factor drops below one as a
 diagnostic, together with the observed increments.
 
 Every iterate vanishes above mode N, so the Picard loop carries only the N
-retained modes, and it stores them mode-major, shape (N, n_steps + 1): each
-mode's time series is one contiguous row, which the per-mode quadratures
-read and write without copies; the sup norms take the transposed view.
-The loop transposes and pads to the model's (n_steps + 1, mode_count)
-layout once, when it returns, and takes the defect, when it is read, on
-the retained rows with the solve's own leading term and quadrature plan.
-`fixed_point_map` and `fixed_point_defect` keep the full-width layout and
-check a solution independently of the loop.
+retained rows of the mode-major `Trajectory` layout, which the per-mode
+quadratures read and write without copies.  It pads them with zero rows
+once, when it returns, and takes the defect, when it is read, on the
+retained rows with the solve's own leading term and quadrature plan.
+`fixed_point_map` and `fixed_point_defect` take full-width trajectories
+and check a solution independently of the loop.
 """
 
 from __future__ import annotations
@@ -33,9 +31,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ExponentOverflowError, NonConvergenceError
-from .grids import TimeGrid, Trajectory
+from .grids import TimeGrid, Trajectory, sup_over_time
 from .problem import FvpInstance
-from .spectral import MAX_EXP_ARG, EigenModel, SpectralField, sup_row_norm
+from .spectral import MAX_EXP_ARG, EigenModel, SpectralField
 from .quadrature import QuadraturePlan
 
 DEFAULT_PICARD_TOL = 1e-11
@@ -128,9 +126,9 @@ def _map_retained(rows: np.ndarray, instance: FvpInstance, plan: QuadraturePlan,
 
 
 def _padded(grid: TimeGrid, model: EigenModel, rows: np.ndarray) -> Trajectory:
-    """The trajectory whose first modes are the mode-major `rows`, the rest zero."""
-    out = np.zeros((grid.n_steps + 1, model.mode_count))
-    out[:, :rows.shape[0]] = rows.T
+    """The trajectory whose first modes are `rows`, the rest zero."""
+    out = np.zeros((model.mode_count, grid.n_steps + 1))
+    out[:rows.shape[0]] = rows
     return Trajectory(grid, model, out)
 
 
@@ -147,7 +145,7 @@ def fixed_point_map(v: Trajectory, instance: FvpInstance, cfg: SolverConfig,
     lead = _growth_rows(instance.model.lambdas[:N], instance.tau - v.grid.points,
                         data.coeffs[:N])
     plan = QuadraturePlan(instance.model.lambdas[:N], v.grid.h, v.grid.n_steps)
-    image = _map_retained(v.states[:, :N].T.copy(), instance, plan, lead)
+    image = _map_retained(v.states[:N], instance, plan, lead)
     return _padded(v.grid, instance.model, image)
 
 
@@ -217,21 +215,17 @@ def picard_solve(instance: FvpInstance, cfg: SolverConfig, data: SpectralField) 
     raises NonConvergenceError with the increment history and the defect
     when max_iters is exhausted.
 
-    The iterates are the (N, n+1) mode-major rows of the retained modes;
-    the result is transposed and padded to the model's mode count once, at
-    the end.  The leading term and a `QuadraturePlan` of the N modes are
-    built once per solve, so the checks, weight tables, recurrence bands
-    and scratch row of the quadratures are not repeated per iteration.
+    The iterates are the (N, n+1) rows of the retained modes; the result
+    is padded to the model's mode count once, at the end.  The leading
+    term and a `QuadraturePlan` of the N modes are built once per solve,
+    so the checks, weight tables, recurrence bands and scratch row of the
+    quadratures are not repeated per iteration.
 
     The defect is fixed_point_defect of the result taken on the retained
     rows, since the modes above N are zero in the result and in its image.
     It costs one more map, so a converged solve runs it only when
     `PicardResult.defect` is first read: a solve whose defect nobody reads
-    runs exactly `iterations` maps.  Each grid point's squares are summed
-    over the modes in order there, and in numpy's vectorised order over the
-    full width in fixed_point_defect; the two sums, and so the loop's
-    increments against a full-width loop's, agree to mode_count * eps
-    relative.
+    runs exactly `iterations` maps.
     """
     grid = cfg.grid(instance.tau)
     model = instance.model
@@ -246,15 +240,15 @@ def picard_solve(instance: FvpInstance, cfg: SolverConfig, data: SpectralField) 
     its = 0
     for its in range(1, cfg.max_iters + 1):
         image = _map_retained(v, instance, plan, lead)
-        inc = sup_row_norm((v - image).T)
+        inc = sup_over_time(v - image)
         increments.append(inc)
         v = image
-        if inc <= cfg.picard_tol * (1.0 + sup_row_norm(v.T)):
+        if inc <= cfg.picard_tol * (1.0 + sup_over_time(v)):
             converged = True
             break
 
     def defect_of() -> float:
-        return sup_row_norm((v - _map_retained(v, instance, plan, lead)).T)
+        return sup_over_time(v - _map_retained(v, instance, plan, lead))
 
     if not converged:
         raise NonConvergenceError(

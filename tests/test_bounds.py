@@ -164,7 +164,7 @@ class TestDominance:
         samples = []
         for idx in (0, 128, 256):
             t = float(grid.points[idx])
-            measured = abs(ref.trajectory.states[idx, n - 1])
+            measured = abs(ref.trajectory.states[n - 1, idx])
             samples.append(DominanceSample(
                 inputs=binputs(model, level=1, t=t, rho=rho), measured=measured))
         report = check_dominance(samples)

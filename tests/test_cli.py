@@ -123,6 +123,8 @@ def test_solve_writes_trajectory(tmp_path, config_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "t,c1,c2,c3,c4,c5,c6,l2_norm"
     assert len(lines) == 130  # header + 129 grid points
+    # one line per grid point: at t = tau the data, mode 1, exactly
+    assert lines[-1] == "1,1,0,0,0,0,0,1"
 
 
 def test_config_error_exit_code(tmp_path):

@@ -235,7 +235,7 @@ def fsum_rho(reference: ReferenceSolution, gp: GevreyParams) -> float:
     with the log-domain terms summed by math.fsum."""
     lam = reference.trajectory.model.lambdas
     worst = -math.inf
-    for row in reference.trajectory.states:
+    for row in reference.trajectory.states.T:
         logs = [2.0 * gp.p * math.log(l) + 2.0 * gp.q * l + 2.0 * math.log(abs(c))
                 for l, c in zip(lam, row) if c != 0.0]
         if logs:
@@ -252,18 +252,18 @@ def per_row_rho(reference: ReferenceSolution, gp: GevreyParams) -> float:
 
 
 def synthetic_reference(states: np.ndarray, tau: float = 0.5) -> ReferenceSolution:
-    model = EigenModel.dirichlet_1d(states.shape[1])
-    grid = TimeGrid(tau, states.shape[0] - 1)
+    model = EigenModel.dirichlet_1d(states.shape[0])
+    grid = TimeGrid(tau, states.shape[1] - 1)
     return ReferenceSolution(Trajectory(grid, model, states),
-                             SpectralField(model, states[-1]), "self_convergent")
+                             SpectralField(model, states[:, -1]), "self_convergent")
 
 
 def random_states(seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    states = rng.standard_normal((65, 10)) * np.exp(rng.uniform(-5.0, 5.0, (65, 1)))
-    states[:, [1, 4, 9]] = 0.0          # modes that are zero everywhere
-    states[7] = 0.0                     # one all-zero grid point
-    states[::5, 2] = 0.0                # a live mode that vanishes at some points
+    states = rng.standard_normal((65, 10)).T * np.exp(rng.uniform(-5.0, 5.0, 65))
+    states[[1, 4, 9]] = 0.0             # modes that are zero everywhere
+    states[:, 7] = 0.0                  # one all-zero grid point
+    states[2, ::5] = 0.0                # a live mode that vanishes at some points
     return states
 
 
@@ -324,15 +324,15 @@ class TestCertifiedRho:
             assert got == self.PINNED[key], key
 
     def test_all_zero_reference_rejected(self):
-        ref = synthetic_reference(np.zeros((9, 4)))
+        ref = synthetic_reference(np.zeros((4, 9)))
         with pytest.raises(ConfigError):
             _certified_rho(ref, GevreyParams(0.0, 1.0))
         assert per_row_rho(ref, GevreyParams(0.0, 1.0)) == 0.0  # the old loop's test value
 
     def test_overflow_signalled_like_the_per_row_loop(self):
-        states = np.zeros((9, 8))
-        states[:, 0] = 1.0
-        states[3, 7] = 1e-30                # one grid point whose norm overflows
+        states = np.zeros((8, 9))
+        states[0] = 1.0
+        states[7, 3] = 1e-30                # one grid point whose norm overflows
         ref = synthetic_reference(states)
         gp = GevreyParams(0.0, 2.0)         # e^{2 q lambda_8} ~ e^{2527}
         with pytest.raises(ExponentOverflowError):

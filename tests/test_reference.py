@@ -75,7 +75,7 @@ def ode_residual(model, n, c, tau, n_steps):
     """
     grid = TimeGrid(tau, n_steps)
     ref = closed_form_solution(model, n, c, tau, grid)
-    u = ref.trajectory.states[:, n - 1]
+    u = ref.trajectory.states[n - 1]
     lam = model.eigenvalue(n)
     h = grid.h
     du = (u[2:] - u[:-2]) / (2.0 * h)
@@ -89,7 +89,7 @@ class TestClosedForm:
     def test_final_condition_is_exact(self):
         model = EigenModel.dirichlet_1d(4)
         ref = closed_form_solution(model, 1, 1.0, 1.0, TimeGrid(1.0, 32))
-        assert ref.trajectory.states[-1, 0] == 1.0
+        assert ref.trajectory.states[0, -1] == 1.0
         assert ref.final_data.coeffs[0] == 1.0
         assert ref.provenance == "closed_form"
 
@@ -121,8 +121,8 @@ class TestClosedForm:
         ref = combined_closed_form(model, [(1, 0.5), (2, 2.0)], 1.0, 1.0, grid)
         one = closed_form_solution(model, 1, 1.0, 1.0, grid)
         two = closed_form_solution(model, 2, 1.0, 1.0, grid)
-        assert ref.trajectory.states[:, 0] == pytest.approx(0.5 * one.trajectory.states[:, 0])
-        assert ref.trajectory.states[:, 1] == pytest.approx(2.0 * two.trajectory.states[:, 1])
+        assert ref.trajectory.states[0] == pytest.approx(0.5 * one.trajectory.states[0])
+        assert ref.trajectory.states[1] == pytest.approx(2.0 * two.trajectory.states[1])
 
     def test_repeated_mode_rejected(self):
         # the second weight of mode 1 would overwrite the first
@@ -231,7 +231,7 @@ class TestSelfConvergentReference:
                                   [(1, 0.2), (2, 1e-4)], 0.25)
         ref = self_convergent_reference(inst, self.ladder(2, (64, 128, 256)))
         assert ref.error_estimate < 1e-9
-        assert np.array_equal(ref.trajectory.states[-1], ref.final_data.coeffs)
+        assert np.array_equal(ref.trajectory.states[:, -1], ref.final_data.coeffs)
 
     def test_short_ladder_rejected(self):
         model = EigenModel.dirichlet_1d(4)

@@ -88,6 +88,23 @@ class TestSpectralGrowth:
         assert out.coeffs[0] == pytest.approx(math.exp(PI2 * 2.0), rel=1e-13)
 
 
+class TestTrajectory:
+    def test_states_are_mode_major(self, model):
+        grid = TimeGrid(1.0, 64)
+        states = np.random.default_rng(2).standard_normal((model.mode_count, 65))
+        traj = Trajectory(grid, model, states)
+        assert np.array_equal(traj.state(10).coeffs, states[:, 10])
+        with pytest.raises(ValueError, match=r"\(mode_count, n_steps \+ 1\) = \(8, 65\)"):
+            Trajectory(grid, model, states.T)
+
+    def test_nested_grids_on_other_intervals_rejected(self, model):
+        fine = Trajectory(TimeGrid(1.0, 64), model, np.ones((model.mode_count, 65)))
+        coarse = Trajectory(TimeGrid(2.0, 32), model, np.ones((model.mode_count, 33)))
+        for a, b in ((fine, coarse), (coarse, fine)):
+            with pytest.raises(ValueError, match="different time intervals"):
+                a.sup_distance(b)
+
+
 class TestFixedPointMap:
     def test_at_final_time_projects_data(self, model):
         rng = np.random.default_rng(3)
@@ -95,10 +112,10 @@ class TestFixedPointMap:
         cfg = SolverConfig(level=3, n_steps=64)
         inst = make_instance(model, SourceFunction.linear(1.0), data)
         v = Trajectory(cfg.grid(1.0), model,
-                       rng.standard_normal((65, model.mode_count)))
+                       rng.standard_normal((65, model.mode_count)).T)
         out = fixed_point_map(v, inst, cfg, data)
-        assert out.states[-1, :3] == pytest.approx(data.coeffs[:3], rel=1e-14)
-        assert np.all(out.states[:, 3:] == 0.0)
+        assert out.states[:3, -1] == pytest.approx(data.coeffs[:3], rel=1e-14)
+        assert np.all(out.states[3:] == 0.0)
 
     def test_zero_source_zero_state_gives_leading_term(self, model):
         data = SpectralField.basis(model, 2)
@@ -107,7 +124,7 @@ class TestFixedPointMap:
         inst = make_instance(model, SourceFunction.zero(), data)
         out = fixed_point_map(Trajectory.zero(grid, model), inst, cfg, data)
         expected = np.exp(model.eigenvalue(2) * (1.0 - grid.points))
-        assert out.states[:, 1] == pytest.approx(expected, rel=1e-14)
+        assert out.states[1] == pytest.approx(expected, rel=1e-14)
 
     def test_closed_form_defect_shrinks_at_scheme_order(self, model):
         # the closed form is the exact fixed point; the defect is pure
@@ -195,7 +212,7 @@ class TestPicard:
         inst = make_instance(model, SourceFunction("sin"), data,
                              tau=0.25)
         res = picard_solve(inst, cfg, data)
-        assert np.all(res.trajectory.states[:, 3:] == 0.0)
+        assert np.all(res.trajectory.states[3:] == 0.0)
 
     def test_linearity_for_zero_source(self, model):
         g1 = SpectralField.basis(model, 1)
@@ -251,43 +268,47 @@ class TestPicard:
 
 
 # --------------------------------------------------------------------------
-# Reference: the Picard loop on full-width (n+1, mode_count) arrays, every
-# norm through scaled_norm_rows.  picard_solve, which carries only the N
-# retained columns, must match it bit for bit.
+# Reference: the Picard loop on full-width (mode_count, n+1) arrays, every
+# norm through scaled_norm_rows over the grid points.  picard_solve, which
+# carries only the N retained rows, must match it bit for bit.
 
 def full_width_map(states, instance, cfg, data, grid):
     N, pts = cfg.level, grid.points
     lam = instance.model.lambdas[:N]
-    F = instance.source.apply(states[:, :N])
+    F = instance.source.apply(states[:N])
     W = np.empty_like(F)
     for j in range(N):
-        W[:, j] = backward_cumulative(grid.h, states[:, j])
+        W[j] = backward_cumulative(grid.h, states[j])
     integrand = F + W
     out = np.zeros_like(states)
-    out[:, :N] = np.exp(np.outer(instance.tau - pts, lam)) * data.coeffs[:N]
+    out[:N] = np.exp(np.outer(lam, instance.tau - pts)) * data.coeffs[:N, None]
     for j in range(N):
-        out[:, j] -= exp_kernel_profile(lam[j], grid.h, integrand[:, j])
+        out[j] -= exp_kernel_profile(lam[j], grid.h, integrand[j])
     return out
+
+
+def sup_over_grid(x) -> float:
+    return float(scaled_norm_rows(x.T).max())
 
 
 def full_width_picard(instance, cfg, data):
     """(states, increments, iterations, defect, converged)."""
     grid = cfg.grid(instance.tau)
     N = cfg.level
-    v = np.zeros((grid.n_steps + 1, instance.model.mode_count))
-    v[:, :N] = np.exp(np.outer(instance.tau - grid.points,
-                               instance.model.lambdas[:N])) * data.coeffs[:N]
+    v = np.zeros((instance.model.mode_count, grid.n_steps + 1))
+    v[:N] = np.exp(np.outer(instance.model.lambdas[:N],
+                            instance.tau - grid.points)) * data.coeffs[:N, None]
     increments = []
     converged = False
     for its in range(1, cfg.max_iters + 1):
         nxt = full_width_map(v, instance, cfg, data, grid)
-        inc = float(scaled_norm_rows(v - nxt).max())
+        inc = sup_over_grid(v - nxt)
         increments.append(inc)
         v = nxt
-        if inc <= cfg.picard_tol * (1.0 + float(scaled_norm_rows(v).max())):
+        if inc <= cfg.picard_tol * (1.0 + sup_over_grid(v)):
             converged = True
             break
-    defect = float(scaled_norm_rows(v - full_width_map(v, instance, cfg, data, grid)).max())
+    defect = sup_over_grid(v - full_width_map(v, instance, cfg, data, grid))
     return v, increments, its, defect, converged
 
 
@@ -300,11 +321,12 @@ SOURCES = {"zero": SourceFunction.zero(), "linear": SourceFunction.linear(1.0),
 
 
 class TestRetainedColumnLoop:
-    """picard_solve against full_width_picard: same bits in every output."""
+    """picard_solve against full_width_picard: same bits in every output,
+    and a defect that is fixed_point_defect's bits."""
 
     @staticmethod
-    def check(model, source, level, tau, max_iters=500, data_scale=1.0):
-        rng = np.random.default_rng(10 * level + len(source))
+    def check(model, source, level, tau, max_iters=500, data_scale=1.0, seed=None):
+        rng = np.random.default_rng(10 * level + len(source) if seed is None else seed)
         data = SpectralField(model, data_scale * rng.standard_normal(model.mode_count))
         inst = make_instance(model, SOURCES[source], data, tau=tau)
         cfg = SolverConfig(level=level, n_steps=96, max_iters=max_iters)
@@ -320,6 +342,7 @@ class TestRetainedColumnLoop:
         assert res.trajectory.states.tobytes() == states.tobytes()
         assert bits(res.increments) == bits(increments)
         assert bits(res.defect) == bits(defect)
+        assert bits(res.defect) == bits(fixed_point_defect(res.trajectory, inst, cfg, data))
 
     @pytest.mark.parametrize("source", sorted(SOURCES))
     @pytest.mark.parametrize("level", [1, 2, 4, 8])
@@ -357,38 +380,27 @@ class TestDefectOnTheRetainedRows:
         inst = make_instance(model, SOURCES[source], data, tau=self.TAU)
         cfg = SolverConfig(level=level, n_steps=96)
         res = picard_solve(inst, cfg, data)
-        assert not np.any(res.trajectory.states[:, level:])
+        assert not np.any(res.trajectory.states[level:])
         assert bits(res.defect) == bits(fixed_point_defect(res.trajectory, inst, cfg, data))
 
 
 class TestNormsAtSmallTau:
-    """At small tau no mode dominates a grid point's sum of squares, so the
-    order in which it is summed shows: the loop sums the N retained modes
-    in order, scaled_norm_rows and fixed_point_defect sum all mode_count
-    columns in numpy's vectorised order.  The iterates do not depend on the
-    norms, so iterations and states are the same bits; the increments and
-    the defect agree to mode_count * eps relative."""
+    """TestRetainedColumnLoop.check at small tau, where no mode dominates a
+    grid point's sum of squares, so a change of summation order would show:
+    the loop, full_width_picard and fixed_point_defect all sum a grid
+    point's squares in mode order, so increments and defect are the same
+    bits (well inside the mode_count * eps the test name promises)."""
 
     MODES = 12
-    RTOL = MODES * np.finfo(float).eps
 
     @pytest.mark.parametrize("source", sorted(SOURCES))
     @pytest.mark.parametrize("level", [3, 5, 6, 7])
     @pytest.mark.parametrize("tau", [0.003, 0.01, 0.03])
     def test_norms_agree_to_mode_count_eps(self, tau, level, source):
-        # tau 0.03, level 7, linear: the defects differ by 0.67 eps
-        model = EigenModel.dirichlet_1d(self.MODES)
-        data = SpectralField(model, np.random.default_rng(0).standard_normal(self.MODES))
-        inst = make_instance(model, SOURCES[source], data, tau=tau)
-        cfg = SolverConfig(level=level, n_steps=96)
-        states, increments, its, _, converged = full_width_picard(inst, cfg, data)
-        assert converged
-        res = picard_solve(inst, cfg, data)
-        assert res.iterations == its
-        assert res.trajectory.states.tobytes() == states.tobytes()
-        np.testing.assert_allclose(res.increments, increments, rtol=self.RTOL, atol=0.0)
-        assert res.defect == pytest.approx(
-            fixed_point_defect(res.trajectory, inst, cfg, data), rel=self.RTOL, abs=0.0)
+        # tau 0.03, level 7, linear: the defects differ by 0.67 eps when
+        # fixed_point_defect sums the squares in another order
+        TestRetainedColumnLoop.check(EigenModel.dirichlet_1d(self.MODES), source, level,
+                                     tau, seed=0)
 
 
 class TestLazyDefect:
