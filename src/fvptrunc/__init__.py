@@ -20,9 +20,8 @@ from .quadrature import backward_cumulative, exp_kernel_profile
 from .reference import (IllposedPair, LinearModeRoots, ReferenceSolution,
                         closed_form_solution, combined_closed_form, illposed_pair,
                         mode_coefficient, mode_roots, self_convergent_reference)
-from .solver import (PicardResult, SolverConfig, apply_spectral_growth,
-                     apriori_contraction_iteration, fixed_point_defect, fixed_point_map,
-                     picard_solve)
+from .solver import (PicardResult, SolverConfig, apply_spectral_growth, fixed_point_defect,
+                     fixed_point_map, picard_solve)
 from .spectral import (EigenModel, GevreyParams, SpectralField, evaluate_on_grid,
                        gevrey_norm, l2_norm)
 
@@ -37,7 +36,7 @@ __all__ = [
     "RateFit", "ReferenceRejectedError", "ReferenceSolution", "SolverConfig",
     "SourceFunction", "SpectralField", "StaircaseResult", "TimeGrid", "Trajectory",
     "UnsupportedDomainError", "UnsupportedRegimeError", "ZetaInverse", "add_noise",
-    "apply_spectral_growth", "apriori_contraction_iteration", "backward_cumulative",
+    "apply_spectral_growth", "backward_cumulative",
     "check_dominance", "choose_level", "choose_n_holder", "choose_n_log",
     "closed_form_solution", "combined_closed_form", "evaluate_on_grid",
     "exp_kernel_profile", "fit_rate", "fixed_point_defect",

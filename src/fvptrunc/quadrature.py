@@ -12,7 +12,9 @@ the confluent hypergeometric function, which is stable for all z >= 0 of
 interest.  Only 5 stencil shapes occur (the centred one inside, and two
 one-sided ones at each end), so the interior intervals are one 6-tap
 correlation of w with the centred weight row and the 4 edge intervals are
-dot products with their own rows.  A grid needs at least 6 points.
+dot products with their own rows.  The 5 rows of a rate share one moment
+vector, and the stencils' Vandermonde inverses, which do not depend on the
+rate, are formed once per process.  A grid needs at least 6 points.
 
 The backward recurrence I_k = A_k + e^{lam h} I_{k+1} that sums the
 interval integrals is one unit-bidiagonal banded triangular solve (BLAS
@@ -58,7 +60,10 @@ def lagrange_exp_weights(offsets: np.ndarray, z: float) -> np.ndarray:
     """Quadrature weights a_o with int_0^1 L_o(s) e^{z s} ds = a_o.
 
     `offsets` are the stencil node positions in units of the grid spacing,
-    relative to the left end of the unit interval being integrated.
+    relative to the left end of the unit interval being integrated.  The
+    solver's tables (`_interval_weight_table`) form the same rows for
+    several stencils from one moment vector; this one-stencil form is the
+    reference they are tested against.
     """
     offsets = np.asarray(offsets, dtype=float)
     k = offsets.size
@@ -66,6 +71,14 @@ def lagrange_exp_weights(offsets: np.ndarray, z: float) -> np.ndarray:
     # column o of V^{-1} holds the monomial coefficients of L_o
     Vinv = np.linalg.inv(V)
     return Vinv.T @ _exp_moments(z, k - 1)
+
+
+@lru_cache(maxsize=1)
+def _stencil_inverses() -> tuple[np.ndarray, ...]:
+    """V^{-1} of the 5 stencils s .. s+5, s = -4..0, as `lagrange_exp_weights`
+    forms it; they do not depend on z, so they are built once, on first use."""
+    return tuple(np.linalg.inv(np.vander(np.arange(s, s + 6, dtype=float), 6, increasing=True))
+                 for s in range(-4, 1))
 
 
 @lru_cache(maxsize=256)
@@ -77,9 +90,12 @@ def _interval_weight_table(z: float) -> np.ndarray:
     use s = -2 (centred); intervals 0, 1 use s = 0, -1 and the last two use
     s = -3, -4, so every stencil stays on the grid.  The rows depend only
     on lam * h, not on the grid size, and are cached because they are
-    reused across fixed-point iterations.
+    reused across fixed-point iterations.  Row s + 4 is
+    `lagrange_exp_weights(np.arange(s, s + 6), z)` bit for bit, from one
+    moment vector for all 5 rows.
     """
-    table = np.array([lagrange_exp_weights(np.arange(s, s + 6), z) for s in range(-4, 1)])
+    moments = _exp_moments(z, 5)
+    table = np.array([inv.T @ moments for inv in _stencil_inverses()])
     table.flags.writeable = False
     return table
 
@@ -127,8 +143,10 @@ class QuadraturePlan:
     """
 
     def __init__(self, lams, h: float, n: int):
-        if any(lam < 0.0 for lam in lams):
+        if not all(lam >= 0.0 for lam in lams):  # NaN fails too
             raise ValueError("kernel rate lam must be >= 0")
+        if not (math.isfinite(h) and h > 0.0):
+            raise ValueError("step h must be finite and positive")
         if n < 5:
             raise ValueError("the quadrature needs at least 6 grid points")
         zs = [lam * h for lam in lams]

@@ -49,6 +49,8 @@ class EigenModel:
         lam = self.lambdas
         if lam.ndim != 1 or lam.size < 1:
             raise ValueError("lambdas must be a non-empty 1D sequence")
+        if not np.all(np.isfinite(lam)):
+            raise ValueError("eigenvalues must be finite")
         if lam[0] <= 0.0:
             raise ValueError("eigenvalues must be strictly positive")
         if np.any(np.diff(lam) < 0.0):

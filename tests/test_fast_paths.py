@@ -382,6 +382,24 @@ def test_stencil_matches_gather(n, z, order):
     assert np.all(np.abs(got - want) <= 1e-14 * scale)
 
 
+def test_weight_table_is_the_lagrange_rows():
+    """One moment vector and the cached stencil inverses give the rows that
+    `lagrange_exp_weights` forms one stencil at a time, byte for byte."""
+    draws = np.random.default_rng(700).uniform(0.0, 700.0, 200)
+    for z in [0.0, 1e-12, 1e-3, 0.5, 30.0, 699.0] + [float(d) for d in draws]:
+        want = np.array([lagrange_exp_weights(np.arange(s, s + 6), z) for s in range(-4, 1)])
+        assert _interval_weight_table(z).tobytes() == want.tobytes(), z
+
+
+def test_weight_table_overflow_is_the_lagrange_overflow():
+    z = 750.0  # e^z / z is past the double range: the moments overflow
+    with pytest.raises(ExponentOverflowError) as want:
+        lagrange_exp_weights(np.arange(-2, 4), z)
+    with pytest.raises(ExponentOverflowError) as got:
+        _interval_weight_table(z)
+    assert str(got.value) == str(want.value) == "exponential moments overflow at z = 750"
+
+
 def test_order6_needs_six_points():
     # the plan refuses 5 grid points and takes 6, the smallest stencil
     with pytest.raises(ValueError, match="at least 6 grid points"):

@@ -23,6 +23,26 @@ class TestScaledExponentials:
         assert float(np.sum(w)) == pytest.approx(1.0, rel=1e-12)
 
 
+class TestArgumentChecks:
+    """A rate must be >= 0 and a step finite and positive; NaN is neither."""
+
+    W = np.ones(11)
+
+    @pytest.mark.parametrize("lam", [-1.0, math.nan])
+    def test_bad_rate_rejected(self, lam):
+        with pytest.raises(ValueError, match="lam must be >= 0"):
+            exp_kernel_profile(lam, 0.1, self.W)
+        with pytest.raises(ValueError, match="lam must be >= 0"):
+            QuadraturePlan((0.5, lam), 0.1, 10)
+
+    @pytest.mark.parametrize("h", [-0.1, 0.0, math.inf, -math.inf, math.nan])
+    def test_bad_step_rejected(self, h):
+        with pytest.raises(ValueError, match="step h must be finite and positive"):
+            exp_kernel_profile(1.0, h, self.W)
+        with pytest.raises(ValueError, match="step h must be finite and positive"):
+            backward_cumulative(h, self.W)
+
+
 @pytest.mark.parametrize("order", ORDERS)
 class TestKernelProfile:
     def test_constant_integrand_closed_form(self, order):

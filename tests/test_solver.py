@@ -9,7 +9,7 @@ from fvptrunc import (EigenModel, ExponentOverflowError, FvpInstance,
                       closed_form_solution, fixed_point_defect, fixed_point_map,
                       l2_norm, picard_solve)
 from fvptrunc.quadrature import SCHEME_ORDER, backward_cumulative, exp_kernel_profile
-from fvptrunc.solver import DEFAULT_QUADRATURE_ORDER
+from fvptrunc.solver import DEFAULT_PICARD_TOL, DEFAULT_QUADRATURE_ORDER
 from fvptrunc.spectral import scaled_norm_rows
 
 PI2 = math.pi ** 2
@@ -243,13 +243,6 @@ class TestPicard:
                for i in range(len(ratios) - window + 1)]
         assert geo[-1] < 1.0
 
-    def test_apriori_contraction_diagnostic_reported(self, model):
-        data = SpectralField.basis(model, 1)
-        inst = make_instance(model, SourceFunction.linear(1.0), data)
-        res = picard_solve(inst, SolverConfig(level=1, n_steps=64), data)
-        x = math.exp(PI2) * 2.0  # kappa0 e^{lam_1 tau} (1+tau) tau
-        assert res.apriori_contraction_m == pytest.approx(math.e * x, rel=0.05)
-
     def test_nonconvergence_carries_history(self, model):
         data = SpectralField.basis(model, 1)
         cfg = SolverConfig(level=2, n_steps=64, max_iters=2)
@@ -269,8 +262,10 @@ class TestPicard:
 
 # --------------------------------------------------------------------------
 # Reference: the Picard loop on full-width (mode_count, n+1) arrays, every
-# norm through scaled_norm_rows over the grid points.  picard_solve, which
-# carries only the N retained rows, must match it bit for bit.
+# norm through scaled_norm_rows over the grid points, and the stop test on
+# the exact norm of every iterate.  picard_solve, which carries only the N
+# retained rows and reads the exact norm only when a bound of it passes the
+# test, must match it bit for bit.
 
 def full_width_map(states, instance, cfg, data, grid):
     N, pts = cfg.level, grid.points
@@ -325,24 +320,27 @@ class TestRetainedColumnLoop:
     and a defect that is fixed_point_defect's bits."""
 
     @staticmethod
-    def check(model, source, level, tau, max_iters=500, data_scale=1.0, seed=None):
+    def check(model, source, level, tau, max_iters=500, data_scale=1.0, seed=None,
+              picard_tol=DEFAULT_PICARD_TOL):
+        """Compare the two loops; the iterations, or None without convergence."""
         rng = np.random.default_rng(10 * level + len(source) if seed is None else seed)
         data = SpectralField(model, data_scale * rng.standard_normal(model.mode_count))
         inst = make_instance(model, SOURCES[source], data, tau=tau)
-        cfg = SolverConfig(level=level, n_steps=96, max_iters=max_iters)
+        cfg = SolverConfig(level=level, n_steps=96, max_iters=max_iters, picard_tol=picard_tol)
         states, increments, its, defect, converged = full_width_picard(inst, cfg, data)
         if not converged:
             with pytest.raises(NonConvergenceError) as exc:
                 picard_solve(inst, cfg, data)
             assert bits(exc.value.increments) == bits(increments)
             assert bits(exc.value.defect) == bits(defect)
-            return
+            return None
         res = picard_solve(inst, cfg, data)
         assert res.iterations == its
         assert res.trajectory.states.tobytes() == states.tobytes()
         assert bits(res.increments) == bits(increments)
         assert bits(res.defect) == bits(defect)
         assert bits(res.defect) == bits(fixed_point_defect(res.trajectory, inst, cfg, data))
+        return its
 
     @pytest.mark.parametrize("source", sorted(SOURCES))
     @pytest.mark.parametrize("level", [1, 2, 4, 8])
@@ -357,6 +355,15 @@ class TestRetainedColumnLoop:
     def test_nonconvergence(self, model):
         self.check(model, "sin", 4, tau=0.25, max_iters=2)
 
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    @pytest.mark.parametrize("tau", [0.03, 0.25])
+    @pytest.mark.parametrize("picard_tol", [1e-13, 1e-11, 1e-6, 1.0, 1e3])
+    def test_stop_test_at_every_tolerance(self, model, picard_tol, tau, source):
+        # the loop tests a bound of ||v|| first and the exact norm only when
+        # the bound passes; the reference tests the exact norm every time
+        its = self.check(model, source, 4, tau, picard_tol=picard_tol)
+        if picard_tol == 1e3:
+            assert its == 1
 
 
 class TestDefectOnTheRetainedRows:

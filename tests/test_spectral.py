@@ -36,6 +36,11 @@ class TestEigenModel:
         with pytest.raises(ValueError):
             EigenModel(dimension=1, lambdas=np.array([-1.0, 2.0]), e1=1.0, e2=10.0)
 
+    @pytest.mark.parametrize("lambdas", [[1.0, math.nan], [math.nan, 2.0], [1.0, math.inf]])
+    def test_rejects_non_finite_eigenvalues(self, lambdas):
+        with pytest.raises(ValueError, match="eigenvalues must be finite"):
+            EigenModel(dimension=1, lambdas=np.array(lambdas), e1=1.0, e2=10.0)
+
     def test_rejects_decreasing_sequence(self):
         with pytest.raises(ValueError):
             EigenModel(dimension=1, lambdas=np.array([4.0, 2.0]), e1=1.0, e2=10.0)
