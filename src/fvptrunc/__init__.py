@@ -7,7 +7,7 @@ from .bounds import (BoundInputs, DominanceReport, DominanceSample, check_domina
                      truncation_bound)
 from .errors import (BracketError, ConfigError, ExponentOverflowError, FvptruncError,
                      NoiseTooLargeError, NonConvergenceError, ReferenceRejectedError,
-                     UnsupportedDomainError, UnsupportedRegimeError)
+                     UnsupportedRegimeError)
 from .grids import TimeGrid, Trajectory
 from .harness import (ExperimentConfig, ExperimentReport, ExperimentRow, RateFit,
                       StaircaseResult, add_noise, fit_rate, holder_bound_staircase,
@@ -22,8 +22,7 @@ from .reference import (IllposedPair, LinearModeRoots, ReferenceSolution,
                         mode_coefficient, mode_roots, self_convergent_reference)
 from .solver import (PicardResult, SolverConfig, apply_spectral_growth, fixed_point_defect,
                      fixed_point_map, picard_solve)
-from .spectral import (EigenModel, GevreyParams, SpectralField, evaluate_on_grid,
-                       gevrey_norm, l2_norm)
+from .spectral import EigenModel, GevreyParams, SpectralField, gevrey_norm, l2_norm
 
 __version__ = "0.1.0"
 
@@ -35,10 +34,10 @@ __all__ = [
     "LinearModeRoots", "NoiseTooLargeError", "NonConvergenceError", "PicardResult",
     "RateFit", "ReferenceRejectedError", "ReferenceSolution", "SolverConfig",
     "SourceFunction", "SpectralField", "StaircaseResult", "TimeGrid", "Trajectory",
-    "UnsupportedDomainError", "UnsupportedRegimeError", "ZetaInverse", "add_noise",
+    "UnsupportedRegimeError", "ZetaInverse", "add_noise",
     "apply_spectral_growth", "backward_cumulative",
     "check_dominance", "choose_level", "choose_n_holder", "choose_n_log",
-    "closed_form_solution", "combined_closed_form", "evaluate_on_grid",
+    "closed_form_solution", "combined_closed_form",
     "exp_kernel_profile", "fit_rate", "fixed_point_defect",
     "fixed_point_map", "gevrey_norm", "gronwall_bound",
     "gronwall_comparison_solution", "holder_bound_staircase", "illposed_pair",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedRegimeError
+from .errors import ExponentOverflowError, UnsupportedRegimeError
 from .spectral import EigenModel, exp_checked
 
 REGIMES = ("gevrey_p", "gevrey_q")
@@ -32,36 +32,45 @@ REGIMES = ("gevrey_p", "gevrey_q")
 
 def gronwall_bound(c0: float, c1: float, t: float, tau: float) -> float:
     """c0 * e^{(1+c1)(tau - t)}."""
-    if c0 <= 0.0 or c1 <= 0.0:
-        raise ValueError("c0 and c1 must be positive")
+    _check_gronwall_constants(c0, c1, tau)
     if not 0.0 <= t <= tau:
         raise ValueError("need 0 <= t <= tau")
     return c0 * math.exp((1.0 + c1) * (tau - t))
 
 
+def _check_gronwall_constants(c0: float, c1: float, tau: float) -> None:
+    for name, value in (("c0", c0), ("c1", c1), ("tau", tau)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def gronwall_comparison_solution(c0: float, c1: float, tau: float,
                                  n_steps: int = 400) -> tuple[np.ndarray, np.ndarray]:
-    """U saturating the hypothesis: the equality case integrated numerically.
+    """U saturating the hypothesis: the equality case in closed form.
 
-    Solves X' = -c1 (X + Y), Y' = -X backward from X(tau) = c0, Y(tau) = 0,
-    so that X(t) = c0 + c1 int_t^tau (X + int_s^tau X) holds exactly.
-    Returns (grid points, U = X on them).
+    X(t) = c0 + c1 int_t^tau (X + int_s^tau X) is the solution of
+    X' = -c1 (X + Y), Y' = -X with X(tau) = c0, Y(tau) = 0.  In w = tau - t
+    that is X'' = c1 (X' + X), so X = A e^{r1 w} + (c0 - A) e^{r2 w} with
+    the roots r1 = (c1 + sqrt(c1^2 + 4 c1)) / 2 and r2 = -c1 / r1 of
+    r^2 = c1 (r + 1), and A = c0 (c1 - r2) / (r1 - r2) from X'(0) = c1 c0.
+    Both terms are positive and r1 < 1 + c1, so X stays below
+    `gronwall_bound`; X(tau) is set to c0 exactly, where the bound equals
+    c0.  Returns (grid points, U = X on them); ExponentOverflowError if X
+    leaves the double range.
     """
-    # imported here, not at module level: scipy.integrate loads scipy.optimize,
-    # which every `import fvptrunc` would pay for, and only this demo needs it
-    from scipy.integrate import solve_ivp
-
+    _check_gronwall_constants(c0, c1, tau)
     pts = np.linspace(0.0, tau, n_steps + 1)
-
-    def rhs(t, xy):
-        x, y = xy
-        return [-c1 * (x + y), -x]
-
-    sol = solve_ivp(rhs, (tau, 0.0), [c0, 0.0], t_eval=pts[::-1],
-                    rtol=1e-10, atol=1e-12, method="RK45")
-    if not sol.success:
-        raise RuntimeError(f"comparison-system integration failed: {sol.message}")
-    return pts, sol.y[0][::-1].copy()
+    w = tau - pts
+    r1 = 0.5 * (c1 + math.sqrt(c1 * c1 + 4.0 * c1))
+    r2 = -c1 / r1  # the product of the roots; r1 + r2 would cancel
+    a = c0 * (c1 - r2) / (r1 - r2)
+    with np.errstate(over="ignore"):
+        x = a * np.exp(r1 * w) + (c0 - a) * np.exp(r2 * w)
+    if not np.all(np.isfinite(x)):
+        raise ExponentOverflowError(
+            f"comparison solution overflows: r1 tau = {r1 * tau:.6g}")
+    x[-1] = c0
+    return pts, x
 
 
 @dataclass(frozen=True)
@@ -91,10 +100,10 @@ class BoundInputs:
             raise ValueError("truncation level outside the model range")
         if not 0.0 <= self.t <= self.tau:
             raise ValueError("need 0 <= t <= tau")
-        if self.delta < 0.0:
-            raise ValueError("delta must be >= 0")
-        if self.rho <= 0.0:
-            raise ValueError("rho must be positive")
+        if not (math.isfinite(self.delta) and self.delta >= 0.0):
+            raise ValueError(f"delta must be finite and >= 0, got {self.delta!r}")
+        if not (math.isfinite(self.rho) and self.rho > 0.0):
+            raise ValueError(f"rho must be finite and positive, got {self.rho!r}")
         if self.regime == "gevrey_p" and not (self.p > 0.0 and self.q == 0.0):
             raise UnsupportedRegimeError("gevrey_p regime needs p > 0 and q = 0")
         if self.regime == "gevrey_q" and not (self.q > 0.0 and self.p == 0.0):

@@ -11,10 +11,6 @@ class ExponentOverflowError(FvptruncError, ArithmeticError):
     large to represent' from an actual numeric result."""
 
 
-class UnsupportedDomainError(FvptruncError, ValueError):
-    """Operation requires the built-in 1D interval domain."""
-
-
 class UnsupportedRegimeError(FvptruncError, ValueError):
     """Inputs fall outside the parameter regime an operation covers
     (e.g. non-real mode roots, mixed smoothness regimes)."""

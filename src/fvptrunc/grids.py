@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,8 +18,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive")
+        if not (math.isfinite(self.tau) and self.tau > 0.0):
+            raise ValueError(f"tau must be finite and positive, got {self.tau!r}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be a positive integer")
         pts = np.linspace(0.0, self.tau, self.n_steps + 1)

@@ -28,10 +28,6 @@ from .solver import DEFAULT_MAX_ITERS, DEFAULT_PICARD_TOL, SolverConfig, picard_
 from .spectral import (SAFE_EXP_ARG, EigenModel, GevreyParams, SpectralField, exp_checked,
                        gevrey_log_norms, l2_norm, scaled_norm_rows)
 
-# Reject configs with lambda_N * tau above this.  It keeps the leading term
-# e^{lambda_N tau} g_N finite for data coefficients up to e^9 ~ 8e3, the same
-# headroom as quadrature's per-interval cap.
-DESK_SCALE_EXPONENT_CAP = SAFE_EXP_ARG
 RHO_SAFETY = 1.01                # grid-max to essential-sup safety factor
 
 
@@ -48,8 +44,8 @@ def add_noise(g: SpectralField, delta: float, direction: str = "seeded_random",
     vector is rescaled once after rounding so its stored norm equals delta
     to a few ulp.
     """
-    if delta < 0.0:
-        raise ValueError("delta must be >= 0")
+    if not (math.isfinite(delta) and delta >= 0.0):
+        raise ValueError(f"delta must be finite and >= 0, got {delta!r}")
     if delta == 0.0:
         return g
     m = g.model.mode_count
@@ -481,10 +477,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 level = model.mode_count
                 report.flags.append(
                     f"level capped at mode_count for t={t:g}, delta={delta:g}")
-            if model.eigenvalue(level) * cfg.tau > DESK_SCALE_EXPONENT_CAP:
+            # the leading term e^{lambda_N tau} g_N stays finite for data
+            # coefficients up to e^9 ~ 8e3, the headroom of quadrature's
+            # per-interval cap, which is the same SAFE_EXP_ARG
+            if model.eigenvalue(level) * cfg.tau > SAFE_EXP_ARG:
                 raise ConfigError(
                     f"desk-scale guard: lambda_{level} * tau = "
-                    f"{model.eigenvalue(level) * cfg.tau:.3g} > {DESK_SCALE_EXPONENT_CAP}")
+                    f"{model.eigenvalue(level) * cfg.tau:.3g} > {SAFE_EXP_ARG}")
             worst_err = -math.inf
             for trial in range(cfg.trials):
                 try:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,10 +72,10 @@ class FvpInstance:
     delta: float = 0.0
 
     def __post_init__(self):
-        if self.tau <= 0.0:
-            raise ValueError("final time tau must be positive")
-        if self.delta < 0.0:
-            raise ValueError("noise level delta must be >= 0")
+        if not (math.isfinite(self.tau) and self.tau > 0.0):
+            raise ValueError(f"final time tau must be finite and positive, got {self.tau!r}")
+        if not (math.isfinite(self.delta) and self.delta >= 0.0):
+            raise ValueError(f"noise level delta must be finite and >= 0, got {self.delta!r}")
         if self.final_data is None and self.noisy_data is None:
             raise ValueError("an instance needs exact and/or noisy final data")
         for f in (self.final_data, self.noisy_data):

@@ -100,19 +100,6 @@ def _interval_weight_table(z: float) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=64)
-def _recurrence_band(z: float, n: int) -> np.ndarray:
-    """Band storage of the n x n recurrence matrix L, read-only.
-
-    Row 1 holds the subdiagonal -e^z; row 0, the unit diagonal, is never
-    read (dtbsv with diag=1).  Like the weight tables it depends only on
-    (lam * h, n) and is reused across fixed-point iterations.
-    """
-    band = np.full((2, n), -math.exp(z), order="F")
-    band.flags.writeable = False
-    return band
-
-
 def _interval_integrals(w: np.ndarray, h: float, table: np.ndarray, out: np.ndarray) -> None:
     """out[i] = A_i = int_{t_i}^{t_{i+1}} e^{z (s - t_i)/h} w_interp(s) ds, unchecked.
 
@@ -134,11 +121,11 @@ class QuadraturePlan:
     """The per-mode quadratures of one grid, with every check done once.
 
     For the kernel rates `lams` on a grid of n steps of width h, the plan
-    looks up each rate's weight table and recurrence band and the table of
-    the plain integral once, and owns the scratch row of interval
-    integrals.  `cumulative` and `profile` then do only the arithmetic of
-    `backward_cumulative` and `exp_kernel_profile`, which are these same
-    calls on a one-off plan.  The rows passed in must be contiguous float
+    looks up each rate's weight table and the table of the plain integral
+    once, builds each rate's recurrence band, and owns the scratch row of
+    interval integrals.  `cumulative` and `profile` then do only the
+    arithmetic of `backward_cumulative` and `exp_kernel_profile`, which are
+    these same calls on a one-off plan.  The rows passed in must be contiguous float
     rows of n + 1 samples.
     """
 
@@ -159,7 +146,12 @@ class QuadraturePlan:
                     f"per-interval growth e^(lam h) overflows (lam h = {z:.6g})")
         self.lams, self.h = lams, h
         self.tables = [_interval_weight_table(z) for z in zs]
-        self.bands = [_recurrence_band(z, n) for z in zs]
+        # band storage of the n x n recurrence matrix L: row 1 holds the
+        # subdiagonal -e^z, row 0 (the unit diagonal) is never read
+        # (dtbsv with diag=1); read-only, as the shared weight tables are
+        self.bands = [np.full((2, n), -math.exp(z), order="F") for z in zs]
+        for band in self.bands:
+            band.flags.writeable = False
         self.plain_table = _interval_weight_table(0.0)
         self.scratch = np.empty(n)
 

@@ -22,6 +22,7 @@ and check a solution independently of the loop.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -55,8 +56,8 @@ class SolverConfig:
             raise ValueError("truncation level must be >= 1")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        if self.picard_tol <= 0.0:
-            raise ValueError("picard_tol must be positive")
+        if not (math.isfinite(self.picard_tol) and self.picard_tol > 0.0):
+            raise ValueError(f"picard_tol must be finite and positive, got {self.picard_tol!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 

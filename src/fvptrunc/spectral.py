@@ -3,7 +3,8 @@
 States live in L2(0,1) and are represented by their coefficients against
 the Dirichlet eigenbasis of -d2/dx2, phi_j(x) = sqrt(2) sin(j pi x) with
 eigenvalues lambda_j = j^2 pi^2.  Abstract eigenvalue sequences (d >= 1)
-are supported for norm/bound arithmetic; spatial evaluation is 1D-only.
+are supported too.  Everything here works on coefficients; nothing
+evaluates a field at points of the domain.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ExponentOverflowError, UnsupportedDomainError
+from .errors import ExponentOverflowError
 
 # exp(x) overflows double precision just above this
 MAX_EXP_ARG = 709.0
@@ -169,7 +170,9 @@ def scaled_norm_rows(a: np.ndarray) -> np.ndarray:
     a sum of at least 1e-280, so they change the norm by less than 1e-27
     relative.  Every other row (zero, inf, NaN, or a sum of squares that
     overflowed or underflowed: backward-grown modes legitimately pass
-    1e154) is recomputed scaled by its row maximum.
+    1e154) is recomputed scaled by its row maximum, adding the squares
+    column by column (in mode order for a trajectory's points), so zero
+    columns add exactly +0.0 and padding a row with zeros keeps its bits.
     """
     a = np.atleast_2d(a)
     out = np.sqrt(np.einsum("ij,ij->i", a, a))
@@ -177,8 +180,12 @@ def scaled_norm_rows(a: np.ndarray) -> np.ndarray:
     if np.any(slow):
         b = a[slow]
         row_max = np.max(np.abs(b), axis=1)
-        safe = np.where(row_max[:, None] > 0.0, row_max[:, None], 1.0)
-        out[slow] = row_max * np.linalg.norm(b / safe, axis=1)
+        safe = np.where(row_max > 0.0, row_max, 1.0)
+        acc = np.zeros(b.shape[0])
+        for col in b.T:
+            x = col / safe
+            acc += x * x
+        out[slow] = row_max * np.sqrt(acc)
     return out
 
 
@@ -269,13 +276,3 @@ def gevrey_norm(psi: SpectralField, gp: GevreyParams) -> float:
     return exp_checked(float(gevrey_log_norms(psi.model.lambdas, psi.coeffs, gp)[0]),
                        "Gevrey norm")
 
-
-def evaluate_on_grid(psi: SpectralField, x_points) -> np.ndarray:
-    """Point values sum_j c_j sqrt(2) sin(j pi x); built-in 1D model only."""
-    if psi.model.dimension != 1:
-        raise UnsupportedDomainError("spatial evaluation is supported for the 1D model only")
-    x = np.atleast_1d(np.asarray(x_points, dtype=float))
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise ValueError("x points must lie in [0, 1]")
-    j = np.arange(1, psi.model.mode_count + 1, dtype=float)
-    return math.sqrt(2.0) * np.sin(np.outer(x, j) * math.pi) @ psi.coeffs

@@ -5,7 +5,7 @@ import pytest
 
 from fvptrunc import (BoundInputs, DominanceSample, EigenModel, ExponentOverflowError,
                       FvpInstance, GevreyParams, SolverConfig, SourceFunction,
-                      TimeGrid, UnsupportedRegimeError, add_noise,
+                      SpectralField, TimeGrid, UnsupportedRegimeError, add_noise,
                       check_dominance, closed_form_solution, gevrey_norm,
                       gronwall_bound, gronwall_comparison_solution, l2_norm,
                       log_total_bound, noise_bound, picard_solve, total_bound,
@@ -46,8 +46,9 @@ class TestGronwall:
             gronwall_bound(1.0, 1.0, 2.0, 1.0)
 
     def test_comparison_system_stays_below_bound(self):
-        # U saturates the integral hypothesis with equality; integrating the
-        # proof's ODE system gives an independent oracle for the sweep
+        # U saturates the integral hypothesis with equality; the exact
+        # solution sits below the bound with no slack, and equals it (c0)
+        # at t = tau
         rng = np.random.default_rng(99)
         for _ in range(30):
             c0 = float(rng.uniform(0.05, 10.0))
@@ -55,8 +56,29 @@ class TestGronwall:
             tau = float(rng.uniform(0.5, 2.0))
             pts, u = gronwall_comparison_solution(c0, c1, tau, n_steps=300)
             bound = c0 * np.exp((1.0 + c1) * (tau - pts))
-            assert np.all(u <= bound * (1 + 1e-9))
-            assert u[-1] == pytest.approx(c0, rel=1e-9)
+            assert np.all(u <= bound)
+            assert u[-1] == c0
+
+    def test_closed_form_matches_an_ode_solve(self):
+        # the proof's system X' = -c1 (X + Y), Y' = -X, integrated backward
+        # from X(tau) = c0, Y(tau) = 0 by a high-order adaptive solver
+        from scipy.integrate import solve_ivp
+
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            c0 = float(rng.uniform(0.05, 10.0))
+            c1 = float(rng.uniform(0.05, 5.0))
+            tau = float(rng.uniform(0.5, 2.0))
+            pts, u = gronwall_comparison_solution(c0, c1, tau, n_steps=200)
+            sol = solve_ivp(lambda t, xy: [-c1 * (xy[0] + xy[1]), -xy[0]], (tau, 0.0),
+                            [c0, 0.0], t_eval=pts[::-1], method="DOP853",
+                            rtol=1e-12, atol=1e-14)
+            assert sol.success
+            assert np.max(np.abs(u - sol.y[0][::-1]) / u) <= 1e-10
+
+    def test_comparison_solution_overflow_signalled(self):
+        with pytest.raises(ExponentOverflowError):
+            gronwall_comparison_solution(1.0, 5.0, 200.0)
 
     def test_comparison_system_saturates_hypothesis(self):
         # verify X(t) = c0 + c1 int_t^tau (X + int_s^tau X) on the grid
@@ -68,6 +90,30 @@ class TestGronwall:
         outer = np.concatenate([np.cumsum((0.5 * h * (integrand[:-1] + integrand[1:]))[::-1])[::-1], [0.0]])
         rhs = c0 + c1 * outer
         assert np.max(np.abs(x - rhs)) <= 1e-5 * np.max(np.abs(x))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("case", ["TimeGrid.tau", "FvpInstance.tau", "FvpInstance.delta",
+                                  "SolverConfig.picard_tol", "add_noise.delta",
+                                  "gronwall_bound.c0", "BoundInputs.delta", "BoundInputs.rho"])
+def test_non_finite_input_rejected_by_name(model, case, bad):
+    # each of these tested `x <= 0` alone, which NaN passes
+    name = case.split(".")[1]
+    g = SpectralField.basis(model, 1)
+    calls = {
+        "TimeGrid.tau": lambda: TimeGrid(bad, 10),
+        "FvpInstance.tau": lambda: FvpInstance(model=model, tau=bad,
+                                               source=SourceFunction.zero(), final_data=g),
+        "FvpInstance.delta": lambda: FvpInstance(model=model, tau=1.0, delta=bad,
+                                                 source=SourceFunction.zero(), final_data=g),
+        "SolverConfig.picard_tol": lambda: SolverConfig(level=1, n_steps=16, picard_tol=bad),
+        "add_noise.delta": lambda: add_noise(g, bad),
+        "gronwall_bound.c0": lambda: gronwall_bound(bad, 1.0, 0.0, 1.0),
+        "BoundInputs.delta": lambda: binputs(model, delta=bad),
+        "BoundInputs.rho": lambda: binputs(model, rho=bad),
+    }
+    with pytest.raises(ValueError, match=name):
+        calls[case]()
 
 
 class TestBoundFormulas:

@@ -32,10 +32,17 @@ from fvptrunc.spectral import (FAST_NORM_MAX, FAST_NORM_MIN, _row_logsumexp, sca
 # scaled_norm_rows
 
 def row_max_scaled(a: np.ndarray) -> np.ndarray:
-    """The always-scaled formula: row max times the norm of the scaled row."""
-    row_max = np.max(np.abs(a), axis=1)
-    safe = np.where(row_max[:, None] > 0.0, row_max[:, None], 1.0)
-    return row_max * np.linalg.norm(a / safe, axis=1)
+    """The always-scaled formula: row max times the norm of the scaled row,
+    its squares added left to right."""
+    out = []
+    for row in a:
+        m = max(abs(x) for x in row)
+        acc = 0.0
+        for x in row:
+            x = x / (m if m > 0.0 else 1.0)
+            acc += x * x
+        out.append(m * math.sqrt(acc))
+    return np.array(out)
 
 
 def fsum_norm(row) -> float:

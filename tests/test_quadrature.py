@@ -5,8 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from fvptrunc import ExponentOverflowError, TimeGrid, backward_cumulative
-from fvptrunc.quadrature import (SCHEME_ORDER, QuadraturePlan, _recurrence_band,
-                                 exp_kernel_profile, lagrange_exp_weights)
+from fvptrunc.quadrature import (SCHEME_ORDER, QuadraturePlan, exp_kernel_profile,
+                                 lagrange_exp_weights)
 from fvptrunc.solver import DEFAULT_QUADRATURE_ORDER
 
 PI2 = math.pi ** 2
@@ -170,22 +170,23 @@ class TestValidation:
 
 class TestRecurrenceBand:
     def test_band_is_read_only_and_reused(self):
+        # one plan's band serves every profile call of the plan
         h = 1.0 / 64
         lam = 0.75 / h
         w = np.linspace(0.0, 1.0, 65)
-        first = exp_kernel_profile(lam, h, w)
-        band = _recurrence_band(lam * h, 64)
+        plan = QuadraturePlan((lam,), h, 64)
+        band = plan.bands[0]
         assert not band.flags.writeable
         with pytest.raises(ValueError):
             band[1, 0] = 0.0
-        hits = _recurrence_band.cache_info().hits
-        again = exp_kernel_profile(lam, h, 2.0 * w)
-        assert _recurrence_band.cache_info().hits == hits + 1
-        assert _recurrence_band(lam * h, 64) is band
+        first, again = np.empty(65), np.empty(65)
+        plan.profile(0, w, first)
+        plan.profile(0, 2.0 * w, again)
+        assert plan.bands[0] is band
+        assert first.tobytes() == exp_kernel_profile(lam, h, w).tobytes()
         assert again.tobytes() == (2.0 * first).tobytes()
         assert band.shape == (2, 64) and band.flags.f_contiguous
         assert np.all(band[1] == -math.exp(lam * h))
-        assert _recurrence_band(lam * h, 65) is not band
 
 
 class TestQuadraturePlan:

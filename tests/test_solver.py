@@ -352,6 +352,14 @@ class TestRetainedColumnLoop:
         # the iterates pass 1e154, so their sums of squares overflow
         self.check(model, "linear", level, tau=0.25, data_scale=1e160)
 
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    @pytest.mark.parametrize("level", [4, 6])
+    @pytest.mark.parametrize("scale", [1e160, 1e-160])
+    def test_zero_rows_outside_the_fast_norm_range(self, model, scale, level, source):
+        # every grid point takes the scaled norm path; the zero rows that
+        # pad the full-width loop must add exactly nothing there too
+        self.check(model, source, level, tau=0.03, data_scale=scale, seed=0)
+
     def test_nonconvergence(self, model):
         self.check(model, "sin", 4, tau=0.25, max_iters=2)
 

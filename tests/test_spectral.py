@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fvptrunc import (EigenModel, ExponentOverflowError, GevreyParams, SpectralField,
-                      UnsupportedDomainError, evaluate_on_grid, gevrey_norm, l2_norm)
+                      gevrey_norm, l2_norm)
 
 PI2 = math.pi ** 2
 
@@ -123,37 +123,6 @@ class TestGevreyNorm:
             dp, dq = rng.uniform(0, 1), rng.uniform(0, 0.1)
             assert gevrey_norm(psi, GevreyParams(p + dp, q + dq)) >= gevrey_norm(
                 psi, GevreyParams(p, q)) * (1 - 1e-12)
-
-
-class TestEvaluateOnGrid:
-    def test_first_mode_midpoint(self, model):
-        vals = evaluate_on_grid(SpectralField.basis(model, 1), [0.5])
-        assert vals[0] == pytest.approx(math.sqrt(2.0), rel=1e-14)
-
-    def test_dirichlet_boundary(self, model):
-        rng = np.random.default_rng(5)
-        psi = SpectralField(model, rng.standard_normal(model.mode_count))
-        vals = evaluate_on_grid(psi, [0.0, 1.0])
-        assert abs(vals[0]) < 1e-12 and abs(vals[1]) < 1e-12
-
-    def test_second_mode_quarter_point(self, model):
-        vals = evaluate_on_grid(SpectralField.basis(model, 2), [0.25])
-        assert vals[0] == pytest.approx(math.sqrt(2.0), rel=1e-14)
-
-    def test_non_1d_rejected(self):
-        m = EigenModel(dimension=2, lambdas=np.arange(1.0, 5.0), e1=0.9, e2=1.1)
-        with pytest.raises(UnsupportedDomainError):
-            evaluate_on_grid(SpectralField.basis(m, 1), [0.5])
-
-    def test_basis_orthonormal_under_quadrature(self, model):
-        # sanity check of the basis convention, fine trapezoid grid
-        x = np.linspace(0.0, 1.0, 20001)
-        for i in (1, 2, 5):
-            for j in (1, 2, 5):
-                fi = evaluate_on_grid(SpectralField.basis(model, i), x)
-                fj = evaluate_on_grid(SpectralField.basis(model, j), x)
-                val = np.trapezoid(fi * fj, x)
-                assert val == pytest.approx(1.0 if i == j else 0.0, abs=1e-8)
 
 
 class TestFieldAlgebra:
