@@ -7,9 +7,10 @@ Everything here evaluates integrals of the form
 for w sampled at the grid points, plus the plain backward cumulative
 integral W(t_k) = int_{t_k}^{tau} w ds.  The kernel is integrated exactly
 against the degree-5 interpolant of w on a sliding 6-point stencil, a
-sixth-order scheme.  The weighted moments int_0^1 s^m e^{z s} ds come from
-the confluent hypergeometric function, which is stable for all z >= 0 of
-interest.  Only 5 stencil shapes occur (the centred one inside, and two
+sixth-order scheme.  The weighted moments int_0^1 s^m e^{z s} ds are computed
+in double precision by `_exp_moments` (a power series below z = 10, a
+damped recurrence above), within a few ulp for every z >= 0 up to the
+overflow.  Only 5 stencil shapes occur (the centred one inside, and two
 one-sided ones at each end), so the interior intervals are one 6-tap
 correlation of w with the centred weight row and the 4 edge intervals are
 dot products with their own rows.  The 5 rows of a rate share one moment
@@ -37,7 +38,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.blas import dtbsv
-from scipy.special import hyp1f1
 
 from .errors import ExponentOverflowError
 from .spectral import SAFE_EXP_ARG
@@ -47,10 +47,33 @@ from .spectral import SAFE_EXP_ARG
 SCHEME_ORDER = {6: 6}
 
 
+#: the power series of the moments runs to k = 59: below z = 10 the terms
+#: left out are under 10^60 / 60! ~ 1e-22, against M_m(z) >= 1 / (m + 1)
+_SERIES_K = np.arange(60.0)
+_SERIES_FACTORIALS = np.array([float(math.factorial(k)) for k in range(60)])
+
+
 def _exp_moments(z: float, mmax: int) -> np.ndarray:
-    """M_m = int_0^1 s^m e^{z s} ds for m = 0..mmax."""
-    m = np.arange(mmax + 1)
-    vals = hyp1f1(m + 1, m + 2, z) / (m + 1)
+    """M_m = int_0^1 s^m e^{z s} ds for m = 0..mmax, z >= 0, mmax <= 9.
+
+    Below z = 10 the power series sum_k z^k / (k! (m + k + 1)) has positive
+    terms only, and `math.fsum` adds them exactly.  From z = 10 on,
+    J_m = e^{-z} M_m follows from integration by parts,
+    J_m = (1 - m J_{m-1}) / z from J_0 = (1 - e^{-z}) / z, which damps
+    errors while m < z; one product with e^z gives M_m.  Both stay within a
+    few ulp of the exact moments.
+    """
+    if z < 10.0:
+        m = np.arange(mmax + 1.0)[:, None]
+        terms = (z ** _SERIES_K / _SERIES_FACTORIALS) / (m + _SERIES_K + 1.0)
+        vals = np.array([math.fsum(row) for row in terms.tolist()])
+    else:
+        J = [-math.expm1(-z) / z]
+        for m in range(1, mmax + 1):
+            J.append((1.0 - m * J[-1]) / z)
+        # past z ~ 709.8 e^z is inf (nan for a nan or infinite z): reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.exp(z) * np.array(J)
     if not np.all(np.isfinite(vals)):
         raise ExponentOverflowError(f"exponential moments overflow at z = {z:.6g}")
     return vals

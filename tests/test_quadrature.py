@@ -1,12 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from fvptrunc import ExponentOverflowError, TimeGrid, backward_cumulative
-from fvptrunc.quadrature import (SCHEME_ORDER, QuadraturePlan, exp_kernel_profile,
-                                 lagrange_exp_weights)
+from fvptrunc.quadrature import (SCHEME_ORDER, QuadraturePlan, _exp_moments,
+                                 exp_kernel_profile, lagrange_exp_weights)
 from fvptrunc.solver import DEFAULT_QUADRATURE_ORDER
 
 PI2 = math.pi ** 2
@@ -21,6 +22,32 @@ class TestScaledExponentials:
         w = lagrange_exp_weights(np.arange(-2, 4), 0.0)
         # integrating the constant 1 over [0,1] gives 1
         assert float(np.sum(w)) == pytest.approx(1.0, rel=1e-12)
+
+
+class TestExpMoments:
+    """M_m(z) = int_0^1 s^m e^{z s} ds for m <= 5, the stencil's moments, in
+    both branches: the power series below z = 10 and the recurrence above."""
+
+    EDGES = [0.0, 1e-12, 1e-3, 0.5, 9.999, 10.0, 10.001, 30.0, 300.0, 699.0]
+    DRAWS = np.random.default_rng(20231).uniform(0.0, 700.0, 200).tolist()
+
+    @staticmethod
+    def exact(z, m):
+        with mpmath.workdps(40):
+            return float(mpmath.hyp1f1(m + 1, m + 2, z) / (m + 1))
+
+    def test_within_four_ulp_of_mpmath(self):
+        for z in self.EDGES + self.DRAWS:
+            got = _exp_moments(z, 5)
+            for m in range(6):
+                want = self.exact(z, m)
+                assert abs(got[m] - want) <= 4 * math.ulp(want), (z, m)
+
+    @pytest.mark.parametrize("z", [709.9, 750.0, math.inf, math.nan])
+    def test_overflow_signalled_without_a_warning(self, z):
+        # the suite turns numpy's overflow warning into an error
+        with pytest.raises(ExponentOverflowError, match="exponential moments overflow"):
+            _exp_moments(z, 5)
 
 
 class TestArgumentChecks:
