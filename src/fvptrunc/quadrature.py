@@ -20,6 +20,9 @@ rate, are formed once per process.  A grid needs at least 6 points.
 The backward recurrence I_k = A_k + e^{lam h} I_{k+1} that sums the
 interval integrals is one unit-bidiagonal banded triangular solve (BLAS
 dtbsv, transposed lower form); see `exp_kernel_profile` for why that form.
+The dtbsv is the one in the OpenBLAS that numpy's wheels bundle, called
+through ctypes, so the module needs no scipy; with a numpy built on
+another BLAS it is scipy's, chosen once at import.
 
 A solve runs these quadratures for every retained mode on every Picard
 iteration, so their checks, table lookups and scratch row live in a
@@ -33,14 +36,70 @@ so magnitudes never exceed what the mathematical result requires.
 
 from __future__ import annotations
 
+import ctypes
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg.blas import dtbsv
 
 from .errors import ExponentOverflowError
 from .spectral import SAFE_EXP_ARG
+
+
+def _openblas_dtbsv():
+    """Binder for cblas_dtbsv of the ILP64 OpenBLAS bundled with numpy, or None.
+
+    numpy's wheels ship `libscipy_openblas64_` and load it on import, so
+    binding its dtbsv costs no further import.  A numpy built on another
+    BLAS (MKL, Accelerate, a system OpenBLAS) has no such file.  The binder
+    returns a call that overwrites `x` with the solution of L^T y = x,
+    where `band` is the (2, n) Fortran-order band of the unit lower
+    bidiagonal L and `x` a contiguous float row of n.  Its ten arguments,
+    the two buffers' addresses among them, are converted once, so the
+    caller keeps `band` and `x` alive while it uses the call.
+    """
+    root = Path(np.__file__).parent
+    # numpy.libs/ beside the package on Linux and Windows, .dylibs/ in it on macOS
+    for path in sorted([*root.parent.glob("numpy.libs/libscipy_openblas64_*"),
+                        *root.glob(".dylibs/libscipy_openblas64_*")]):
+        try:
+            fn = ctypes.CDLL(str(path)).scipy_cblas_dtbsv64_
+        except (OSError, AttributeError):
+            continue
+        # order, uplo, trans, diag, n, k, a, lda, x, incx
+        fn.argtypes = [ctypes.c_int] * 4 + [ctypes.c_int64] * 2 + [
+            ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
+        fn.restype = None
+
+        def bind(band: np.ndarray, x: np.ndarray):
+            if not (band.dtype == x.dtype == np.float64 and band.shape == (2, x.size)
+                    and band.flags.f_contiguous and x.flags.c_contiguous
+                    and x.flags.writeable):
+                raise ValueError("dtbsv takes a (2, n) Fortran-order float band "
+                                 "and a writeable contiguous float row of n")
+            # CblasColMajor, CblasLower, CblasTrans, CblasUnit; k = 1, lda = 2
+            return partial(fn, ctypes.c_int(102), ctypes.c_int(122), ctypes.c_int(112),
+                           ctypes.c_int(132), ctypes.c_int64(x.size), ctypes.c_int64(1),
+                           ctypes.c_void_p(band.ctypes.data), ctypes.c_int64(2),
+                           ctypes.c_void_p(x.ctypes.data), ctypes.c_int64(1))
+        return bind
+    return None
+
+
+def _scipy_dtbsv():
+    """The binder of `_openblas_dtbsv` on scipy's dtbsv, for any other numpy."""
+    from scipy.linalg.blas import dtbsv
+
+    def bind(band: np.ndarray, x: np.ndarray):
+        def solve():
+            x[:] = dtbsv(1, band, x, lower=1, trans=1, diag=1, overwrite_x=1)
+        return solve
+    return bind
+
+
+#: chosen once, at import, so a fallback to scipy is paid here and not in a solve
+_bind_dtbsv = _openblas_dtbsv() or _scipy_dtbsv()
 
 #: convergence order of the composite scheme, keyed by its interpolation
 #: order (`solver.DEFAULT_QUADRATURE_ORDER`)
@@ -146,9 +205,10 @@ class QuadraturePlan:
     For the kernel rates `lams` on a grid of n steps of width h, the plan
     looks up each rate's weight table and the table of the plain integral
     once, builds each rate's recurrence band, and owns the scratch row of
-    interval integrals.  `cumulative` and `profile` then do only the
-    arithmetic of `backward_cumulative` and `exp_kernel_profile`, which are
-    these same calls on a one-off plan.  The rows passed in must be contiguous float
+    interval integrals, to which it binds each rate's banded solve.
+    `cumulative` and `profile` then do only the arithmetic of
+    `backward_cumulative` and `exp_kernel_profile`, which are these same
+    calls on a one-off plan.  The rows passed in must be contiguous float
     rows of n + 1 samples.
     """
 
@@ -177,6 +237,9 @@ class QuadraturePlan:
             band.flags.writeable = False
         self.plain_table = _interval_weight_table(0.0)
         self.scratch = np.empty(n)
+        # each rate's dtbsv call, bound to its band and the scratch row,
+        # which the plan keeps alive with it
+        self.solves = [_bind_dtbsv(band, self.scratch) for band in self.bands]
 
     def cumulative(self, w: np.ndarray, out: np.ndarray) -> None:
         """out = W, W(t_k) = int_{t_k}^{tau} w_interp(s) ds at every grid point."""
@@ -197,8 +260,8 @@ class QuadraturePlan:
         # dtbsv subtracts a zero product as +0.0 and so keeps the sign of an
         # A_k = -0.0; the recurrence adds e^{lam h} I_{k+1} and never returns
         # -0.0.  Adding 0.0 on the way into `out` changes only that sign.
-        np.add(dtbsv(1, self.bands[j], A, lower=1, trans=1, diag=1, overwrite_x=1), 0.0,
-               out=out[:-1])
+        self.solves[j]()
+        np.add(A, 0.0, out=out[:-1])
         out[-1] = 0.0
         # A non-finite I_{k+1} makes every later step non-finite: e^{lam h} >= 1,
         # so fl(A_k + e^{lam h} I_{k+1}) is +-inf or NaN.  I_0 checks them all.
@@ -221,7 +284,10 @@ def exp_kernel_profile(lam: float, h: float, w: np.ndarray) -> np.ndarray:
     every I_k is fl(A_k + fl(e^{lam h} I_{k+1})), the plain recurrence
     rounded step by step.  The equivalent upper, non-transposed form runs
     through an axpy kernel that may fuse the multiply and the add, which
-    rounds differently and would move results in their last bits.
+    rounds differently and would move results in their last bits.  The
+    dtbsv is numpy's bundled OpenBLAS's (scipy's where numpy has none),
+    and the interval integrals A_k come from weights built on the
+    double-precision moments of `_exp_moments`.
     """
     w = np.ascontiguousarray(w, dtype=float)
     out = np.empty(w.size)

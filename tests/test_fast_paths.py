@@ -21,8 +21,8 @@ from fvptrunc import (ConfigError, EigenModel, ExponentOverflowError, GevreyPara
                       SpectralField, TimeGrid, Trajectory, closed_form_solution, gevrey_norm)
 from fvptrunc.harness import RHO_SAFETY, _certified_rho
 from fvptrunc.quadrature import (SCHEME_ORDER, QuadraturePlan, _interval_integrals,
-                                 _interval_weight_table, backward_cumulative, exp_kernel_profile,
-                                 lagrange_exp_weights)
+                                 _interval_weight_table, _openblas_dtbsv, _scipy_dtbsv,
+                                 backward_cumulative, exp_kernel_profile, lagrange_exp_weights)
 from fvptrunc.reference import ReferenceSolution
 from fvptrunc.spectral import (FAST_NORM_MAX, FAST_NORM_MIN, _row_logsumexp, scaled_norm_rows,
                                sup_row_norm)
@@ -437,8 +437,13 @@ def layouts(w: np.ndarray) -> list:
     return [w, strided, reversed_view]
 
 
-@pytest.mark.parametrize("z", [0.0, 1e-9, 1e-3, 0.5, 30.0, 699.0])
-@pytest.mark.parametrize("n", [1, 2, 5, 6, 7, 128, 4096])
+#: rates and grid sizes of the recurrence tests
+RECURRENCE_ZS = [0.0, 1e-9, 1e-3, 0.5, 30.0, 699.0]
+RECURRENCE_NS = [1, 2, 5, 6, 7, 128, 4096]
+
+
+@pytest.mark.parametrize("z", RECURRENCE_ZS)
+@pytest.mark.parametrize("n", RECURRENCE_NS)
 def test_kernel_profile_is_the_rounded_recurrence(n, z):
     """The banded solve reproduces the plain loop byte for byte.
 
@@ -469,6 +474,46 @@ def test_kernel_profile_is_the_rounded_recurrence(n, z):
                 continue
             got = exp_kernel_profile(lam, h, view)
             assert got.tobytes() == want.tobytes(), view.strides
+
+
+@pytest.mark.parametrize("z", RECURRENCE_ZS)
+@pytest.mark.parametrize("n", RECURRENCE_NS)
+def test_scipy_fallback_is_the_bundled_dtbsv(n, z):
+    """scipy's dtbsv, the fallback for a numpy without its bundled OpenBLAS,
+    solves the recurrence to the same bytes as the bundled one.
+
+    The right-hand sides are the recurrence test's interval integrals (its
+    samples themselves on grids too short for the stencil); overflowing
+    cases must overflow alike.
+    """
+    bundled = _openblas_dtbsv()
+    if bundled is None:
+        pytest.skip("numpy bundles no OpenBLAS here: the fallback is the only path")
+    rng = np.random.default_rng(n)
+    dense = rng.standard_normal(n + 1)
+    decaying = dense * np.exp(-z * np.arange(n + 1))
+    band = np.full((2, n), -math.exp(z), order="F")
+    for w in (dense, decaying):
+        rhs = interval_integrals(w, 1.0 / n, z) if n >= 5 else w[:n].copy()
+        got, want = rhs.copy(), rhs.copy()
+        bundled(band, got)()
+        _scipy_dtbsv()(band, want)()
+        assert got.tobytes() == want.tobytes()
+
+
+def test_bundled_dtbsv_refuses_buffers_of_another_layout():
+    # the bound call writes through raw addresses: a layout it would
+    # misread is refused before any address is taken
+    bundled = _openblas_dtbsv()
+    if bundled is None:
+        pytest.skip("numpy bundles no OpenBLAS here: the fallback is the only path")
+    band, x = np.full((2, 8), -1.5, order="F"), np.ones(8)
+    bundled(band, x)
+    for bad_band, bad_x in [(np.full((2, 8), -1.5), x), (band, np.ones(9)),
+                            (band, np.ones(16)[::2]), (band, np.ones(8, dtype=np.float32)),
+                            (band.astype(np.float32, order="F"), x)]:
+        with pytest.raises(ValueError, match="dtbsv takes"):
+            bundled(bad_band, bad_x)
 
 
 @pytest.mark.parametrize("order", ORDERS)

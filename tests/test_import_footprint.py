@@ -1,10 +1,13 @@
-"""`import fvptrunc` loads only numpy, scipy.special and scipy.linalg, and
-`fvptrunc gronwall-check` loads nothing more.
+"""`import fvptrunc` and the CLI commands load numpy and no scipy module.
 
-Every CLI call pays the package's import, and scipy.signal or
-scipy.integrate at module level would pull in scipy.stats and
-scipy.optimize and triple it.  The check runs in a fresh interpreter,
-since this test process may have imported anything already.
+Every CLI call pays the package's import, and importing scipy's
+subpackages costs several times numpy's own import.  The package needs
+numpy only: the quadrature's weight moments are computed in numpy, and
+its banded solve binds dtbsv in the OpenBLAS that numpy's wheels bundle.
+A numpy built without that library (MKL, Accelerate) falls back to
+scipy's dtbsv, loaded at import; there these checks are skipped, and the
+skip says so.  Each check runs in a fresh interpreter, since this test
+process may have imported anything already.
 """
 
 import json
@@ -13,30 +16,67 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import fvptrunc
+from fvptrunc import quadrature
 
-HEAVY = ("scipy.signal", "scipy.integrate", "scipy.stats", "scipy.optimize")
+pytestmark = pytest.mark.skipif(
+    quadrature._openblas_dtbsv() is None,
+    reason="numpy bundles no OpenBLAS here, so dtbsv comes from scipy")
+
+SMALL_CONFIG = {
+    "instance": {"tau": 1.0, "mode_count": 6, "source": {"kind": "sin"},
+                 "reference": {"kind": "self_convergent", "data": [[1, 0.2], [2, 1e-4]]}},
+    "noise": {"deltas": [1e-4], "direction": "seeded_random", "seed": 3, "trials": 1},
+    "solver": {"n_steps": 64, "picard_tol": 1e-11, "max_iters": 500},
+    "choice": {"regime": "holder_rule", "q": 0.5, "rho": "certified"},
+    "eval_times": [0.0],
+}
 
 
-def heavy_modules_loaded_by(statement: str) -> list:
-    """The HEAVY modules loaded after running `statement` in a fresh interpreter."""
+def scipy_modules_loaded_by(statement: str) -> list:
+    """The scipy modules loaded after running `statement` in a fresh interpreter."""
     src = str(Path(fvptrunc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import json, sys\n"
             "import fvptrunc, fvptrunc.cli\n"
             f"{statement}\n"
-            f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))\n")
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "                        if m == 'scipy' or m.startswith('scipy.'))))\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def command_loads(argv: list) -> list:
+    """The scipy modules loaded by the CLI command `argv`, which must exit 0."""
+    return scipy_modules_loaded_by(f"assert fvptrunc.cli.main({argv!r}) == 0")
+
+
 def test_import_leaves_heavy_scipy_subpackages_unloaded():
-    assert heavy_modules_loaded_by("pass") == []
+    # and every other scipy module too
+    assert scipy_modules_loaded_by("pass") == []
 
 
 def test_gronwall_check_needs_no_ode_solver():
     # the comparison solution is a closed form, not an integration
-    assert heavy_modules_loaded_by(
-        'fvptrunc.cli.main(["gronwall-check", "--samples", "3"])') == []
+    assert command_loads(["gronwall-check", "--samples", "3"]) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["choose-n", "--rule", "holder", "--delta", "1e-40", "--rho", "1.0", "--q", "0.5"],
+    ["demo-illposed", "--modes", "8"],
+], ids=lambda argv: argv[0])
+def test_command_loads_no_scipy(argv):
+    assert command_loads(argv) == []
+
+
+def test_solve_loads_no_scipy(tmp_path):
+    # a noisy solve runs the quadrature, its banded solve and the noise draw
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SMALL_CONFIG))
+    assert command_loads(["solve", "--config", str(config), "--level", "2", "--delta", "1e-6",
+                          "--output", str(tmp_path / "traj.csv")]) == []
+    assert len((tmp_path / "traj.csv").read_text().splitlines()) == 66
