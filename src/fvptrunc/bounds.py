@@ -170,7 +170,7 @@ class DominanceSample:
 class DominanceReport:
     total: int
     violations: tuple
-    min_margin: float  # min over samples of (bound + slack - measured)
+    min_margin: float  # min over samples of (bound + slack - measured); NaN if any is
 
     @property
     def ok(self) -> bool:
@@ -181,16 +181,18 @@ def check_dominance(samples) -> DominanceReport:
     """Assert measured <= total_bound + slack for every sample.
 
     Violations are collected, not raised; callers decide whether a nonempty
-    list is a test failure (it is, everywhere in this package).
+    list is a test failure (it is, everywhere in this package).  A NaN
+    measured error or slack dominates nothing: the sample is a violation
+    and the report's `min_margin` is NaN.
     """
     violations = []
-    min_margin = math.inf
+    margins = []
     samples = list(samples)
     for s in samples:
         bound = total_bound(s.inputs) + s.slack
-        margin = bound - s.measured
-        min_margin = min(min_margin, margin)
-        if s.measured > bound:
+        margins.append(bound - s.measured)
+        if not s.measured <= bound:
             violations.append(s)
+    min_margin = math.nan if any(map(math.isnan, margins)) else min(margins, default=math.inf)
     return DominanceReport(total=len(samples), violations=tuple(violations),
                            min_margin=min_margin)

@@ -23,6 +23,7 @@ and check a solution independently of the loop.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -52,6 +53,11 @@ class SolverConfig:
     max_iters: int = DEFAULT_MAX_ITERS
 
     def __post_init__(self):
+        for name in ("level", "n_steps", "max_iters"):
+            value = getattr(self, name)
+            # a float slices nothing and a bool is no count
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.level < 1:
             raise ValueError("truncation level must be >= 1")
         if self.n_steps < 1:

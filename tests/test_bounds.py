@@ -248,3 +248,14 @@ class TestDominance:
         assert not report.ok
         assert report.violations == (bad,)
         assert report.total == 2
+
+    @pytest.mark.parametrize("field", ["measured", "slack"])
+    def test_nan_is_a_violation(self, model, field):
+        # a solve that produced a NaN error dominates nothing
+        b = binputs(model, level=1, rho=1.0)
+        nan = DominanceSample(inputs=b, **{"measured": 0.0, "slack": 0.0, field: math.nan})
+        good = DominanceSample(inputs=b, measured=0.0, slack=0.0)
+        report = check_dominance([good, nan, good])
+        assert not report.ok
+        assert report.violations == (nan,)
+        assert math.isnan(report.min_margin)

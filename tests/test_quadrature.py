@@ -29,7 +29,9 @@ class TestExpMoments:
     both branches: the power series below z = 10 and the recurrence above."""
 
     EDGES = [0.0, 1e-12, 1e-3, 0.5, 9.999, 10.0, 10.001, 30.0, 300.0, 699.0]
-    DRAWS = np.random.default_rng(20231).uniform(0.0, 700.0, 200).tolist()
+    # 100 seeded draws in each branch
+    DRAWS = np.random.default_rng(20231).uniform([0.0, 10.0], [10.0, 700.0], (100, 2)) \
+        .ravel().tolist()
 
     @staticmethod
     def exact(z, m):

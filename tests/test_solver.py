@@ -252,6 +252,14 @@ class TestPicard:
         assert len(exc.value.increments) == 2
         assert exc.value.defect > 0
 
+    @pytest.mark.parametrize("field, value", [
+        ("level", 2.0), ("level", True), ("n_steps", 64.5), ("n_steps", np.float64(64.0)),
+        ("max_iters", 10.0), ("max_iters", False)])
+    def test_non_integer_counts_rejected_by_name(self, field, value):
+        kw = {"level": 2, "n_steps": 64, "max_iters": 10, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            SolverConfig(**kw)
+
     def test_level_above_mode_count_rejected(self, model):
         data = SpectralField.basis(model, 1)
         inst = make_instance(model, SourceFunction.zero(), data)
