@@ -22,7 +22,8 @@ interval integrals is one unit-bidiagonal banded triangular solve (BLAS
 dtbsv, transposed lower form); see `exp_kernel_profile` for why that form.
 The dtbsv is the one in the OpenBLAS that numpy's wheels bundle, called
 through ctypes, so the module needs no scipy; with a numpy built on
-another BLAS it is scipy's, chosen once at import.
+another BLAS, or a library that fails a 2 x 2 probe solve, it is
+scipy's, chosen once at import.
 
 A solve runs these quadratures for every retained mode on every Picard
 iteration, so their checks, table lookups and scratch row live in a
@@ -47,17 +48,41 @@ from .errors import ExponentOverflowError
 from .spectral import SAFE_EXP_ARG
 
 
+#: the fixed arguments of the recurrence's cblas_dtbsv: CblasColMajor,
+#: CblasLower, CblasTrans, CblasUnit, then k = 1, lda = 2 and incx = 1
+_CBLAS_FLAGS = tuple(ctypes.c_int(flag) for flag in (102, 122, 112, 132))
+_K, _LDA, _INCX = ctypes.c_int64(1), ctypes.c_int64(2), ctypes.c_int64(1)
+
+
+def _address(a: np.ndarray) -> ctypes.c_void_p:
+    """A pointer to the data of `a` that keeps `a` alive while it lives."""
+    ptr = ctypes.c_void_p(a.__array_interface__["data"][0])
+    ptr._array = a
+    return ptr
+
+
+def _solves_probe(bind) -> bool:
+    """Whether `bind` solves L^T y = (1, 1) for L = [[1, 0], [-2, 1]] to y = (3, 1).
+
+    A library whose dtbsv reads the flags, the integer width or the band
+    otherwise than assumed gives another answer."""
+    x = np.ones(2)
+    bind(np.full((2, 2), -2.0, order="F"))(x)()
+    return x.tolist() == [3.0, 1.0]
+
+
 def _openblas_dtbsv():
     """Binder for cblas_dtbsv of the ILP64 OpenBLAS bundled with numpy, or None.
 
     numpy's wheels ship `libscipy_openblas64_` and load it on import, so
     binding its dtbsv costs no further import.  A numpy built on another
-    BLAS (MKL, Accelerate, a system OpenBLAS) has no such file.  The binder
-    returns a call that overwrites `x` with the solution of L^T y = x,
-    where `band` is the (2, n) Fortran-order band of the unit lower
-    bidiagonal L and `x` a contiguous float row of n.  Its ten arguments,
-    the two buffers' addresses among them, are converted once, so the
-    caller keeps `band` and `x` alive while it uses the call.
+    BLAS (MKL, Accelerate, a system OpenBLAS) has no such file, and a
+    library that fails `_solves_probe` is not used.  The binder takes `band`,
+    the (2, n) Fortran-order band of a unit lower bidiagonal L, and returns
+    a function of a contiguous float row `x` of n.  That gives the call
+    that overwrites `x` with the solution of L^T y = x.  Its ten arguments
+    are converted once, the band's when the band is bound; the two
+    addresses among them hold references to `band` and `x`.
     """
     root = Path(np.__file__).parent
     # numpy.libs/ beside the package on Linux and Windows, .dylibs/ in it on macOS
@@ -72,18 +97,22 @@ def _openblas_dtbsv():
             ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
         fn.restype = None
 
-        def bind(band: np.ndarray, x: np.ndarray):
-            if not (band.dtype == x.dtype == np.float64 and band.shape == (2, x.size)
-                    and band.flags.f_contiguous and x.flags.c_contiguous
-                    and x.flags.writeable):
-                raise ValueError("dtbsv takes a (2, n) Fortran-order float band "
-                                 "and a writeable contiguous float row of n")
-            # CblasColMajor, CblasLower, CblasTrans, CblasUnit; k = 1, lda = 2
-            return partial(fn, ctypes.c_int(102), ctypes.c_int(122), ctypes.c_int(112),
-                           ctypes.c_int(132), ctypes.c_int64(x.size), ctypes.c_int64(1),
-                           ctypes.c_void_p(band.ctypes.data), ctypes.c_int64(2),
-                           ctypes.c_void_p(x.ctypes.data), ctypes.c_int64(1))
-        return bind
+        def bind(band: np.ndarray):
+            if not (band.dtype == np.float64 and band.ndim == 2 and band.shape[0] == 2
+                    and band.flags.f_contiguous):
+                raise ValueError("dtbsv takes a (2, n) Fortran-order float band")
+            n = band.shape[1]
+            head = (*_CBLAS_FLAGS, ctypes.c_int64(n), _K, _address(band), _LDA)
+
+            def solve_on(x: np.ndarray):
+                if not (x.dtype == np.float64 and x.shape == (n,) and x.flags.c_contiguous
+                        and x.flags.writeable):
+                    raise ValueError("dtbsv takes a writeable contiguous float row "
+                                     "as long as the band")
+                return partial(fn, *head, _address(x), _INCX)
+            return solve_on
+        if _solves_probe(bind):
+            return bind
     return None
 
 
@@ -91,10 +120,12 @@ def _scipy_dtbsv():
     """The binder of `_openblas_dtbsv` on scipy's dtbsv, for any other numpy."""
     from scipy.linalg.blas import dtbsv
 
-    def bind(band: np.ndarray, x: np.ndarray):
-        def solve():
-            x[:] = dtbsv(1, band, x, lower=1, trans=1, diag=1, overwrite_x=1)
-        return solve
+    def bind(band: np.ndarray):
+        def solve_on(x: np.ndarray):
+            def solve():
+                x[:] = dtbsv(1, band, x, lower=1, trans=1, diag=1, overwrite_x=1)
+            return solve
+        return solve_on
     return bind
 
 
@@ -106,8 +137,9 @@ _bind_dtbsv = _openblas_dtbsv() or _scipy_dtbsv()
 SCHEME_ORDER = {6: 6}
 
 
-#: the power series of the moments runs to k = 59: below z = 10 the terms
-#: left out are under 10^60 / 60! ~ 1e-22, against M_m(z) >= 1 / (m + 1)
+#: the power series of the moments runs to k = 59 at most, and stops before
+#: its first z^k / k! under 1e-22: below z = 10 the terms left out add up
+#: to less than 1e-21, against M_m(z) >= 1 / (m + 1)
 _SERIES_K = np.arange(60.0)
 _SERIES_FACTORIALS = np.array([float(math.factorial(k)) for k in range(60)])
 
@@ -120,11 +152,16 @@ def _exp_moments(z: float, mmax: int) -> np.ndarray:
     J_m = e^{-z} M_m follows from integration by parts,
     J_m = (1 - m J_{m-1}) / z from J_0 = (1 - e^{-z}) / z, which damps
     errors while m < z; one product with e^z gives M_m.  Both stay within a
-    few ulp of the exact moments.
+    few ulp of the exact moments.  For z < 0 the series alternates and
+    cancels, so such a z is refused.
     """
+    if z < 0.0:
+        raise ValueError(f"exponential moments need z >= 0, got z = {z:.6g}")
     if z < 10.0:
+        powers = z ** _SERIES_K / _SERIES_FACTORIALS
+        k = int(np.argmax(powers < 1e-22)) or powers.size
         m = np.arange(mmax + 1.0)[:, None]
-        terms = (z ** _SERIES_K / _SERIES_FACTORIALS) / (m + _SERIES_K + 1.0)
+        terms = powers[:k] / (m + _SERIES_K[:k] + 1.0)
         vals = np.array([math.fsum(row) for row in terms.tolist()])
     else:
         J = [-math.expm1(-z) / z]
@@ -199,13 +236,28 @@ def _interval_integrals(w: np.ndarray, h: float, table: np.ndarray, out: np.ndar
     out[n - 1] = h * table[0].dot(tail)
 
 
+@lru_cache(maxsize=64)
+def _recurrence_band(z: float, n: int):
+    """The band of the recurrence matrix of rate z on n steps, bound for dtbsv.
+
+    L is n x n with 1 on the diagonal and -e^z on the subdiagonal.  In band
+    storage row 1 holds the subdiagonal; row 0, the unit diagonal, is never
+    read (dtbsv with diag=1).  The band is read-only, as the weight tables
+    are, since every plan of this rate and grid size shares it.  Returns the
+    band and `_bind_dtbsv(band)`, which binds the solve to a plan's row.
+    """
+    band = np.full((2, n), -math.exp(z), order="F")
+    band.flags.writeable = False
+    return band, _bind_dtbsv(band)
+
+
 class QuadraturePlan:
     """The per-mode quadratures of one grid, with every check done once.
 
     For the kernel rates `lams` on a grid of n steps of width h, the plan
-    looks up each rate's weight table and the table of the plain integral
-    once, builds each rate's recurrence band, and owns the scratch row of
-    interval integrals, to which it binds each rate's banded solve.
+    looks up each rate's weight table, the table of the plain integral and
+    each rate's recurrence band once, and owns the scratch row of interval
+    integrals, to which it binds each rate's banded solve.
     `cumulative` and `profile` then do only the arithmetic of
     `backward_cumulative` and `exp_kernel_profile`, which are these same
     calls on a one-off plan.  The rows passed in must be contiguous float
@@ -229,17 +281,13 @@ class QuadraturePlan:
                     f"per-interval growth e^(lam h) overflows (lam h = {z:.6g})")
         self.lams, self.h = lams, h
         self.tables = [_interval_weight_table(z) for z in zs]
-        # band storage of the n x n recurrence matrix L: row 1 holds the
-        # subdiagonal -e^z, row 0 (the unit diagonal) is never read
-        # (dtbsv with diag=1); read-only, as the shared weight tables are
-        self.bands = [np.full((2, n), -math.exp(z), order="F") for z in zs]
-        for band in self.bands:
-            band.flags.writeable = False
         self.plain_table = _interval_weight_table(0.0)
         self.scratch = np.empty(n)
-        # each rate's dtbsv call, bound to its band and the scratch row,
-        # which the plan keeps alive with it
-        self.solves = [_bind_dtbsv(band, self.scratch) for band in self.bands]
+        recurrences = [_recurrence_band(z, n) for z in zs]
+        self.bands = [band for band, _ in recurrences]
+        # each rate's dtbsv call, bound to (and holding) its band and the
+        # scratch row
+        self.solves = [solve_on(self.scratch) for _, solve_on in recurrences]
 
     def cumulative(self, w: np.ndarray, out: np.ndarray) -> None:
         """out = W, W(t_k) = int_{t_k}^{tau} w_interp(s) ds at every grid point."""

@@ -18,7 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fvptrunc import (ConfigError, EigenModel, ExponentOverflowError, GevreyParams,
-                      SpectralField, TimeGrid, Trajectory, closed_form_solution, gevrey_norm)
+                      SpectralField, TimeGrid, Trajectory, closed_form_solution, gevrey_norm,
+                      quadrature)
 from fvptrunc.harness import RHO_SAFETY, _certified_rho
 from fvptrunc.quadrature import (SCHEME_ORDER, QuadraturePlan, _interval_integrals,
                                  _interval_weight_table, _openblas_dtbsv, _scipy_dtbsv,
@@ -478,27 +479,16 @@ def test_kernel_profile_is_the_rounded_recurrence(n, z):
 
 @pytest.mark.parametrize("z", RECURRENCE_ZS)
 @pytest.mark.parametrize("n", RECURRENCE_NS)
-def test_scipy_fallback_is_the_bundled_dtbsv(n, z):
+def test_scipy_fallback_is_the_rounded_recurrence(n, z, monkeypatch):
     """scipy's dtbsv, the fallback for a numpy without its bundled OpenBLAS,
-    solves the recurrence to the same bytes as the bundled one.
-
-    The right-hand sides are the recurrence test's interval integrals (its
-    samples themselves on grids too short for the stencil); overflowing
-    cases must overflow alike.
-    """
-    bundled = _openblas_dtbsv()
-    if bundled is None:
-        pytest.skip("numpy bundles no OpenBLAS here: the fallback is the only path")
-    rng = np.random.default_rng(n)
-    dense = rng.standard_normal(n + 1)
-    decaying = dense * np.exp(-z * np.arange(n + 1))
-    band = np.full((2, n), -math.exp(z), order="F")
-    for w in (dense, decaying):
-        rhs = interval_integrals(w, 1.0 / n, z) if n >= 5 else w[:n].copy()
-        got, want = rhs.copy(), rhs.copy()
-        bundled(band, got)()
-        _scipy_dtbsv()(band, want)()
-        assert got.tobytes() == want.tobytes()
+    passes the recurrence test through the same plans, on every numpy."""
+    # the cached bands carry the binder's solve: none may outlive the swap
+    quadrature._recurrence_band.cache_clear()
+    monkeypatch.setattr(quadrature, "_bind_dtbsv", _scipy_dtbsv())
+    try:
+        test_kernel_profile_is_the_rounded_recurrence(n, z)
+    finally:
+        quadrature._recurrence_band.cache_clear()
 
 
 def test_bundled_dtbsv_refuses_buffers_of_another_layout():
@@ -508,12 +498,19 @@ def test_bundled_dtbsv_refuses_buffers_of_another_layout():
     if bundled is None:
         pytest.skip("numpy bundles no OpenBLAS here: the fallback is the only path")
     band, x = np.full((2, 8), -1.5, order="F"), np.ones(8)
-    bundled(band, x)
-    for bad_band, bad_x in [(np.full((2, 8), -1.5), x), (band, np.ones(9)),
-                            (band, np.ones(16)[::2]), (band, np.ones(8, dtype=np.float32)),
-                            (band.astype(np.float32, order="F"), x)]:
-        with pytest.raises(ValueError, match="dtbsv takes"):
-            bundled(bad_band, bad_x)
+    bundled(band)(x)
+    for bad_band in [np.full((2, 8), -1.5), np.full((3, 8), -1.5, order="F"),
+                     np.full(8, -1.5), band.astype(np.float32, order="F")]:
+        with pytest.raises(ValueError, match="dtbsv takes a"):
+            bundled(bad_band)
+    for bad_x in [np.ones(9), np.ones(16)[::2], np.ones(8, dtype=np.float32),
+                  np.ones((1, 8))]:
+        with pytest.raises(ValueError, match="dtbsv takes a"):
+            bundled(band)(bad_x)
+    read_only = np.ones(8)
+    read_only.flags.writeable = False
+    with pytest.raises(ValueError, match="dtbsv takes a"):
+        bundled(band)(read_only)
 
 
 @pytest.mark.parametrize("order", ORDERS)

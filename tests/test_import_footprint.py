@@ -5,8 +5,11 @@ subpackages costs several times numpy's own import.  The package needs
 numpy only: the quadrature's weight moments are computed in numpy, and
 its banded solve binds dtbsv in the OpenBLAS that numpy's wheels bundle.
 A numpy built without that library (MKL, Accelerate) falls back to
-scipy's dtbsv, loaded at import; there these checks are skipped, and the
-skip says so.  Each check runs in a fresh interpreter, since this test
+scipy's dtbsv, loaded at import with scipy.linalg.  Two checks hold on
+every numpy: no module of scipy.signal, scipy.integrate, scipy.stats or
+scipy.optimize loads, on import or in `gronwall-check`.  The checks that
+no scipy module loads at all are skipped on such a numpy, and the skip
+says so.  Each check runs in a fresh interpreter, since this test
 process may have imported anything already.
 """
 
@@ -21,9 +24,11 @@ import pytest
 import fvptrunc
 from fvptrunc import quadrature
 
-pytestmark = pytest.mark.skipif(
+HEAVY = ("scipy.signal", "scipy.integrate", "scipy.stats", "scipy.optimize")
+
+needs_bundled_dtbsv = pytest.mark.skipif(
     quadrature._openblas_dtbsv() is None,
-    reason="numpy bundles no OpenBLAS here, so dtbsv comes from scipy")
+    reason="numpy bundles no OpenBLAS here, so dtbsv comes from scipy.linalg")
 
 SMALL_CONFIG = {
     "instance": {"tau": 1.0, "mode_count": 6, "source": {"kind": "sin"},
@@ -55,17 +60,27 @@ def command_loads(argv: list) -> list:
     return scipy_modules_loaded_by(f"assert fvptrunc.cli.main({argv!r}) == 0")
 
 
+def heavy(modules: list) -> list:
+    return [m for m in modules if m.startswith(HEAVY)]
+
+
 def test_import_leaves_heavy_scipy_subpackages_unloaded():
-    # and every other scipy module too
-    assert scipy_modules_loaded_by("pass") == []
+    assert heavy(scipy_modules_loaded_by("pass")) == []
 
 
 def test_gronwall_check_needs_no_ode_solver():
     # the comparison solution is a closed form, not an integration
-    assert command_loads(["gronwall-check", "--samples", "3"]) == []
+    assert heavy(command_loads(["gronwall-check", "--samples", "3"])) == []
 
 
+@needs_bundled_dtbsv
+def test_import_loads_no_scipy():
+    assert scipy_modules_loaded_by("pass") == []
+
+
+@needs_bundled_dtbsv
 @pytest.mark.parametrize("argv", [
+    ["gronwall-check", "--samples", "3"],
     ["choose-n", "--rule", "holder", "--delta", "1e-40", "--rho", "1.0", "--q", "0.5"],
     ["demo-illposed", "--modes", "8"],
 ], ids=lambda argv: argv[0])
@@ -73,6 +88,7 @@ def test_command_loads_no_scipy(argv):
     assert command_loads(argv) == []
 
 
+@needs_bundled_dtbsv
 def test_solve_loads_no_scipy(tmp_path):
     # a noisy solve runs the quadrature, its banded solve and the noise draw
     config = tmp_path / "config.json"

@@ -51,6 +51,14 @@ class TestExpMoments:
         with pytest.raises(ExponentOverflowError, match="exponential moments overflow"):
             _exp_moments(z, 5)
 
+    @pytest.mark.parametrize("z", [-1e-300, -1.0, -40.0, -math.inf])
+    def test_negative_rate_refused(self, z):
+        # the power series alternates there and cancels to wrong moments
+        with pytest.raises(ValueError, match="need z >= 0"):
+            _exp_moments(z, 5)
+        with pytest.raises(ValueError, match="need z >= 0"):
+            lagrange_exp_weights(np.arange(-2, 4), z)
+
 
 class TestArgumentChecks:
     """A rate must be >= 0 and a step finite and positive; NaN is neither."""
