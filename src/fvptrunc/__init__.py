@@ -11,7 +11,7 @@ from .errors import (BracketError, ConfigError, ExponentOverflowError, FvptruncE
 from .grids import TimeGrid, Trajectory
 from .harness import (ExperimentConfig, ExperimentReport, ExperimentRow, RateFit,
                       StaircaseResult, add_noise, fit_rate, holder_bound_staircase,
-                      illposed_table, run_experiment)
+                      run_experiment)
 from .param_choice import (HOLDER_RULE, LOG_RULE, ChoiceInputs, LevelChoice,
                            ZetaInverse, choose_level, choose_n_holder, choose_n_log,
                            zeta, zeta_inverse)
@@ -41,7 +41,7 @@ __all__ = [
     "exp_kernel_profile", "fit_rate", "fixed_point_defect",
     "fixed_point_map", "gevrey_norm", "gronwall_bound",
     "gronwall_comparison_solution", "holder_bound_staircase", "illposed_pair",
-    "illposed_table", "l2_norm", "log_noise_bound", "log_total_bound",
+    "l2_norm", "log_noise_bound", "log_total_bound",
     "log_truncation_bound", "mode_coefficient", "mode_roots", "noise_bound",
     "picard_solve", "run_experiment", "self_convergent_reference", "total_bound",
     "truncation_bound", "zeta", "zeta_inverse",

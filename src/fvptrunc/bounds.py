@@ -31,11 +31,18 @@ REGIMES = ("gevrey_p", "gevrey_q")
 
 
 def gronwall_bound(c0: float, c1: float, t: float, tau: float) -> float:
-    """c0 * e^{(1+c1)(tau - t)}."""
+    """c0 * e^{(1+c1)(tau - t)}; ExponentOverflowError past the double range."""
     _check_gronwall_constants(c0, c1, tau)
     if not 0.0 <= t <= tau:
         raise ValueError("need 0 <= t <= tau")
-    return c0 * math.exp((1.0 + c1) * (tau - t))
+    try:
+        bound = c0 * math.exp((1.0 + c1) * (tau - t))
+    except OverflowError:  # e^{...} alone; the product overflows to inf
+        bound = math.inf
+    if bound == math.inf:
+        raise ExponentOverflowError(f"gronwall bound overflows for c1 = {c1:.6g}, "
+                                    f"tau - t = {tau - t:.6g}")
+    return bound
 
 
 def _check_gronwall_constants(c0: float, c1: float, tau: float) -> None:

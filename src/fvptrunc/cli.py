@@ -33,9 +33,10 @@ import numpy as np
 from .bounds import gronwall_bound, gronwall_comparison_solution
 from .errors import (ConfigError, ExponentOverflowError, FvptruncError, NoiseTooLargeError,
                      NonConvergenceError, ReferenceRejectedError)
-from .harness import ExperimentConfig, add_noise, illposed_table, run_experiment
+from .harness import ExperimentConfig, add_noise, run_experiment
 from .param_choice import (HOLDER_RULE, LOG_RULE, ChoiceInputs, choose_level)
 from .problem import FvpInstance
+from .reference import illposed_pair
 from .solver import picard_solve
 from .spectral import EigenModel
 
@@ -117,16 +118,16 @@ def _cmd_solve(args) -> int:
 
 def _cmd_demo_illposed(args) -> int:
     model = EigenModel.dirichlet_1d(args.modes)
-    rows = illposed_table(model, args.tau, args.modes)
+    # every row before the first line: a norm past the range prints no table
+    pairs = [illposed_pair(model, n, args.tau) for n in range(1, args.modes + 1)]
+    rows = [(pair.mode, pair.data_norm, float(pair.solution_norm(0.0)),
+             float(pair.lower_bound(0.0))) for pair in pairs]
     print(f"{'n':>3} {'data_norm':>24} {'solution_norm(0)':>24} {'lower_bound(0)':>24}")
-    for r in rows:
-        print(f"{r['n']:>3} {_fmt(r['data_norm']):>24} "
-              f"{_fmt(r['solution_norm_at_0']):>24} {_fmt(r['lower_bound_at_0']):>24}")
-    data_ok = all(rows[i + 1]["data_norm"] < rows[i]["data_norm"]
-                  for i in range(len(rows) - 1))
-    sol_ok = all(rows[i + 1]["solution_norm_at_0"] > rows[i]["solution_norm_at_0"]
-                 for i in range(len(rows) - 1))
-    bound_ok = all(r["solution_norm_at_0"] >= r["lower_bound_at_0"] for r in rows)
+    for n, data, sol, low in rows:
+        print(f"{n:>3} {_fmt(data):>24} {_fmt(sol):>24} {_fmt(low):>24}")
+    data_ok = all(b[1] < a[1] for a, b in zip(rows, rows[1:]))
+    sol_ok = all(b[2] > a[2] for a, b in zip(rows, rows[1:]))
+    bound_ok = all(sol >= low for _, _, sol, low in rows)
     print(f"data norms strictly decreasing: {data_ok}")
     print(f"solution norms strictly increasing: {sol_ok}")
     print(f"solution >= lower bound everywhere: {bound_ok}")

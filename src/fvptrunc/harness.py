@@ -22,8 +22,8 @@ from .errors import ConfigError, NonConvergenceError
 from .grids import TimeGrid
 from .param_choice import (HOLDER_RULE, LOG_RULE, ChoiceInputs, choose_level)
 from .problem import FvpInstance, SourceFunction
-from .reference import (ReferenceSolution, combined_closed_form, illposed_pair,
-                        richardson_estimate, self_convergent_reference)
+from .reference import (ReferenceSolution, combined_closed_form, richardson_estimate,
+                        self_convergent_reference)
 from .solver import DEFAULT_MAX_ITERS, DEFAULT_PICARD_TOL, SolverConfig, picard_solve
 from .spectral import (SAFE_EXP_ARG, EigenModel, GevreyParams, SpectralField, exp_checked,
                        gevrey_log_norms, l2_norm, scaled_norm_rows)
@@ -327,8 +327,6 @@ def fit_rate_logs(log_x: np.ndarray, log_y: np.ndarray) -> RateFit:
 def fit_rate(points) -> RateFit:
     """Least squares on (ln delta, ln error); needs >= 4 positive pairs."""
     pts = [(float(d), float(e)) for d, e in points]
-    if len(pts) < 4:
-        raise ValueError("rate fits need at least 4 points")
     if any(d <= 0 or e <= 0 for d, e in pts):
         raise ValueError("rate fits need positive deltas and errors")
     return fit_rate_logs(np.log([d for d, _ in pts]), np.log([e for _, e in pts]))
@@ -431,10 +429,11 @@ def _cell_seed(cfg: ExperimentConfig, di: int, trial: int) -> int:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Solve every (t, delta, trial) cell with the rule-chosen level.
 
-    Per (t, delta): choose N by the configured rule.  Per cell: perturb
-    the final data, solve, measure the error against the reference at t,
-    and record the theoretical bounds.  Per t, fit ln(error) vs ln(delta)
-    over the ladder (max error across trials) when it has >= 4 points.
+    Per (t, delta): choose N by the configured rule and compute the bounds
+    its rows and dominance samples share.  Per cell: perturb the final data
+    with the seed of its (delta, trial), solve and measure the error against
+    the reference at t.  Per t, fit ln(error) vs ln(delta) over the ladder
+    (max error across trials) when it has >= 4 points.
     """
     model = cfg.model()
     source = cfg.source()
@@ -448,16 +447,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         raise ConfigError("every delta must be below rho")
 
     report = ExperimentReport(rho=rho, reference=reference)
-    grid = TimeGrid(cfg.tau, cfg.n_steps)
-    eval_idx = [grid.index_of(t) for t in cfg.eval_times]
+    eval_idx = [reference.trajectory.grid.index_of(t) for t in cfg.eval_times]
+    seeds = [[_cell_seed(cfg, di, trial) for trial in range(cfg.trials)]
+             for di in range(len(cfg.deltas))]
     samples = []
 
     @cache
-    def solve(level: int, di: int, trial: int):
+    def solve(level: int, delta: float, seed: int):
         """(states at the eval times, iterations, defect, Richardson term) of one
         noisy solve, shared by every t that chose its level: what the rows read."""
-        delta = cfg.deltas[di]
-        noisy = add_noise(g, delta, cfg.direction, seed=_cell_seed(cfg, di, trial), mode=level)
+        noisy = add_noise(g, delta, cfg.direction, seed=seed, mode=level)
         instance = FvpInstance(model=model, tau=cfg.tau, source=source,
                                final_data=g, noisy_data=noisy, delta=delta)
         res = picard_solve(instance, cfg.solver(level, cfg.n_steps), noisy)
@@ -484,10 +483,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 raise ConfigError(
                     f"desk-scale guard: lambda_{level} * tau = "
                     f"{model.eigenvalue(level) * cfg.tau:.3g} > {SAFE_EXP_ARG}")
+            bi = BoundInputs(model=model, level=level, t=t, tau=cfg.tau,
+                             delta=delta, rho=rho, kappa=source.kappa,
+                             regime=regime, p=cfg.p, q=cfg.q)
+            bounds = dict(truncation_bound=truncation_bound(bi),
+                          noise_bound=noise_bound(bi), total_bound=total_bound(bi))
             worst_err = -math.inf
-            for trial in range(cfg.trials):
+            for trial, seed in enumerate(seeds[di]):
                 try:
-                    at_eval, iterations, defect, rich = solve(level, di, trial)
+                    at_eval, iterations, defect, rich = solve(level, delta, seed)
                 except NonConvergenceError as exc:
                     raise NonConvergenceError(
                         f"cell (t={t:g}, delta={delta:g}, trial={trial}) did not "
@@ -495,18 +499,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                         defect=exc.defect) from exc
                 err = l2_norm(reference.trajectory.state(idx)
                               - SpectralField(model, at_eval[:, ti]))
-                bi = BoundInputs(model=model, level=level, t=t, tau=cfg.tau,
-                                 delta=delta, rho=rho, kappa=source.kappa,
-                                 regime=regime, p=cfg.p, q=cfg.q)
                 slack = 10.0 * rich + reference.error_estimate
                 samples.append(DominanceSample(inputs=bi, measured=err, slack=slack))
                 report.rows.append(ExperimentRow(
-                    t=t, delta=delta, seed=_cell_seed(cfg, di, trial), level=level,
-                    measured_error=err,
-                    truncation_bound=truncation_bound(bi),
-                    noise_bound=noise_bound(bi),
-                    total_bound=total_bound(bi),
-                    iterations=iterations, residual=defect))
+                    t=t, delta=delta, seed=seed, level=level, measured_error=err,
+                    **bounds, iterations=iterations, residual=defect))
                 worst_err = max(worst_err, err)
             series.append((delta, worst_err))
         if len(series) >= 4 and all(e > 0 for _, e in series):
@@ -576,19 +573,3 @@ def holder_bound_staircase(model: EigenModel, tau: float, t: float, q: float,
                            log_bounds=tuple(log_bounds), fit=fit,
                            theoretical_slope=theo)
 
-
-# --------------------------------------------------------------------------
-# the instability table (CLI demo)
-
-def illposed_table(model: EigenModel, tau: float, n_modes: int) -> list[dict]:
-    """Per-mode rows of the blow-up demonstration."""
-    rows = []
-    for n in range(1, n_modes + 1):
-        pair = illposed_pair(model, n, tau)
-        rows.append({
-            "n": n,
-            "data_norm": pair.data_norm,
-            "solution_norm_at_0": float(pair.solution_norm(0.0)),
-            "lower_bound_at_0": float(pair.lower_bound(0.0)),
-        })
-    return rows

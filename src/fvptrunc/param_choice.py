@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import BracketError, NoiseTooLargeError
+from .errors import BracketError, ExponentOverflowError, NoiseTooLargeError
 
 LOG_RULE = "log_rule"
 HOLDER_RULE = "holder_rule"
@@ -73,7 +73,21 @@ class LevelChoice(NamedTuple):
     clamped: bool   # True when floor(raw) < 1
 
 
-def _finish(raw: float) -> LevelChoice:
+def _ratio(big_l: float, denom: float) -> float:
+    """ln(rho/delta) / denom; a denom > 0 that underflowed to 0 is a range error."""
+    if denom == 0.0:
+        raise ExponentOverflowError("the rule's denominator underflows to 0")
+    return big_l / denom
+
+
+def _finish(base: float, d: int) -> LevelChoice:
+    """The level of rule value base^{d/2}; ExponentOverflowError past the double range."""
+    try:
+        raw = base ** (d / 2.0)
+    except OverflowError:
+        raw = math.inf
+    if not math.isfinite(raw):
+        raise ExponentOverflowError(f"rule value {base:.6g}^({d}/2) leaves the double range")
     floored = math.floor(raw)
     return LevelChoice(level=max(1, floored), raw=raw, clamped=floored < 1)
 
@@ -85,11 +99,15 @@ def choose_n_log(ci: ChoiceInputs) -> LevelChoice:
     eta = ci.eta
     big_l = math.log(ci.rho) - math.log(ci.delta)  # rho/delta can overflow
     # ln of (delta/rho)^{-1/eta} ((1/eta) ln(rho/delta))^{-p/eta}
-    inner = (big_l - ci.p * math.log(big_l / eta)) / eta
-    if inner <= 0.0:
-        raise NoiseTooLargeError(
-            "noise too large for the log rule (inner logarithm argument <= 1)")
-    return _finish(inner ** (ci.d / 2.0))
+    inner = _ratio(big_l, eta)
+    if ci.p != 0.0:  # at p = 0 the second factor is 1, whatever its base
+        if inner == 0.0:  # math.log(0) raises
+            raise ExponentOverflowError("ln(rho/delta) / eta underflows to 0")
+        inner = (big_l - ci.p * math.log(inner)) / eta
+        if inner <= 0.0:
+            raise NoiseTooLargeError(
+                "noise too large for the log rule (inner logarithm argument <= 1)")
+    return _finish(inner, ci.d)
 
 
 def choose_n_holder(ci: ChoiceInputs) -> LevelChoice:
@@ -98,8 +116,7 @@ def choose_n_holder(ci: ChoiceInputs) -> LevelChoice:
         raise ValueError("inputs are not for the holder rule")
     denom = ci.e1 * (ci.q + ci.t) + ci.e2 * (ci.tau - ci.t)
     big_l = math.log(ci.rho) - math.log(ci.delta)  # rho/delta can overflow
-    raw = (big_l / denom) ** (ci.d / 2.0)
-    return _finish(raw)
+    return _finish(_ratio(big_l, denom), ci.d)
 
 
 def choose_level(ci: ChoiceInputs) -> LevelChoice:

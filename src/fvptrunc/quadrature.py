@@ -26,8 +26,8 @@ another BLAS, or a library that fails a 2 x 2 probe solve, it is
 scipy's, chosen once at import.
 
 A solve runs these quadratures for every retained mode on every Picard
-iteration, so their checks, table lookups and scratch row live in a
-`QuadraturePlan` built once per solve; `exp_kernel_profile` and
+iteration, so their checks, table lookups, banded solves and scratch row
+live in a `QuadraturePlan` built once per solve; `exp_kernel_profile` and
 `backward_cumulative` run the same code on a one-off plan.
 
 Per-mode arithmetic only ever uses growth factors e^{lam (s - t)} with
@@ -238,17 +238,15 @@ def _interval_integrals(w: np.ndarray, h: float, table: np.ndarray, out: np.ndar
 
 @lru_cache(maxsize=64)
 def _recurrence_band(z: float, n: int):
-    """The band of the recurrence matrix of rate z on n steps, bound for dtbsv.
+    """The banded solve of the recurrence matrix of rate z on n steps.
 
     L is n x n with 1 on the diagonal and -e^z on the subdiagonal.  In band
     storage row 1 holds the subdiagonal; row 0, the unit diagonal, is never
-    read (dtbsv with diag=1).  The band is read-only, as the weight tables
-    are, since every plan of this rate and grid size shares it.  Returns the
-    band and `_bind_dtbsv(band)`, which binds the solve to a plan's row.
+    read (dtbsv with diag=1).  Returns `_bind_dtbsv(band)`, which holds the
+    band and binds the solve to a plan's row; every plan of this rate and
+    grid size shares it.
     """
-    band = np.full((2, n), -math.exp(z), order="F")
-    band.flags.writeable = False
-    return band, _bind_dtbsv(band)
+    return _bind_dtbsv(np.full((2, n), -math.exp(z), order="F"))
 
 
 class QuadraturePlan:
@@ -256,8 +254,8 @@ class QuadraturePlan:
 
     For the kernel rates `lams` on a grid of n steps of width h, the plan
     looks up each rate's weight table, the table of the plain integral and
-    each rate's recurrence band once, and owns the scratch row of interval
-    integrals, to which it binds each rate's banded solve.
+    each rate's banded solve once, and owns the scratch row of interval
+    integrals, to which it binds each rate's solve.
     `cumulative` and `profile` then do only the arithmetic of
     `backward_cumulative` and `exp_kernel_profile`, which are these same
     calls on a one-off plan.  The rows passed in must be contiguous float
@@ -283,11 +281,8 @@ class QuadraturePlan:
         self.tables = [_interval_weight_table(z) for z in zs]
         self.plain_table = _interval_weight_table(0.0)
         self.scratch = np.empty(n)
-        recurrences = [_recurrence_band(z, n) for z in zs]
-        self.bands = [band for band, _ in recurrences]
-        # each rate's dtbsv call, bound to (and holding) its band and the
-        # scratch row
-        self.solves = [solve_on(self.scratch) for _, solve_on in recurrences]
+        # each rate's dtbsv call, holding its band, bound to the scratch row
+        self.solves = [_recurrence_band(z, n)(self.scratch) for z in zs]
 
     def cumulative(self, w: np.ndarray, out: np.ndarray) -> None:
         """out = W, W(t_k) = int_{t_k}^{tau} w_interp(s) ds at every grid point."""
@@ -321,8 +316,7 @@ class QuadraturePlan:
 def exp_kernel_profile(lam: float, h: float, w: np.ndarray) -> np.ndarray:
     """I(t_k) = int_{t_k}^{tau} e^{lam (s - t_k)} w_interp(s) ds at every grid point.
 
-    w_interp is the sixth-order stencil interpolant, as in the solver (this
-    routine once defaulted to a piecewise-linear one, now removed).
+    w_interp is the sixth-order stencil interpolant, as in the solver.
 
     Uses the backward recurrence I_k = A_k + e^{lam h} I_{k+1}, which keeps
     every factor of the form e^{lam (s - t)} with s >= t.  The recurrence
@@ -346,8 +340,7 @@ def exp_kernel_profile(lam: float, h: float, w: np.ndarray) -> np.ndarray:
 def backward_cumulative(h: float, w: np.ndarray) -> np.ndarray:
     """W(t_k) = int_{t_k}^{tau} w_interp(s) ds at every grid point.
 
-    w_interp is the sixth-order stencil interpolant, as in the solver (this
-    routine once defaulted to a piecewise-linear one, now removed).
+    w_interp is the sixth-order stencil interpolant, as in the solver.
     """
     w = np.ascontiguousarray(w, dtype=float)
     out = np.empty(w.size)

@@ -108,17 +108,23 @@ def _growth_rows(lam: np.ndarray, back: np.ndarray, data: np.ndarray) -> np.ndar
     return np.exp(args) * data[:, None]
 
 
-def _check_level(cfg: SolverConfig, model: EigenModel) -> None:
-    if cfg.level > model.mode_count:
+def _solve_setup(instance: FvpInstance, cfg: SolverConfig, grid: TimeGrid,
+                 data: SpectralField) -> tuple[np.ndarray, QuadraturePlan]:
+    """The map's leading term G_N(tau - t) data on `grid`, as (N, n+1) rows,
+    and the `QuadraturePlan` of the N modes: what every map of a solve shares."""
+    if cfg.level > instance.model.mode_count:
         raise ValueError("truncation level exceeds the model mode count")
+    lams = instance.model.lambdas[:cfg.level]
+    lead = _growth_rows(lams, instance.tau - grid.points, data.coeffs[:cfg.level])
+    return lead, QuadraturePlan(lams, grid.h, grid.n_steps)
 
 
 def _map_retained(rows: np.ndarray, instance: FvpInstance, plan: QuadraturePlan,
                   lead: np.ndarray) -> np.ndarray:
     """fixed_point_map on the retained modes, mode-major: (N, n+1) rows to
     their (N, n+1) image.  `lead` is the map's term that does not depend on
-    the iterate, G_N(tau - t) data on the grid (`_growth_rows`), and `plan`
-    holds the modes' quadratures; both are built once per solve."""
+    the iterate and `plan` holds the modes' quadratures, both from
+    `_solve_setup`."""
     integrand = instance.source.apply(rows)  # F, a new array
     out = np.empty_like(lead)
     for j, row in enumerate(rows):
@@ -145,12 +151,8 @@ def fixed_point_map(v: Trajectory, instance: FvpInstance, cfg: SolverConfig,
     integral of F_j(s, v(s)) + W_j(s), where W_j(s) = int_s^tau v_j.
     Modes beyond the truncation level are zero.
     """
-    _check_level(cfg, instance.model)
-    N = cfg.level
-    lead = _growth_rows(instance.model.lambdas[:N], instance.tau - v.grid.points,
-                        data.coeffs[:N])
-    plan = QuadraturePlan(instance.model.lambdas[:N], v.grid.h, v.grid.n_steps)
-    image = _map_retained(v.states[:N], instance, plan, lead)
+    lead, plan = _solve_setup(instance, cfg, v.grid, data)
+    image = _map_retained(v.states[:cfg.level], instance, plan, lead)
     return _padded(v.grid, instance.model, image)
 
 
@@ -193,9 +195,9 @@ def picard_solve(instance: FvpInstance, cfg: SolverConfig, data: SpectralField) 
 
     The iterates are the (N, n+1) rows of the retained modes; the result
     is padded to the model's mode count once, at the end.  The leading
-    term and a `QuadraturePlan` of the N modes are built once per solve,
-    so the checks, weight tables, recurrence bands and scratch row of the
-    quadratures are not repeated per iteration.
+    term and the `QuadraturePlan` of the N modes (`_solve_setup`) are built
+    once per solve, so the checks, weight tables, banded solves and scratch
+    row of the quadratures are not repeated per iteration.
 
     The defect is fixed_point_defect of the result taken on the retained
     rows, since the modes above N are zero in the result and in its image.
@@ -204,12 +206,7 @@ def picard_solve(instance: FvpInstance, cfg: SolverConfig, data: SpectralField) 
     runs exactly `iterations` maps.
     """
     grid = cfg.grid(instance.tau)
-    model = instance.model
-    N = cfg.level
-    _check_level(cfg, model)
-
-    lead = _growth_rows(model.lambdas[:N], instance.tau - grid.points, data.coeffs[:N])
-    plan = QuadraturePlan(model.lambdas[:N], grid.h, grid.n_steps)
+    lead, plan = _solve_setup(instance, cfg, grid, data)
     v = lead
     bound = sup_over_time(v)  # an upper bound of sup_over_time(v)
     increments: list[float] = []
@@ -236,5 +233,5 @@ def picard_solve(instance: FvpInstance, cfg: SolverConfig, data: SpectralField) 
             f"no convergence after {cfg.max_iters} iterations "
             f"(last increment {increments[-1]:.3e})",
             increments=increments, defect=defect_of())
-    return PicardResult(trajectory=_padded(grid, model, v), iterations=its,
+    return PicardResult(trajectory=_padded(grid, instance.model, v), iterations=its,
                         defect_of=defect_of, increments=increments)

@@ -76,6 +76,16 @@ class TestGronwall:
             assert sol.success
             assert np.max(np.abs(u - sol.y[0][::-1]) / u) <= 1e-10
 
+    def test_overflow_signalled(self):
+        # e^1001 itself, and c0 e^600 with c0 = 1e300, leave the double range
+        with pytest.raises(ExponentOverflowError):
+            gronwall_bound(1.0, 1000.0, 0.0, 1.0)
+        with pytest.raises(ExponentOverflowError):
+            gronwall_bound(1e300, 1.0, 0.0, 300.0)
+        # finite values are the plain product's, and c0 itself at t = tau
+        assert gronwall_bound(1e-10, 708.5, 0.0, 1.0) == 1e-10 * math.exp(709.5)
+        assert gronwall_bound(1e300, 1000.0, 1.0, 1.0) == 1e300
+
     def test_comparison_solution_overflow_signalled(self):
         with pytest.raises(ExponentOverflowError):
             gronwall_comparison_solution(1.0, 5.0, 200.0)

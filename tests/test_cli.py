@@ -37,6 +37,25 @@ def test_choose_n(capsys):
     assert "N = 2" in out
 
 
+#: rule values past the double range: a 0 * inf, an infinite quotient, a
+#: `**` that overflows, a denominator and a log argument that underflow to 0
+CHOOSE_N_PAST_THE_RANGE = [
+    "choose-n --rule log --delta 1e-300 --rho 1 --p 0 --e1 1e-308 --e2 1e-308",
+    "choose-n --rule holder --delta 1e-300 --rho 1 --q 1 --e1 1e-320 --e2 1e-320",
+    "choose-n --rule holder --delta 1e-300 --rho 1 --q 0.5 --d 4 --e1 1e-200 --e2 1e-200",
+    "choose-n --rule holder --delta 1e-10 --rho 1 --t 1e-10 --tau 1e-10 --e1 1e-320 --e2 1e-320",
+    "choose-n --rule log --delta 0.5 --rho 1 --p 1 --t 1e300 --tau 1e300 --e1 1e300",
+]
+
+
+@pytest.mark.parametrize("argv", CHOOSE_N_PAST_THE_RANGE)
+def test_choose_n_past_the_double_range_exits_2(argv, capsys):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("range error:") and len(captured.err.splitlines()) == 1
+
+
 def test_choose_n_noise_too_large_exits_2(capsys):
     code = main(["choose-n", "--rule", "holder", "--delta", "2.0", "--rho", "1.0",
                  "--q", "0.5"])
@@ -85,12 +104,15 @@ def test_bad_option_value_exits_2_with_one_message(argv, config_path, capsys):
     assert [line for line in lines if "error:" in line] == lines[-1:]
 
 
-def test_demo_illposed(capsys):
-    code = main(["demo-illposed", "--modes", "6"])
+@pytest.mark.parametrize("modes", ["6", "8"])
+def test_demo_illposed(modes, capsys):
+    code = main(["demo-illposed", "--modes", modes])
     out = capsys.readouterr().out
     assert code == 0
+    assert len(out.splitlines()) == int(modes) + 4
     assert "strictly decreasing: True" in out
     assert "strictly increasing: True" in out
+    assert "solution >= lower bound everywhere: True" in out
 
 
 def test_gronwall_check(capsys):
@@ -357,3 +379,36 @@ def test_mutated_config_exits_with_a_documented_code(leaf, value):
     code, err = _experiment_exit(_mutated(*leaf, value))
     assert code in (0, 2, 3, 4)
     assert len(err.splitlines()) <= 1
+
+
+# --------------------------------------------------------------------------
+# fuzzing choose-n: every numeric option a finite value its parser admits
+
+MAGNITUDES = st.floats(min_value=1e-320, max_value=1e300)
+NON_NEGATIVE = st.one_of(st.just(0.0), MAGNITUDES)
+
+
+@st.composite
+def choose_n_argvs(draw) -> list:
+    argv = ["choose-n", "--rule", draw(st.sampled_from(["log", "holder"]))]
+    for name in ("delta", "rho", "tau", "e1", "e2"):
+        argv += [f"--{name}", repr(draw(MAGNITUDES))]
+    for name in ("t", "p", "q"):
+        argv += [f"--{name}", repr(draw(NON_NEGATIVE))]
+    return argv + ["--d", str(draw(st.integers(1, 2000)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(choose_n_argvs())
+@example(CHOOSE_N_PAST_THE_RANGE[0].split())
+@example(CHOOSE_N_PAST_THE_RANGE[1].split())
+@example(CHOOSE_N_PAST_THE_RANGE[2].split())
+@example(CHOOSE_N_PAST_THE_RANGE[3].split())
+@example(CHOOSE_N_PAST_THE_RANGE[4].split())
+def test_fuzzed_choose_n_exits_0_or_2(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    assert len(err.getvalue().splitlines()) <= 1
+    assert "Traceback" not in err.getvalue()

@@ -482,7 +482,7 @@ def test_kernel_profile_is_the_rounded_recurrence(n, z):
 def test_scipy_fallback_is_the_rounded_recurrence(n, z, monkeypatch):
     """scipy's dtbsv, the fallback for a numpy without its bundled OpenBLAS,
     passes the recurrence test through the same plans, on every numpy."""
-    # the cached bands carry the binder's solve: none may outlive the swap
+    # the cached banded solves come from the binder: none may outlive the swap
     quadrature._recurrence_band.cache_clear()
     monkeypatch.setattr(quadrature, "_bind_dtbsv", _scipy_dtbsv())
     try:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fvptrunc import (ConfigError, EigenModel, ExperimentConfig, SpectralField,
-                      add_noise, fit_rate, illposed_table, l2_norm, run_experiment)
+                      add_noise, fit_rate, l2_norm, run_experiment)
 from fvptrunc.harness import build_reference
 
 PI2 = math.pi ** 2
@@ -284,13 +284,3 @@ class TestRunExperiment:
         first = text.splitlines()[1].split(",")
         assert len(first) == 10
 
-
-class TestIllposedTable:
-    def test_monotone_columns(self, model):
-        rows = illposed_table(model, 1.0, 8)
-        data = [r["data_norm"] for r in rows]
-        sol = [r["solution_norm_at_0"] for r in rows]
-        assert all(b < a for a, b in zip(data, data[1:]))
-        assert all(b > a for a, b in zip(sol, sol[1:]))
-        for r in rows:
-            assert r["solution_norm_at_0"] >= r["lower_bound_at_0"]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fvptrunc import ExponentOverflowError, TimeGrid, backward_cumulative
+from fvptrunc import ExponentOverflowError, TimeGrid, backward_cumulative, quadrature
 from fvptrunc.quadrature import (SCHEME_ORDER, QuadraturePlan, _exp_moments,
                                  exp_kernel_profile, lagrange_exp_weights)
 from fvptrunc.solver import DEFAULT_QUADRATURE_ORDER
@@ -206,24 +206,25 @@ class TestValidation:
 
 
 class TestRecurrenceBand:
-    def test_band_is_read_only_and_reused(self):
-        # one plan's band serves every profile call of the plan
+    def test_band_is_cached_and_reused(self):
+        # every plan of one rate and grid size shares one bound banded
+        # solve, and a plan's solve serves every profile call of the plan
         h = 1.0 / 64
         lam = 0.75 / h
         w = np.linspace(0.0, 1.0, 65)
+        quadrature._recurrence_band.cache_clear()
         plan = QuadraturePlan((lam,), h, 64)
-        band = plan.bands[0]
-        assert not band.flags.writeable
-        with pytest.raises(ValueError):
-            band[1, 0] = 0.0
-        first, again = np.empty(65), np.empty(65)
+        other = QuadraturePlan((lam, 0.5 * lam), h, 64)
+        info = quadrature._recurrence_band.cache_info()
+        assert (info.misses, info.hits) == (2, 1)
+        first, again, second = np.empty(65), np.empty(65), np.empty(65)
         plan.profile(0, w, first)
         plan.profile(0, 2.0 * w, again)
-        assert plan.bands[0] is band
+        other.profile(0, w, second)
         assert first.tobytes() == exp_kernel_profile(lam, h, w).tobytes()
         assert again.tobytes() == (2.0 * first).tobytes()
-        assert band.shape == (2, 64) and band.flags.f_contiguous
-        assert np.all(band[1] == -math.exp(lam * h))
+        assert second.tobytes() == first.tobytes()
+        assert quadrature._recurrence_band.cache_info().hits == 2
 
 
 class TestQuadraturePlan:
