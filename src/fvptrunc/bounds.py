@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExponentOverflowError, UnsupportedRegimeError
-from .spectral import EigenModel, exp_checked
+from .errors import UnsupportedRegimeError
+from .spectral import EigenModel, checked, exp_checked, exp_or_inf
 
 REGIMES = ("gevrey_p", "gevrey_q")
 
@@ -35,14 +35,8 @@ def gronwall_bound(c0: float, c1: float, t: float, tau: float) -> float:
     _check_gronwall_constants(c0, c1, tau)
     if not 0.0 <= t <= tau:
         raise ValueError("need 0 <= t <= tau")
-    try:
-        bound = c0 * math.exp((1.0 + c1) * (tau - t))
-    except OverflowError:  # e^{...} alone; the product overflows to inf
-        bound = math.inf
-    if bound == math.inf:
-        raise ExponentOverflowError(f"gronwall bound overflows for c1 = {c1:.6g}, "
-                                    f"tau - t = {tau - t:.6g}")
-    return bound
+    return checked(c0 * exp_or_inf((1.0 + c1) * (tau - t)),
+                   "gronwall bound overflows for c1 = %.6g, tau - t = %.6g", c1, tau - t)
 
 
 def _check_gronwall_constants(c0: float, c1: float, tau: float) -> None:
@@ -71,11 +65,9 @@ def gronwall_comparison_solution(c0: float, c1: float, tau: float,
     r1 = 0.5 * (c1 + math.sqrt(c1 * c1 + 4.0 * c1))
     r2 = -c1 / r1  # the product of the roots; r1 + r2 would cancel
     a = c0 * (c1 - r2) / (r1 - r2)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         x = a * np.exp(r1 * w) + (c0 - a) * np.exp(r2 * w)
-    if not np.all(np.isfinite(x)):
-        raise ExponentOverflowError(
-            f"comparison solution overflows: r1 tau = {r1 * tau:.6g}")
+    checked(x, "comparison solution overflows: r1 tau = %.6g", r1 * tau)
     x[-1] = c0
     return pts, x
 
@@ -160,8 +152,10 @@ def noise_bound(b: BoundInputs) -> float:
 
 
 def total_bound(b: BoundInputs) -> float:
-    """truncation_bound + noise_bound."""
-    return truncation_bound(b) + noise_bound(b)
+    """truncation_bound + noise_bound; ExponentOverflowError if the sum of
+    two finite terms leaves the double range."""
+    return checked(truncation_bound(b) + noise_bound(b),
+                   "total bound exceeds the floating range")
 
 
 @dataclass(frozen=True)

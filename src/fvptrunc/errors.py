@@ -6,7 +6,8 @@ class FvptruncError(Exception):
 
 
 class ExponentOverflowError(FvptruncError, ArithmeticError):
-    """An exponential factor left the double range; raised instead of
+    """A computed value is not a finite double (an exponential factor, or
+    a product or sum of them, left the double range); raised instead of
     silently producing inf, because callers must distinguish 'value too
     large to represent' from an actual numeric result."""
 

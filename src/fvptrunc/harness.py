@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cache
 from typing import NamedTuple
@@ -25,7 +26,7 @@ from .problem import FvpInstance, SourceFunction
 from .reference import (ReferenceSolution, combined_closed_form, richardson_estimate,
                         self_convergent_reference)
 from .solver import DEFAULT_MAX_ITERS, DEFAULT_PICARD_TOL, SolverConfig, picard_solve
-from .spectral import (SAFE_EXP_ARG, EigenModel, GevreyParams, SpectralField, exp_checked,
+from .spectral import (EigenModel, GevreyParams, SpectralField, checked, exp_checked,
                        gevrey_log_norms, l2_norm, scaled_norm_rows)
 
 RHO_SAFETY = 1.01                # grid-max to essential-sup safety factor
@@ -404,7 +405,8 @@ def _certified_rho(reference: ReferenceSolution, gp: GevreyParams) -> float:
     worst = exp_checked(float(np.max(log_norms)), "Gevrey norm")
     if worst <= 0.0:
         raise ConfigError("cannot certify rho: reference has zero weighted norm")
-    return RHO_SAFETY * worst
+    return checked(RHO_SAFETY * worst, "certified rho (%g times the Gevrey norm %.6g) "
+                   "exceeds the floating range", RHO_SAFETY, worst)
 
 
 def build_reference(cfg: ExperimentConfig) -> ReferenceSolution:
@@ -476,13 +478,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 level = model.mode_count
                 report.flags.append(
                     f"level capped at mode_count for t={t:g}, delta={delta:g}")
-            # the leading term e^{lambda_N tau} g_N stays finite for data
-            # coefficients up to e^9 ~ 8e3, the headroom of quadrature's
-            # per-interval cap, which is the same SAFE_EXP_ARG
-            if model.eigenvalue(level) * cfg.tau > SAFE_EXP_ARG:
-                raise ConfigError(
-                    f"desk-scale guard: lambda_{level} * tau = "
-                    f"{model.eigenvalue(level) * cfg.tau:.3g} > {SAFE_EXP_ARG}")
             bi = BoundInputs(model=model, level=level, t=t, tau=cfg.tau,
                              delta=delta, rho=rho, kappa=source.kappa,
                              regime=regime, p=cfg.p, q=cfg.q)
@@ -553,12 +548,9 @@ def holder_bound_staircase(model: EigenModel, tau: float, t: float, q: float,
     rs = np.linspace(r_min, r_max, n_points)
     deltas, levels, log_bounds = [], [], []
     for r in rs:
-        log_delta = math.log(rho) - denom * r ** (2.0 / model.dimension)
-        # the mirror of the overflow cap: e^{-700} ~ 1e-304 is still a
-        # normal double
-        if log_delta < -SAFE_EXP_ARG:
-            raise ValueError("ladder extends past the double range; reduce r_max")
-        delta = math.exp(log_delta)
+        delta = math.exp(math.log(rho) - denom * r ** (2.0 / model.dimension))
+        if delta < sys.float_info.min:  # a subnormal delta lost digits; 0 has no log
+            raise ValueError("ladder delta is not a normal double; reduce r_max")
         ci = ChoiceInputs(regime=HOLDER_RULE, rho=rho, delta=delta, t=t, tau=tau,
                           d=model.dimension, e1=model.e1, e2=model.e2, q=q)
         level = min(choose_level(ci).level, model.mode_count)

@@ -8,7 +8,7 @@ growth constants e1, e2 (lambda_n between e1 n^{2/d} and e2 n^{2/d}):
   exponential-regime (Holder rate delta^{e1(q+t)/(e1(q+t)+e2(tau-t))}):
       r = ( ln(rho/delta) / (e1 (q+t) + e2 (tau - t)) )^{d/2}
 
-The returned level is max(1, floor(r)); desk-scale noise often produces
+The returned level is max(1, floor(r)); noise close to rho often produces
 r < 1, which the rules clamp and flag.  The n-th root inversion behind the
 first rule (inverse of s -> s^b (d ln(1/s))^{-c}) is exposed separately,
 with both a rigorous bisection inverse and its closed-form asymptotic, so
@@ -21,7 +21,10 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import BracketError, ExponentOverflowError, NoiseTooLargeError
+from .spectral import checked
 
 LOG_RULE = "log_rule"
 HOLDER_RULE = "holder_rule"
@@ -74,20 +77,18 @@ class LevelChoice(NamedTuple):
 
 
 def _ratio(big_l: float, denom: float) -> float:
-    """ln(rho/delta) / denom; a denom > 0 that underflowed to 0 is a range error."""
+    """ln(rho/delta) / denom; a denom > 0 that underflowed to 0, or a
+    quotient past the double range, is a range error."""
     if denom == 0.0:
         raise ExponentOverflowError("the rule's denominator underflows to 0")
-    return big_l / denom
+    return checked(big_l / denom, "ln(rho/delta) / %.6g leaves the double range", denom)
 
 
 def _finish(base: float, d: int) -> LevelChoice:
     """The level of rule value base^{d/2}; ExponentOverflowError past the double range."""
-    try:
-        raw = base ** (d / 2.0)
-    except OverflowError:
-        raw = math.inf
-    if not math.isfinite(raw):
-        raise ExponentOverflowError(f"rule value {base:.6g}^({d}/2) leaves the double range")
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = float(np.float64(base) ** (d / 2.0))  # libm pow, as float's `**`
+    checked(raw, "rule value %.6g^(%d/2) leaves the double range", base, d)
     floored = math.floor(raw)
     return LevelChoice(level=max(1, floored), raw=raw, clamped=floored < 1)
 

@@ -27,12 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExponentOverflowError, ReferenceRejectedError, UnsupportedRegimeError
+from .errors import ReferenceRejectedError, UnsupportedRegimeError
 from .grids import TimeGrid, Trajectory
 from .problem import FvpInstance
 from .quadrature import SCHEME_ORDER
 from .solver import DEFAULT_QUADRATURE_ORDER, SolverConfig, picard_solve
-from .spectral import EigenModel, SpectralField
+from .spectral import EigenModel, SpectralField, checked
 
 
 @dataclass(frozen=True)
@@ -62,18 +62,9 @@ def mode_roots(lam: float, c: float) -> LinearModeRoots:
     return LinearModeRoots(alpha=alpha, beta=beta, lam=lam, c=c)
 
 
-def _in_range(values: np.ndarray, roots: LinearModeRoots, w: np.ndarray) -> np.ndarray:
-    """`values`, or ExponentOverflowError if one left the double range.
-
-    Callers compute `values` with overflow warnings off: the growth factor
-    e^{|beta| w} is the only term that can overflow, and it makes the value
-    itself infinite when it does.
-    """
-    if not np.all(np.isfinite(values)):
-        raise ExponentOverflowError(
-            f"e^(|beta| (tau - t)) overflows: |beta| (tau - t) = "
-            f"{abs(roots.beta) * float(np.max(w)):.6g} (lambda = {roots.lam:.6g})")
-    return values
+#: the message of a closed-form value past the double range: the growth
+#: factor e^{|beta| w} is the only term that can overflow, with |beta| w and lambda
+_GROWTH_OVERFLOW = "e^(|beta| (tau - t)) overflows: |beta| (tau - t) = %.6g (lambda = %.6g)"
 
 
 def mode_coefficient(roots: LinearModeRoots, tau: float, t) -> np.ndarray:
@@ -83,9 +74,9 @@ def mode_coefficient(roots: LinearModeRoots, tau: float, t) -> np.ndarray:
     """
     a, b = roots.alpha, roots.beta
     w = tau - np.asarray(t, dtype=float)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         u = (a * np.exp(-a * w) - b * np.exp(-b * w)) / (a - b)
-    return _in_range(u, roots, w)
+    return checked(u, _GROWTH_OVERFLOW, abs(b) * float(np.max(w)), roots.lam)
 
 
 @dataclass(frozen=True)
@@ -159,9 +150,9 @@ class IllposedPair:
         """e^{|beta| (tau - t)} / |beta|; ExponentOverflowError past the double range."""
         b = abs(self.roots.beta)
         w = self.tau - np.asarray(t, dtype=float)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             bound = np.exp(b * w) / b
-        return _in_range(bound, self.roots, w)
+        return checked(bound, _GROWTH_OVERFLOW, b * float(np.max(w)), self.roots.lam)
 
 
 def illposed_pair(model: EigenModel, n: int, tau: float) -> IllposedPair:

@@ -5,6 +5,9 @@ the Dirichlet eigenbasis of -d2/dx2, phi_j(x) = sqrt(2) sin(j pi x) with
 eigenvalues lambda_j = j^2 pi^2.  Abstract eigenvalue sequences (d >= 1)
 are supported too.  Everything here works on coefficients; nothing
 evaluates a field at points of the domain.
+
+`checked` holds the package's one overflow test: a value is out of range
+exactly when it is not a finite double, and there is no exponent cap.
 """
 
 from __future__ import annotations
@@ -15,13 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ExponentOverflowError
-
-# exp(x) overflows double precision just above this
-MAX_EXP_ARG = 709.0
-# The exponent caps on config and grid values, 9 below the double range:
-# e^700 ~ 1e304 leaves a factor e^9 ~ 8e3 of headroom before overflow, and
-# e^{-700} is still a normal double, e^8 above the smallest (~ e^{-708.4}).
-SAFE_EXP_ARG = MAX_EXP_ARG - 9.0
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -257,12 +253,35 @@ def gevrey_log_norms(lambdas: np.ndarray, coeffs: np.ndarray, gp: GevreyParams) 
     return 0.5 * _row_logsumexp(log_terms)
 
 
+def checked(value, message: str, *args):
+    """`value` if it is a finite double (every entry, for an array), else
+    ExponentOverflowError(message % args).
+
+    The package's one overflow test: a quantity is out of range exactly
+    when it is not finite.  Callers compute `value` with numpy's over and
+    invalid warnings off (and `exp_or_inf` in place of `math.exp`), so an
+    overflow anywhere on the way shows up as inf or NaN in the value
+    itself.  The message is formatted only when it is raised.
+    """
+    ok = math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()
+    if not ok:
+        raise ExponentOverflowError(message % args)
+    return value
+
+
+def exp_or_inf(x: float) -> float:
+    """math.exp(x), with inf where math.exp raises OverflowError (as numpy's
+    exp gives inf), for `checked` to reject."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def exp_checked(log_value: float, what: str) -> float:
     """exp(log_value); ExponentOverflowError naming `what` past the double range."""
-    if log_value > MAX_EXP_ARG:
-        raise ExponentOverflowError(f"{what} exceeds the floating range "
-                                    f"(log value = {log_value:.6g})")
-    return math.exp(log_value)
+    return checked(exp_or_inf(log_value), "%s exceeds the floating range (log value = %.6g)",
+                   what, log_value)
 
 
 def gevrey_norm(psi: SpectralField, gp: GevreyParams) -> float:

@@ -37,10 +37,12 @@ def test_choose_n(capsys):
     assert "N = 2" in out
 
 
-#: rule values past the double range: a 0 * inf, an infinite quotient, a
-#: `**` that overflows, a denominator and a log argument that underflow to 0
+#: rule values past the double range: a 0 * inf, an infinite quotient (at
+#: p = 0 and at p > 0, where it is no "noise too large"), a `**` that
+#: overflows, a denominator and a log argument that underflow to 0
 CHOOSE_N_PAST_THE_RANGE = [
     "choose-n --rule log --delta 1e-300 --rho 1 --p 0 --e1 1e-308 --e2 1e-308",
+    "choose-n --rule log --delta 1e-300 --rho 1 --p 1e-3 --e1 1e-308 --e2 1e-308",
     "choose-n --rule holder --delta 1e-300 --rho 1 --q 1 --e1 1e-320 --e2 1e-320",
     "choose-n --rule holder --delta 1e-300 --rho 1 --q 0.5 --d 4 --e1 1e-200 --e2 1e-200",
     "choose-n --rule holder --delta 1e-10 --rho 1 --t 1e-10 --tau 1e-10 --e1 1e-320 --e2 1e-320",
@@ -198,6 +200,18 @@ def test_unknown_key_exit_code(tmp_path, config_path):
     bad.write_text(json.dumps(doc))
     assert main(["experiment", "--config", str(bad),
                  "--output-dir", str(tmp_path / "out")]) == 2
+
+
+def test_solve_overflow_is_one_range_error_line(tmp_path, config_path, capsys):
+    # F = 1000 u overflows within the first maps; numpy's over/invalid
+    # warnings (errors in this suite) must not reach stderr before the message
+    doc = json.loads(config_path.read_text())
+    doc["instance"]["source"]["c"] = 1000.0
+    path = tmp_path / "c1000.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--config", str(path), "--level", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("range error:") and len(err.splitlines()) == 1
 
 
 def test_nonconvergence_exit_code(tmp_path, config_path):
@@ -405,6 +419,7 @@ def choose_n_argvs(draw) -> list:
 @example(CHOOSE_N_PAST_THE_RANGE[2].split())
 @example(CHOOSE_N_PAST_THE_RANGE[3].split())
 @example(CHOOSE_N_PAST_THE_RANGE[4].split())
+@example(CHOOSE_N_PAST_THE_RANGE[5].split())
 def test_fuzzed_choose_n_exits_0_or_2(argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from fvptrunc import (ConfigError, EigenModel, ExperimentConfig, SpectralField,
-                      add_noise, fit_rate, l2_norm, run_experiment)
+from fvptrunc import (ConfigError, EigenModel, ExperimentConfig, ExponentOverflowError,
+                      SpectralField, add_noise, fit_rate, l2_norm, run_experiment)
 from fvptrunc.harness import build_reference
 
 PI2 = math.pi ** 2
@@ -259,7 +259,8 @@ class TestRunExperiment:
         doc["noise"]["deltas"] = [math.exp(-696)]
         doc["choice"] = {"regime": "holder_rule", "q": 0.1, "rho": 1e30}
         doc["eval_times"] = [0.0]
-        with pytest.raises(ConfigError, match="desk-scale guard"):
+        # lambda_5 * tau = 740: the solve's growth factor leaves the double range
+        with pytest.raises(ExponentOverflowError, match=r"e\^\(lambda_5 s\) overflows"):
             run_experiment(ExperimentConfig.from_dict(doc))
 
     def test_level_capped_at_mode_count_flagged(self):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -130,6 +131,16 @@ class TestRateConsistency:
         assert sc.theoretical_slope == pytest.approx(1.0 / 3.0, rel=1e-12)
         assert abs(sc.fit.slope - sc.theoretical_slope) <= 0.2
         assert sc.non_increasing
+
+    def test_holder_bound_staircase_deltas_stay_normal_doubles(self):
+        # denom = 1.5 pi^2: r = 6.9 gives delta ~ e^{-704.8}, a normal double;
+        # r = 7 gives e^{-725.4}, a subnormal one
+        model = EigenModel.dirichlet_1d(8)
+        args = dict(tau=1.0, t=0.0, q=0.5, rho=1.0, kappa=1.0, n_points=4, r_min=6.0)
+        sc = holder_bound_staircase(model, r_max=6.9, **args)
+        assert min(sc.deltas) >= sys.float_info.min
+        with pytest.raises(ValueError, match="not a normal double"):
+            holder_bound_staircase(model, r_max=7.0, **args)
 
     def test_log_regime_bound_matches_form(self):
         # with N from the log rule, the bound divided by the theoretical

@@ -252,7 +252,7 @@ class TestQuadraturePlan:
                 assert profile[j].tobytes() == exp_kernel_profile(lams[j], h, row).tobytes()
 
     def test_checks_every_rate_up_front(self):
-        with pytest.raises(ExponentOverflowError, match="per-interval growth"):
+        with pytest.raises(ExponentOverflowError, match="exponential moments overflow at z = 800"):
             QuadraturePlan(np.array([1.0, 800.0]), 1.0, 16)
         with pytest.raises(ValueError, match="lam must be >= 0"):
             QuadraturePlan(np.array([1.0, -1.0]), 0.1, 16)
