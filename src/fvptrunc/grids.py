@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .spectral import EigenModel, SpectralField, _readonly, scaled_norm_rows, sup_row_norm
+
+
+def require_int(name: str, value) -> None:
+    """ValueError naming `name` unless `value` is an int: a float slices
+    nothing and a bool is no count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -20,6 +28,7 @@ class TimeGrid:
     def __post_init__(self):
         if not (math.isfinite(self.tau) and self.tau > 0.0):
             raise ValueError(f"tau must be finite and positive, got {self.tau!r}")
+        require_int("n_steps", self.n_steps)
         if self.n_steps < 1:
             raise ValueError("n_steps must be a positive integer")
         pts = np.linspace(0.0, self.tau, self.n_steps + 1)
@@ -49,7 +58,7 @@ def sup_over_time(rows: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """One SpectralField per grid point; piecewise-linear in time between them.
+    """One SpectralField per grid point.
 
     Stored mode-major, shape (mode_count, n_steps + 1): states[j-1, i] is
     the coefficient of mode j at t_i, so each mode's time series is one

@@ -419,8 +419,7 @@ def build_reference(cfg: ExperimentConfig) -> ReferenceSolution:
     instance = FvpInstance(model=data.model, tau=cfg.tau, source=cfg.source(),
                            final_data=data)
     level = max(m for m, _ in cfg.reference_data)
-    return self_convergent_reference(
-        instance, [cfg.solver(level, cfg.n_steps // k) for k in (4, 2, 1)])
+    return self_convergent_reference(instance, cfg.solver(level, cfg.n_steps))
 
 
 def _cell_seed(cfg: ExperimentConfig, di: int, trial: int) -> int:

@@ -14,16 +14,16 @@ truth.  The same closed form drives the instability demonstration: data of
 norm 1/|beta_n| produces a solution of norm >= e^{|beta_n| (tau-t)}/|beta_n|.
 
 For nonlinear sources no closed form exists; references are produced by a
-grid-refinement ladder whose successive differences must contract at the
-quadrature order, with a Richardson error estimate attached.  Existence of
-the underlying exact solution is an assumption there; the ladder only
-certifies the discretization.
+grid-refinement ladder on n/4, n/2 and n steps whose successive differences
+must shrink by at least 3 per halving, with a Richardson error estimate
+attached.  Existence of the underlying exact solution is an assumption
+there; the ladder only certifies the discretization.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -161,64 +161,52 @@ def illposed_pair(model: EigenModel, n: int, tau: float) -> IllposedPair:
     return IllposedPair(mode=n, tau=tau, data_norm=1.0 / abs(roots.beta), roots=roots)
 
 
-def check_ladder_contraction(diffs, ratios, floor: float = 0.0):
-    """Gate: each refinement must shrink the difference by >= 3 per halving.
+def check_ladder_contraction(diffs, floor: float = 0.0):
+    """Gate: each grid halving must shrink the difference by at least 3.
 
-    `diffs[i]` is the sup distance between ladder solves i and i+1,
-    `ratios[i]` the corresponding resolution ratio.  Differences at or
-    below `floor` count as converged.  Raises ReferenceRejectedError on
-    the first failing pair.
+    `diffs[i]` is the sup distance between ladder solves i and i+1, each
+    on twice the steps of the one before.  Differences at or below `floor`
+    count as converged.  Raises ReferenceRejectedError on the first
+    failing pair.
     """
     for i in range(len(diffs) - 1):
         if diffs[i + 1] <= floor:
             continue
-        # diffs[i] ~ err(n_i), diffs[i+1] ~ err(n_{i+1}): the shrink is
-        # governed by the resolution ratio of the first pair
-        required = 3.0 ** math.log2(ratios[i])
-        if diffs[i] / diffs[i + 1] < required:
+        if diffs[i] / diffs[i + 1] < 3.0:
             raise ReferenceRejectedError(
                 f"ladder differences {diffs[i]:.3e} -> {diffs[i + 1]:.3e} shrink by "
-                f"{diffs[i] / diffs[i + 1]:.2f} < required {required:.2f}")
+                f"{diffs[i] / diffs[i + 1]:.2f} < required 3.00")
 
 
-def richardson_estimate(diff: float, ratio: float = 2.0) -> float:
-    """Error of the finer of two solves that differ by `diff`, whose step
-    sizes differ by `ratio`: diff / (ratio^p - 1) at the solver's scheme
-    order p."""
-    return diff / (ratio ** SCHEME_ORDER[DEFAULT_QUADRATURE_ORDER] - 1.0)
+def richardson_estimate(diff: float) -> float:
+    """Error of the finer of two solves on h and h/2 that differ by `diff`:
+    diff / (2^p - 1) at the solver's scheme order p."""
+    return diff / (2.0 ** SCHEME_ORDER[DEFAULT_QUADRATURE_ORDER] - 1.0)
 
 
-def self_convergent_reference(instance: FvpInstance, ladder: list[SolverConfig]) -> ReferenceSolution:
+def self_convergent_reference(instance: FvpInstance, cfg: SolverConfig) -> ReferenceSolution:
     """Reference by grid refinement for sources without a closed form.
 
-    Requires >= 3 configs at a common truncation level with strictly
-    increasing (nested) grid resolutions and exact data (delta = 0).  Each
-    successive sup-norm difference must shrink by at least 3 per grid
-    halving (scaled accordingly for other ratios); otherwise the ladder is
-    rejected.  The finest solve is returned, tagged with a Richardson
-    error estimate from the last difference.
+    Solves at cfg.n_steps / 4, / 2 and / 1 steps at cfg's truncation level,
+    from exact data (delta = 0); cfg.n_steps must be divisible by 4.  Each
+    halving must shrink the sup-norm difference by at least 3, otherwise
+    the ladder is rejected.  The finest solve is returned, tagged with a
+    Richardson error estimate from the last difference.
     """
-    if len(ladder) < 3:
-        raise ValueError("self-convergence ladder needs at least 3 configs")
-    levels = {cfg.level for cfg in ladder}
-    if len(levels) != 1:
-        raise ValueError("ladder configs must share one truncation level")
-    steps = [cfg.n_steps for cfg in ladder]
-    if any(b <= a for a, b in zip(steps, steps[1:])):
-        raise ValueError("ladder resolutions must be strictly increasing")
-    if any(b % a for a, b in zip(steps, steps[1:])):
-        raise ValueError("ladder resolutions must be nested (each divides the next)")
+    if cfg.n_steps % 4:
+        raise ValueError(f"the reference ladder needs n_steps divisible by 4, got {cfg.n_steps}")
     if instance.delta != 0.0 or instance.final_data is None:
         raise ValueError("self-convergent references require exact data (delta = 0)")
 
-    solves = [picard_solve(instance, cfg, instance.final_data).trajectory for cfg in ladder]
+    solves = [picard_solve(instance, replace(cfg, n_steps=cfg.n_steps // k),
+                           instance.final_data).trajectory for k in (4, 2, 1)]
     diffs = [solves[i + 1].sup_distance(solves[i]) for i in range(len(solves) - 1)]
     floor = 1e-13 * max(s.sup_norm() for s in solves)  # rounding floor: treat as converged
-    check_ladder_contraction(diffs, [b / a for a, b in zip(steps, steps[1:])], floor)
+    check_ladder_contraction(diffs, floor)
 
     finest = solves[-1]
     return ReferenceSolution(
         trajectory=finest,
         final_data=finest.state(finest.grid.n_steps),
         provenance="self_convergent",
-        error_estimate=float(richardson_estimate(diffs[-1], steps[-1] / steps[-2])))
+        error_estimate=float(richardson_estimate(diffs[-1])))

@@ -23,7 +23,6 @@ and check a solution independently of the loop.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -31,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonConvergenceError
-from .grids import TimeGrid, Trajectory, sup_over_time
+from .grids import TimeGrid, Trajectory, require_int, sup_over_time
 from .problem import FvpInstance
 from .spectral import EigenModel, SpectralField, checked
 from .quadrature import QuadraturePlan
@@ -54,10 +53,7 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("level", "n_steps", "max_iters"):
-            value = getattr(self, name)
-            # a float slices nothing and a bool is no count
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+            require_int(name, getattr(self, name))
         if self.level < 1:
             raise ValueError("truncation level must be >= 1")
         if self.n_steps < 1:
@@ -81,8 +77,8 @@ def apply_spectral_growth(t: float, psi: SpectralField, level: int) -> SpectralF
     model = psi.model
     if not 1 <= level <= model.mode_count:
         raise ValueError(f"level must lie in 1..{model.mode_count}")
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t must be finite and >= 0, got {t!r}")
     out = np.zeros(model.mode_count)
     with np.errstate(all="ignore"):
         out[:level] = _growth_rows(model.lambdas[:level], np.array([t]), psi.coeffs[:level])[:, 0]

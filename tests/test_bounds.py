@@ -6,8 +6,8 @@ import pytest
 from fvptrunc import (BoundInputs, DominanceSample, EigenModel, ExponentOverflowError,
                       FvpInstance, GevreyParams, SolverConfig, SourceFunction,
                       SpectralField, TimeGrid, UnsupportedRegimeError, add_noise,
-                      check_dominance, closed_form_solution, gevrey_norm,
-                      gronwall_bound, gronwall_comparison_solution, l2_norm,
+                      apply_spectral_growth, check_dominance, closed_form_solution,
+                      gevrey_norm, gronwall_bound, gronwall_comparison_solution, l2_norm,
                       log_total_bound, noise_bound, picard_solve, total_bound,
                       truncation_bound)
 
@@ -105,7 +105,8 @@ class TestGronwall:
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("case", ["TimeGrid.tau", "FvpInstance.tau", "FvpInstance.delta",
                                   "SolverConfig.picard_tol", "add_noise.delta",
-                                  "gronwall_bound.c0", "BoundInputs.delta", "BoundInputs.rho"])
+                                  "gronwall_bound.c0", "BoundInputs.delta", "BoundInputs.rho",
+                                  "apply_spectral_growth.t"])
 def test_non_finite_input_rejected_by_name(model, case, bad):
     # each of these tested `x <= 0` alone, which NaN passes
     name = case.split(".")[1]
@@ -121,6 +122,7 @@ def test_non_finite_input_rejected_by_name(model, case, bad):
         "gronwall_bound.c0": lambda: gronwall_bound(bad, 1.0, 0.0, 1.0),
         "BoundInputs.delta": lambda: binputs(model, delta=bad),
         "BoundInputs.rho": lambda: binputs(model, rho=bad),
+        "apply_spectral_growth.t": lambda: apply_spectral_growth(bad, g, 2),
     }
     with pytest.raises(ValueError, match=name):
         calls[case]()

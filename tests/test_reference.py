@@ -199,18 +199,14 @@ class TestSelfConvergentReference:
         return FvpInstance(model=model, tau=tau, source=source,
                            final_data=SpectralField.from_coeffs(model, data_pairs))
 
-    def ladder(self, level, steps, **kw):
-        return [SolverConfig(level=level, n_steps=n, **kw) for n in steps]
-
     def test_richardson_estimate_at_sixth_order(self):
-        # diff = err(h) - err(h / r) with err ~ h^6: err(h / r) = diff / (r^6 - 1)
+        # diff = err(h) - err(h / 2) with err ~ h^6: err(h / 2) = diff / (2^6 - 1)
         assert richardson_estimate(63.0) == 1.0
-        assert richardson_estimate(4095.0, ratio=4.0) == 1.0
 
     def test_linear_cross_validates_against_closed_form(self):
         model = EigenModel.dirichlet_1d(4)
         inst = self.make_instance(model, SourceFunction.linear(1.0), [(1, 1.0)], 1.0)
-        ref = self_convergent_reference(inst, self.ladder(2, (128, 256, 512)))
+        ref = self_convergent_reference(inst, SolverConfig(level=2, n_steps=512))
         exact = closed_form_solution(model, 1, 1.0, 1.0, TimeGrid(1.0, 512))
         err = ref.trajectory.sup_distance(exact.trajectory)
         assert ref.provenance == "self_convergent"
@@ -220,7 +216,7 @@ class TestSelfConvergentReference:
     def test_zero_source_cross_validates(self):
         model = EigenModel.dirichlet_1d(4)
         inst = self.make_instance(model, SourceFunction.zero(), [(1, 1.0)], 1.0)
-        ref = self_convergent_reference(inst, self.ladder(2, (128, 256, 512)))
+        ref = self_convergent_reference(inst, SolverConfig(level=2, n_steps=512))
         exact = closed_form_solution(model, 1, 0.0, 1.0, TimeGrid(1.0, 512))
         err = ref.trajectory.sup_distance(exact.trajectory)
         assert err <= 10.0 * ref.error_estimate + 1e-12 * exact.trajectory.sup_norm()
@@ -229,21 +225,17 @@ class TestSelfConvergentReference:
         model = EigenModel.dirichlet_1d(4)
         inst = self.make_instance(model, SourceFunction("sin"),
                                   [(1, 0.2), (2, 1e-4)], 0.25)
-        ref = self_convergent_reference(inst, self.ladder(2, (64, 128, 256)))
+        ref = self_convergent_reference(inst, SolverConfig(level=2, n_steps=256))
         assert ref.error_estimate < 1e-9
+        assert ref.trajectory.grid.n_steps == 256
         assert np.array_equal(ref.trajectory.states[:, -1], ref.final_data.coeffs)
 
-    def test_short_ladder_rejected(self):
+    def test_n_steps_not_divisible_by_4_rejected(self):
+        # n / 4, n / 2 and n steps nest only when 4 divides n
         model = EigenModel.dirichlet_1d(4)
         inst = self.make_instance(model, SourceFunction.zero(), [(1, 1.0)], 1.0)
-        with pytest.raises(ValueError):
-            self_convergent_reference(inst, self.ladder(2, (128, 256)))
-
-    def test_non_nested_ladder_rejected(self):
-        model = EigenModel.dirichlet_1d(4)
-        inst = self.make_instance(model, SourceFunction.zero(), [(1, 1.0)], 1.0)
-        with pytest.raises(ValueError):
-            self_convergent_reference(inst, self.ladder(2, (128, 192, 256)))
+        with pytest.raises(ValueError, match="divisible by 4, got 510"):
+            self_convergent_reference(inst, SolverConfig(level=2, n_steps=510))
 
     def test_noisy_instance_rejected(self):
         from fvptrunc import SpectralField, add_noise
@@ -253,18 +245,12 @@ class TestSelfConvergentReference:
                            final_data=g, noisy_data=add_noise(g, 0.1, seed=1),
                            delta=0.1)
         with pytest.raises(ValueError):
-            self_convergent_reference(inst, self.ladder(2, (128, 256, 512)))
+            self_convergent_reference(inst, SolverConfig(level=2, n_steps=512))
 
     def test_non_contracting_diffs_rejected(self):
         from fvptrunc.reference import check_ladder_contraction
         with pytest.raises(ReferenceRejectedError):
-            check_ladder_contraction([1e-3, 5e-4], [2, 2])  # shrink 2 < 3
+            check_ladder_contraction([1e-3, 5e-4])  # shrink 2 < 3
         # shrink 4 >= 3 passes; floor-level tails pass regardless
-        check_ladder_contraction([1e-3, 2.5e-4], [2, 2])
-        check_ladder_contraction([1e-3, 1e-15], [2, 2], floor=1e-14)
-
-    def test_quadrupling_needs_ninefold_shrink(self):
-        from fvptrunc.reference import check_ladder_contraction
-        with pytest.raises(ReferenceRejectedError):
-            check_ladder_contraction([1e-3, 1.5e-4], [4, 4])  # shrink 6.7 < 9
-        check_ladder_contraction([1e-3, 1e-4], [4, 4])
+        check_ladder_contraction([1e-3, 2.5e-4])
+        check_ladder_contraction([1e-3, 1e-15], floor=1e-14)

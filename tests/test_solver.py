@@ -88,6 +88,16 @@ class TestSpectralGrowth:
         assert out.coeffs[0] == pytest.approx(math.exp(PI2 * 2.0), rel=1e-13)
 
 
+class TestTimeGrid:
+    @pytest.mark.parametrize("n_steps", [True, 2.5, 64.0, np.float64(64.0)])
+    def test_non_integer_step_count_rejected_by_name(self, n_steps):
+        with pytest.raises(ValueError, match="n_steps must be an int"):
+            TimeGrid(1.0, n_steps)
+
+    def test_numpy_integer_step_count_accepted(self):
+        assert TimeGrid(1.0, np.int64(8)).points.shape == (9,)
+
+
 class TestTrajectory:
     def test_states_are_mode_major(self, model):
         grid = TimeGrid(1.0, 64)
@@ -462,3 +472,27 @@ class TestLazyDefect:
         with pytest.raises(NonConvergenceError) as exc:
             picard_solve(inst, SolverConfig(level=3, n_steps=96, max_iters=2), data)
         assert len(calls) == 3 and exc.value.defect > 0.0
+
+
+class TestStepSizeDefect:
+    #: (mode, tau, n_steps): lambda h = 0.35, 1.39, 2.78, 1.93, 3.86
+    SWEEP = [(3, 1.0, 256), (3, 1.0, 64), (3, 1.0, 32), (5, 0.25, 32), (5, 0.25, 16)]
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 2: the solve's accuracy depends on lambda_N h, and its "
+        "iterates stop converging from lambda_N h ~ 2 and overflow soon after"))
+    def test_error_does_not_depend_on_lambda_h(self):
+        # the solver gives 5.5e-6, 5.0e-2, a range error, 0.31 and a range error
+        errors = []
+        for mode, tau, n in self.SWEEP:
+            model = EigenModel.dirichlet_1d(mode)
+            ref = closed_form_solution(model, mode, 1.0, tau, TimeGrid(tau, n))
+            inst = make_instance(model, SourceFunction.linear(1.0), ref.final_data, tau=tau)
+            try:
+                res = picard_solve(inst, SolverConfig(level=mode, n_steps=n), ref.final_data)
+            except ExponentOverflowError:
+                errors.append(math.inf)
+                continue
+            errors.append(res.trajectory.sup_distance(ref.trajectory)
+                          / ref.trajectory.sup_norm())
+        assert max(errors) <= 1e-4, errors
