@@ -164,14 +164,19 @@ class DominanceSample:
 
     inputs: BoundInputs
     measured: float
-    slack: float = 0.0  # quadrature allowance, e.g. 10x a Richardson estimate
+    # quadrature allowance, e.g. 10x a Richardson estimate; run_experiment
+    # leaves it 0 on a row whose measured error meets the bare bound
+    slack: float = 0.0
 
 
 @dataclass(frozen=True)
 class DominanceReport:
     total: int
     violations: tuple
-    min_margin: float  # min over samples of (bound + slack - measured); NaN if any is
+    # min over samples of (bound + slack - measured); NaN if any is.  On
+    # run_experiment's samples the slack is 0 where the bare bound holds,
+    # so there it is the margin below total_bound itself
+    min_margin: float
 
     @property
     def ok(self) -> bool:

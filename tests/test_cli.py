@@ -224,6 +224,19 @@ def test_nonconvergence_exit_code(tmp_path, config_path):
                  "--output-dir", str(tmp_path / "out")]) == 3
 
 
+def test_failing_deferred_solve_names_its_cell(tmp_path, config_path, capsys):
+    # on 44 steps the t = 0.5 row of the delta 1e-16 cell is above its
+    # bound; its n/2 solve (lambda_2 h doubled) diverges.  The error names
+    # the cell by the first t whose row ran its solve, t = 0
+    doc = json.loads(config_path.read_text())
+    doc["solver"]["n_steps"] = 44
+    doc["noise"]["deltas"] = [1e-12, 1e-16, 1e-20, 1e-24]
+    assert run_experiment_cli(tmp_path, doc) == 3
+    assert capsys.readouterr().err == (
+        "solver did not converge: cell (t=0, delta=1e-16, trial=0) did not converge: "
+        "no convergence after 500 iterations (last increment 4.318e+66)\n")
+
+
 SIN_LADDER = {
     "instance": {"tau": 0.25, "mode_count": 12, "source": {"kind": "sin"},
                  "reference": {"kind": "self_convergent", "data": [[1, 0.2], [2, 1e-4]]}},

@@ -1,12 +1,16 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+import fvptrunc.harness
 from fvptrunc import (ConfigError, EigenModel, ExperimentConfig, ExponentOverflowError,
-                      SpectralField, add_noise, fit_rate, l2_norm, run_experiment)
+                      FvpInstance, SpectralField, add_noise, check_dominance, fit_rate,
+                      l2_norm, picard_solve, run_experiment, total_bound)
 from fvptrunc.harness import build_reference
+from fvptrunc.reference import richardson_estimate
 
 PI2 = math.pi ** 2
 
@@ -285,3 +289,86 @@ class TestRunExperiment:
         first = text.splitlines()[1].split(",")
         assert len(first) == 10
 
+
+def count_solves(monkeypatch) -> list:
+    """The n_steps of every picard_solve that run_experiment makes."""
+    steps = []
+
+    def counted(instance, cfg, data):
+        steps.append(cfg.n_steps)
+        return picard_solve(instance, cfg, data)
+
+    monkeypatch.setattr(fvptrunc.harness, "picard_solve", counted)
+    return steps
+
+
+def capture_samples(monkeypatch) -> list:
+    """The dominance samples run_experiment hands to check_dominance."""
+    seen = []
+
+    def captured(samples):
+        seen.extend(samples)
+        return check_dominance(seen)
+
+    monkeypatch.setattr(fvptrunc.harness, "check_dominance", captured)
+    return seen
+
+
+class TestDeferredSlack:
+    """The n/2 solve of a cell runs only for a row above its total bound."""
+
+    def test_rows_below_bound_run_one_solve_per_cell(self, monkeypatch):
+        steps = count_solves(monkeypatch)
+        cfg = ExperimentConfig.from_dict(config_doc())
+        report = run_experiment(cfg)
+        assert all(r.measured_error <= r.total_bound for r in report.rows)
+        cells = {(r.level, r.delta, r.seed) for r in report.rows}
+        assert steps == [cfg.n_steps] * len(cells)
+        assert report.dominance.ok
+
+    #: the README document on 64 steps: its three t = 0.5 rows at N = 2
+    #: measure 1.09e-6 against total bounds of 3.4e-7 to 4.4e-7
+    SLACK_DOC = config_doc(noise={"deltas": [1e-12, 1e-16, 1e-20, 1e-24],
+                                  "direction": "worst_case_mode", "seed": 11, "trials": 1},
+                           solver={"n_steps": 64, "picard_tol": 1e-11, "max_iters": 500})
+
+    def test_rows_above_bound_pass_through_their_slack(self, monkeypatch):
+        steps = count_solves(monkeypatch)
+        samples = capture_samples(monkeypatch)
+        cfg = ExperimentConfig.from_dict(self.SLACK_DOC)
+        report = run_experiment(cfg)
+        assert report.dominance.ok and report.dominance.total == 8
+        over = [s for s in samples if not s.measured <= total_bound(s.inputs)]
+        assert [(s.inputs.t, s.inputs.delta, s.inputs.level) for s in over] == [
+            (0.5, 1e-16, 2), (0.5, 1e-20, 2), (0.5, 1e-24, 2)]
+        assert steps.count(32) == 3
+        assert all(s.slack == 0.0 for s in samples if s not in over)
+
+        # the deferred slack is the eagerly computed one, bit for bit
+        reference = build_reference(cfg)
+        g = reference.final_data
+        seeds = {r.delta: r.seed for r in report.rows}
+        for s in over:
+            level, delta = s.inputs.level, s.inputs.delta
+            noisy = add_noise(g, delta, cfg.direction, seed=seeds[delta], mode=level)
+            inst = FvpInstance(model=g.model, tau=cfg.tau, source=cfg.source(),
+                               final_data=g, noisy_data=noisy, delta=delta)
+            fine, coarse = (picard_solve(inst, cfg.solver(level, n), noisy).trajectory
+                            for n in (64, 32))
+            rich = richardson_estimate(fine.sup_distance(coarse))
+            assert s.slack == 10.0 * rich + reference.error_estimate
+            # an error just above the bound plus slack still fails
+            bound = total_bound(s.inputs) + s.slack
+            above = dataclasses.replace(s, measured=math.nextafter(bound, math.inf))
+            assert check_dominance([dataclasses.replace(s, measured=bound)]).ok
+            assert not check_dominance([above]).ok
+
+    def test_nan_error_takes_the_slack_path_and_fails(self, monkeypatch):
+        steps = count_solves(monkeypatch)
+        monkeypatch.setattr(fvptrunc.harness, "l2_norm", lambda field: math.nan)
+        cfg = ExperimentConfig.from_dict(config_doc())
+        report = run_experiment(cfg)
+        cells = {(r.level, r.delta, r.seed) for r in report.rows}
+        assert steps.count(cfg.n_steps // 2) == len(cells)
+        assert len(report.dominance.violations) == len(report.rows)
+        assert math.isnan(report.dominance.min_margin)
