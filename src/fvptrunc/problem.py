@@ -18,6 +18,13 @@ class SourceFunction:
       zero            F = 0,            Lipschitz constant 0
       linear          F = c * u,        Lipschitz constant |c|
       sin             F = sin(u) coefficient-wise, Lipschitz constant 1
+
+    The Picard loop relies on two properties every kind has: F is applied
+    coefficient-wise, so mode j of F(u) depends on mode j of u alone, and
+    F maps 0 to 0 exactly (to +-0), which is why `c` must be finite.  So a
+    mode whose datum is zero has the zero solution, and the loop iterates
+    only the retained modes that carry data.  A kind with F(0) != 0, or
+    one that couples modes, must carry every retained row instead.
     """
 
     kind: str
@@ -26,6 +33,8 @@ class SourceFunction:
     def __post_init__(self):
         if self.kind not in ("zero", "linear", "sin"):
             raise ValueError(f"unknown source kind {self.kind!r}")
+        if not math.isfinite(self.c):
+            raise ValueError(f"source coefficient c must be finite, got {self.c!r}")
 
     @property
     def kappa(self) -> float:

@@ -11,19 +11,22 @@ Successive substitution converges for every N because the m-th iterate of
 the map contracts like x^m / m! (x independent of the iterate); the solver
 reports the observed increments.
 
-Every iterate vanishes above mode N, so the Picard loop carries only the N
-retained rows of the mode-major `Trajectory` layout, which the per-mode
-quadratures read and write without copies.  It pads them with zero rows
-once, when it returns, and takes the defect, when it is read, on the
-retained rows with the solve's own leading term and quadrature plan.
-`fixed_point_map` and `fixed_point_defect` take full-width trajectories
-and check a solution independently of the loop.
+Every iterate vanishes above mode N, and every source is coefficient-wise
+with F(0) = 0, so a retained mode whose datum is 0 stays exactly +-0 too.
+The Picard loop therefore carries only the live retained rows, those with
+nonzero data, of the mode-major `Trajectory` layout, which the per-mode
+quadratures read and write without copies.  It scatters them into the
+full width once, when it returns (a zero-data row keeps its leading term,
++-0), and takes the defect, when it is read, on the live rows with the
+solve's own leading term and quadrature plan.  `fixed_point_map` and
+`fixed_point_defect` take full-width trajectories and check a solution
+independently of the loop.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -116,20 +119,22 @@ def _solve_setup(instance: FvpInstance, cfg: SolverConfig, grid: TimeGrid,
 
 
 def _map_retained(rows: np.ndarray, instance: FvpInstance, plan: QuadraturePlan,
-                  lead: np.ndarray) -> np.ndarray:
-    """fixed_point_map on the retained modes, mode-major: (N, n+1) rows to
-    their (N, n+1) image.  `lead` is the map's term that does not depend on
-    the iterate and `plan` holds the modes' quadratures, both from
-    `_solve_setup`.  Callers run it with numpy's warnings off: an overflow
+                  lead: np.ndarray, modes: Sequence[int]) -> np.ndarray:
+    """fixed_point_map on some retained modes, mode-major: (m, n+1) rows to
+    their (m, n+1) image.  Row k is mode modes[k] + 1; `lead` holds the
+    map's term that does not depend on the iterate for the same modes, and
+    `plan`, from `_solve_setup`, the quadratures of all N retained modes.
+    The source is coefficient-wise, so the rows map independently of the
+    modes left out.  Callers run it with numpy's warnings off: an overflow
     anywhere in the map reaches the profiles' I_0 check as inf or NaN."""
     integrand = instance.source.apply(rows)  # F, a new array
     out = np.empty_like(lead)
-    for j, row in enumerate(rows):
-        image = out[j]
+    for k, (j, row) in enumerate(zip(modes, rows)):
+        image = out[k]
         plan.cumulative(row, image)  # W, until the profile overwrites it
-        integrand[j] += image  # F + W
-        plan.profile(j, integrand[j], image)
-        np.subtract(lead[j], image, out=image)
+        integrand[k] += image  # F + W
+        plan.profile(j, integrand[k], image)
+        np.subtract(lead[k], image, out=image)
     return out
 
 
@@ -150,7 +155,7 @@ def fixed_point_map(v: Trajectory, instance: FvpInstance, cfg: SolverConfig,
     """
     with np.errstate(all="ignore"):
         lead, plan = _solve_setup(instance, cfg, v.grid, data)
-        image = _map_retained(v.states[:cfg.level], instance, plan, lead)
+        image = _map_retained(v.states[:cfg.level], instance, plan, lead, range(cfg.level))
     return _padded(v.grid, instance.model, image)
 
 
@@ -163,12 +168,14 @@ def fixed_point_defect(v: Trajectory, instance: FvpInstance, cfg: SolverConfig,
 @dataclass(frozen=True)
 class PicardResult:
     """A converged solve.  `defect` is fixed_point_defect of the trajectory;
-    it takes one more map, run when `defect` is first read and then kept."""
+    it takes one more map, run when `defect` is first read and then kept.
+    `modes` lists the 1-based modes the loop iterated."""
 
     trajectory: Trajectory
     iterations: int
     defect_of: Callable[[], float] = field(repr=False, compare=False)
     increments: list[float] = field(repr=False)
+    modes: tuple[int, ...]
 
     @cached_property
     def defect(self) -> float:
@@ -191,17 +198,24 @@ def picard_solve(instance: FvpInstance, cfg: SolverConfig, data: SpectralField) 
     iterations the test fails on (all but the last) take one norm, the
     increment, instead of two.
 
-    The iterates are the (N, n+1) rows of the retained modes; the result
-    is padded to the model's mode count once, at the end.  The leading
-    term and the `QuadraturePlan` of the N modes (`_solve_setup`) are built
+    The iterates are the (m, n+1) rows of the live retained modes, those
+    whose datum is nonzero (all N when none is).  The source is
+    coefficient-wise with F(0) = 0 (see `SourceFunction`), so a zero-data
+    mode's iterates are all its leading term, +-0 with the datum's sign,
+    and each such row would add exactly +0.0 to a grid point's
+    mode-ordered sum of squares: the increments, stop decisions and defect
+    are those of the loop over all N rows, bit for bit.  The result is
+    scattered into the model's mode count once, at the end, each zero-data
+    row taking its leading-term row.  The leading term and the
+    `QuadraturePlan` are built for all N modes (`_solve_setup`), so a range
+    error names the mode a loop over all N rows would name.  Both are built
     once per solve, so the checks, weight tables, banded solves and scratch
     row of the quadratures are not repeated per iteration.
 
-    The defect is fixed_point_defect of the result taken on the retained
-    rows, since the modes above N are zero in the result and in its image.
-    It costs one more map, so a converged solve runs it only when
-    `PicardResult.defect` is first read: a solve whose defect nobody reads
-    runs exactly `iterations` maps.
+    The defect is fixed_point_defect of the result taken on the live rows,
+    since the other modes are fixed by the map.  It costs one more map, so
+    a converged solve runs it only when `PicardResult.defect` is first
+    read: a solve whose defect nobody reads runs exactly `iterations` maps.
     """
     grid = cfg.grid(instance.tau)
     increments: list[float] = []
@@ -213,10 +227,16 @@ def picard_solve(instance: FvpInstance, cfg: SolverConfig, data: SpectralField) 
     # by zero gives inf or NaN, which the checks catch like an overflow.
     with np.errstate(all="ignore"):
         lead, plan = _solve_setup(instance, cfg, grid, data)
+        live = np.flatnonzero(data.coeffs[:cfg.level] != 0.0)
+        if live.size == 0:
+            live = np.arange(cfg.level)
+        modes = live.tolist()
+        if live.size < cfg.level:
+            lead = lead[live]
         v = lead
         bound = sup_over_time(v)  # an upper bound of sup_over_time(v)
         for its in range(1, cfg.max_iters + 1):
-            image = _map_retained(v, instance, plan, lead)
+            image = _map_retained(v, instance, plan, lead, modes)
             inc = sup_over_time(v - image)
             increments.append(inc)
             v = image
@@ -230,12 +250,18 @@ def picard_solve(instance: FvpInstance, cfg: SolverConfig, data: SpectralField) 
 
     def defect_of() -> float:
         with np.errstate(all="ignore"):
-            return sup_over_time(v - _map_retained(v, instance, plan, lead))
+            return sup_over_time(v - _map_retained(v, instance, plan, lead, modes))
 
     if not converged:
         raise NonConvergenceError(
             f"no convergence after {cfg.max_iters} iterations "
             f"(last increment {increments[-1]:.3e})",
             increments=increments, defect=defect_of())
-    return PicardResult(trajectory=_padded(grid, instance.model, v), iterations=its,
-                        defect_of=defect_of, increments=increments)
+    states = v
+    if len(modes) < cfg.level:
+        # a zero-data row is its leading term, +-0 with the datum's sign
+        states = np.repeat(data.coeffs[:cfg.level, None], grid.n_steps + 1, axis=1)
+        states[live] = v
+    return PicardResult(trajectory=_padded(grid, instance.model, states), iterations=its,
+                        defect_of=defect_of, increments=increments,
+                        modes=tuple(j + 1 for j in modes))

@@ -34,6 +34,23 @@ class TestSourceFunction:
         with pytest.raises(ValueError):
             SourceFunction("cubic")
 
+    @pytest.mark.parametrize("kind", ["zero", "linear", "sin"])
+    @pytest.mark.parametrize("c", [1.7, -2.5])
+    def test_coefficient_wise_and_zero_at_zero(self, kind, c):
+        # what lets the Picard loop leave the zero-data modes out
+        source = SourceFunction(kind, c)
+        zeros = np.array([[0.0, -0.0, 0.0], [-0.0, -0.0, 0.0]])
+        assert not np.any(source.apply(zeros))
+        rows = np.random.default_rng(3).standard_normal((4, 9)) * [[1.0], [1e160], [1e-160], [3.0]]
+        by_row = np.stack([source.apply(row) for row in rows])
+        assert source.apply(rows).tobytes() == by_row.tobytes()
+
+    @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
+    def test_non_finite_coefficient_rejected(self, c):
+        # c * 0 would be NaN, so F(0) = 0 would fail
+        with pytest.raises(ValueError, match="must be finite"):
+            SourceFunction.linear(c)
+
     @pytest.mark.parametrize("source", [SourceFunction.zero(),
                                         SourceFunction.linear(1.7),
                                         SourceFunction("sin")])
@@ -285,16 +302,25 @@ class TestPicard:
 # retained rows and reads the exact norm only when a bound of it passes the
 # test, must match it bit for bit.
 
+def full_width_lead(instance, cfg, data, grid):
+    """G_N(tau - t) data on the full width; a zero datum gives its +-0 row,
+    also where e^{lambda_j tau} leaves the double range."""
+    out = np.zeros((instance.model.mode_count, grid.n_steps + 1))
+    for j in range(cfg.level):
+        c = data.coeffs[j]
+        out[j] = c if c == 0.0 else np.exp(instance.model.lambdas[j] * (instance.tau - grid.points)) * c
+    return out
+
+
 def full_width_map(states, instance, cfg, data, grid):
-    N, pts = cfg.level, grid.points
+    N = cfg.level
     lam = instance.model.lambdas[:N]
     F = instance.source.apply(states[:N])
     W = np.empty_like(F)
     for j in range(N):
         W[j] = backward_cumulative(grid.h, states[j])
     integrand = F + W
-    out = np.zeros_like(states)
-    out[:N] = np.exp(np.outer(lam, instance.tau - pts)) * data.coeffs[:N, None]
+    out = full_width_lead(instance, cfg, data, grid)
     for j in range(N):
         out[j] -= exp_kernel_profile(lam[j], grid.h, integrand[j])
     return out
@@ -307,10 +333,7 @@ def sup_over_grid(x) -> float:
 def full_width_picard(instance, cfg, data):
     """(states, increments, iterations, defect, converged)."""
     grid = cfg.grid(instance.tau)
-    N = cfg.level
-    v = np.zeros((instance.model.mode_count, grid.n_steps + 1))
-    v[:N] = np.exp(np.outer(instance.model.lambdas[:N],
-                            instance.tau - grid.points)) * data.coeffs[:N, None]
+    v = full_width_lead(instance, cfg, data, grid)
     increments = []
     converged = False
     for its in range(1, cfg.max_iters + 1):
@@ -339,10 +362,13 @@ class TestRetainedColumnLoop:
 
     @staticmethod
     def check(model, source, level, tau, max_iters=500, data_scale=1.0, seed=None,
-              picard_tol=DEFAULT_PICARD_TOL):
-        """Compare the two loops; the iterations, or None without convergence."""
+              picard_tol=DEFAULT_PICARD_TOL, zeroed=(), zero=0.0):
+        """Compare the two loops; the iterations, or None without convergence.
+        The data of the 1-based modes `zeroed` are set to `zero`."""
         rng = np.random.default_rng(10 * level + len(source) if seed is None else seed)
-        data = SpectralField(model, data_scale * rng.standard_normal(model.mode_count))
+        coeffs = data_scale * rng.standard_normal(model.mode_count)
+        coeffs[[j - 1 for j in zeroed]] = zero
+        data = SpectralField(model, coeffs)
         inst = make_instance(model, SOURCES[source], data, tau=tau)
         cfg = SolverConfig(level=level, n_steps=96, max_iters=max_iters, picard_tol=picard_tol)
         states, increments, its, defect, converged = full_width_picard(inst, cfg, data)
@@ -354,6 +380,8 @@ class TestRetainedColumnLoop:
             return None
         res = picard_solve(inst, cfg, data)
         assert res.iterations == its
+        live = tuple(j for j in range(1, level + 1) if j not in zeroed)
+        assert res.modes == (live or tuple(range(1, level + 1)))
         assert res.trajectory.states.tobytes() == states.tobytes()
         assert bits(res.increments) == bits(increments)
         assert bits(res.defect) == bits(defect)
@@ -380,6 +408,33 @@ class TestRetainedColumnLoop:
 
     def test_nonconvergence(self, model):
         self.check(model, "sin", 4, tau=0.25, max_iters=2)
+
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-160])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    @pytest.mark.parametrize("zeroed", [(2, 4, 5), (1, 6), (1, 2, 3, 4, 5, 6)],
+                             ids=["interior", "ends", "all"])
+    def test_zero_data_modes(self, model, zeroed, zero, scale, source):
+        # the loop leaves the zero-data modes out; each would add exactly
+        # +0.0 to a grid point's sum of squares, on either norm path
+        self.check(model, source, 6, tau=0.03, data_scale=scale, seed=0,
+                   zeroed=zeroed, zero=zero)
+
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-160])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_data_modes_whose_growth_overflows(self, model, zero, scale, source):
+        # e^{lambda_j tau} passes the double range for j >= 6 at tau = 2.5:
+        # those modes hold zero data, so their rows are +-0 and no error
+        assert model.lambdas[5] * 2.5 > 710
+        self.check(model, source, 8, tau=2.5, data_scale=scale, seed=0,
+                   zeroed=range(3, 9), zero=zero)
+
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_nonconvergence_with_zero_data_modes(self, model, zero, source):
+        assert self.check(model, source, 6, tau=0.25, max_iters=2,
+                          zeroed=(2, 4, 5), zero=zero) is None
 
     @pytest.mark.parametrize("source", sorted(SOURCES))
     @pytest.mark.parametrize("tau", [0.03, 0.25])
@@ -446,9 +501,9 @@ class TestLazyDefect:
         calls = []
         original = solver._map_retained
 
-        def counted(*args):
-            calls.append(1)
-            return original(*args)
+        def counted(rows, *args):
+            calls.append(rows.shape[0])
+            return original(rows, *args)
 
         monkeypatch.setattr(solver, "_map_retained", counted)
         return calls
@@ -472,6 +527,30 @@ class TestLazyDefect:
         with pytest.raises(NonConvergenceError) as exc:
             picard_solve(inst, SolverConfig(level=3, n_steps=96, max_iters=2), data)
         assert len(calls) == 3 and exc.value.defect > 0.0
+
+
+class TestLiveModes:
+    """The loop maps only the retained modes that carry data, or all N
+    when none does."""
+
+    def test_level_four_maps_the_two_live_rows(self, model, monkeypatch):
+        # acceptance criterion 1's phi_1 data, with noise in mode N alone
+        coeffs = np.zeros(model.mode_count)
+        coeffs[[0, 3]] = 1.0, 1e-6
+        data = SpectralField(model, coeffs)
+        inst = make_instance(model, SOURCES["sin"], data, tau=0.25)
+        calls = TestLazyDefect.counting_maps(monkeypatch)
+        res = picard_solve(inst, SolverConfig(level=4, n_steps=96), data)
+        assert res.modes == (1, 4)
+        assert calls == [2] * res.iterations
+
+    def test_no_live_mode_carries_every_row(self, model):
+        data = SpectralField(model, np.array([0.0, -0.0, 0.0, -0.0, 1.0, 1.0, 1.0, 1.0]))
+        inst = make_instance(model, SOURCES["sin"], data, tau=0.25)
+        res = picard_solve(inst, SolverConfig(level=4, n_steps=96), data)
+        assert res.modes == (1, 2, 3, 4) and res.iterations == 1
+        assert not np.any(res.trajectory.states)
+        assert list(np.signbit(res.trajectory.states[:4, 0])) == [False, True, False, True]
 
 
 class TestStepSizeDefect:
