@@ -97,6 +97,13 @@ class BoundInputs:
             raise UnsupportedRegimeError(f"regime must be one of {REGIMES}")
         if not 1 <= self.level <= self.model.mode_count:
             raise ValueError("truncation level outside the model range")
+        for name in ("t", "tau", "p", "q"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        # kappa0 = max(kappa, 1) would turn a negative Lipschitz constant into 1
+        if not (math.isfinite(self.kappa) and self.kappa >= 0.0):
+            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa!r}")
         if not 0.0 <= self.t <= self.tau:
             raise ValueError("need 0 <= t <= tau")
         if not (math.isfinite(self.delta) and self.delta >= 0.0):

@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import EigenModel, SpectralField, _readonly, scaled_norm_rows, sup_row_norm
+from .spectral import (FAST_NORM_MAX, FAST_NORM_MIN, EigenModel, SpectralField, _readonly,
+                       scaled_norm_rows, sup_row_norm)
 
 
 def require_int(name: str, value) -> None:
@@ -52,7 +53,24 @@ class TimeGrid:
 
 def sup_over_time(rows: np.ndarray) -> float:
     """max over grid points of the L2 norm of mode-major rows; in the unscaled
-    range a point's squares add in mode order, so zero rows keep the bits."""
+    range a point's squares add in mode order, so zero rows keep the bits.
+
+    A single row (the Picard stop test of a solve with one live mode) has
+    the norm |x| at each point, and its largest, max |x|, is returned when
+    it lies in [2 FAST_NORM_MIN, FAST_NORM_MAX].  That is
+    sup_row_norm(rows.T) = sqrt(max fl(x^2)) bit for bit: squaring is
+    monotone, so the largest square is fl(M^2) for M = max |x|, which is a
+    normal double for M in that range, and then sqrt(fl(M^2)) == M (a
+    correctly rounded square root undoes a correctly rounded square in
+    binary arithmetic).  A NaN fails the range test.  Every other input
+    takes sup_row_norm.  One reduction replaces an einsum over a strided
+    transpose: 2.9-3.7 against 4.3-7.6 us at 257 points, 3.4-5.7 against
+    11.1-11.5 us at 4097 (timeit, shared 2-vCPU machine).
+    """
+    if rows.shape[0] == 1:
+        top = float(np.abs(rows).max())
+        if 2.0 * FAST_NORM_MIN <= top <= FAST_NORM_MAX:
+            return top
     return sup_row_norm(rows.T)
 
 

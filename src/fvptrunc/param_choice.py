@@ -49,6 +49,12 @@ class ChoiceInputs:
     def __post_init__(self):
         if self.regime not in RULES:
             raise ValueError(f"regime must be one of {RULES}")
+        # a NaN passes every comparison below, and an inf leaves the rules
+        # past the double range
+        for name in ("rho", "delta", "t", "tau", "e1", "e2", "p", "q"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.delta <= 0.0 or self.rho <= 0.0:
             raise ValueError("delta and rho must be positive")
         if self.delta >= self.rho:

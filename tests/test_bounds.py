@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fvptrunc import (BoundInputs, DominanceSample, EigenModel, ExponentOverflowError,
+from fvptrunc import (BoundInputs, ChoiceInputs, DominanceSample, EigenModel, ExponentOverflowError,
                       FvpInstance, GevreyParams, SolverConfig, SourceFunction,
                       SpectralField, TimeGrid, UnsupportedRegimeError, add_noise,
                       apply_spectral_growth, check_dominance, closed_form_solution,
@@ -102,13 +102,27 @@ class TestGronwall:
         assert np.max(np.abs(x - rhs)) <= 1e-5 * np.max(np.abs(x))
 
 
+CHOICE_FIELDS = ("rho", "delta", "t", "tau", "e1", "e2", "p", "q")
+BOUND_FIELDS = ("t", "tau", "kappa", "p", "q")
+
+
+def cinputs(**kw):
+    base = dict(regime="holder_rule", rho=1.0, delta=1e-3, t=0.0, tau=1.0, d=1,
+                e1=PI2, e2=PI2, q=0.5)
+    base.update(kw)
+    return ChoiceInputs(**base)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("case", ["TimeGrid.tau", "FvpInstance.tau", "FvpInstance.delta",
                                   "SolverConfig.picard_tol", "add_noise.delta",
                                   "gronwall_bound.c0", "BoundInputs.delta", "BoundInputs.rho",
-                                  "apply_spectral_growth.t"])
+                                  "apply_spectral_growth.t"]
+                         + [f"ChoiceInputs.{name}" for name in CHOICE_FIELDS]
+                         + [f"BoundInputs.{name}" for name in BOUND_FIELDS])
 def test_non_finite_input_rejected_by_name(model, case, bad):
-    # each of these tested `x <= 0` alone, which NaN passes
+    # each of these tested `x <= 0` alone, which NaN passes; ChoiceInputs
+    # and BoundInputs failed later, in a rule or a bound, or not at all
     name = case.split(".")[1]
     g = SpectralField.basis(model, 1)
     calls = {
@@ -124,8 +138,20 @@ def test_non_finite_input_rejected_by_name(model, case, bad):
         "BoundInputs.rho": lambda: binputs(model, rho=bad),
         "apply_spectral_growth.t": lambda: apply_spectral_growth(bad, g, 2),
     }
-    with pytest.raises(ValueError, match=name):
+    calls.update({f"ChoiceInputs.{field}": lambda field=field: cinputs(**{field: bad})
+                  for field in CHOICE_FIELDS})
+    calls.update({f"BoundInputs.{field}": lambda field=field: binputs(model, **{field: bad})
+                  for field in BOUND_FIELDS})
+    with pytest.raises(ValueError, match=rf"\b{name} must be finite"):
         calls[case]()
+
+
+@pytest.mark.parametrize("kappa", [-1.0, -1e-300])
+def test_negative_kappa_rejected(model, kappa):
+    # kappa0 = max(kappa, 1) used to read a negative Lipschitz constant as 1
+    with pytest.raises(ValueError, match=r"\bkappa must be finite and >= 0"):
+        binputs(model, kappa=kappa)
+    assert binputs(model, kappa=0.0).kappa0 == 1.0
 
 
 class TestBoundFormulas:

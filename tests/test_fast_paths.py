@@ -1,8 +1,10 @@
 """The vectorised hot loops against the loop-level formulas they replaced.
 
 scaled_norm_rows takes an unscaled path for rows of moderate norm,
-sup_row_norm takes the largest of them in one pass, the certified rho is
-one row-wise log-sum-exp pass (numpy code following scipy's algorithm),
+sup_row_norm takes the largest of them in one pass, sup_over_time takes
+max |x| on a single row, the certified rho is one row-wise log-sum-exp
+pass (numpy code following scipy's algorithm) and a single Gevrey norm
+its one-row path,
 the order-6 interval integrals are a 6-tap correlation plus four edge
 rows, and the exponential-kernel recurrence is one banded triangular
 solve.  Each is held here to an independent reference kept in this file.
@@ -24,9 +26,10 @@ from fvptrunc.harness import RHO_SAFETY, _certified_rho
 from fvptrunc.quadrature import (SCHEME_ORDER, QuadraturePlan, _interval_integrals,
                                  _interval_weight_table, _openblas_dtbsv, _scipy_dtbsv,
                                  backward_cumulative, exp_kernel_profile, lagrange_exp_weights)
+from fvptrunc.grids import sup_over_time
 from fvptrunc.reference import ReferenceSolution
-from fvptrunc.spectral import (FAST_NORM_MAX, FAST_NORM_MIN, _row_logsumexp, scaled_norm_rows,
-                               sup_row_norm)
+from fvptrunc.spectral import (FAST_NORM_MAX, FAST_NORM_MIN, _gevrey_weights, _row_logsumexp,
+                               exp_checked, scaled_norm_rows, sup_row_norm)
 
 
 # --------------------------------------------------------------------------
@@ -163,6 +166,45 @@ class TestSupRowNorm:
 
 
 # --------------------------------------------------------------------------
+# sup_over_time on a single row
+
+def one_row_entries():
+    """Moderate and arbitrary finite doubles, subnormals, +-0, NaN, +-inf,
+    and each limit of the one-row path and 1e154 (past which x^2
+    overflows), with its neighbours on both sides, either sign."""
+    edges = []
+    for edge in (2.0 * FAST_NORM_MIN, FAST_NORM_MAX, 1e154):
+        edges += [float(np.nextafter(edge, 0.0)), edge, float(np.nextafter(edge, math.inf))]
+    pool = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-310, 1e-160, *edges]
+    value = st.one_of(st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False),
+                      st.sampled_from(pool))
+    return st.tuples(value, st.booleans()).map(lambda vs: -vs[0] if vs[1] else vs[0])
+
+
+class TestSupOverTimeOneRow:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(one_row_entries(), min_size=1, max_size=40))
+    @example([3.0, -4.0])
+    @example([math.inf, 1.0])      # max |x| is inf; sup_row_norm gives NaN
+    @example([2e-140, -1e-300])    # the lower limit itself
+    @example([float(np.nextafter(2e-140, 0.0))])
+    @example([1e140, 0.0])         # the upper limit itself
+    @example([float(np.nextafter(1e140, math.inf))])
+    @example([-1e154, math.nan])
+    @example([0.0, -0.0])
+    @example([5e-324])
+    def test_equals_sup_row_norm_bit_for_bit(self, values):
+        rows = np.array([values])
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN points
+            want = sup_row_norm(rows.T)
+            got = sup_over_time(rows)
+        assert bits(got) == bits(want)
+
+    def test_in_range_it_is_the_largest_magnitude(self):
+        assert sup_over_time(np.array([[3.0, -4.0, 0.5]])) == 4.0
+
+
+# --------------------------------------------------------------------------
 # row log-sum-exp
 
 #: scipy.special.logsumexp of scipy 1.17 separates the row maximum and its
@@ -207,7 +249,8 @@ class TestRowLogSumExp:
         from scipy.special import logsumexp
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             want = np.asarray(logsumexp(a, axis=1), dtype=float).reshape(a.shape[0])
-        assert _row_logsumexp(a).tobytes() == want.tobytes()
+            got = _row_logsumexp(a)  # callers run it with warnings off
+        assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(lse_arrays(specials=False, min_width=1))
@@ -217,7 +260,8 @@ class TestRowLogSumExp:
         difference (the terms the last additions combine), plus what the
         rounded shifts carry: fl(x - M) is off by up to |x - M| eps / 2,
         which e^{x - M} turns into a relative error of that size."""
-        got = _row_logsumexp(a)
+        with np.errstate(all="ignore"):
+            got = _row_logsumexp(a)
         with mpmath.workdps(60):
             for value, row in zip(got, a):
                 finite = [mpmath.mpf(float(x)) for x in row if x != -math.inf]
@@ -233,6 +277,106 @@ class TestRowLogSumExp:
                 shifts = mpmath.fsum(t * (top - x) for t, x in zip(terms, rest))
                 tol = 4 * np.spacing(float(scale)) + np.finfo(float).eps * float(shifts)
                 assert abs(mpmath.mpf(float(value)) - exact) <= tol
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(lse_arrays())
+    @example(np.array([[1.0, 1.0, -2.5]]))                 # a tie
+    @example(np.array([[-math.inf, -math.inf]]))           # every entry -inf
+    @example(np.array([[math.nan, 1.0], [math.inf, 0.0]]))
+    @example(np.array([[710.0, 700.0, 710.0, -math.inf]]))
+    def test_one_row_is_the_row_wise_path(self, a):
+        """Each row alone (the one-row path) against the same row twice
+        (the row-wise path), bit for bit."""
+        with np.errstate(all="ignore"):
+            for row in a:
+                got = _row_logsumexp(row[None])
+                want = _row_logsumexp(np.vstack([row, row]))[:1]
+                assert got.tobytes() == want.tobytes()
+
+
+# --------------------------------------------------------------------------
+# one Gevrey norm
+
+def rowwise_gevrey_norm(psi: SpectralField, gp: GevreyParams) -> float:
+    """gevrey_norm with its log terms in one expression, uncached, and the
+    log-sum-exp of the row-wise path (the row stacked twice)."""
+    lam, c = psi.model.lambdas, psi.coeffs
+    with np.errstate(all="ignore"):
+        terms = np.where(c != 0.0, 2.0 * gp.p * np.log(lam) + 2.0 * gp.q * lam
+                         + 2.0 * np.log(np.abs(c)), -np.inf)
+        log_norm = 0.5 * _row_logsumexp(np.vstack([terms, terms]))[0]
+    return exp_checked(float(log_norm), "Gevrey norm")
+
+
+def outcome(norm, psi: SpectralField, gp: GevreyParams):
+    """The bits of the norm, or the message of its range error."""
+    try:
+        return bits(norm(psi, gp))
+    except ExponentOverflowError as exc:
+        return str(exc)
+
+
+def gevrey_coeffs():
+    """+-0, repeated magnitudes (ties at p = q = 0), moderate values, values
+    near the double range's ends, inf and NaN."""
+    pool = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 3.0, 1e-300, -1e300, 5e-324, math.inf, math.nan]
+    entry = st.one_of(st.sampled_from(pool), st.floats(-1e3, 1e3))
+    return st.lists(entry, min_size=1, max_size=12)
+
+
+GEVREY_PARAMS = [GevreyParams(0.0, 0.0), GevreyParams(0.0, 0.01), GevreyParams(0.0, 1.5),
+                 GevreyParams(1.0, 0.0), GevreyParams(0.5, 0.05), GevreyParams(2.0, 1.0),
+                 GevreyParams(0.0, 50.0)]
+
+
+class TestGevreyNormOneRow:
+    @settings(max_examples=500, deadline=None)
+    @given(gevrey_coeffs(), st.sampled_from(GEVREY_PARAMS))
+    @example([0.0, -0.0, 0.0], GevreyParams(0.0, 1.5))          # an all-zero row
+    @example([1.0, -1.0, 0.0, 1.0], GevreyParams(0.0, 0.0))     # three tied maxima
+    @example([0.3, 0.0, -2.0], GevreyParams(1.0, 0.0))          # p > 0
+    @example([1.0] * 8, GevreyParams(0.0, 50.0))                # the norm overflows
+    @example([math.nan, 1.0], GevreyParams(0.0, 0.01))
+    def test_equals_the_row_wise_path(self, coeffs, gp):
+        psi = SpectralField(EigenModel.dirichlet_1d(len(coeffs)), np.array(coeffs))
+        assert outcome(gevrey_norm, psi, gp) == outcome(rowwise_gevrey_norm, psi, gp)
+
+    def test_overflow_message(self):
+        psi = SpectralField(EigenModel.dirichlet_1d(8), np.ones(8))
+        with pytest.raises(ExponentOverflowError, match="Gevrey norm exceeds the floating range"):
+            gevrey_norm(psi, GevreyParams(0.0, 50.0))
+
+    def test_weights_follow_the_eigenvalues(self):
+        """Two models with the mode count and parameters in common."""
+        gp = GevreyParams(0.5, 0.1)
+        c = np.array([0.2, -1.0, 0.0, 3.0])
+        for model in (EigenModel.dirichlet_1d(4),
+                      EigenModel(dimension=1, lambdas=np.array([1.0, 4.0, 9.0, 16.0]),
+                                 e1=1.0, e2=1.0)):
+            psi = SpectralField(model, c)
+            assert outcome(gevrey_norm, psi, gp) == outcome(rowwise_gevrey_norm, psi, gp)
+
+    def test_infinite_weight_of_a_zero_coefficient_is_left_out(self):
+        """2 q lambda_2 overflows where 2 q lambda_1 does not: the zero
+        coefficient's term must be -inf, not inf + (-inf) = NaN."""
+        model = EigenModel(dimension=1, lambdas=np.array([1e-300, 1e10]), e1=1e-300, e2=1e10)
+        gp = GevreyParams(0.0, 1e298)
+        for c in ([1.0, 0.0], [1.0, -0.0], [0.0, 0.0]):
+            psi = SpectralField(model, np.array(c))
+            assert outcome(gevrey_norm, psi, gp) == outcome(rowwise_gevrey_norm, psi, gp)
+        assert gevrey_norm(SpectralField(model, np.array([1.0, 0.0])), gp) == math.exp(0.01)
+        with pytest.raises(ExponentOverflowError):
+            gevrey_norm(SpectralField(model, np.array([1.0, 1e-300])), gp)
+
+    def test_weights_built_once_per_eigenvalues_and_parameters(self):
+        ref = closed_form_solution(EigenModel.dirichlet_1d(8), 1, 1.0, 1.0, TimeGrid(1.0, 16))
+        gp = GevreyParams(0.25, 0.75)
+        _gevrey_weights.cache_clear()
+        for i in range(17):
+            gevrey_norm(ref.trajectory.state(i), gp)
+        info = _gevrey_weights.cache_info()
+        assert (info.misses, info.hits) == (1, 16)
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""`import fvptrunc` and the CLI commands load numpy and no scipy module.
+"""`import fvptrunc` and the CLI commands load numpy and no scipy module,
+and only the commands that draw noise load numpy.random.
 
 Every CLI call pays the package's import, and importing scipy's
 subpackages costs several times numpy's own import.  The package needs
@@ -9,8 +10,11 @@ scipy's dtbsv, loaded at import with scipy.linalg.  Two checks hold on
 every numpy: no module of scipy.signal, scipy.integrate, scipy.stats or
 scipy.optimize loads, on import or in `gronwall-check`.  The checks that
 no scipy module loads at all are skipped on such a numpy, and the skip
-says so.  Each check runs in a fresh interpreter, since this test
-process may have imported anything already.
+says so.  Importing numpy.random costs 10-14 ms, about a quarter of a
+linear-ladder benchmark body, and the noise must stay its PCG64 draws:
+numpy loads it on first use, so only `solve --delta`, `experiment` and
+`gronwall-check` pay for it.  Each check runs in a fresh interpreter,
+since this test process may have imported anything already.
 """
 
 import json
@@ -19,6 +23,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fvptrunc
@@ -40,8 +45,9 @@ SMALL_CONFIG = {
 }
 
 
-def scipy_modules_loaded_by(statement: str) -> list:
-    """The scipy modules loaded after running `statement` in a fresh interpreter."""
+def modules_loaded_by(statement: str, package: str = "scipy") -> list:
+    """The modules of `package` loaded after running `statement` in a fresh
+    interpreter."""
     src = str(Path(fvptrunc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -49,15 +55,15 @@ def scipy_modules_loaded_by(statement: str) -> list:
             "import fvptrunc, fvptrunc.cli\n"
             f"{statement}\n"
             "print(json.dumps(sorted(m for m in sys.modules\n"
-            "                        if m == 'scipy' or m.startswith('scipy.'))))\n")
+            f"                        if m == {package!r} or m.startswith({package + '.'!r}))))\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def command_loads(argv: list) -> list:
-    """The scipy modules loaded by the CLI command `argv`, which must exit 0."""
-    return scipy_modules_loaded_by(f"assert fvptrunc.cli.main({argv!r}) == 0")
+def command_loads(argv: list, package: str = "scipy") -> list:
+    """The modules of `package` loaded by the CLI command `argv`, which must exit 0."""
+    return modules_loaded_by(f"assert fvptrunc.cli.main({argv!r}) == 0", package)
 
 
 def heavy(modules: list) -> list:
@@ -65,7 +71,7 @@ def heavy(modules: list) -> list:
 
 
 def test_import_leaves_heavy_scipy_subpackages_unloaded():
-    assert heavy(scipy_modules_loaded_by("pass")) == []
+    assert heavy(modules_loaded_by("pass")) == []
 
 
 def test_gronwall_check_needs_no_ode_solver():
@@ -75,7 +81,7 @@ def test_gronwall_check_needs_no_ode_solver():
 
 @needs_bundled_dtbsv
 def test_import_loads_no_scipy():
-    assert scipy_modules_loaded_by("pass") == []
+    assert modules_loaded_by("pass") == []
 
 
 @needs_bundled_dtbsv
@@ -96,3 +102,35 @@ def test_solve_loads_no_scipy(tmp_path):
     assert command_loads(["solve", "--config", str(config), "--level", "2", "--delta", "1e-6",
                           "--output", str(tmp_path / "traj.csv")]) == []
     assert len((tmp_path / "traj.csv").read_text().splitlines()) == 66
+
+
+@pytest.fixture(scope="module")
+def lazy_numpy_random():
+    """Skip where `import numpy` itself loads numpy.random."""
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, numpy; print('numpy.random' in sys.modules)"],
+                          capture_output=True, text=True, timeout=120, check=True)
+    if proc.stdout.strip() == "True":
+        pytest.skip(f"numpy {np.__version__} imports numpy.random with numpy itself")
+
+
+def test_import_leaves_numpy_random_unloaded(lazy_numpy_random):
+    assert modules_loaded_by("pass", "numpy.random") == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["choose-n", "--rule", "holder", "--delta", "1e-40", "--rho", "1.0", "--q", "0.5"],
+    ["demo-illposed", "--modes", "8"],
+], ids=lambda argv: argv[0])
+def test_noise_free_command_leaves_numpy_random_unloaded(lazy_numpy_random, argv):
+    assert command_loads(argv, "numpy.random") == []
+
+
+@pytest.mark.parametrize("delta", [None, "1e-6"])
+def test_solve_loads_numpy_random_only_to_draw_noise(lazy_numpy_random, tmp_path, delta):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SMALL_CONFIG))
+    argv = ["solve", "--config", str(config), "--level", "2",
+            "--output", str(tmp_path / "traj.csv")]
+    loaded = command_loads(argv + (["--delta", delta] if delta else []), "numpy.random")
+    assert ("numpy.random" in loaded) == (delta is not None)
