@@ -64,8 +64,7 @@ def sup_over_time(rows: np.ndarray) -> float:
     correctly rounded square root undoes a correctly rounded square in
     binary arithmetic).  A NaN fails the range test.  Every other input
     takes sup_row_norm.  One reduction replaces an einsum over a strided
-    transpose: 2.9-3.7 against 4.3-7.6 us at 257 points, 3.4-5.7 against
-    11.1-11.5 us at 4097 (timeit, shared 2-vCPU machine).
+    transpose.
     """
     if rows.shape[0] == 1:
         top = float(np.abs(rows).max())

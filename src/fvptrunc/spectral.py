@@ -223,12 +223,13 @@ def _row_logsumexp(a: np.ndarray) -> np.ndarray:
     it with numpy's warnings off, as those steps raise them on such rows.
 
     A single row (every `gevrey_norm` call) takes the same ufuncs on the
-    row and then on numpy scalars, in the same order: the row's reductions
-    are those of a one-row axis-1 reduction, and a ufunc gives an element
-    the same bits whether it is alone or in a row, so only the 2-D
-    bookkeeping (keepdims, boolean row masks) is left out.  On an 8-mode
-    row that takes 14-15 us against 23-25 us (timeit, shared 2-vCPU
-    machine).  Many rows (the certified rho) take the row-wise steps.
+    row and then on numpy scalars, in the same order, leaving out only the
+    2-D bookkeeping (keepdims, boolean row masks).  The row's reductions
+    are those of a one-row axis-1 reduction, and the scalar steps work on
+    single elements as the row-wise steps do on a one-row input's (1, 1)
+    arrays, so it gives the bits of the row-wise steps called on that one
+    row (`tests/test_fast_paths.py` holds it to a copy of them).  Many rows
+    (the certified rho) take the row-wise steps.
     """
     if a.shape[1] == 0:
         return np.full(a.shape[0], -np.inf)
@@ -256,14 +257,13 @@ def _row_logsumexp(a: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _gevrey_weights(lambdas: bytes, gp: GevreyParams) -> tuple[np.ndarray, bool]:
-    """(w, whether every w_j is finite) for the log weights
+def _gevrey_weights(lambdas: bytes, gp: GevreyParams) -> np.ndarray:
+    """The read-only log weights
     w_j = log lambda_j^{2p} e^{2q lambda_j} = 2p log(lambda_j) + 2q lambda_j
-    of the float64 eigenvalues whose bytes are `lambdas`; w is read-only."""
+    of the float64 eigenvalues whose bytes are `lambdas`."""
     lam = np.frombuffer(lambdas)
     with np.errstate(all="ignore"):  # an overflowing weight is inf, masked by the caller
-        w = _readonly(2.0 * gp.p * np.log(lam) + 2.0 * gp.q * lam)
-    return w, bool(np.isfinite(w).all())
+        return _readonly(2.0 * gp.p * np.log(lam) + 2.0 * gp.q * lam)
 
 
 def gevrey_log_norms(lambdas: np.ndarray, coeffs: np.ndarray, gp: GevreyParams) -> np.ndarray:
@@ -277,15 +277,11 @@ def gevrey_log_norms(lambdas: np.ndarray, coeffs: np.ndarray, gp: GevreyParams) 
     largest `gevrey_norm` over a trajectory's grid points reads the same
     weights at every point.
     """
-    w, finite = _gevrey_weights(np.ascontiguousarray(lambdas, dtype=float).tobytes(), gp)
+    w = _gevrey_weights(np.ascontiguousarray(lambdas, dtype=float).tobytes(), gp)
     c = coeffs[None] if coeffs.ndim == 1 else coeffs
-    # one errstate for both steps: entering one costs about 2 us
+    # one errstate for both steps, as the log-sum-exp warns on non-finite rows
     with np.errstate(all="ignore"):
-        # log|0| = -inf, so a zero coefficient's term is -inf wherever its
-        # weight is finite; only an inf or NaN weight needs the mask
-        log_terms = w + 2.0 * np.log(np.abs(c))
-        if not finite:
-            log_terms = np.where(c != 0.0, log_terms, -np.inf)
+        log_terms = np.where(c != 0.0, w + 2.0 * np.log(np.abs(c)), -np.inf)
         return 0.5 * _row_logsumexp(log_terms)
 
 

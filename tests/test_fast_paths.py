@@ -11,6 +11,7 @@ solve.  Each is held here to an independent reference kept in this file.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -29,7 +30,7 @@ from fvptrunc.quadrature import (SCHEME_ORDER, QuadraturePlan, _interval_integra
 from fvptrunc.grids import sup_over_time
 from fvptrunc.reference import ReferenceSolution
 from fvptrunc.spectral import (FAST_NORM_MAX, FAST_NORM_MIN, _gevrey_weights, _row_logsumexp,
-                               exp_checked, scaled_norm_rows, sup_row_norm)
+                               exp_checked, gevrey_log_norms, scaled_norm_rows, sup_row_norm)
 
 
 # --------------------------------------------------------------------------
@@ -236,6 +237,24 @@ def lse_arrays(draw, specials: bool = True, min_width: int = 0):
     return a
 
 
+def rowwise_logsumexp(a: np.ndarray) -> np.ndarray:
+    """The row-wise steps of `_row_logsumexp` as they stood before it had a
+    one-row path, frozen here as that path's reference: a one-row input
+    runs them on (1, n) and (1, 1) arrays."""
+    if a.shape[1] == 0:
+        return np.full(a.shape[0], -np.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = np.max(a, axis=1, keepdims=True)
+        ties = a == top
+        m = np.sum(ties, axis=1, keepdims=True, dtype=float)
+        s = np.sum(np.exp(np.where(ties, -np.inf, a) - top), axis=1, keepdims=True)
+        out = (np.log1p(s / m) + np.log(m) + top)[:, 0]
+        bad = ~np.isfinite(out)
+        if np.any(bad):
+            out[bad] = np.log(np.sum(np.exp(a[bad]), axis=1))
+    return out
+
+
 class TestRowLogSumExp:
     @pytest.mark.skipif(SCIPY_MINOR != MAX_SEPARATED_SCIPY,
                         reason="the bits are those of scipy 1.17's logsumexp")
@@ -278,7 +297,6 @@ class TestRowLogSumExp:
                 tol = 4 * np.spacing(float(scale)) + np.finfo(float).eps * float(shifts)
                 assert abs(mpmath.mpf(float(value)) - exact) <= tol
 
-
     @settings(max_examples=300, deadline=None)
     @given(lse_arrays())
     @example(np.array([[1.0, 1.0, -2.5]]))                 # a tie
@@ -286,13 +304,13 @@ class TestRowLogSumExp:
     @example(np.array([[math.nan, 1.0], [math.inf, 0.0]]))
     @example(np.array([[710.0, 700.0, 710.0, -math.inf]]))
     def test_one_row_is_the_row_wise_path(self, a):
-        """Each row alone (the one-row path) against the same row twice
-        (the row-wise path), bit for bit."""
+        """Each row alone (the one-row path) and the whole array against
+        the frozen row-wise steps on the same input, bit for bit."""
         with np.errstate(all="ignore"):
             for row in a:
                 got = _row_logsumexp(row[None])
-                want = _row_logsumexp(np.vstack([row, row]))[:1]
-                assert got.tobytes() == want.tobytes()
+                assert got.tobytes() == rowwise_logsumexp(row[None]).tobytes()
+            assert _row_logsumexp(a).tobytes() == rowwise_logsumexp(a).tobytes()
 
 
 # --------------------------------------------------------------------------
@@ -300,12 +318,12 @@ class TestRowLogSumExp:
 
 def rowwise_gevrey_norm(psi: SpectralField, gp: GevreyParams) -> float:
     """gevrey_norm with its log terms in one expression, uncached, and the
-    log-sum-exp of the row-wise path (the row stacked twice)."""
+    frozen row-wise log-sum-exp on the one-row input."""
     lam, c = psi.model.lambdas, psi.coeffs
     with np.errstate(all="ignore"):
         terms = np.where(c != 0.0, 2.0 * gp.p * np.log(lam) + 2.0 * gp.q * lam
                          + 2.0 * np.log(np.abs(c)), -np.inf)
-        log_norm = 0.5 * _row_logsumexp(np.vstack([terms, terms]))[0]
+    log_norm = 0.5 * rowwise_logsumexp(terms[None])[0]
     return exp_checked(float(log_norm), "Gevrey norm")
 
 
@@ -368,6 +386,24 @@ class TestGevreyNormOneRow:
         assert gevrey_norm(SpectralField(model, np.array([1.0, 0.0])), gp) == math.exp(0.01)
         with pytest.raises(ExponentOverflowError):
             gevrey_norm(SpectralField(model, np.array([1.0, 1e-300])), gp)
+
+    def test_non_finite_and_zero_rows_raise_no_warning(self):
+        """gevrey_log_norms owns the errstate of its log-sum-exp: rows with
+        a NaN, an inf, none but zeros, and weights that overflow give their
+        NaN, inf and -inf with every warning an error, on the certified
+        rho's many-row path and on the one-row path alike."""
+        lam = EigenModel.dirichlet_1d(3).lambdas
+        c = np.array([[math.nan, 1.0, 0.0], [math.inf, 0.0, 1.0], [0.0, -0.0, 0.0],
+                      [1e300, -1e300, 0.0], [0.5, -2.0, 3.0]])
+        for gp in (GevreyParams(0.5, 1.0), GevreyParams(0.0, 1e308)):
+            _gevrey_weights.cache_clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                many = gevrey_log_norms(lam, c, gp)
+                one = np.array([gevrey_log_norms(lam, row, gp)[0] for row in c])
+            assert math.isnan(many[0]) and many[1] == math.inf and many[2] == -math.inf
+            assert np.isfinite(many[3:]).all() == (gp.q < 1e300)
+            assert one.tobytes() == many.tobytes()
 
     def test_weights_built_once_per_eigenvalues_and_parameters(self):
         ref = closed_form_solution(EigenModel.dirichlet_1d(8), 1, 1.0, 1.0, TimeGrid(1.0, 16))
