@@ -33,11 +33,9 @@ import numpy as np
 from .bounds import gronwall_bound, gronwall_comparison_solution
 from .errors import (ConfigError, ExponentOverflowError, FvptruncError, NoiseTooLargeError,
                      NonConvergenceError, ReferenceRejectedError)
-from .harness import ExperimentConfig, add_noise, run_experiment
+from .harness import ExperimentConfig, noisy_solve, run_experiment
 from .param_choice import (HOLDER_RULE, LOG_RULE, ChoiceInputs, choose_level)
-from .problem import FvpInstance
 from .reference import illposed_pair
-from .solver import picard_solve
 from .spectral import EigenModel
 
 EXIT_OK = 0
@@ -87,20 +85,11 @@ def _load_config(path: str) -> ExperimentConfig:
 
 def _cmd_solve(args) -> int:
     cfg = _load_config(args.config)
-    model = cfg.model()
-    if args.level > model.mode_count:
-        raise ConfigError(f"--level {args.level} exceeds instance.mode_count "
-                          f"{model.mode_count}")
-    g = cfg.final_data()
-    delta = args.delta
-    data = g if delta == 0.0 else add_noise(g, delta, cfg.direction,
-                                            seed=cfg.seed, mode=args.level)
-    instance = FvpInstance(model=model, tau=cfg.tau, source=cfg.source(),
-                           final_data=g, noisy_data=None if delta == 0 else data,
-                           delta=delta)
-    res = picard_solve(instance, cfg.solver(args.level, cfg.n_steps), data)
+    if args.level > cfg.mode_count:
+        raise ConfigError(f"--level {args.level} exceeds instance.mode_count {cfg.mode_count}")
+    res = noisy_solve(cfg, cfg.final_data(), args.level, args.delta, cfg.seed, cfg.n_steps)
     traj = res.trajectory
-    header = "t," + ",".join(f"c{j}" for j in range(1, model.mode_count + 1)) + ",l2_norm"
+    header = "t," + ",".join(f"c{j}" for j in range(1, cfg.mode_count + 1)) + ",l2_norm"
     lines = [header]
     norms = traj.norms()
     for i, t in enumerate(traj.grid.points):

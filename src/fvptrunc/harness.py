@@ -12,7 +12,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cache
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +25,7 @@ from .param_choice import (HOLDER_RULE, LOG_RULE, ChoiceInputs, choose_level)
 from .problem import FvpInstance, SourceFunction
 from .reference import (ReferenceSolution, combined_closed_form, richardson_estimate,
                         self_convergent_reference)
-from .solver import DEFAULT_MAX_ITERS, DEFAULT_PICARD_TOL, SolverConfig, picard_solve
+from .solver import DEFAULT_MAX_ITERS, DEFAULT_PICARD_TOL, PicardResult, SolverConfig, picard_solve
 from .spectral import (EigenModel, GevreyParams, SpectralField, checked, exp_checked,
                        gevrey_log_norms, l2_norm, scaled_norm_rows)
 
@@ -129,7 +129,7 @@ def _mode_coeff(pair) -> tuple:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Mirror of the JSON experiment document."""
+    """Mirror of the JSON experiment document, checked on construction."""
 
     tau: float
     mode_count: int
@@ -189,13 +189,6 @@ class ExperimentConfig:
         _check_keys(noise, {"deltas", "direction", "seed", "trials"}, "noise")
         deltas = tuple(_number(d, "noise.deltas entry")
                        for d in _list(noise.get("deltas"), "noise.deltas"))
-        if any(b >= a for a, b in zip(deltas, deltas[1:])):
-            raise ConfigError("noise.deltas must be strictly decreasing")
-        if any(d <= 0 for d in deltas):
-            raise ConfigError("noise.deltas must be positive")
-        direction = noise.get("direction", "seeded_random")
-        if direction not in ("seeded_random", "worst_case_mode"):
-            raise ConfigError("noise.direction must be 'seeded_random' or 'worst_case_mode'")
 
         solver = _section(doc["solver"], "solver")
         _check_keys(solver, {"n_steps", "picard_tol", "max_iters"}, "solver")
@@ -203,19 +196,15 @@ class ExperimentConfig:
         choice = _section(doc["choice"], "choice")
         _check_keys(choice, {"regime", "p", "q", "rho"}, "choice")
         regime = choice.get("regime")
-        if regime not in (LOG_RULE, HOLDER_RULE):
-            raise ConfigError(f"choice.regime must be '{LOG_RULE}' or '{HOLDER_RULE}'")
         if regime == LOG_RULE and "q" in choice:
             raise ConfigError("choice.q is not used by the log rule")
         if regime == HOLDER_RULE and "p" in choice:
             raise ConfigError("choice.p is not used by the holder rule")
         rho = choice.get("rho", "certified")
-        if not (rho == "certified" or (_is_number(rho) and rho > 0)):
-            raise ConfigError("choice.rho must be a positive number or 'certified'")
 
         times = _list(doc["eval_times"], "eval_times")
 
-        cfg = ExperimentConfig(
+        return ExperimentConfig(
             tau=_number(inst.get("tau", 1.0), "instance.tau"),
             mode_count=_integer(inst.get("mode_count", 8), "instance.mode_count"),
             source_kind=kind,
@@ -223,7 +212,7 @@ class ExperimentConfig:
             reference_kind=rkind,
             reference_data=rdata,
             deltas=deltas,
-            direction=direction,
+            direction=noise.get("direction", "seeded_random"),
             seed=_integer(noise.get("seed", 0), "noise.seed"),
             trials=_integer(noise.get("trials", 3), "noise.trials"),
             n_steps=_integer(solver.get("n_steps", 1024), "solver.n_steps"),
@@ -234,14 +223,12 @@ class ExperimentConfig:
             regime=regime,
             p=_number(choice.get("p", 0.0), "choice.p"),
             q=_number(choice.get("q", 0.0), "choice.q"),
-            rho=rho if rho == "certified" else float(rho),
+            rho=float(rho) if _is_number(rho) else rho,
             eval_times=tuple(_number(t, "eval_times entry") for t in times),
         )
-        cfg.validate()
-        return cfg
 
-    def validate(self):
-        if self.tau <= 0:
+    def __post_init__(self):
+        if not self.tau > 0:
             raise ConfigError("instance.tau must be positive")
         if self.mode_count < 1:
             raise ConfigError("instance.mode_count must be >= 1")
@@ -249,6 +236,12 @@ class ExperimentConfig:
             self.final_data()
         except (IndexError, ValueError) as exc:
             raise ConfigError(f"instance.reference: {exc}") from exc
+        if any(b >= a for a, b in zip(self.deltas, self.deltas[1:])):
+            raise ConfigError("noise.deltas must be strictly decreasing")
+        if not all(d > 0 for d in self.deltas):
+            raise ConfigError("noise.deltas must be positive")
+        if self.direction not in ("seeded_random", "worst_case_mode"):
+            raise ConfigError("noise.direction must be 'seeded_random' or 'worst_case_mode'")
         if self.seed < 0:
             raise ConfigError("noise.seed must be >= 0")
         if self.trials < 1:
@@ -259,10 +252,14 @@ class ExperimentConfig:
             raise ConfigError("solver.picard_tol must be positive")
         if self.max_iters < 1:
             raise ConfigError("solver.max_iters must be >= 1")
+        if self.regime not in (LOG_RULE, HOLDER_RULE):
+            raise ConfigError(f"choice.regime must be '{LOG_RULE}' or '{HOLDER_RULE}'")
         if self.regime == LOG_RULE and not self.p > 0.0:
             raise ConfigError("the log rule needs choice.p > 0")
         if self.regime == HOLDER_RULE and not self.q > 0.0:
             raise ConfigError("the holder rule needs choice.q > 0")
+        if not (self.rho == "certified" or (_is_number(self.rho) and self.rho > 0)):
+            raise ConfigError("choice.rho must be a positive number or 'certified'")
         if any(t < 0 or t > self.tau for t in self.eval_times):
             raise ConfigError("eval_times must lie in [0, tau]")
         grid = TimeGrid(self.tau, self.n_steps)
@@ -422,26 +419,41 @@ def build_reference(cfg: ExperimentConfig) -> ReferenceSolution:
     return self_convergent_reference(instance, cfg.solver(level, cfg.n_steps))
 
 
-def _cell_seed(cfg: ExperimentConfig, di: int, trial: int) -> int:
-    """The noise seed of delta number `di`, trial `trial`; the same at every t."""
-    return int(np.random.SeedSequence(cfg.seed, spawn_key=(di, trial)).generate_state(1)[0])
+def noisy_solve(cfg: ExperimentConfig, g: SpectralField, level: int, delta: float,
+                seed: int, n_steps: int) -> PicardResult:
+    """Solve at level `level` on n_steps from g plus noise of size delta drawn
+    from `seed` (along mode `level` in the worst case; g itself at delta 0)."""
+    noisy = add_noise(g, delta, cfg.direction, seed=seed, mode=level)
+    instance = FvpInstance(model=g.model, tau=cfg.tau, source=cfg.source(),
+                           final_data=g, noisy_data=noisy, delta=delta)
+    return picard_solve(instance, cfg.solver(level, n_steps), noisy)
+
+
+class _PlannedRow(NamedTuple):
+    ti: int                 # index of t in cfg.eval_times
+    trial: int
+    seed: int
+    inputs: BoundInputs     # carries t, delta and the level
+    bounds: dict            # truncation_bound, noise_bound, total_bound
+    capped: bool            # the rule's level was cut to mode_count
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Solve every (t, delta, trial) cell with the rule-chosen level.
 
-    Per (t, delta): choose N by the configured rule and compute the bounds
-    its rows and dominance samples share.  Per cell: perturb the final data
-    with the seed of its (delta, trial), solve and measure the error against
-    the reference at t.  Per t, fit ln(error) vs ln(delta) over the ladder
-    (max error across trials) when it has >= 4 points.
+    Plan: per (t, delta), choose N by the configured rule and compute the
+    bounds its rows share, so a rule or bound error comes before any solve.
+    Solve: one noisy solve per (level, delta, seed), read by every row
+    that shares it, against the reference at the row's t.  Emit: the rows
+    in (t, delta, trial) order and per t a fit of ln(error) vs ln(delta)
+    over the ladder (max error across trials) when it has >= 4 points.
 
     A row passes dominance when its error is at most `total_bound`, and
-    its sample then carries slack 0.  Only a row above that bound (or with
-    a NaN error) runs its cell's second solve on n/2 steps; it passes
-    within 10x the Richardson estimate plus the reference's error
-    estimate.  So `dominance.min_margin` leaves out the slack on the rows
-    that met the bare bound.
+    its sample then carries slack 0.  Only when a row is above that bound
+    (or has a NaN error) does its key run a second solve on n/2 steps; the
+    row passes within 10x the Richardson estimate plus the reference's
+    error estimate.  So `dominance.min_margin` leaves out the slack on the
+    rows that met the bare bound.
     """
     model = cfg.model()
     source = cfg.source()
@@ -453,83 +465,74 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     rho = _certified_rho(reference, gp) if cfg.rho == "certified" else float(cfg.rho)
     if any(d >= rho for d in cfg.deltas):
         raise ConfigError("every delta must be below rho")
-
-    report = ExperimentReport(rho=rho, reference=reference)
     eval_idx = [reference.trajectory.grid.index_of(t) for t in cfg.eval_times]
-    seeds = [[_cell_seed(cfg, di, trial) for trial in range(cfg.trials)]
-             for di in range(len(cfg.deltas))]
-    samples = []
-    # the first t whose row ran each (level, delta, seed) solve: a solve
-    # error names that cell, also when a later row needed the slack
-    first_t = {}
+    # the noise seed of delta number di, trial `trial`: the same at every t
+    seeds = [[int(np.random.SeedSequence(cfg.seed, spawn_key=(di, trial)).generate_state(1)[0])
+              for trial in range(cfg.trials)] for di in range(len(cfg.deltas))]
 
-    def noisy_solve(level: int, delta: float, seed: int, n_steps: int):
-        noisy = add_noise(g, delta, cfg.direction, seed=seed, mode=level)
-        instance = FvpInstance(model=model, tau=cfg.tau, source=source,
-                               final_data=g, noisy_data=noisy, delta=delta)
-        return picard_solve(instance, cfg.solver(level, n_steps), noisy)
-
-    @cache
-    def solve(level: int, delta: float, seed: int):
-        """(states at the eval times, iterations, defect) of one noisy solve,
-        shared by every t that chose its level: what the rows read."""
-        res = noisy_solve(level, delta, seed, cfg.n_steps)
-        # fancy indexing copies the columns, so the cache pins no trajectory
-        return res.trajectory.states[:, eval_idx], res.iterations, res.defect
-
-    @cache
-    def cell_slack(level: int, delta: float, seed: int) -> float:
-        """10x the Richardson estimate of the cell's solve, from a second
-        solve on n/2 steps, plus the reference's error estimate.  The fine
-        solve is repeated (same bits) rather than kept in `solve`'s cache."""
-        fine = noisy_solve(level, delta, seed, cfg.n_steps)
-        coarse = noisy_solve(level, delta, seed, cfg.n_steps // 2)
-        rich = richardson_estimate(fine.trajectory.sup_distance(coarse.trajectory))
-        return 10.0 * rich + reference.error_estimate
-
-    for ti, (t, idx) in enumerate(zip(cfg.eval_times, eval_idx)):
-        series = []
+    # plan: the level and bounds of each (t, delta), one record per row,
+    # and the rows of each solve key (level, delta, seed) by first use
+    plan, keys = [], {}
+    for ti, t in enumerate(cfg.eval_times):
         for di, delta in enumerate(cfg.deltas):
             ci = ChoiceInputs(regime=cfg.regime, rho=rho, delta=delta,
                               t=t, tau=cfg.tau, d=model.dimension,
                               e1=model.e1, e2=model.e2, p=cfg.p, q=cfg.q)
             level = choose_level(ci).level
-            if level > model.mode_count:
-                level = model.mode_count
-                report.flags.append(
-                    f"level capped at mode_count for t={t:g}, delta={delta:g}")
-            bi = BoundInputs(model=model, level=level, t=t, tau=cfg.tau,
-                             delta=delta, rho=rho, kappa=source.kappa,
+            bi = BoundInputs(model=model, level=min(level, model.mode_count), t=t,
+                             tau=cfg.tau, delta=delta, rho=rho, kappa=source.kappa,
                              regime=regime, p=cfg.p, q=cfg.q)
             bounds = dict(truncation_bound=truncation_bound(bi),
                           noise_bound=noise_bound(bi), total_bound=total_bound(bi))
-            worst_err = -math.inf
             for trial, seed in enumerate(seeds[di]):
-                cell_t = first_t.setdefault((level, delta, seed), t)
-                try:
-                    at_eval, iterations, defect = solve(level, delta, seed)
-                    err = l2_norm(reference.trajectory.state(idx)
-                                  - SpectralField(model, at_eval[:, ti]))
-                    # a NaN error fails this test, so it takes the slack path too
-                    slack = (0.0 if err <= bounds["total_bound"]
-                             else cell_slack(level, delta, seed))
-                except NonConvergenceError as exc:
-                    raise NonConvergenceError(
-                        f"cell (t={cell_t:g}, delta={delta:g}, trial={trial}) did not "
-                        f"converge: {exc}", increments=exc.increments,
-                        defect=exc.defect) from exc
-                samples.append(DominanceSample(inputs=bi, measured=err, slack=slack))
-                report.rows.append(ExperimentRow(
-                    t=t, delta=delta, seed=seed, level=level, measured_error=err,
-                    **bounds, iterations=iterations, residual=defect))
-                worst_err = max(worst_err, err)
-            series.append((delta, worst_err))
-        if len(series) >= 4 and all(e > 0 for _, e in series):
-            report.fits[t] = fit_rate(series)
+                keys.setdefault((bi.level, delta, seed), []).append(len(plan))
+                plan.append(_PlannedRow(ti, trial, seed, bi, bounds, level > model.mode_count))
+
+    # solve: one noisy solve per key, and one n/2 solve only for a key
+    # with a row above its total bound
+    measured = [None] * len(plan)    # (error, slack, iterations, defect) per row
+    for (level, delta, seed), members in keys.items():
+        try:
+            fine = noisy_solve(cfg, g, level, delta, seed, cfg.n_steps)
+            errs = [l2_norm(reference.trajectory.state(idx) - fine.trajectory.state(idx))
+                    for idx in (eval_idx[plan[i].ti] for i in members)]
+            # a NaN error fails this test, so it takes the slack path too
+            above = [not err <= plan[i].bounds["total_bound"] for i, err in zip(members, errs)]
+            slack = 0.0
+            if any(above):
+                coarse = noisy_solve(cfg, g, level, delta, seed, cfg.n_steps // 2)
+                rich = richardson_estimate(fine.trajectory.sup_distance(coarse.trajectory))
+                slack = 10.0 * rich + reference.error_estimate
+        except NonConvergenceError as exc:
+            first = plan[members[0]]
+            raise NonConvergenceError(
+                f"cell (t={first.inputs.t:g}, delta={delta:g}, trial={first.trial}) did not "
+                f"converge: {exc}", increments=exc.increments, defect=exc.defect) from exc
+        for i, err, over in zip(members, errs, above):
+            measured[i] = (err, slack if over else 0.0, fine.iterations, fine.defect)
+        del fine    # hold one trajectory at a time
+
+    # emit: rows, samples, fits and flags in (t, delta, trial) order
+    report = ExperimentReport(rho=rho, reference=reference)
+    samples = []
+    for ti, rows in groupby(zip(plan, measured), key=lambda pair: pair[0].ti):
+        t = cfg.eval_times[ti]
+        series = {}                  # delta -> worst error over its trials
+        for row, (err, slack, iterations, defect) in rows:
+            bi = row.inputs
+            if row.capped and row.trial == 0:
+                report.flags.append(f"level capped at mode_count for t={t:g}, delta={bi.delta:g}")
+            samples.append(DominanceSample(inputs=bi, measured=err, slack=slack))
+            report.rows.append(ExperimentRow(
+                t=t, delta=bi.delta, seed=row.seed, level=bi.level, measured_error=err,
+                **row.bounds, iterations=iterations, residual=defect))
+            series[bi.delta] = max(series.get(bi.delta, -math.inf), err)
+        if len(series) >= 4 and all(e > 0 for e in series.values()):
+            report.fits[t] = fit_rate(series.items())
         else:
             report.fits[t] = None
             report.flags.append(f"insufficient ladder for a rate fit at t={t:g}")
-        errs = [e for _, e in series]
+        errs = list(series.values())
         if any(b > a * (1 + 1e-12) for a, b in zip(errs, errs[1:])):
             report.flags.append(f"errors not non-increasing along the ladder at t={t:g}")
 

@@ -88,6 +88,11 @@ class GevreyParams:
     q: float
 
     def __post_init__(self):
+        # a NaN passes the sign test and an inf weight leaves the double range
+        for name in ("p", "q"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.p < 0.0 or self.q < 0.0:
             raise ValueError("Gevrey parameters must satisfy p >= 0, q >= 0")
 

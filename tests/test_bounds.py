@@ -117,7 +117,7 @@ def cinputs(**kw):
 @pytest.mark.parametrize("case", ["TimeGrid.tau", "FvpInstance.tau", "FvpInstance.delta",
                                   "SolverConfig.picard_tol", "add_noise.delta",
                                   "gronwall_bound.c0", "BoundInputs.delta", "BoundInputs.rho",
-                                  "apply_spectral_growth.t"]
+                                  "apply_spectral_growth.t", "GevreyParams.p", "GevreyParams.q"]
                          + [f"ChoiceInputs.{name}" for name in CHOICE_FIELDS]
                          + [f"BoundInputs.{name}" for name in BOUND_FIELDS])
 def test_non_finite_input_rejected_by_name(model, case, bad):
@@ -137,6 +137,8 @@ def test_non_finite_input_rejected_by_name(model, case, bad):
         "BoundInputs.delta": lambda: binputs(model, delta=bad),
         "BoundInputs.rho": lambda: binputs(model, rho=bad),
         "apply_spectral_growth.t": lambda: apply_spectral_growth(bad, g, 2),
+        "GevreyParams.p": lambda: GevreyParams(bad, 0.0),
+        "GevreyParams.q": lambda: GevreyParams(0.0, bad),
     }
     calls.update({f"ChoiceInputs.{field}": lambda field=field: cinputs(**{field: bad})
                   for field in CHOICE_FIELDS})

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fvptrunc.cli import main
+from fvptrunc.harness import ExperimentConfig, noisy_solve
 
 
 @pytest.fixture()
@@ -150,6 +151,21 @@ def test_solve_writes_trajectory(tmp_path, config_path):
     assert len(lines) == 130  # header + 129 grid points
     # one line per grid point: at t = tau the data, mode 1, exactly
     assert lines[-1] == "1,1,0,0,0,0,0,1"
+
+
+@pytest.mark.parametrize("direction", ["worst_case_mode", "seeded_random"])
+def test_noisy_solve_writes_the_harness_noisy_solve(tmp_path, config_path, direction):
+    # `solve --delta` and the experiment cells share one noisy solve
+    doc = json.loads(config_path.read_text())
+    doc["noise"]["direction"] = direction
+    config_path.write_text(json.dumps(doc))
+    out = tmp_path / "noisy.csv"
+    assert main(["solve", "--config", str(config_path), "--level", "2", "--delta", "1e-8",
+                 "--output", str(out)]) == 0
+    cfg = ExperimentConfig.from_json(config_path.read_text())
+    traj = noisy_solve(cfg, cfg.final_data(), 2, 1e-8, cfg.seed, cfg.n_steps).trajectory
+    rows = [line.split(",")[1:-1] for line in out.read_text().splitlines()[1:]]
+    assert rows == [[f"{c:.17g}" for c in col] for col in traj.states.T]
 
 
 def test_config_error_exit_code(tmp_path):

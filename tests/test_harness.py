@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -174,6 +175,17 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="mode 2 is given twice"):
             ExperimentConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("field, value, name", [
+        ("tau", -1.0, "instance.tau"), ("tau", math.nan, "instance.tau"),
+        ("mode_count", 0, "instance.mode_count"), ("n_steps", 3, "solver.n_steps"),
+        ("deltas", (1e-6, 1e-4), "noise.deltas"), ("direction", "sideways", "noise.direction"),
+        ("regime", "ridge", "choice.regime"), ("rho", -1.0, "choice.rho")])
+    def test_directly_built_config_is_checked(self, field, value, name):
+        # the checks run on construction, not only on a parsed document
+        cfg = ExperimentConfig.from_dict(config_doc())
+        with pytest.raises(ConfigError, match=re.escape(name)):
+            dataclasses.replace(cfg, **{field: value})
+
     def test_solver_settings_come_from_the_document(self):
         doc = config_doc()
         doc["solver"] = {"n_steps": 64, "picard_tol": 1e-9, "max_iters": 40}
@@ -341,6 +353,9 @@ class TestDeferredSlack:
         over = [s for s in samples if not s.measured <= total_bound(s.inputs)]
         assert [(s.inputs.t, s.inputs.delta, s.inputs.level) for s in over] == [
             (0.5, 1e-16, 2), (0.5, 1e-20, 2), (0.5, 1e-24, 2)]
+        # one full-step solve per (level, delta, seed) key; the n/2 solves
+        # reuse it, so no fine solve runs twice
+        assert steps.count(cfg.n_steps) == 4
         assert steps.count(32) == 3
         assert all(s.slack == 0.0 for s in samples if s not in over)
 
