@@ -1,8 +1,9 @@
 """Experiment runner: noise injection, delta ladders, rate fits, CSV output.
 
 A single JSON document configures an experiment; see `ExperimentConfig`.
-Every cell (evaluation time, noise level, trial) is solved independently
-with a deterministic per-cell seed, so identical configurations reproduce
+Each (noise level, trial) draws its noise from a deterministic seed, the
+same at every evaluation time.  Rows that share a level, a noise level and
+a seed share one solve, so identical configurations reproduce
 byte-identical CSV output.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from itertools import groupby
 from typing import NamedTuple
 
@@ -74,6 +75,7 @@ def add_noise(g: SpectralField, delta: float, direction: str = "seeded_random",
 # configuration
 
 _SOURCE_KEYS = {"zero": set(), "linear": {"c"}, "sin": set()}
+_SECTIONS = ("instance", "noise", "solver", "choice", "eval_times")   # the last is a list
 
 
 def _check_keys(obj: dict, allowed: set, where: str):
@@ -82,14 +84,15 @@ def _check_keys(obj: dict, allowed: set, where: str):
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-# Typed readers of JSON values: a value of the wrong type is a ConfigError
-# naming its key, never a TypeError or ValueError from a conversion.
-
 def _section(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{where} must be a JSON object")
     return value
 
+
+# Type checks of config values: each takes a value and its JSON name and
+# returns the value in its stored type, or raises a ConfigError naming the
+# key, never a TypeError or ValueError from a conversion.
 
 def _is_number(value) -> bool:
     """A finite JSON number; booleans are not numbers here."""
@@ -113,42 +116,78 @@ def _integer(value, where: str) -> int:
     return value
 
 
-def _list(value, where: str) -> list:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{where} must be a non-empty list")
+def _list(value, where: str) -> list | tuple:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"{where} must be a non-empty list, got {value!r}")
     return value
 
 
-def _mode_coeff(pair) -> tuple:
-    """One [mode, coeff] entry of a self-convergent reference's data."""
-    if not isinstance(pair, list) or len(pair) != 2:
-        raise ConfigError(f"instance.reference.data entries must be [mode, coeff], got {pair!r}")
-    return (_integer(pair[0], "instance.reference.data mode"),
-            _number(pair[1], "instance.reference.data coeff"))
+def _numbers(value, where: str) -> tuple:
+    return tuple(_number(x, f"{where} entry") for x in _list(value, where))
 
 
-@dataclass(frozen=True)
+def _mode_coeffs(value, where: str) -> tuple:
+    """A reference's data: [[mode, coeff], ...]."""
+    pairs = []
+    for pair in _list(value, f"{where} data"):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ConfigError(f"{where} data entries must be [mode, coeff], got {pair!r}")
+        pairs.append((_integer(pair[0], f"{where} mode"), _number(pair[1], f"{where} coeff")))
+    return tuple(pairs)
+
+
+def _one_of(*options):
+    def check(value, where: str) -> str:
+        if value not in options:
+            raise ConfigError(f"{where} must be one of {list(options)}, got {value!r}")
+        return value
+    return check
+
+
+def _rho(value, where: str) -> float | str:
+    if value == "certified":
+        return value
+    if not (_is_number(value) and value > 0):
+        raise ConfigError(f"{where} must be a positive number or 'certified', got {value!r}")
+    return float(value)
+
+
+def _key(path: str, check, default=MISSING):
+    """A field read from the document at the dotted `path`, where a missing
+    key takes `default`, and checked by `check` on construction."""
+    return field(default=default, metadata={"path": path, "check": check})
+
+
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """Mirror of the JSON experiment document, checked on construction."""
+    """The JSON experiment document, one field per key.
 
-    tau: float
-    mode_count: int
-    source_kind: str
-    source_c: float
-    reference_kind: str               # "closed_form" | "self_convergent"
-    reference_data: tuple             # ((mode, coeff), ...)
-    deltas: tuple
-    direction: str
-    seed: int
-    trials: int
-    n_steps: int
-    picard_tol: float
-    max_iters: int
-    regime: str                       # "log_rule" | "holder_rule"
-    p: float
-    q: float
-    rho: float | str                  # number or "certified"
-    eval_times: tuple
+    Each field is declared once, by `_key`: its document path, its default
+    and its type check.  `from_dict` routes a document onto the fields;
+    construction checks the type, then the value, of every field by its
+    JSON name, so a directly built config is refused like a parsed one.
+    The reference kind follows from the source, and a closed_form
+    reference's `{"mode": k}` is the data `[[k, 1.0]]`.
+    """
+
+    tau: float = _key("instance.tau", _number, 1.0)
+    mode_count: int = _key("instance.mode_count", _integer, 8)
+    source_kind: str = _key("instance.source.kind", _one_of(*_SOURCE_KEYS))
+    source_c: float = _key("instance.source.c", _number, 0.0)
+    reference_data: tuple = _key("instance.reference", _mode_coeffs)   # ((mode, coeff), ...)
+    deltas: tuple = _key("noise.deltas", _numbers)
+    direction: str = _key("noise.direction", _one_of("seeded_random", "worst_case_mode"),
+                          "seeded_random")
+    seed: int = _key("noise.seed", _integer, 0)
+    trials: int = _key("noise.trials", _integer, 3)
+    n_steps: int = _key("solver.n_steps", _integer, 1024)
+    picard_tol: float = _key("solver.picard_tol", _number, DEFAULT_PICARD_TOL)
+    max_iters: int = _key("solver.max_iters", _integer, DEFAULT_MAX_ITERS)
+    regime: str = _key("choice.regime", _one_of(LOG_RULE, HOLDER_RULE))
+    p: float = _key("choice.p", _number, 0.0)
+    q: float = _key("choice.q", _number, 0.0)
+    rho: float | str = _key("choice.rho", _rho, "certified")
+    eval_times: tuple = _key("eval_times", _numbers)
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
@@ -160,122 +199,92 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
-        _section(doc, "config document")
-        _check_keys(doc, {"instance", "noise", "solver", "choice", "eval_times"}, "config")
-        for section in ("instance", "noise", "solver", "choice", "eval_times"):
+        """Route the document's keys onto the fields; the constructor checks them."""
+        objects = {"": _section(doc, "config document")}
+        _check_keys(doc, set(_SECTIONS), "config")
+        for section in _SECTIONS:
             if section not in doc:
                 raise ConfigError(f"missing config section {section!r}")
-
-        inst = _section(doc["instance"], "instance")
-        _check_keys(inst, {"tau", "mode_count", "source", "reference"}, "instance")
-        src = _section(inst.get("source", {}), "instance.source")
-        kind = src.get("kind")
-        if not isinstance(kind, str) or kind not in _SOURCE_KEYS:
-            raise ConfigError(f"instance.source.kind must be one of {sorted(_SOURCE_KEYS)}")
-        _check_keys(src, {"kind"} | _SOURCE_KEYS[kind], "instance.source")
-        ref = _section(inst.get("reference", {}), "instance.reference")
+        for path in _SECTIONS[:-1] + ("instance.source", "instance.reference"):
+            parent, _, key = path.rpartition(".")
+            objects[path] = _section(objects[parent].get(key, {}), path)
+        paths = [f.metadata["path"] for f in fields(ExperimentConfig)]
+        for section in _SECTIONS[:-1]:
+            _check_keys(objects[section], {p.split(".")[1] for p in paths
+                                           if p.startswith(section + ".")}, section)
+        ref = objects["instance.reference"]
         rkind = ref.get("kind")
-        if rkind == "closed_form":
-            _check_keys(ref, {"kind", "mode"}, "instance.reference")
-            rdata = ((_integer(ref.get("mode", 1), "instance.reference.mode"), 1.0),)
-        elif rkind == "self_convergent":
-            _check_keys(ref, {"kind", "data"}, "instance.reference")
-            rdata = tuple(_mode_coeff(pair)
-                          for pair in _list(ref.get("data"), "instance.reference.data"))
-        else:
+        if rkind not in ("closed_form", "self_convergent"):
             raise ConfigError("instance.reference.kind must be 'closed_form' or 'self_convergent'")
-
-        noise = _section(doc["noise"], "noise")
-        _check_keys(noise, {"deltas", "direction", "seed", "trials"}, "noise")
-        deltas = tuple(_number(d, "noise.deltas entry")
-                       for d in _list(noise.get("deltas"), "noise.deltas"))
-
-        solver = _section(doc["solver"], "solver")
-        _check_keys(solver, {"n_steps", "picard_tol", "max_iters"}, "solver")
-
-        choice = _section(doc["choice"], "choice")
-        _check_keys(choice, {"regime", "p", "q", "rho"}, "choice")
-        regime = choice.get("regime")
-        if regime == LOG_RULE and "q" in choice:
+        _check_keys(ref, {"kind", "mode" if rkind == "closed_form" else "data"},
+                    "instance.reference")
+        choice = objects["choice"]
+        if choice.get("regime") == LOG_RULE and "q" in choice:
             raise ConfigError("choice.q is not used by the log rule")
-        if regime == HOLDER_RULE and "p" in choice:
+        if choice.get("regime") == HOLDER_RULE and "p" in choice:
             raise ConfigError("choice.p is not used by the holder rule")
-        rho = choice.get("rho", "certified")
 
-        times = _list(doc["eval_times"], "eval_times")
-
-        return ExperimentConfig(
-            tau=_number(inst.get("tau", 1.0), "instance.tau"),
-            mode_count=_integer(inst.get("mode_count", 8), "instance.mode_count"),
-            source_kind=kind,
-            source_c=_number(src.get("c", 0.0), "instance.source.c"),
-            reference_kind=rkind,
-            reference_data=rdata,
-            deltas=deltas,
-            direction=noise.get("direction", "seeded_random"),
-            seed=_integer(noise.get("seed", 0), "noise.seed"),
-            trials=_integer(noise.get("trials", 3), "noise.trials"),
-            n_steps=_integer(solver.get("n_steps", 1024), "solver.n_steps"),
-            picard_tol=_number(solver.get("picard_tol", DEFAULT_PICARD_TOL),
-                               "solver.picard_tol"),
-            max_iters=_integer(solver.get("max_iters", DEFAULT_MAX_ITERS),
-                               "solver.max_iters"),
-            regime=regime,
-            p=_number(choice.get("p", 0.0), "choice.p"),
-            q=_number(choice.get("q", 0.0), "choice.q"),
-            rho=float(rho) if _is_number(rho) else rho,
-            eval_times=tuple(_number(t, "eval_times entry") for t in times),
-        )
+        values = {}
+        for f, path in zip(fields(ExperimentConfig), paths):
+            parent, _, key = path.rpartition(".")
+            if key in objects[parent]:
+                values[f.name] = objects[parent][key]
+            elif f.default is MISSING:
+                raise ConfigError(f"missing config key {path!r}")
+        values["reference_data"] = (ref.get("data") if rkind == "self_convergent"
+                                    else [[ref.get("mode", 1), 1.0]])
+        cfg = ExperimentConfig(**values)
+        _check_keys(objects["instance.source"], {"kind"} | _SOURCE_KEYS[cfg.source_kind],
+                    "instance.source")
+        if rkind != cfg.reference_kind:
+            raise ConfigError("the zero and linear sources take a closed_form reference, "
+                              "the sin source a self_convergent one")
+        return cfg
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ConfigError("instance.tau must be positive")
-        if self.mode_count < 1:
-            raise ConfigError("instance.mode_count must be >= 1")
+        for f in fields(self):    # types first, each value stored in its own type
+            object.__setattr__(self, f.name, f.metadata["check"](getattr(self, f.name),
+                                                                  f.metadata["path"]))
+        need = self._need
+        need(self.tau > 0, "tau", "must be positive")
+        need(self.mode_count >= 1, "mode_count", "must be >= 1")
         try:  # each mode in 1..mode_count, at most once
             self.final_data()
         except (IndexError, ValueError) as exc:
-            raise ConfigError(f"instance.reference: {exc}") from exc
-        if any(b >= a for a, b in zip(self.deltas, self.deltas[1:])):
-            raise ConfigError("noise.deltas must be strictly decreasing")
-        if not all(d > 0 for d in self.deltas):
-            raise ConfigError("noise.deltas must be positive")
-        if self.direction not in ("seeded_random", "worst_case_mode"):
-            raise ConfigError("noise.direction must be 'seeded_random' or 'worst_case_mode'")
-        if self.seed < 0:
-            raise ConfigError("noise.seed must be >= 0")
-        if self.trials < 1:
-            raise ConfigError("noise.trials must be >= 1")
-        if self.n_steps < 16 or self.n_steps % 2:
-            raise ConfigError("solver.n_steps must be an even integer >= 16")
-        if not self.picard_tol > 0.0:
-            raise ConfigError("solver.picard_tol must be positive")
-        if self.max_iters < 1:
-            raise ConfigError("solver.max_iters must be >= 1")
-        if self.regime not in (LOG_RULE, HOLDER_RULE):
-            raise ConfigError(f"choice.regime must be '{LOG_RULE}' or '{HOLDER_RULE}'")
-        if self.regime == LOG_RULE and not self.p > 0.0:
-            raise ConfigError("the log rule needs choice.p > 0")
-        if self.regime == HOLDER_RULE and not self.q > 0.0:
-            raise ConfigError("the holder rule needs choice.q > 0")
-        if not (self.rho == "certified" or (_is_number(self.rho) and self.rho > 0)):
-            raise ConfigError("choice.rho must be a positive number or 'certified'")
-        if any(t < 0 or t > self.tau for t in self.eval_times):
-            raise ConfigError("eval_times must lie in [0, tau]")
+            need(False, "reference_data", str(exc))
+        need(all(b < a for a, b in zip(self.deltas, self.deltas[1:])), "deltas",
+             "must be strictly decreasing")
+        need(all(d > 0 for d in self.deltas), "deltas", "must be positive")
+        need(self.seed >= 0, "seed", "must be >= 0")
+        need(self.trials >= 1, "trials", "must be >= 1")
+        need(self.n_steps >= 16 and self.n_steps % 2 == 0, "n_steps",
+             "must be an even integer >= 16")
+        need(self.picard_tol > 0.0, "picard_tol", "must be positive")
+        need(self.max_iters >= 1, "max_iters", "must be >= 1")
+        need(self.regime != LOG_RULE or self.p > 0.0, "p", "must be > 0 under the log rule")
+        need(self.regime != HOLDER_RULE or self.q > 0.0, "q", "must be > 0 under the holder rule")
+        # TimeGrid.index_of admits a t within 1e-9 tau outside [0, tau]
+        need(all(0.0 <= t <= self.tau for t in self.eval_times), "eval_times",
+             "must lie in [0, tau]")
+        need(len(set(self.eval_times)) == len(self.eval_times), "eval_times", "must not repeat")
         grid = TimeGrid(self.tau, self.n_steps)
         for t in self.eval_times:
             try:
                 grid.index_of(t)
-            except ValueError as exc:
-                raise ConfigError(f"eval time {t} is not a grid point") from exc
-        # the closed form is exact for the zero and linear sources only
-        if (self.reference_kind == "closed_form") != (self.source_kind in ("zero", "linear")):
-            raise ConfigError("the zero and linear sources take a closed_form reference, "
-                              "the sin source a self_convergent one")
-        if self.reference_kind == "self_convergent":
-            if self.n_steps < 64 or self.n_steps % 4:
-                raise ConfigError("self_convergent references need n_steps divisible "
-                                  "by 4 and >= 64")
+            except ValueError:
+                need(False, "eval_times", f"entry {t} is not a grid point")
+        need(self.reference_kind == "closed_form" or self.n_steps >= 64 and self.n_steps % 4 == 0,
+             "n_steps", "must be divisible by 4 and >= 64 for a self_convergent reference")
+
+    def _need(self, ok: bool, name: str, what: str):
+        """Refuse the value of field `name`, by its JSON path, unless `ok`."""
+        if not ok:
+            raise ConfigError(f"{self.__dataclass_fields__[name].metadata['path']} {what}")
+
+    @property
+    def reference_kind(self) -> str:
+        """The closed form is exact for the zero and linear sources only."""
+        return "closed_form" if self.source_kind in ("zero", "linear") else "self_convergent"
 
     def source(self) -> SourceFunction:
         return SourceFunction(self.source_kind, self.source_c)
@@ -442,7 +451,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Solve every (t, delta, trial) cell with the rule-chosen level.
 
     Plan: per (t, delta), choose N by the configured rule and compute the
-    bounds its rows share, so a rule or bound error comes before any solve.
+    bounds its rows share, so a rule or bound error (a delta not below rho
+    among them) comes before any solve.
     Solve: one noisy solve per (level, delta, seed), read by every row
     that shares it, against the reference at the row's t.  Emit: the rows
     in (t, delta, trial) order and per t a fit of ln(error) vs ln(delta)
@@ -462,9 +472,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     regime = "gevrey_p" if cfg.regime == LOG_RULE else "gevrey_q"
     gp = GevreyParams(cfg.p, cfg.tau) if regime == "gevrey_p" \
         else GevreyParams(0.0, cfg.q + cfg.tau)
-    rho = _certified_rho(reference, gp) if cfg.rho == "certified" else float(cfg.rho)
-    if any(d >= rho for d in cfg.deltas):
-        raise ConfigError("every delta must be below rho")
+    rho = _certified_rho(reference, gp) if cfg.rho == "certified" else cfg.rho
     eval_idx = [reference.trajectory.grid.index_of(t) for t in cfg.eval_times]
     # the noise seed of delta number di, trial `trial`: the same at every t
     seeds = [[int(np.random.SeedSequence(cfg.seed, spawn_key=(di, trial)).generate_state(1)[0])

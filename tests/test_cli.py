@@ -193,6 +193,7 @@ def test_config_error_exit_code(tmp_path):
     ("instance", "source", {"kind": ["linear"]}),
     ("instance", "reference", {"kind": "closed_form", "mode": 7}),
     ("eval_times", None, [0.0, "0.5"]),
+    ("eval_times", None, [0.0, 0.5, 0.5]),   # each t is one block of rows and one fit line
 ])
 def test_mistyped_config_value_is_a_config_error(tmp_path, config_path, capsys,
                                                   section, key, value):

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import fvptrunc.cli
 import fvptrunc.harness
 from fvptrunc import (ConfigError, EigenModel, ExperimentConfig, ExponentOverflowError,
                       FvpInstance, SpectralField, add_noise, check_dominance, fit_rate,
@@ -179,12 +180,73 @@ class TestExperimentConfig:
         ("tau", -1.0, "instance.tau"), ("tau", math.nan, "instance.tau"),
         ("mode_count", 0, "instance.mode_count"), ("n_steps", 3, "solver.n_steps"),
         ("deltas", (1e-6, 1e-4), "noise.deltas"), ("direction", "sideways", "noise.direction"),
-        ("regime", "ridge", "choice.regime"), ("rho", -1.0, "choice.rho")])
+        ("regime", "ridge", "choice.regime"), ("rho", -1.0, "choice.rho"),
+        # the wrong type, refused by name like a parsed value
+        ("tau", "1.0", "instance.tau"), ("trials", "3", "noise.trials"),
+        ("picard_tol", "x", "solver.picard_tol"), ("mode_count", 2.5, "instance.mode_count"),
+        ("seed", 1.5, "noise.seed"), ("deltas", ("1e-4",), "noise.deltas"),
+        ("eval_times", (0.0, 0.5, 0.5), "eval_times")])
     def test_directly_built_config_is_checked(self, field, value, name):
         # the checks run on construction, not only on a parsed document
         cfg = ExperimentConfig.from_dict(config_doc())
         with pytest.raises(ConfigError, match=re.escape(name)):
             dataclasses.replace(cfg, **{field: value})
+
+    def test_directly_built_config_equals_the_parsed_one(self):
+        # a key the document leaves out takes its field's default, and each
+        # value is stored in its field's type
+        doc = config_doc(noise={"deltas": [1e-4, 1e-6]}, solver={},
+                         choice={"regime": "holder_rule", "q": 0.5})
+        doc["instance"] = {"source": {"kind": "linear", "c": 1},
+                           "reference": {"kind": "closed_form"}}
+        direct = ExperimentConfig(source_kind="linear", source_c=1.0,
+                                  reference_data=[[1, 1.0]], deltas=[1e-4, 1e-6],
+                                  regime="holder_rule", q=0.5, eval_times=[0, 0.5])
+        parsed = ExperimentConfig.from_dict(doc)
+        assert parsed == direct
+        assert parsed.reference_data == ((1, 1.0),) and parsed.eval_times == (0.0, 0.5)
+        assert (parsed.mode_count, parsed.trials, parsed.n_steps, parsed.rho) == (
+            8, 3, 1024, "certified")
+
+    def test_reference_kind_follows_the_source(self):
+        assert "reference_kind" not in {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert len(dataclasses.fields(ExperimentConfig)) == 17
+        cfg = ExperimentConfig.from_dict(config_doc())
+        assert cfg.reference_kind == "closed_form"
+        sin = ExperimentConfig.from_dict(config_doc(instance=SIN_INSTANCE, eval_times=[0.0]))
+        assert sin.reference_kind == "self_convergent"
+        # the sin source's reference ladder needs n/4 steps, also when built directly
+        with pytest.raises(ConfigError, match="solver.n_steps"):
+            dataclasses.replace(sin, n_steps=32)
+
+    def test_closed_form_mode_is_one_data_pair(self):
+        doc = config_doc()
+        doc["instance"]["reference"] = {"kind": "closed_form", "mode": 3}
+        assert ExperimentConfig.from_dict(doc).reference_data == ((3, 1.0),)
+
+    @pytest.mark.parametrize("path", [
+        ("noise", "deltas"), ("choice", "regime"), ("instance", "source", "kind")])
+    def test_missing_required_key_named(self, path):
+        doc = config_doc()
+        *outer, last = path
+        holder = doc
+        for key in outer:
+            holder = holder[key]
+        del holder[last]
+        with pytest.raises(ConfigError, match=re.escape(f"missing config key '{'.'.join(path)}'")):
+            ExperimentConfig.from_dict(doc)
+
+    def test_self_convergent_reference_needs_data(self):
+        doc = config_doc(instance=dict(SIN_INSTANCE, reference={"kind": "self_convergent"}))
+        with pytest.raises(ConfigError, match="instance.reference data must be a non-empty list"):
+            ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("t", [-1e-12, 1.0 + 1e-12])
+    def test_eval_time_just_outside_the_interval_rejected(self, t):
+        # TimeGrid.index_of admits these as grid points 0 and n; the rule
+        # would then refuse t outside [0, tau] with a bare ValueError
+        with pytest.raises(ConfigError, match=re.escape("eval_times must lie in [0, tau]")):
+            ExperimentConfig.from_dict(config_doc(eval_times=[t]))
 
     def test_solver_settings_come_from_the_document(self):
         doc = config_doc()
@@ -291,6 +353,19 @@ class TestRunExperiment:
         assert [f for f in report.flags if "capped" in f] == [
             f"level capped at mode_count for t=0, delta={math.exp(-134):g}"]
         assert max(r.level for r in report.rows) == 2
+
+    def test_delta_not_below_rho_exits_2_before_any_cell_solve(self, tmp_path, monkeypatch,
+                                                               capsys):
+        steps = count_solves(monkeypatch)
+        doc = config_doc()
+        doc["choice"]["rho"] = 1e-5          # below the first delta, 1e-4
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert fvptrunc.cli.main(["experiment", "--config", str(path),
+                                  "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and len(err.splitlines()) == 1
+        assert steps == []
 
     def test_csv_column_layout(self):
         cfg = ExperimentConfig.from_dict(config_doc())
