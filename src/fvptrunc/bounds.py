@@ -96,7 +96,7 @@ class BoundInputs:
         if self.regime not in REGIMES:
             raise UnsupportedRegimeError(f"regime must be one of {REGIMES}")
         if not 1 <= self.level <= self.model.mode_count:
-            raise ValueError("truncation level outside the model range")
+            raise ValueError(f"level must lie in 1..{self.model.mode_count}, got {self.level!r}")
         for name in ("t", "tau", "p", "q"):
             value = getattr(self, name)
             if not math.isfinite(value):

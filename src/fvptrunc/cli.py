@@ -8,17 +8,10 @@ Subcommands:
   gronwall-check  property sweep of the iterated-integral inequality against
                   the exact (closed-form) solution of its equality case
 
-Exit codes, one message line on stderr and no traceback for every
-package error:
-  0  success
-  2  the input cannot be run: a config error (ConfigError), noise too
-     large for the rule (NoiseTooLargeError), a value past the double
-     range (ExponentOverflowError), an unsupported regime
-     (UnsupportedRegimeError) or a failed root bracket (BracketError)
-  3  a numerical method gave up: Picard non-convergence
-     (NonConvergenceError) or a self-convergent reference ladder that did
-     not contract (ReferenceRejectedError)
-  4  dominance (or inequality) violation
+Exit codes: 0 on success, 4 on a dominance (or inequality) violation, and
+for every package error the `exit_code` of its type, with one line on
+stderr, its `label` and the message, and no traceback.  The README's CLI
+section tabulates the codes and labels.
 """
 
 from __future__ import annotations
@@ -31,16 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import gronwall_bound, gronwall_comparison_solution
-from .errors import (ConfigError, ExponentOverflowError, FvptruncError, NoiseTooLargeError,
-                     NonConvergenceError, ReferenceRejectedError)
+from .errors import ConfigError, FvptruncError
 from .harness import ExperimentConfig, noisy_solve, run_experiment
 from .param_choice import (HOLDER_RULE, LOG_RULE, ChoiceInputs, choose_level)
 from .reference import illposed_pair
 from .spectral import EigenModel
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_NONCONVERGENCE = 3
 EXIT_VIOLATION = 4
 
 
@@ -78,9 +68,21 @@ def _fmt(x: float) -> str:
 def _load_config(path: str) -> ExperimentConfig:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return ExperimentConfig.from_json(text)
+
+
+def _write(path: Path, text: str | None = None):
+    """Write `text` to `path`, or make the directory `path` when text is None;
+    an OSError (a missing parent, a parent that is a file) is a ConfigError."""
+    try:
+        if text is None:
+            path.mkdir(parents=True, exist_ok=True)
+        else:
+            path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _cmd_solve(args) -> int:
@@ -97,7 +99,7 @@ def _cmd_solve(args) -> int:
         lines.append(f"{_fmt(t)},{coeffs},{_fmt(norms[i])}")
     out = "\n".join(lines) + "\n"
     if args.output:
-        Path(args.output).write_text(out)
+        _write(Path(args.output), out)
         print(f"wrote {args.output} ({res.iterations} iterations, "
               f"defect {res.defect:.3e})")
     else:
@@ -138,11 +140,11 @@ def _cmd_choose_n(args) -> int:
 
 def _cmd_experiment(args) -> int:
     cfg = _load_config(args.config)
-    report = run_experiment(cfg)
     outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "experiment.csv").write_text(report.to_csv())
-    (outdir / "summary.txt").write_text(report.summary())
+    _write(outdir)    # before the run, so an unwritable directory costs no solve
+    report = run_experiment(cfg)
+    _write(outdir / "experiment.csv", report.to_csv())
+    _write(outdir / "summary.txt", report.summary())
     sys.stdout.write(report.summary())
     if report.dominance is not None and not report.dominance.ok:
         return EXIT_VIOLATION
@@ -215,21 +217,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, NoiseTooLargeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NonConvergenceError as exc:
-        print(f"solver did not converge: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except ReferenceRejectedError as exc:
-        print(f"reference rejected: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except ExponentOverflowError as exc:
-        print(f"range error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FvptruncError as exc:  # UnsupportedRegimeError, BracketError
-        print(f"unsupported input: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except FvptruncError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -8,8 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import (FAST_NORM_MAX, FAST_NORM_MIN, EigenModel, SpectralField, _readonly,
-                       scaled_norm_rows, sup_row_norm)
+from .spectral import EigenModel, SpectralField, _readonly, scaled_norm_rows, sup_over_time
 
 
 def require_int(name: str, value) -> None:
@@ -44,33 +43,14 @@ class TimeGrid:
         return self.tau / self.n_steps
 
     def index_of(self, t: float) -> int:
-        """Grid index of t; t must be a grid point (up to rounding)."""
+        """Grid index of t; t must lie in [0, tau] and be a grid point (up to
+        rounding, 1e-9 max(tau, 1))."""
+        if not 0.0 <= t <= self.tau:    # NaN included
+            raise ValueError(f"t = {t} lies outside [0, tau = {self.tau}]")
         i = int(round(t / self.h))
-        if not 0 <= i <= self.n_steps or abs(self.points[i] - t) > 1e-9 * max(self.tau, 1.0):
+        if abs(self.points[i] - t) > 1e-9 * max(self.tau, 1.0):
             raise ValueError(f"t = {t} is not a grid point of {self}")
         return i
-
-
-def sup_over_time(rows: np.ndarray) -> float:
-    """max over grid points of the L2 norm of mode-major rows; in the unscaled
-    range a point's squares add in mode order, so zero rows keep the bits.
-
-    A single row (the Picard stop test of a solve with one live mode) has
-    the norm |x| at each point, and its largest, max |x|, is returned when
-    it lies in [2 FAST_NORM_MIN, FAST_NORM_MAX].  That is
-    sup_row_norm(rows.T) = sqrt(max fl(x^2)) bit for bit: squaring is
-    monotone, so the largest square is fl(M^2) for M = max |x|, which is a
-    normal double for M in that range, and then sqrt(fl(M^2)) == M (a
-    correctly rounded square root undoes a correctly rounded square in
-    binary arithmetic).  A NaN fails the range test.  Every other input
-    takes sup_row_norm.  One reduction replaces an einsum over a strided
-    transpose.
-    """
-    if rows.shape[0] == 1:
-        top = float(np.abs(rows).max())
-        if 2.0 * FAST_NORM_MIN <= top <= FAST_NORM_MAX:
-            return top
-    return sup_row_norm(rows.T)
 
 
 @dataclass(frozen=True, eq=False)

@@ -74,7 +74,6 @@ def add_noise(g: SpectralField, delta: float, direction: str = "seeded_random",
 # --------------------------------------------------------------------------
 # configuration
 
-_SOURCE_KEYS = {"zero": set(), "linear": {"c"}, "sin": set()}
 _SECTIONS = ("instance", "noise", "solver", "choice", "eval_times")   # the last is a list
 
 
@@ -166,13 +165,16 @@ class ExperimentConfig:
     and its type check.  `from_dict` routes a document onto the fields;
     construction checks the type, then the value, of every field by its
     JSON name, so a directly built config is refused like a parsed one.
+    The rules between keys are value rules there too: `c` is for the
+    linear source only, `p` for the log rule and `q` for the holder rule,
+    and an unused one may hold only its default, 0.
     The reference kind follows from the source, and a closed_form
     reference's `{"mode": k}` is the data `[[k, 1.0]]`.
     """
 
     tau: float = _key("instance.tau", _number, 1.0)
     mode_count: int = _key("instance.mode_count", _integer, 8)
-    source_kind: str = _key("instance.source.kind", _one_of(*_SOURCE_KEYS))
+    source_kind: str = _key("instance.source.kind", _one_of("zero", "linear", "sin"))
     source_c: float = _key("instance.source.c", _number, 0.0)
     reference_data: tuple = _key("instance.reference", _mode_coeffs)   # ((mode, coeff), ...)
     deltas: tuple = _key("noise.deltas", _numbers)
@@ -193,7 +195,7 @@ class ExperimentConfig:
     def from_json(text: str) -> "ExperimentConfig":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:    # or nested too deep
             raise ConfigError(f"invalid JSON: {exc}") from exc
         return ExperimentConfig.from_dict(doc)
 
@@ -209,8 +211,8 @@ class ExperimentConfig:
             parent, _, key = path.rpartition(".")
             objects[path] = _section(objects[parent].get(key, {}), path)
         paths = [f.metadata["path"] for f in fields(ExperimentConfig)]
-        for section in _SECTIONS[:-1]:
-            _check_keys(objects[section], {p.split(".")[1] for p in paths
+        for section in _SECTIONS[:-1] + ("instance.source",):
+            _check_keys(objects[section], {p[len(section) + 1:].split(".")[0] for p in paths
                                            if p.startswith(section + ".")}, section)
         ref = objects["instance.reference"]
         rkind = ref.get("kind")
@@ -218,11 +220,6 @@ class ExperimentConfig:
             raise ConfigError("instance.reference.kind must be 'closed_form' or 'self_convergent'")
         _check_keys(ref, {"kind", "mode" if rkind == "closed_form" else "data"},
                     "instance.reference")
-        choice = objects["choice"]
-        if choice.get("regime") == LOG_RULE and "q" in choice:
-            raise ConfigError("choice.q is not used by the log rule")
-        if choice.get("regime") == HOLDER_RULE and "p" in choice:
-            raise ConfigError("choice.p is not used by the holder rule")
 
         values = {}
         for f, path in zip(fields(ExperimentConfig), paths):
@@ -234,8 +231,6 @@ class ExperimentConfig:
         values["reference_data"] = (ref.get("data") if rkind == "self_convergent"
                                     else [[ref.get("mode", 1), 1.0]])
         cfg = ExperimentConfig(**values)
-        _check_keys(objects["instance.source"], {"kind"} | _SOURCE_KEYS[cfg.source_kind],
-                    "instance.source")
         if rkind != cfg.reference_kind:
             raise ConfigError("the zero and linear sources take a closed_form reference, "
                               "the sin source a self_convergent one")
@@ -261,11 +256,13 @@ class ExperimentConfig:
              "must be an even integer >= 16")
         need(self.picard_tol > 0.0, "picard_tol", "must be positive")
         need(self.max_iters >= 1, "max_iters", "must be >= 1")
+        # a key that its source or rule does not use may hold only its default, 0
+        need(self.source_kind == "linear" or self.source_c == 0.0, "source_c",
+             "is used by the linear source only")
         need(self.regime != LOG_RULE or self.p > 0.0, "p", "must be > 0 under the log rule")
+        need(self.regime != HOLDER_RULE or self.p == 0.0, "p", "is not used by the holder rule")
         need(self.regime != HOLDER_RULE or self.q > 0.0, "q", "must be > 0 under the holder rule")
-        # TimeGrid.index_of admits a t within 1e-9 tau outside [0, tau]
-        need(all(0.0 <= t <= self.tau for t in self.eval_times), "eval_times",
-             "must lie in [0, tau]")
+        need(self.regime != LOG_RULE or self.q == 0.0, "q", "is not used by the log rule")
         need(len(set(self.eval_times)) == len(self.eval_times), "eval_times", "must not repeat")
         grid = TimeGrid(self.tau, self.n_steps)
         for t in self.eval_times:
@@ -418,7 +415,7 @@ def _certified_rho(reference: ReferenceSolution, gp: GevreyParams) -> float:
 def build_reference(cfg: ExperimentConfig) -> ReferenceSolution:
     grid = TimeGrid(cfg.tau, cfg.n_steps)
     if cfg.reference_kind == "closed_form":
-        # source_c is 0.0 for the zero source, which takes no "c" key
+        # source_c is 0.0 for the zero source (checked by ExperimentConfig)
         return combined_closed_form(cfg.model(), cfg.reference_data, cfg.source_c,
                                     cfg.tau, grid)
     data = cfg.final_data()

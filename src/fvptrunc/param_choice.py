@@ -64,7 +64,7 @@ class ChoiceInputs:
         if self.d < 1:
             raise ValueError("dimension d must be >= 1")
         if self.e1 <= 0.0 or self.e2 <= 0.0:
-            raise ValueError("growth constants must be positive")
+            raise ValueError("growth constants e1, e2 must be positive")
         if self.regime == LOG_RULE and self.p < 0.0:
             raise ValueError("p must be >= 0")
         if self.regime == HOLDER_RULE and self.q < 0.0:
@@ -102,7 +102,7 @@ def _finish(base: float, d: int) -> LevelChoice:
 def choose_n_log(ci: ChoiceInputs) -> LevelChoice:
     """Level for the power regime (logarithmic rate)."""
     if ci.regime != LOG_RULE:
-        raise ValueError("inputs are not for the log rule")
+        raise ValueError(f"inputs are not for the log rule: regime {ci.regime!r}")
     eta = ci.eta
     big_l = math.log(ci.rho) - math.log(ci.delta)  # rho/delta can overflow
     # ln of (delta/rho)^{-1/eta} ((1/eta) ln(rho/delta))^{-p/eta}
@@ -120,7 +120,7 @@ def choose_n_log(ci: ChoiceInputs) -> LevelChoice:
 def choose_n_holder(ci: ChoiceInputs) -> LevelChoice:
     """Level for the exponential regime (Holder rate)."""
     if ci.regime != HOLDER_RULE:
-        raise ValueError("inputs are not for the holder rule")
+        raise ValueError(f"inputs are not for the holder rule: regime {ci.regime!r}")
     denom = ci.e1 * (ci.q + ci.t) + ci.e2 * (ci.tau - ci.t)
     big_l = math.log(ci.rho) - math.log(ci.delta)  # rho/delta can overflow
     return _finish(_ratio(big_l, denom), ci.d)
@@ -134,7 +134,7 @@ def choose_level(ci: ChoiceInputs) -> LevelChoice:
 def zeta(s: float, b: float, c: float, dcoef: float) -> float:
     """s^b (dcoef ln(1/s))^{-c} on (0, 1)."""
     if not 0.0 < s < 1.0:
-        raise ValueError("zeta is defined on (0, 1)")
+        raise ValueError(f"zeta is defined on (0, 1), got s = {s!r}")
     if c == 0.0:
         return s ** b
     return s ** b * (dcoef * math.log(1.0 / s)) ** (-c)

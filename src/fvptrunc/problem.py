@@ -86,7 +86,8 @@ class FvpInstance:
         if not (math.isfinite(self.delta) and self.delta >= 0.0):
             raise ValueError(f"noise level delta must be finite and >= 0, got {self.delta!r}")
         if self.final_data is None and self.noisy_data is None:
-            raise ValueError("an instance needs exact and/or noisy final data")
-        for f in (self.final_data, self.noisy_data):
+            raise ValueError("an instance needs final_data and/or noisy_data")
+        for name in ("final_data", "noisy_data"):
+            f = getattr(self, name)
             if f is not None and f.model.mode_count != self.model.mode_count:
-                raise ValueError("final data must live over the instance model")
+                raise ValueError(f"{name} must live over the instance model")

@@ -97,7 +97,7 @@ class ReferenceSolution:
         if self.provenance not in ("closed_form", "self_convergent"):
             raise ValueError(f"unknown provenance {self.provenance!r}")
         if not np.array_equal(self.trajectory.states[:, -1], self.final_data.coeffs):
-            raise ValueError("trajectory at tau must equal the final data exactly")
+            raise ValueError("trajectory at tau must equal final_data exactly")
 
 
 def closed_form_solution(model: EigenModel, n: int, c: float, tau: float,

@@ -33,9 +33,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonConvergenceError
-from .grids import TimeGrid, Trajectory, require_int, sup_over_time
+from .grids import TimeGrid, Trajectory, require_int
 from .problem import FvpInstance
-from .spectral import EigenModel, SpectralField, checked
+from .spectral import EigenModel, SpectralField, checked, sup_over_time
 from .quadrature import QuadraturePlan
 
 DEFAULT_PICARD_TOL = 1e-11

@@ -107,7 +107,7 @@ class SpectralField:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _readonly(self.coeffs))
         if self.coeffs.shape != (self.model.mode_count,):
-            raise ValueError("coefficient vector length must equal the model mode count")
+            raise ValueError("coeffs length must equal the model mode count")
 
     @staticmethod
     def zero(model: EigenModel) -> "SpectralField":
@@ -191,23 +191,39 @@ def scaled_norm_rows(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def sup_row_norm(a: np.ndarray) -> float:
-    """scaled_norm_rows(a).max(), bit for bit, in one pass where it can.
+def sup_over_time(rows: np.ndarray) -> float:
+    """max over grid points of the L2 norm of mode-major rows, shape
+    (modes, points): scaled_norm_rows(rows.T).max() bit for bit, in one
+    pass where it can.
 
-    sqrt is monotone and correctly rounded, so the sqrt of the largest row
-    sum of squares is the largest plain row norm.  If that lies in the fast
-    range, scaled_norm_rows keeps it unchanged, and no row is inf, NaN or
-    overflowed (it would be the largest).  A row below the range is
-    recomputed there with scaling: its plain norm is under FAST_NORM_MIN
-    and its scaled one within a few ulps of that, so the doubled lower
-    limit keeps it under the maximum.  Every other array goes through
-    scaled_norm_rows.
+    Many rows: sqrt is monotone and correctly rounded, so the sqrt of the
+    largest sum of squares over a point is the largest plain point norm.
+    If that lies in the fast range, scaled_norm_rows keeps it unchanged,
+    and no point is inf, NaN or overflowed (it would be the largest).  A
+    point below the range is recomputed there with scaling: its plain norm
+    is under FAST_NORM_MIN and its scaled one within a few ulps of that, so
+    the doubled lower limit keeps it under the maximum.  The points' squares
+    add in mode order, so zero rows keep the bits.
+
+    One row (the Picard stop test of a solve with one live mode): the norm
+    at each point is |x|, and the largest square is fl(M^2) for M = max |x|
+    (squaring is monotone).  For M in the same range fl(M^2) is a normal
+    double, and sqrt(fl(M^2)) == M (a correctly rounded square root undoes
+    a correctly rounded square in binary arithmetic), so M is the value;
+    one reduction replaces an einsum over a strided transpose.
+
+    Either value is returned when it lies in [2 FAST_NORM_MIN,
+    FAST_NORM_MAX]; a NaN fails that test.  Every other input takes
+    scaled_norm_rows(rows.T).max().
     """
-    a = np.atleast_2d(a)
-    top = math.sqrt(np.einsum("ij,ij->i", a, a).max())
+    if rows.shape[0] == 1:
+        top = float(np.abs(rows).max())
+    else:
+        a = rows.T
+        top = math.sqrt(np.einsum("ij,ij->i", a, a).max())
     if 2.0 * FAST_NORM_MIN <= top <= FAST_NORM_MAX:
         return top
-    return float(scaled_norm_rows(a).max())
+    return float(scaled_norm_rows(rows.T).max())
 
 
 def l2_norm(psi: SpectralField) -> float:

@@ -1,8 +1,8 @@
 """The vectorised hot loops against the loop-level formulas they replaced.
 
 scaled_norm_rows takes an unscaled path for rows of moderate norm,
-sup_row_norm takes the largest of them in one pass, sup_over_time takes
-max |x| on a single row, the certified rho is one row-wise log-sum-exp
+sup_over_time takes the largest of them in one pass, or max |x| on a
+single row, the certified rho is one row-wise log-sum-exp
 pass (numpy code following scipy's algorithm) and a single Gevrey norm
 its one-row path,
 the order-6 interval integrals are a 6-tap correlation plus four edge
@@ -27,10 +27,10 @@ from fvptrunc.harness import RHO_SAFETY, _certified_rho
 from fvptrunc.quadrature import (SCHEME_ORDER, QuadraturePlan, _interval_integrals,
                                  _interval_weight_table, _openblas_dtbsv, _scipy_dtbsv,
                                  backward_cumulative, exp_kernel_profile, lagrange_exp_weights)
-from fvptrunc.grids import sup_over_time
 from fvptrunc.reference import ReferenceSolution
 from fvptrunc.spectral import (FAST_NORM_MAX, FAST_NORM_MIN, _gevrey_weights, _row_logsumexp,
-                               exp_checked, gevrey_log_norms, scaled_norm_rows, sup_row_norm)
+                               exp_checked, gevrey_log_norms, scaled_norm_rows,
+                               sup_over_time)
 
 
 # --------------------------------------------------------------------------
@@ -122,7 +122,7 @@ class TestScaledNormRows:
 
 
 # --------------------------------------------------------------------------
-# sup_row_norm
+# sup_over_time on many rows (a's rows are the grid points)
 
 def with_entry(row: list, k: int, value: float) -> list:
     row = list(row)
@@ -160,10 +160,10 @@ class TestSupRowNorm:
                        [6.55089397473976e-141, 4.5885451350623376e-141, 6.002586248877566e-141]]))
     def test_equals_max_of_scaled_norm_rows_bit_for_bit(self, a):
         with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN rows
-            assert bits(sup_row_norm(a)) == bits(scaled_norm_rows(a).max())
+            assert bits(sup_over_time(a.T)) == bits(scaled_norm_rows(a).max())
 
-    def test_one_dimensional_input_is_one_row(self):
-        assert sup_row_norm(np.array([3.0, 4.0])) == 5.0
+    def test_one_grid_point_is_its_l2_norm(self):
+        assert sup_over_time(np.array([[3.0], [4.0]])) == 5.0
 
 
 # --------------------------------------------------------------------------
@@ -186,7 +186,7 @@ class TestSupOverTimeOneRow:
     @settings(max_examples=500, deadline=None)
     @given(st.lists(one_row_entries(), min_size=1, max_size=40))
     @example([3.0, -4.0])
-    @example([math.inf, 1.0])      # max |x| is inf; sup_row_norm gives NaN
+    @example([math.inf, 1.0])      # max |x| is inf; the scaled norm is NaN
     @example([2e-140, -1e-300])    # the lower limit itself
     @example([float(np.nextafter(2e-140, 0.0))])
     @example([1e140, 0.0])         # the upper limit itself
@@ -194,10 +194,10 @@ class TestSupOverTimeOneRow:
     @example([-1e154, math.nan])
     @example([0.0, -0.0])
     @example([5e-324])
-    def test_equals_sup_row_norm_bit_for_bit(self, values):
+    def test_equals_max_of_scaled_norm_rows_bit_for_bit(self, values):
         rows = np.array([values])
         with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN points
-            want = sup_row_norm(rows.T)
+            want = scaled_norm_rows(rows.T).max()
             got = sup_over_time(rows)
         assert bits(got) == bits(want)
 

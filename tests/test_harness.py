@@ -185,12 +185,27 @@ class TestExperimentConfig:
         ("tau", "1.0", "instance.tau"), ("trials", "3", "noise.trials"),
         ("picard_tol", "x", "solver.picard_tol"), ("mode_count", 2.5, "instance.mode_count"),
         ("seed", 1.5, "noise.seed"), ("deltas", ("1e-4",), "noise.deltas"),
-        ("eval_times", (0.0, 0.5, 0.5), "eval_times")])
+        ("eval_times", (0.0, 0.5, 0.5), "eval_times"),
+        # a key that the source or the rule does not use, nonzero; a dict
+        # value sets the other fields the case needs as well
+        pytest.param("source_c", {"source_kind": "zero", "source_c": 3.0}, "instance.source.c",
+                     id="source_c-zero-source"),
+        pytest.param("source_c", {"source_kind": "sin", "source_c": 5.0}, "instance.source.c",
+                     id="source_c-sin-source"),
+        ("p", 0.5, "choice.p is not used by the holder rule"),
+        pytest.param("q", {"regime": "log_rule", "p": 1.0, "q": 0.5},
+                     "choice.q is not used by the log rule", id="q-log-rule")])
     def test_directly_built_config_is_checked(self, field, value, name):
         # the checks run on construction, not only on a parsed document
         cfg = ExperimentConfig.from_dict(config_doc())
         with pytest.raises(ConfigError, match=re.escape(name)):
-            dataclasses.replace(cfg, **{field: value})
+            dataclasses.replace(cfg, **(value if isinstance(value, dict) else {field: value}))
+
+    def test_unused_key_at_its_default_is_accepted(self):
+        doc = config_doc(choice={"regime": "holder_rule", "p": 0, "q": 0.5})
+        doc["instance"]["source"] = {"kind": "zero", "c": 0.0}
+        cfg = ExperimentConfig.from_dict(doc)
+        assert (cfg.source_kind, cfg.source_c, cfg.p) == ("zero", 0.0, 0.0)
 
     def test_directly_built_config_equals_the_parsed_one(self):
         # a key the document leaves out takes its field's default, and each
@@ -243,9 +258,10 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("t", [-1e-12, 1.0 + 1e-12])
     def test_eval_time_just_outside_the_interval_rejected(self, t):
-        # TimeGrid.index_of admits these as grid points 0 and n; the rule
-        # would then refuse t outside [0, tau] with a bare ValueError
-        with pytest.raises(ConfigError, match=re.escape("eval_times must lie in [0, tau]")):
+        # within TimeGrid.index_of's rounding tolerance of points 0 and n,
+        # but outside [0, tau], where the rule would refuse t
+        msg = f"eval_times entry {t} is not a grid point"
+        with pytest.raises(ConfigError, match=re.escape(msg)):
             ExperimentConfig.from_dict(config_doc(eval_times=[t]))
 
     def test_solver_settings_come_from_the_document(self):
@@ -365,6 +381,21 @@ class TestRunExperiment:
                                   "--output-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and len(err.splitlines()) == 1
+        assert steps == []
+
+    def test_unused_source_coefficient_exits_2_before_any_solve(self, tmp_path, monkeypatch,
+                                                                capsys):
+        # the zero source solves with F = 0, so its rows would be measured
+        # against the closed form of the linear source with c = 3
+        steps = count_solves(monkeypatch)
+        doc = config_doc()
+        doc["instance"]["source"] = {"kind": "zero", "c": 3.0}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert fvptrunc.cli.main(["experiment", "--config", str(path),
+                                  "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: instance.source.c is used by the linear source only\n")
         assert steps == []
 
     def test_csv_column_layout(self):

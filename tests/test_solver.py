@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,20 @@ class TestTimeGrid:
 
     def test_numpy_integer_step_count_accepted(self):
         assert TimeGrid(1.0, np.int64(8)).points.shape == (9,)
+
+    @pytest.mark.parametrize("t", [1.0 + 1e-12, -1e-12, math.nan, math.inf, -math.inf])
+    def test_index_of_refuses_t_outside_the_interval(self, t):
+        # before any rounding: 1 + 1e-12 and -1e-12 lie within its tolerance
+        with pytest.raises(ValueError, match=re.escape(f"t = {t} lies outside [0, tau = 1.0]")):
+            TimeGrid(1.0, 128).index_of(t)
+
+    def test_index_of_rounds_inside_the_interval(self):
+        grid = TimeGrid(1.0, 128)
+        assert grid.index_of(1.0 - 1e-12) == 128
+        assert grid.index_of(1e-12) == 0
+        assert grid.index_of(0.5) == 64
+        with pytest.raises(ValueError, match="is not a grid point"):
+            grid.index_of(0.5 + 1e-6)
 
 
 class TestTrajectory:
