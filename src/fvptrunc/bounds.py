@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedRegimeError
-from .spectral import EigenModel, checked, exp_checked, exp_or_inf
+from .spectral import (EigenModel, checked, exp_checked, exp_or_inf, require_finite,
+                       require_int, require_time)
 
 REGIMES = ("gevrey_p", "gevrey_q")
 
@@ -33,16 +34,14 @@ REGIMES = ("gevrey_p", "gevrey_q")
 def gronwall_bound(c0: float, c1: float, t: float, tau: float) -> float:
     """c0 * e^{(1+c1)(tau - t)}; ExponentOverflowError past the double range."""
     _check_gronwall_constants(c0, c1, tau)
-    if not 0.0 <= t <= tau:
-        raise ValueError("need 0 <= t <= tau")
+    require_time(t, tau)
     return checked(c0 * exp_or_inf((1.0 + c1) * (tau - t)),
                    "gronwall bound overflows for c1 = %.6g, tau - t = %.6g", c1, tau - t)
 
 
 def _check_gronwall_constants(c0: float, c1: float, tau: float) -> None:
     for name, value in (("c0", c0), ("c1", c1), ("tau", tau)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        require_finite(name, value, "positive")
 
 
 def gronwall_comparison_solution(c0: float, c1: float, tau: float,
@@ -60,6 +59,8 @@ def gronwall_comparison_solution(c0: float, c1: float, tau: float,
     leaves the double range.
     """
     _check_gronwall_constants(c0, c1, tau)
+    # at n_steps = 0 the one point t = 0 would be set to X(tau) = c0 below
+    require_int("n_steps", n_steps)
     pts = np.linspace(0.0, tau, n_steps + 1)
     w = tau - pts
     r1 = 0.5 * (c1 + math.sqrt(c1 * c1 + 4.0 * c1))
@@ -95,21 +96,14 @@ class BoundInputs:
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise UnsupportedRegimeError(f"regime must be one of {REGIMES}")
-        if not 1 <= self.level <= self.model.mode_count:
-            raise ValueError(f"level must lie in 1..{self.model.mode_count}, got {self.level!r}")
-        for name in ("t", "tau", "p", "q"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        require_int("level", self.level, high=self.model.mode_count)
+        for name in ("tau", "p", "q"):
+            require_finite(name, getattr(self, name))
+        require_time(self.t, self.tau)
         # kappa0 = max(kappa, 1) would turn a negative Lipschitz constant into 1
-        if not (math.isfinite(self.kappa) and self.kappa >= 0.0):
-            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa!r}")
-        if not 0.0 <= self.t <= self.tau:
-            raise ValueError("need 0 <= t <= tau")
-        if not (math.isfinite(self.delta) and self.delta >= 0.0):
-            raise ValueError(f"delta must be finite and >= 0, got {self.delta!r}")
-        if not (math.isfinite(self.rho) and self.rho > 0.0):
-            raise ValueError(f"rho must be finite and positive, got {self.rho!r}")
+        require_finite("kappa", self.kappa, ">= 0")
+        require_finite("delta", self.delta, ">= 0")
+        require_finite("rho", self.rho, "positive")
         if self.regime == "gevrey_p" and not (self.p > 0.0 and self.q == 0.0):
             raise UnsupportedRegimeError("gevrey_p regime needs p > 0 and q = 0")
         if self.regime == "gevrey_q" and not (self.q > 0.0 and self.p == 0.0):

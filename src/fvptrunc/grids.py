@@ -2,20 +2,12 @@
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import EigenModel, SpectralField, _readonly, scaled_norm_rows, sup_over_time
-
-
-def require_int(name: str, value) -> None:
-    """ValueError naming `name` unless `value` is an int: a float slices
-    nothing and a bool is no count."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an int, got {value!r}")
+from .spectral import (EigenModel, SpectralField, _readonly, require_finite, require_int,
+                       scaled_norm_rows, sup_over_time)
 
 
 @dataclass(frozen=True)
@@ -26,11 +18,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.tau) and self.tau > 0.0):
-            raise ValueError(f"tau must be finite and positive, got {self.tau!r}")
+        require_finite("tau", self.tau, "positive")
         require_int("n_steps", self.n_steps)
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be a positive integer")
         pts = np.linspace(0.0, self.tau, self.n_steps + 1)
         object.__setattr__(self, "_points", _readonly(pts))
 

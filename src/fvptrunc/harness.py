@@ -28,7 +28,8 @@ from .reference import (ReferenceSolution, combined_closed_form, richardson_esti
                         self_convergent_reference)
 from .solver import DEFAULT_MAX_ITERS, DEFAULT_PICARD_TOL, PicardResult, SolverConfig, picard_solve
 from .spectral import (EigenModel, GevreyParams, SpectralField, checked, exp_checked,
-                       gevrey_log_norms, l2_norm, scaled_norm_rows)
+                       gevrey_log_norms, l2_norm, require_finite, require_int,
+                       scaled_norm_rows)
 
 RHO_SAFETY = 1.01                # grid-max to essential-sup safety factor
 
@@ -46,19 +47,14 @@ def add_noise(g: SpectralField, delta: float, direction: str = "seeded_random",
     vector is rescaled once after rounding so its stored norm equals delta
     to a few ulp.
     """
-    if not (math.isfinite(delta) and delta >= 0.0):
-        raise ValueError(f"delta must be finite and >= 0, got {delta!r}")
+    require_finite("delta", delta, ">= 0")
     if delta == 0.0:
         return g
-    m = g.model.mode_count
     if direction == "worst_case_mode":
-        if mode is None or not 1 <= mode <= m:
-            raise ValueError("worst_case_mode needs a valid mode index")
-        e = np.zeros(m)
-        e[mode - 1] = 1.0
+        e = SpectralField.basis(g.model, mode).coeffs
     elif direction == "seeded_random":
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        e = rng.standard_normal(m)
+        e = rng.standard_normal(g.model.mode_count)
         if not np.any(e):
             e[0] = 1.0
     else:
@@ -329,10 +325,9 @@ def fit_rate_logs(log_x: np.ndarray, log_y: np.ndarray) -> RateFit:
 
 
 def fit_rate(points) -> RateFit:
-    """Least squares on (ln delta, ln error); needs >= 4 positive pairs."""
-    pts = [(float(d), float(e)) for d, e in points]
-    if any(d <= 0 or e <= 0 for d, e in pts):
-        raise ValueError("rate fits need positive deltas and errors")
+    """Least squares on (ln delta, ln error); needs >= 4 finite positive pairs."""
+    pts = [(require_finite("delta", d, "positive"), require_finite("error", e, "positive"))
+           for d, e in points]
     return fit_rate_logs(np.log([d for d, _ in pts]), np.log([e for _, e in pts]))
 
 
@@ -575,6 +570,7 @@ def holder_bound_staircase(model: EigenModel, tau: float, t: float, q: float,
     uniformly in r = (ln(rho/delta)/denom)^{d/2} spreads the ladder evenly
     across level transitions.  Deltas stay within the double range.
     """
+    require_int("n_points", n_points)
     denom = model.e1 * (q + t) + model.e2 * (tau - t)
     rs = np.linspace(r_min, r_max, n_points)
     deltas, levels, log_bounds = [], [], []

@@ -23,8 +23,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BracketError, ExponentOverflowError, NoiseTooLargeError
-from .spectral import checked
+from .errors import (BracketError, ExponentOverflowError, NoiseTooLargeError,
+                     UnsupportedRegimeError)
+from .spectral import checked, require_finite, require_int, require_time
 
 LOG_RULE = "log_rule"
 HOLDER_RULE = "holder_rule"
@@ -33,7 +34,11 @@ RULES = (LOG_RULE, HOLDER_RULE)
 
 @dataclass(frozen=True)
 class ChoiceInputs:
-    """Inputs of a parameter-choice rule at one evaluation time."""
+    """Inputs of a parameter-choice rule at one evaluation time.
+
+    The log rule reads p and the holder rule q; the other one may hold
+    only its default, 0 (p = 0 under the log rule is valid).
+    """
 
     regime: str
     rho: float
@@ -49,26 +54,19 @@ class ChoiceInputs:
     def __post_init__(self):
         if self.regime not in RULES:
             raise ValueError(f"regime must be one of {RULES}")
-        # a NaN passes every comparison below, and an inf leaves the rules
-        # past the double range
-        for name in ("rho", "delta", "t", "tau", "e1", "e2", "p", "q"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.delta <= 0.0 or self.rho <= 0.0:
-            raise ValueError("delta and rho must be positive")
+        # an inf leaves the rules past the double range
+        for name in ("rho", "delta", "tau", "e1", "e2"):
+            require_finite(name, getattr(self, name), "positive")
+        for name in ("p", "q"):
+            require_finite(name, getattr(self, name), ">= 0")
+        require_int("d", self.d)
+        require_time(self.t, self.tau)
         if self.delta >= self.rho:
             raise NoiseTooLargeError("rules require delta < rho (ln(rho/delta) > 0)")
-        if not 0.0 <= self.t <= self.tau:
-            raise ValueError("need 0 <= t <= tau")
-        if self.d < 1:
-            raise ValueError("dimension d must be >= 1")
-        if self.e1 <= 0.0 or self.e2 <= 0.0:
-            raise ValueError("growth constants e1, e2 must be positive")
-        if self.regime == LOG_RULE and self.p < 0.0:
-            raise ValueError("p must be >= 0")
-        if self.regime == HOLDER_RULE and self.q < 0.0:
-            raise ValueError("q must be >= 0")
+        if self.regime == HOLDER_RULE and self.p != 0.0:
+            raise UnsupportedRegimeError("p is not used by the holder rule")
+        if self.regime == LOG_RULE and self.q != 0.0:
+            raise UnsupportedRegimeError("q is not used by the log rule")
 
     @property
     def eta(self) -> float:

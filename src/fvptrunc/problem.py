@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import EigenModel, SpectralField
+from .spectral import EigenModel, SpectralField, require_finite
 
 
 @dataclass(frozen=True)
@@ -33,8 +32,7 @@ class SourceFunction:
     def __post_init__(self):
         if self.kind not in ("zero", "linear", "sin"):
             raise ValueError(f"unknown source kind {self.kind!r}")
-        if not math.isfinite(self.c):
-            raise ValueError(f"source coefficient c must be finite, got {self.c!r}")
+        require_finite("c", self.c)
 
     @property
     def kappa(self) -> float:
@@ -81,10 +79,8 @@ class FvpInstance:
     delta: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.tau) and self.tau > 0.0):
-            raise ValueError(f"final time tau must be finite and positive, got {self.tau!r}")
-        if not (math.isfinite(self.delta) and self.delta >= 0.0):
-            raise ValueError(f"noise level delta must be finite and >= 0, got {self.delta!r}")
+        require_finite("tau", self.tau, "positive")
+        require_finite("delta", self.delta, ">= 0")
         if self.final_data is None and self.noisy_data is None:
             raise ValueError("an instance needs final_data and/or noisy_data")
         for name in ("final_data", "noisy_data"):

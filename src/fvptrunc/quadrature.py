@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import checked
+from .spectral import checked, require_finite
 
 
 #: the fixed arguments of the recurrence's cblas_dtbsv: CblasColMajor,
@@ -260,10 +260,9 @@ class QuadraturePlan:
     """
 
     def __init__(self, lams, h: float, n: int):
-        if not all(lam >= 0.0 for lam in lams):  # NaN fails too
-            raise ValueError("kernel rate lam must be >= 0")
-        if not (math.isfinite(h) and h > 0.0):
-            raise ValueError("step h must be finite and positive")
+        for lam in lams:
+            require_finite("lam", lam, ">= 0")
+        require_finite("step h", h, "positive")
         if n < 5:
             raise ValueError("the quadrature needs at least 6 grid points")
         zs = [lam * h for lam in lams]

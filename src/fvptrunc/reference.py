@@ -32,7 +32,7 @@ from .grids import TimeGrid, Trajectory
 from .problem import FvpInstance
 from .quadrature import SCHEME_ORDER
 from .solver import DEFAULT_QUADRATURE_ORDER, SolverConfig, picard_solve
-from .spectral import EigenModel, SpectralField, checked
+from .spectral import EigenModel, SpectralField, checked, require_finite
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,8 @@ def mode_roots(lam: float, c: float) -> LinearModeRoots:
     branch of the quadratic formula, alpha as 1/beta; this avoids the
     cancellation the subtractive branch would suffer for large lambda.
     """
+    require_finite("lam", lam)
+    require_finite("c", c)
     s = lam - c
     disc = s * s - 4.0
     if disc <= 0.0:
@@ -113,6 +115,7 @@ def combined_closed_form(model: EigenModel, weights, c: float, tau: float,
     `weights` holds (1-based mode, w_n) pairs, each mode at most once; the
     grid must span [0, tau].
     """
+    require_finite("tau", tau, "positive")
     if abs(grid.tau - tau) > 1e-12 * max(tau, 1.0):
         raise ValueError("grid must span [0, tau]")
     data = SpectralField.from_coeffs(model, weights)  # checks the mode indices
@@ -157,6 +160,7 @@ class IllposedPair:
 
 def illposed_pair(model: EigenModel, n: int, tau: float) -> IllposedPair:
     """Data/solution pair for the source F = u demonstrating instability."""
+    require_finite("tau", tau, "positive")
     roots = mode_roots(model.eigenvalue(n), 1.0)
     return IllposedPair(mode=n, tau=tau, data_norm=1.0 / abs(roots.beta), roots=roots)
 
@@ -172,7 +176,8 @@ def check_ladder_contraction(diffs, floor: float = 0.0):
     for i in range(len(diffs) - 1):
         if diffs[i + 1] <= floor:
             continue
-        if diffs[i] / diffs[i + 1] < 3.0:
+        # a NaN difference fails this test
+        if not diffs[i] / diffs[i + 1] >= 3.0:
             raise ReferenceRejectedError(
                 f"ladder differences {diffs[i]:.3e} -> {diffs[i + 1]:.3e} shrink by "
                 f"{diffs[i] / diffs[i + 1]:.2f} < required 3.00")

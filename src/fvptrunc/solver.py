@@ -25,7 +25,6 @@ independently of the loop.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -33,9 +32,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonConvergenceError
-from .grids import TimeGrid, Trajectory, require_int
+from .grids import TimeGrid, Trajectory
 from .problem import FvpInstance
-from .spectral import EigenModel, SpectralField, checked, sup_over_time
+from .spectral import (EigenModel, SpectralField, checked, require_finite, require_int,
+                       sup_over_time)
 from .quadrature import QuadraturePlan
 
 DEFAULT_PICARD_TOL = 1e-11
@@ -57,14 +57,7 @@ class SolverConfig:
     def __post_init__(self):
         for name in ("level", "n_steps", "max_iters"):
             require_int(name, getattr(self, name))
-        if self.level < 1:
-            raise ValueError("truncation level must be >= 1")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
-        if not (math.isfinite(self.picard_tol) and self.picard_tol > 0.0):
-            raise ValueError(f"picard_tol must be finite and positive, got {self.picard_tol!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        require_finite("picard_tol", self.picard_tol, "positive")
 
     def grid(self, tau: float) -> TimeGrid:
         return TimeGrid(tau, self.n_steps)
@@ -78,10 +71,8 @@ def apply_spectral_growth(t: float, psi: SpectralField, level: int) -> SpectralF
     the double range while its coefficient is nonzero.
     """
     model = psi.model
-    if not 1 <= level <= model.mode_count:
-        raise ValueError(f"level must lie in 1..{model.mode_count}")
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"t must be finite and >= 0, got {t!r}")
+    require_int("level", level, high=model.mode_count)
+    require_finite("t", t, ">= 0")
     out = np.zeros(model.mode_count)
     with np.errstate(all="ignore"):
         out[:level] = _growth_rows(model.lambdas[:level], np.array([t]), psi.coeffs[:level])[:, 0]

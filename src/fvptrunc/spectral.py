@@ -6,8 +6,13 @@ eigenvalues lambda_j = j^2 pi^2.  Abstract eigenvalue sequences (d >= 1)
 are supported too.  Everything here works on coefficients; nothing
 evaluates a field at points of the domain.
 
-`checked` holds the package's one overflow test: a value is out of range
-exactly when it is not a finite double, and there is no exponent cap.
+The package's two value policies live here too.  Output: `checked` holds
+the one overflow test, a value is out of range exactly when it is not a
+finite double, and there is no exponent cap.  Input: `require_finite`,
+`require_int`, `require_mode` and `require_time` are the one check of a
+scalar argument, a finite real in its range or an int count or mode
+index (never a bool), and each refusal reads `<name> must be ..., got
+<value>`.
 """
 
 from __future__ import annotations
@@ -19,6 +24,58 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ExponentOverflowError
+
+
+#: the sign rules of `require_finite`, by the words its refusal uses
+_SIGNS = {"positive": lambda x: x > 0.0, ">= 0": lambda x: x >= 0.0, None: lambda x: True}
+# concrete types rather than the `numbers` ABCs, whose isinstance costs
+# several times more on the per-solve checks
+_INTS = (int, np.integer)
+_REALS = (float, np.floating) + _INTS
+
+
+def require_finite(name: str, value, sign: str | None = None):
+    """`value` if it is a finite real (a numpy number too, never a bool) of
+    the given sign, "positive", ">= 0" or None for any, else ValueError
+    naming `name`."""
+    if (isinstance(value, bool) or not isinstance(value, _REALS)
+            or not (math.isfinite(value) and _SIGNS[sign](value))):
+        rule = "finite" if sign is None else f"finite and {sign}"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return value
+
+
+def _require_int_type(name: str, value) -> None:
+    # a float indexes nothing and a bool is no count
+    if isinstance(value, bool) or not isinstance(value, _INTS):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+def require_int(name: str, value, low: int = 1, high: int | None = None):
+    """`value` if it is an int (a numpy integer too, never a bool) in
+    low..high (no upper limit for None), else ValueError naming `name`."""
+    _require_int_type(name, value)
+    if value < low or (high is not None and value > high):
+        rule = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be an int {rule}, got {value!r}")
+    return value
+
+
+def require_mode(j, mode_count: int):
+    """`j` if it is a 1-based mode index in 1..mode_count: ValueError for a
+    non-int, IndexError for an int out of range."""
+    _require_int_type("mode index", j)
+    if not 1 <= j <= mode_count:
+        raise IndexError(f"mode index {j} out of range 1..{mode_count}")
+    return j
+
+
+def require_time(t, tau: float):
+    """`t` if it is finite and 0 <= t <= tau, else ValueError naming t."""
+    require_finite("t", t)
+    if not 0.0 <= t <= tau:
+        raise ValueError(f"t must lie in [0, tau = {tau!r}], got {t!r}")
+    return t
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -42,8 +99,9 @@ class EigenModel:
 
     def __post_init__(self):
         object.__setattr__(self, "lambdas", _readonly(self.lambdas))
-        if self.dimension < 1:
-            raise ValueError("dimension must be a positive integer")
+        require_int("dimension", self.dimension)
+        require_finite("e1", self.e1, "positive")
+        require_finite("e2", self.e2, "positive")
         lam = self.lambdas
         if lam.ndim != 1 or lam.size < 1:
             raise ValueError("lambdas must be a non-empty 1D sequence")
@@ -53,8 +111,6 @@ class EigenModel:
             raise ValueError("eigenvalues must be strictly positive")
         if np.any(np.diff(lam) < 0.0):
             raise ValueError("eigenvalues must be non-decreasing")
-        if not (self.e1 > 0.0 and self.e2 > 0.0):
-            raise ValueError("growth constants e1, e2 must be positive")
         j = np.arange(1, lam.size + 1, dtype=float)
         pw = j ** (2.0 / self.dimension)
         # tiny relative slack so exact models (lambda_j = e * j^{2/d}) pass
@@ -68,9 +124,7 @@ class EigenModel:
 
     def eigenvalue(self, j: int) -> float:
         """lambda_j for 1-based mode index j."""
-        if not 1 <= j <= self.mode_count:
-            raise IndexError(f"mode index {j} out of range 1..{self.mode_count}")
-        return float(self.lambdas[j - 1])
+        return float(self.lambdas[require_mode(j, self.mode_count) - 1])
 
     @staticmethod
     def dirichlet_1d(mode_count: int = 64) -> "EigenModel":
@@ -88,13 +142,9 @@ class GevreyParams:
     q: float
 
     def __post_init__(self):
-        # a NaN passes the sign test and an inf weight leaves the double range
-        for name in ("p", "q"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.p < 0.0 or self.q < 0.0:
-            raise ValueError("Gevrey parameters must satisfy p >= 0, q >= 0")
+        # an inf weight leaves the double range
+        require_finite("p", self.p, ">= 0")
+        require_finite("q", self.q, ">= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,11 +166,7 @@ class SpectralField:
     @staticmethod
     def basis(model: EigenModel, j: int) -> "SpectralField":
         """The eigenfunction phi_j as a field (1-based index)."""
-        if not 1 <= j <= model.mode_count:
-            raise IndexError(f"mode index {j} out of range 1..{model.mode_count}")
-        c = np.zeros(model.mode_count)
-        c[j - 1] = 1.0
-        return SpectralField(model, c)
+        return SpectralField.from_coeffs(model, ((j, 1.0),))
 
     @staticmethod
     def from_coeffs(model: EigenModel, pairs) -> "SpectralField":
@@ -129,8 +175,7 @@ class SpectralField:
         c = np.zeros(model.mode_count)
         seen = set()
         for j, val in pairs:
-            if not 1 <= j <= model.mode_count:
-                raise IndexError(f"mode index {j} out of range 1..{model.mode_count}")
+            require_mode(j, model.mode_count)
             if j in seen:
                 raise ValueError(f"mode {j} is given twice")
             seen.add(j)

@@ -66,6 +66,18 @@ def test_choose_n_noise_too_large_exits_2(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    "choose-n --rule holder --delta 1e-8 --rho 1 --q 0.5 --p 3",
+    "choose-n --rule log --delta 1e-8 --rho 1 --p 1 --q 0.5",
+])
+def test_choose_n_unused_rule_parameter_exits_2(argv, capsys):
+    # the holder rule reads q alone and the log rule p alone
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("unsupported input:") and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
     ["choose-n", "--rule", "holder", "--delta", "0", "--rho", "1.0"],
     ["choose-n", "--rule", "holder", "--delta", "1e-8", "--rho", "-1"],
     ["solve", "--config", "unused.json", "--level", "1", "--delta", "-1"],

@@ -1,19 +1,25 @@
-"""Input checks that no other test reaches, one parametrized test per module.
+"""Input checks that no other test reaches, one parametrized test per module,
+and one property test of the input policy over every scalar field.
 
 Each case asserts the exception type and that its message names the
 offending field.
 """
 
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fvptrunc import (BoundInputs, ChoiceInputs, ConfigError, EigenModel, ExperimentConfig,
                       FvpInstance, GevreyParams, ReferenceSolution, SolverConfig, SourceFunction,
-                      SpectralField, TimeGrid, Trajectory, UnsupportedRegimeError,
-                      apply_spectral_growth, choose_n_holder, zeta, zeta_inverse)
+                      SpectralField, TimeGrid, Trajectory, UnsupportedRegimeError, add_noise,
+                      apply_spectral_growth, choose_n_holder, closed_form_solution, fit_rate,
+                      gronwall_comparison_solution, holder_bound_staircase, illposed_pair,
+                      mode_roots, zeta, zeta_inverse)
 from fvptrunc.param_choice import HOLDER_RULE, LOG_RULE
 
 PI2 = math.pi ** 2
@@ -46,10 +52,13 @@ def choice(**over):
     "t-past-tau": (lambda: choice(t=1.5), ValueError, "t"),
     "t-negative": (lambda: choice(t=-0.1), ValueError, "t"),
     "d-zero": (lambda: choice(d=0), ValueError, "d"),
+    "d-not-an-int": (lambda: choice(d=1.5), ValueError, "d"),
     "e1-zero": (lambda: choice(e1=0.0), ValueError, "e1"),
     "e2-negative": (lambda: choice(e2=-1.0), ValueError, "e2"),
     "p-negative-log": (lambda: choice(regime=LOG_RULE, p=-1.0, q=0.0), ValueError, "p"),
     "q-negative-holder": (lambda: choice(q=-1.0), ValueError, "q"),
+    "p-under-holder": (lambda: choice(p=3.0), UnsupportedRegimeError, "p"),
+    "q-under-log": (lambda: choice(regime=LOG_RULE, p=1.0, q=0.5), UnsupportedRegimeError, "q"),
     "holder-on-log-inputs": (lambda: choose_n_holder(choice(regime=LOG_RULE, p=1.0, q=0.0)),
                              ValueError, "regime"),
     "zeta-s-zero": (lambda: zeta(0.0, 1.0, 1.0, 1.0), ValueError, "s"),
@@ -71,8 +80,14 @@ def bound(**over):
     "regime": (lambda: bound(regime="gevrey_r"), UnsupportedRegimeError, "regime"),
     "level-zero": (lambda: bound(level=0), ValueError, "level"),
     "level-past-modes": (lambda: bound(level=5), ValueError, "level"),
+    "level-not-an-int": (lambda: bound(level=1.5), ValueError, "level"),
+    "level-a-bool": (lambda: bound(level=True), ValueError, "level"),
     "t-past-tau": (lambda: bound(t=2.0), ValueError, "t"),
     "t-negative": (lambda: bound(t=-0.5), ValueError, "t"),
+    "comparison-n_steps-zero": (lambda: gronwall_comparison_solution(1.0, 1.0, 1.0, n_steps=0),
+                                ValueError, "n_steps"),
+    "comparison-n_steps-not-an-int": (
+        lambda: gronwall_comparison_solution(1.0, 1.0, 1.0, n_steps=2.5), ValueError, "n_steps"),
 })
 def test_bounds(call, exc, field):
     check(call, exc, field)
@@ -96,6 +111,8 @@ def test_solver(call, exc, field):
 @cases({
     "dimension-zero": (lambda: EigenModel(0, np.array([PI2]), PI2, PI2), ValueError,
                        "dimension"),
+    "dimension-not-an-int": (lambda: EigenModel(1.5, np.array([PI2]), PI2, PI2), ValueError,
+                             "dimension"),
     "lambdas-empty": (lambda: EigenModel(1, np.array([]), PI2, PI2), ValueError, "lambdas"),
     "e1-zero": (lambda: EigenModel(1, np.array([PI2]), 0.0, PI2), ValueError, "e1"),
     "e2-negative": (lambda: EigenModel(1, np.array([PI2]), PI2, -1.0), ValueError, "e2"),
@@ -105,6 +122,11 @@ def test_solver(call, exc, field):
     "basis-index-zero": (lambda: SpectralField.basis(MODEL, 0), IndexError, "mode index"),
     "basis-index-past-modes": (lambda: SpectralField.basis(MODEL, 5), IndexError,
                                "mode index"),
+    **{f"{name}-mode-{j!r}": (lambda call=call, j=j: call(j), ValueError, "mode index")
+       for name, call in (("from-coeffs", lambda j: SpectralField.from_coeffs(MODEL, [(j, 1.0)])),
+                          ("eigenvalue", MODEL.eigenvalue),
+                          ("basis", lambda j: SpectralField.basis(MODEL, j)))
+       for j in (1.5, True)},
 })
 def test_spectral(call, exc, field):
     check(call, exc, field)
@@ -133,6 +155,7 @@ def test_grids(call, exc, field):
         lambda: FvpInstance(MODEL, 1.0, SourceFunction.zero(),
                             final_data=SpectralField.zero(MODEL),
                             noisy_data=SpectralField.zero(OTHER)), ValueError, "noisy_data"),
+    "source-c-a-bool": (lambda: SourceFunction("linear", True), ValueError, "c"),
 })
 def test_problem(call, exc, field):
     check(call, exc, field)
@@ -143,8 +166,29 @@ def test_problem(call, exc, field):
                    ValueError, "provenance"),
     "state-at-tau": (lambda: ReferenceSolution(trajectory(8), SpectralField.basis(MODEL, 1),
                                                "closed_form"), ValueError, "final_data"),
+    "closed-form-tau-nan": (lambda: closed_form_solution(MODEL, 1, 1.0, math.nan,
+                                                         TimeGrid(1.0, 8)), ValueError, "tau"),
+    "closed-form-c-nan": (lambda: closed_form_solution(MODEL, 1, math.nan, 1.0,
+                                                       TimeGrid(1.0, 8)), ValueError, "c"),
+    "mode-roots-lam-nan": (lambda: mode_roots(math.nan, 1.0), ValueError, "lam"),
+    "illposed-tau-nan": (lambda: illposed_pair(MODEL, 1, math.nan), ValueError, "tau"),
+    "illposed-tau-negative": (lambda: illposed_pair(MODEL, 1, -1.0), ValueError, "tau"),
 })
 def test_reference(call, exc, field):
+    check(call, exc, field)
+
+
+@cases({
+    **{f"add-noise-mode-{j!r}": (
+        lambda j=j: add_noise(SpectralField.basis(MODEL, 1), 1e-3, "worst_case_mode", mode=j),
+        ValueError, "mode index") for j in (1.5, True)},
+    "fit-rate-delta-nan": (lambda: fit_rate([(math.nan, 1.0), (1e-2, 0.1), (1e-3, 0.01),
+                                             (1e-4, 1e-3)]), ValueError, "delta"),
+    "staircase-n_points-not-an-int": (
+        lambda: holder_bound_staircase(MODEL, 1.0, 0.0, 0.5, 1.0, 1.0, n_points=2.5), ValueError,
+        "n_points"),
+})
+def test_harness(call, exc, field):
     check(call, exc, field)
 
 
@@ -177,3 +221,59 @@ def parsed(**over):
 })
 def test_harness_config_reader(call, exc, field):
     check(call, exc, field)
+
+
+# --------------------------------------------------------------------------
+# the input policy on every scalar field of the public constructors
+
+#: what each constructor is given for the fields a case leaves alone
+BUILDERS = {
+    TimeGrid: lambda **kw: TimeGrid(**{"tau": 1.0, "n_steps": 8, **kw}),
+    FvpInstance: lambda **kw: FvpInstance(**{"model": MODEL, "tau": 1.0,
+                                             "source": SourceFunction.zero(),
+                                             "final_data": SpectralField.basis(MODEL, 1), **kw}),
+    SolverConfig: lambda **kw: SolverConfig(**{"level": 1, "n_steps": 8, **kw}),
+    SourceFunction: lambda **kw: SourceFunction(**{"kind": "linear", "c": 1.0, **kw}),
+    GevreyParams: lambda **kw: GevreyParams(**{"p": 0.0, "q": 0.5, **kw}),
+    EigenModel: lambda **kw: EigenModel(**{"dimension": 1, "lambdas": MODEL.lambdas,
+                                           "e1": PI2, "e2": PI2, **kw}),
+    BoundInputs: bound,
+    ChoiceInputs: choice,
+}
+NOT_SCALAR = {"model", "source", "final_data", "noisy_data", "kind", "lambdas", "regime"}
+INT_FIELDS = {"n_steps", "level", "max_iters", "dimension", "d", "mode index"}
+#: (what, field, call of the value)
+SCALAR_CASES = [(cls.__name__, f.name, lambda v, b=build, name=f.name: b(**{name: v}))
+                for cls, build in BUILDERS.items() for f in dataclasses.fields(cls)
+                if f.name not in NOT_SCALAR] + [
+    ("SpectralField.basis", "mode index", lambda v: SpectralField.basis(MODEL, v)),
+    ("EigenModel.eigenvalue", "mode index", MODEL.eigenvalue),
+]
+BAD_VALUES = [math.nan, math.inf, -math.inf, True, 2.5, "1"]
+
+
+@st.composite
+def bad_scalar_inputs(draw):
+    what, name, call = draw(st.sampled_from(SCALAR_CASES))
+    # a mode index is also tried just outside 1..mode_count
+    extra = [0, MODEL.mode_count + 1] if name == "mode index" else []
+    return what, name, call, draw(st.sampled_from(BAD_VALUES + extra))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bad_scalar_inputs())
+def test_scalar_fields_refuse_bad_values_by_name(case):
+    # 2.5 is in range for a real field; every other value is refused, by
+    # the field's name, and never by numpy, LAPACK or the range policy (a
+    # TypeError or ExponentOverflowError escapes and fails the test)
+    what, name, call, value = case
+    try:
+        call(value)
+    except IndexError as exc:
+        assert name == "mode index" and isinstance(value, int) and not isinstance(value, bool)
+        assert str(exc).startswith(f"mode index {value} out of range")
+    except ValueError as exc:
+        assert not isinstance(exc, np.linalg.LinAlgError), exc
+        assert re.search(rf"(?<![\w.]){re.escape(name)}(?![\w])", str(exc)), (what, str(exc))
+    else:
+        assert value == 2.5 and name not in INT_FIELDS, (what, name)

@@ -67,9 +67,9 @@ class TestArgumentChecks:
 
     @pytest.mark.parametrize("lam", [-1.0, math.nan])
     def test_bad_rate_rejected(self, lam):
-        with pytest.raises(ValueError, match="lam must be >= 0"):
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
             exp_kernel_profile(lam, 0.1, self.W)
-        with pytest.raises(ValueError, match="lam must be >= 0"):
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
             QuadraturePlan((0.5, lam), 0.1, 10)
 
     @pytest.mark.parametrize("h", [-0.1, 0.0, math.inf, -math.inf, math.nan])
@@ -254,5 +254,5 @@ class TestQuadraturePlan:
     def test_checks_every_rate_up_front(self):
         with pytest.raises(ExponentOverflowError, match="exponential moments overflow at z = 800"):
             QuadraturePlan(np.array([1.0, 800.0]), 1.0, 16)
-        with pytest.raises(ValueError, match="lam must be >= 0"):
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
             QuadraturePlan(np.array([1.0, -1.0]), 0.1, 16)

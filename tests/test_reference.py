@@ -254,3 +254,10 @@ class TestSelfConvergentReference:
         # shrink 4 >= 3 passes; floor-level tails pass regardless
         check_ladder_contraction([1e-3, 2.5e-4])
         check_ladder_contraction([1e-3, 1e-15], floor=1e-14)
+
+    @pytest.mark.parametrize("diffs", [[1.0, math.nan], [math.nan, 1e-3]])
+    def test_nan_difference_rejected(self, diffs):
+        # a NaN ratio is not a shrink of at least 3
+        from fvptrunc.reference import check_ladder_contraction
+        with pytest.raises(ReferenceRejectedError):
+            check_ladder_contraction(diffs)
