@@ -85,30 +85,28 @@ def _section(value, where: str) -> dict:
     return value
 
 
-# Type checks of config values: each takes a value and its JSON name and
+# Checks of config values: each takes a value and its JSON name and
 # returns the value in its stored type, or raises a ConfigError naming the
-# key, never a TypeError or ValueError from a conversion.
+# key, never a TypeError or ValueError from a conversion.  A number's type
+# and range are those of the input policy (`require_finite`, `require_int`),
+# so a refusal reads `<key> must be ..., got <value>`.
 
-def _is_number(value) -> bool:
-    """A finite JSON number; booleans are not numbers here."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
+def _policy(require, value, where: str, rule):
+    """require(where, value, rule), its ValueError a ConfigError."""
     try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer literal past the double range
-        return False
+        return require(where, value, rule)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
-def _number(value, where: str) -> float:
-    if not _is_number(value):
-        raise ConfigError(f"{where} must be a finite number, got {value!r}")
-    return float(value)
+def _number(sign: str | None = None):
+    """A finite real of the given sign (see `require_finite`), stored as a float."""
+    return lambda value, where: float(_policy(require_finite, value, where, sign))
 
 
-def _integer(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return value
+def _integer(low: int = 1):
+    """An int >= low, stored as an int."""
+    return lambda value, where: int(_policy(require_int, value, where, low))
 
 
 def _list(value, where: str) -> list | tuple:
@@ -117,17 +115,19 @@ def _list(value, where: str) -> list | tuple:
     return value
 
 
-def _numbers(value, where: str) -> tuple:
-    return tuple(_number(x, f"{where} entry") for x in _list(value, where))
+def _numbers(sign: str | None = None):
+    """A non-empty list of finite reals of the given sign, stored as a tuple."""
+    entry = _number(sign)
+    return lambda value, where: tuple(entry(x, f"{where} entry") for x in _list(value, where))
 
 
 def _mode_coeffs(value, where: str) -> tuple:
-    """A reference's data: [[mode, coeff], ...]."""
+    """A reference's data: [[mode, coeff], ...], each mode an int >= 1."""
     pairs = []
     for pair in _list(value, f"{where} data"):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ConfigError(f"{where} data entries must be [mode, coeff], got {pair!r}")
-        pairs.append((_integer(pair[0], f"{where} mode"), _number(pair[1], f"{where} coeff")))
+        pairs.append((_integer()(pair[0], f"{where} mode"), _number()(pair[1], f"{where} coeff")))
     return tuple(pairs)
 
 
@@ -142,9 +142,11 @@ def _one_of(*options):
 def _rho(value, where: str) -> float | str:
     if value == "certified":
         return value
-    if not (_is_number(value) and value > 0):
-        raise ConfigError(f"{where} must be a positive number or 'certified', got {value!r}")
-    return float(value)
+    try:
+        return float(require_finite(where, value, "positive"))
+    except ValueError:
+        raise ConfigError(f"{where} must be a positive number or 'certified', "
+                          f"got {value!r}") from None
 
 
 def _key(path: str, check, default=MISSING):
@@ -158,34 +160,37 @@ class ExperimentConfig:
     """The JSON experiment document, one field per key.
 
     Each field is declared once, by `_key`: its document path, its default
-    and its type check.  `from_dict` routes a document onto the fields;
-    construction checks the type, then the value, of every field by its
-    JSON name, so a directly built config is refused like a parsed one.
-    The rules between keys are value rules there too: `c` is for the
-    linear source only, `p` for the log rule and `q` for the holder rule,
-    and an unused one may hold only its default, 0.
+    and its check, the key's type and range.  `from_dict` routes a document
+    onto the fields; construction checks every field by its JSON name, then
+    the rules that read more than one value, so a directly built config is
+    refused like a parsed one.  Those rules: the deltas decrease, n_steps
+    is even (and suits a self_convergent reference), the reference modes
+    and eval times fit the model and the grid, whose sizes numpy must be
+    able to allocate, and `c` is for the linear source only, `p` for the
+    log rule and `q` for the holder rule, an unused one holding only its
+    default, 0.
     The reference kind follows from the source, and a closed_form
     reference's `{"mode": k}` is the data `[[k, 1.0]]`.
     """
 
-    tau: float = _key("instance.tau", _number, 1.0)
-    mode_count: int = _key("instance.mode_count", _integer, 8)
+    tau: float = _key("instance.tau", _number("positive"), 1.0)
+    mode_count: int = _key("instance.mode_count", _integer(), 8)
     source_kind: str = _key("instance.source.kind", _one_of("zero", "linear", "sin"))
-    source_c: float = _key("instance.source.c", _number, 0.0)
+    source_c: float = _key("instance.source.c", _number(), 0.0)
     reference_data: tuple = _key("instance.reference", _mode_coeffs)   # ((mode, coeff), ...)
-    deltas: tuple = _key("noise.deltas", _numbers)
+    deltas: tuple = _key("noise.deltas", _numbers("positive"))
     direction: str = _key("noise.direction", _one_of("seeded_random", "worst_case_mode"),
                           "seeded_random")
-    seed: int = _key("noise.seed", _integer, 0)
-    trials: int = _key("noise.trials", _integer, 3)
-    n_steps: int = _key("solver.n_steps", _integer, 1024)
-    picard_tol: float = _key("solver.picard_tol", _number, DEFAULT_PICARD_TOL)
-    max_iters: int = _key("solver.max_iters", _integer, DEFAULT_MAX_ITERS)
+    seed: int = _key("noise.seed", _integer(0), 0)
+    trials: int = _key("noise.trials", _integer(), 3)
+    n_steps: int = _key("solver.n_steps", _integer(16), 1024)
+    picard_tol: float = _key("solver.picard_tol", _number("positive"), DEFAULT_PICARD_TOL)
+    max_iters: int = _key("solver.max_iters", _integer(), DEFAULT_MAX_ITERS)
     regime: str = _key("choice.regime", _one_of(LOG_RULE, HOLDER_RULE))
-    p: float = _key("choice.p", _number, 0.0)
-    q: float = _key("choice.q", _number, 0.0)
+    p: float = _key("choice.p", _number(), 0.0)
+    q: float = _key("choice.q", _number(), 0.0)
     rho: float | str = _key("choice.rho", _rho, "certified")
-    eval_times: tuple = _key("eval_times", _numbers)
+    eval_times: tuple = _key("eval_times", _numbers())
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
@@ -233,25 +238,18 @@ class ExperimentConfig:
         return cfg
 
     def __post_init__(self):
-        for f in fields(self):    # types first, each value stored in its own type
+        for f in fields(self):    # each key's type and range, its value stored in its type
             object.__setattr__(self, f.name, f.metadata["check"](getattr(self, f.name),
                                                                   f.metadata["path"]))
         need = self._need
-        need(self.tau > 0, "tau", "must be positive")
-        need(self.mode_count >= 1, "mode_count", "must be >= 1")
+        model = self._built("mode_count", self.model)
         try:  # each mode in 1..mode_count, at most once
-            self.final_data()
+            SpectralField.from_coeffs(model, self.reference_data)
         except (IndexError, ValueError) as exc:
             need(False, "reference_data", str(exc))
         need(all(b < a for a, b in zip(self.deltas, self.deltas[1:])), "deltas",
              "must be strictly decreasing")
-        need(all(d > 0 for d in self.deltas), "deltas", "must be positive")
-        need(self.seed >= 0, "seed", "must be >= 0")
-        need(self.trials >= 1, "trials", "must be >= 1")
-        need(self.n_steps >= 16 and self.n_steps % 2 == 0, "n_steps",
-             "must be an even integer >= 16")
-        need(self.picard_tol > 0.0, "picard_tol", "must be positive")
-        need(self.max_iters >= 1, "max_iters", "must be >= 1")
+        need(self.n_steps % 2 == 0, "n_steps", "must be even")
         # a key that its source or rule does not use may hold only its default, 0
         need(self.source_kind == "linear" or self.source_c == 0.0, "source_c",
              "is used by the linear source only")
@@ -260,7 +258,7 @@ class ExperimentConfig:
         need(self.regime != HOLDER_RULE or self.q > 0.0, "q", "must be > 0 under the holder rule")
         need(self.regime != LOG_RULE or self.q == 0.0, "q", "is not used by the log rule")
         need(len(set(self.eval_times)) == len(self.eval_times), "eval_times", "must not repeat")
-        grid = TimeGrid(self.tau, self.n_steps)
+        grid = self._built("n_steps", lambda: TimeGrid(self.tau, self.n_steps))
         for t in self.eval_times:
             try:
                 grid.index_of(t)
@@ -268,6 +266,14 @@ class ExperimentConfig:
                 need(False, "eval_times", f"entry {t} is not a grid point")
         need(self.reference_kind == "closed_form" or self.n_steps >= 64 and self.n_steps % 4 == 0,
              "n_steps", "must be divisible by 4 and >= 64 for a self_convergent reference")
+
+    def _built(self, name: str, build):
+        """build(), or a refusal of field `name` when numpy cannot allocate
+        an array of that size."""
+        try:
+            return build()
+        except (MemoryError, ValueError) as exc:    # "Maximum allowed size exceeded"
+            self._need(False, name, f"is too large to build: {exc}")
 
     def _need(self, ok: bool, name: str, what: str):
         """Refuse the value of field `name`, by its JSON path, unless `ok`."""
@@ -361,17 +367,11 @@ class ExperimentReport:
                   "noise_bound,total_bound,iterations,residual")
 
     def to_csv(self) -> str:
-        def fmt(x: float) -> str:
-            return f"{x:.17g}"
-
+        """The header, then each row's fields in declaration order, every
+        one by `.17g`: the floats round-trip, and the ints (32-bit seeds,
+        small levels and iteration counts) print exactly."""
         lines = [self.CSV_HEADER]
-        for r in self.rows:
-            lines.append(",".join([
-                fmt(r.t), fmt(r.delta), str(r.seed), str(r.level),
-                fmt(r.measured_error), fmt(r.truncation_bound),
-                fmt(r.noise_bound), fmt(r.total_bound),
-                str(r.iterations), fmt(r.residual),
-            ]))
+        lines += [",".join(f"{x:.17g}" for x in vars(row).values()) for row in self.rows]
         return "\n".join(lines) + "\n"
 
     def summary(self) -> str:
@@ -430,15 +430,6 @@ def noisy_solve(cfg: ExperimentConfig, g: SpectralField, level: int, delta: floa
     return picard_solve(instance, cfg.solver(level, n_steps), noisy)
 
 
-class _PlannedRow(NamedTuple):
-    ti: int                 # index of t in cfg.eval_times
-    trial: int
-    seed: int
-    inputs: BoundInputs     # carries t, delta and the level
-    bounds: dict            # truncation_bound, noise_bound, total_bound
-    capped: bool            # the rule's level was cut to mode_count
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Solve every (t, delta, trial) cell with the rule-chosen level.
 
@@ -446,9 +437,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     bounds its rows share, so a rule or bound error (a delta not below rho
     among them) comes before any solve.
     Solve: one noisy solve per (level, delta, seed), read by every row
-    that shares it, against the reference at the row's t.  Emit: the rows
-    in (t, delta, trial) order and per t a fit of ln(error) vs ln(delta)
-    over the ladder (max error across trials) when it has >= 4 points.
+    that shares it, against the reference at the row's t; each row and its
+    dominance sample are built there.  Emit: per t a fit of ln(error) vs
+    ln(delta) over the ladder (max error across trials) when it has >= 4
+    points, and the flags, in (t, delta, trial) order.
 
     A row passes dominance when its error is at most `total_bound`, and
     its sample then carries slack 0.  Only when a row is above that bound
@@ -465,20 +457,24 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     gp = GevreyParams(cfg.p, cfg.tau) if regime == "gevrey_p" \
         else GevreyParams(0.0, cfg.q + cfg.tau)
     rho = _certified_rho(reference, gp) if cfg.rho == "certified" else cfg.rho
-    eval_idx = [reference.trajectory.grid.index_of(t) for t in cfg.eval_times]
+    eval_idx = {t: reference.trajectory.grid.index_of(t) for t in cfg.eval_times}
     # the noise seed of delta number di, trial `trial`: the same at every t
     seeds = [[int(np.random.SeedSequence(cfg.seed, spawn_key=(di, trial)).generate_state(1)[0])
               for trial in range(cfg.trials)] for di in range(len(cfg.deltas))]
+    flags = {t: [] for t in cfg.eval_times}
 
-    # plan: the level and bounds of each (t, delta), one record per row,
-    # and the rows of each solve key (level, delta, seed) by first use
+    # plan: the bound inputs, bounds and trial of each row in (t, delta,
+    # trial) order, and the rows of each solve key (level, delta, seed) by
+    # first use
     plan, keys = [], {}
-    for ti, t in enumerate(cfg.eval_times):
+    for t in cfg.eval_times:
         for di, delta in enumerate(cfg.deltas):
             ci = ChoiceInputs(regime=cfg.regime, rho=rho, delta=delta,
                               t=t, tau=cfg.tau, d=model.dimension,
                               e1=model.e1, e2=model.e2, p=cfg.p, q=cfg.q)
             level = choose_level(ci).level
+            if level > model.mode_count:
+                flags[t].append(f"level capped at mode_count for t={t:g}, delta={delta:g}")
             bi = BoundInputs(model=model, level=min(level, model.mode_count), t=t,
                              tau=cfg.tau, delta=delta, rho=rho, kappa=source.kappa,
                              regime=regime, p=cfg.p, q=cfg.q)
@@ -486,55 +482,51 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                           noise_bound=noise_bound(bi), total_bound=total_bound(bi))
             for trial, seed in enumerate(seeds[di]):
                 keys.setdefault((bi.level, delta, seed), []).append(len(plan))
-                plan.append(_PlannedRow(ti, trial, seed, bi, bounds, level > model.mode_count))
+                plan.append((bi, bounds, trial))
 
     # solve: one noisy solve per key, and one n/2 solve only for a key
     # with a row above its total bound
-    measured = [None] * len(plan)    # (error, slack, iterations, defect) per row
+    rows, samples = [None] * len(plan), [None] * len(plan)
     for (level, delta, seed), members in keys.items():
+        cells = [plan[i] for i in members]
         try:
             fine = noisy_solve(cfg, g, level, delta, seed, cfg.n_steps)
             errs = [l2_norm(reference.trajectory.state(idx) - fine.trajectory.state(idx))
-                    for idx in (eval_idx[plan[i].ti] for i in members)]
+                    for idx in (eval_idx[bi.t] for bi, _, _ in cells)]
             # a NaN error fails this test, so it takes the slack path too
-            above = [not err <= plan[i].bounds["total_bound"] for i, err in zip(members, errs)]
+            above = [not err <= bounds["total_bound"] for (_, bounds, _), err in zip(cells, errs)]
             slack = 0.0
             if any(above):
                 coarse = noisy_solve(cfg, g, level, delta, seed, cfg.n_steps // 2)
                 rich = richardson_estimate(fine.trajectory.sup_distance(coarse.trajectory))
                 slack = 10.0 * rich + reference.error_estimate
         except NonConvergenceError as exc:
-            first = plan[members[0]]
+            bi, _, trial = cells[0]
             raise NonConvergenceError(
-                f"cell (t={first.inputs.t:g}, delta={delta:g}, trial={first.trial}) did not "
+                f"cell (t={bi.t:g}, delta={delta:g}, trial={trial}) did not "
                 f"converge: {exc}", increments=exc.increments, defect=exc.defect) from exc
-        for i, err, over in zip(members, errs, above):
-            measured[i] = (err, slack if over else 0.0, fine.iterations, fine.defect)
+        for i, (bi, bounds, _), err, over in zip(members, cells, errs, above):
+            samples[i] = DominanceSample(inputs=bi, measured=err, slack=slack if over else 0.0)
+            rows[i] = ExperimentRow(t=bi.t, delta=delta, seed=seed, level=level,
+                                    measured_error=err, **bounds, iterations=fine.iterations,
+                                    residual=fine.defect)
         del fine    # hold one trajectory at a time
 
-    # emit: rows, samples, fits and flags in (t, delta, trial) order
-    report = ExperimentReport(rho=rho, reference=reference)
-    samples = []
-    for ti, rows in groupby(zip(plan, measured), key=lambda pair: pair[0].ti):
-        t = cfg.eval_times[ti]
+    # emit: fits and flags in (t, delta, trial) order
+    report = ExperimentReport(rows=rows, rho=rho, reference=reference)
+    for t, t_rows in groupby(rows, key=lambda row: row.t):
         series = {}                  # delta -> worst error over its trials
-        for row, (err, slack, iterations, defect) in rows:
-            bi = row.inputs
-            if row.capped and row.trial == 0:
-                report.flags.append(f"level capped at mode_count for t={t:g}, delta={bi.delta:g}")
-            samples.append(DominanceSample(inputs=bi, measured=err, slack=slack))
-            report.rows.append(ExperimentRow(
-                t=t, delta=bi.delta, seed=row.seed, level=bi.level, measured_error=err,
-                **row.bounds, iterations=iterations, residual=defect))
-            series[bi.delta] = max(series.get(bi.delta, -math.inf), err)
+        for row in t_rows:
+            series[row.delta] = max(series.get(row.delta, -math.inf), row.measured_error)
         if len(series) >= 4 and all(e > 0 for e in series.values()):
             report.fits[t] = fit_rate(series.items())
         else:
             report.fits[t] = None
-            report.flags.append(f"insufficient ladder for a rate fit at t={t:g}")
+            flags[t].append(f"insufficient ladder for a rate fit at t={t:g}")
         errs = list(series.values())
         if any(b > a * (1 + 1e-12) for a, b in zip(errs, errs[1:])):
-            report.flags.append(f"errors not non-increasing along the ladder at t={t:g}")
+            flags[t].append(f"errors not non-increasing along the ladder at t={t:g}")
+        report.flags += flags[t]
 
     report.dominance = check_dominance(samples)
     if not report.dominance.ok:

@@ -130,9 +130,12 @@ def choose_level(ci: ChoiceInputs) -> LevelChoice:
 
 
 def zeta(s: float, b: float, c: float, dcoef: float) -> float:
-    """s^b (dcoef ln(1/s))^{-c} on (0, 1)."""
+    """s^b (dcoef ln(1/s))^{-c} on (0, 1), for b > 0, c >= 0 and dcoef > 0."""
     if not 0.0 < s < 1.0:
         raise ValueError(f"zeta is defined on (0, 1), got s = {s!r}")
+    require_finite("b", b, "positive")
+    require_finite("c", c, ">= 0")
+    require_finite("dcoef", dcoef, "positive")
     if c == 0.0:
         return s ** b
     return s ** b * (dcoef * math.log(1.0 / s)) ** (-c)
@@ -152,11 +155,9 @@ def zeta_inverse(s: float, b: float, c: float, dcoef: float,
     as s -> 0; exposing both lets callers check the ratio instead of
     trusting the limit.
     """
-    if not (b > 0.0 and c >= 0.0 and dcoef > 0.0):
-        raise ValueError("need b > 0, c >= 0, dcoef > 0")
     if not 0.0 < a < 1.0:
         raise ValueError("domain endpoint a must lie in (0, 1)")
-    if not 0.0 < s <= zeta(a, b, c, dcoef):
+    if not 0.0 < s <= zeta(a, b, c, dcoef):    # zeta checks b, c and dcoef
         raise BracketError(
             f"s = {s:.6g} outside the range of zeta on (0, {a}]")
     if c == 0.0:

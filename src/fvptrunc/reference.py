@@ -32,7 +32,7 @@ from .grids import TimeGrid, Trajectory
 from .problem import FvpInstance
 from .quadrature import SCHEME_ORDER
 from .solver import DEFAULT_QUADRATURE_ORDER, SolverConfig, picard_solve
-from .spectral import EigenModel, SpectralField, checked, require_finite
+from .spectral import EigenModel, SpectralField, checked, require_finite, require_times
 
 
 @dataclass(frozen=True)
@@ -70,12 +70,13 @@ _GROWTH_OVERFLOW = "e^(|beta| (tau - t)) overflows: |beta| (tau - t) = %.6g (lam
 
 
 def mode_coefficient(roots: LinearModeRoots, tau: float, t) -> np.ndarray:
-    """u(t) of the closed form, normalized to u(tau) = 1.
+    """u(t) of the closed form, normalized to u(tau) = 1, for every t in
+    [0, tau].
 
     Raises ExponentOverflowError where u(t) leaves the double range.
     """
     a, b = roots.alpha, roots.beta
-    w = tau - np.asarray(t, dtype=float)
+    w = tau - require_times(t, tau)
     with np.errstate(over="ignore", invalid="ignore"):
         u = (a * np.exp(-a * w) - b * np.exp(-b * w)) / (a - b)
     return checked(u, _GROWTH_OVERFLOW, abs(b) * float(np.max(w)), roots.lam)
@@ -124,7 +125,8 @@ def combined_closed_form(model: EigenModel, weights, c: float, tau: float,
         if w == 0.0:
             continue
         roots = mode_roots(model.eigenvalue(n), c)
-        states[n - 1] = w * mode_coefficient(roots, tau, grid.points)
+        # the last point (grid.tau, within rounding of tau) is set exactly
+        states[n - 1, :-1] = w * mode_coefficient(roots, tau, grid.points[:-1])
         states[n - 1, -1] = w  # w (alpha - beta)/(alpha - beta), exactly
     return ReferenceSolution(
         trajectory=Trajectory(grid, model, states),
@@ -152,7 +154,7 @@ class IllposedPair:
     def lower_bound(self, t) -> np.ndarray:
         """e^{|beta| (tau - t)} / |beta|; ExponentOverflowError past the double range."""
         b = abs(self.roots.beta)
-        w = self.tau - np.asarray(t, dtype=float)
+        w = self.tau - require_times(t, self.tau)
         with np.errstate(over="ignore", invalid="ignore"):
             bound = np.exp(b * w) / b
         return checked(bound, _GROWTH_OVERFLOW, b * float(np.max(w)), self.roots.lam)

@@ -11,8 +11,8 @@ the one overflow test, a value is out of range exactly when it is not a
 finite double, and there is no exponent cap.  Input: `require_finite`,
 `require_int`, `require_mode` and `require_time` are the one check of a
 scalar argument, a finite real in its range or an int count or mode
-index (never a bool), and each refusal reads `<name> must be ..., got
-<value>`.
+index (never a bool), and `require_times` the array form of
+`require_time`; each refusal reads `<name> must be ..., got <value>`.
 """
 
 from __future__ import annotations
@@ -38,8 +38,12 @@ def require_finite(name: str, value, sign: str | None = None):
     """`value` if it is a finite real (a numpy number too, never a bool) of
     the given sign, "positive", ">= 0" or None for any, else ValueError
     naming `name`."""
-    if (isinstance(value, bool) or not isinstance(value, _REALS)
-            or not (math.isfinite(value) and _SIGNS[sign](value))):
+    try:
+        ok = (not isinstance(value, bool) and isinstance(value, _REALS)
+              and math.isfinite(value) and _SIGNS[sign](value))
+    except OverflowError:    # an int past the double range
+        ok = False
+    if not ok:
         rule = "finite" if sign is None else f"finite and {sign}"
         raise ValueError(f"{name} must be {rule}, got {value!r}")
     return value
@@ -76,6 +80,17 @@ def require_time(t, tau: float):
     if not 0.0 <= t <= tau:
         raise ValueError(f"t must lie in [0, tau = {tau!r}], got {t!r}")
     return t
+
+
+def require_times(t, tau: float) -> np.ndarray:
+    """`t`, a real scalar or array, as a float array if tau is finite and
+    positive and every entry of t lies in [0, tau] (so is finite), else
+    ValueError naming tau or t."""
+    require_finite("tau", tau, "positive")
+    ts = np.asarray(t)
+    if ts.dtype.kind not in "iuf" or not np.all((ts >= 0.0) & (ts <= tau)):    # NaN included
+        raise ValueError(f"t must lie in [0, tau = {tau!r}], got {t!r}")
+    return ts.astype(float, copy=False)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
 """The CLI's exit-code contract: the README's table against the error types,
-and config files that cannot be read and outputs that cannot be written."""
+config files that cannot be read, grids and models too large to build,
+and outputs that cannot be written."""
 
+import json
 import re
 from pathlib import Path
 
@@ -104,3 +106,22 @@ def test_unwritable_experiment_directory_exits_2_before_any_solve(tmp_path, conf
     assert main(["experiment", "--config", str(config_path),
                  "--output-dir", str(tmp_path / "file" / "out")]) == 2
     one_config_error_line(capsys)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("solver", "n_steps", 10 ** 14), ("solver", "n_steps", 10 ** 400),
+    ("instance", "mode_count", 10 ** 30)],
+    ids=["n_steps-1e14", "n_steps-1e400", "mode_count-1e30"])
+@pytest.mark.parametrize("command", ["solve", "experiment"])
+def test_grid_or_model_too_large_to_build_exits_2(tmp_path, config_path, capsys, command,
+                                                  section, key, value):
+    # sizes numpy refuses to allocate before it touches memory
+    doc = json.loads(config_path.read_text())
+    doc[section][key] = value
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(doc))
+    where = ["--level", "1"] if command == "solve" else ["--output-dir", str(tmp_path / "out")]
+    assert main([command, "--config", str(path)] + where) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert f"{section}.{key} is too large to build" in err

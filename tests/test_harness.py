@@ -11,7 +11,7 @@ import fvptrunc.harness
 from fvptrunc import (ConfigError, EigenModel, ExperimentConfig, ExponentOverflowError,
                       FvpInstance, SpectralField, add_noise, check_dominance, fit_rate,
                       l2_norm, picard_solve, run_experiment, total_bound)
-from fvptrunc.harness import build_reference
+from fvptrunc.harness import ExperimentRow, build_reference
 from fvptrunc.reference import richardson_estimate
 
 PI2 = math.pi ** 2
@@ -186,6 +186,10 @@ class TestExperimentConfig:
         ("picard_tol", "x", "solver.picard_tol"), ("mode_count", 2.5, "instance.mode_count"),
         ("seed", 1.5, "noise.seed"), ("deltas", ("1e-4",), "noise.deltas"),
         ("eval_times", (0.0, 0.5, 0.5), "eval_times"),
+        # a grid or model that numpy refuses to allocate, before it touches memory
+        pytest.param("n_steps", 10 ** 14, "solver.n_steps", id="n_steps-1e14"),
+        pytest.param("n_steps", 10 ** 400, "solver.n_steps", id="n_steps-1e400"),
+        pytest.param("mode_count", 10 ** 30, "instance.mode_count", id="mode_count-1e30"),
         # a key that the source or the rule does not use, nonzero; a dict
         # value sets the other fields the case needs as well
         pytest.param("source_c", {"source_kind": "zero", "source_c": 3.0}, "instance.source.c",
@@ -214,11 +218,14 @@ class TestExperimentConfig:
                          choice={"regime": "holder_rule", "q": 0.5})
         doc["instance"] = {"source": {"kind": "linear", "c": 1},
                            "reference": {"kind": "closed_form"}}
+        doc["noise"]["seed"] = 3
         direct = ExperimentConfig(source_kind="linear", source_c=1.0,
                                   reference_data=[[1, 1.0]], deltas=[1e-4, 1e-6],
-                                  regime="holder_rule", q=0.5, eval_times=[0, 0.5])
+                                  seed=np.int64(3), regime="holder_rule", q=0.5,
+                                  eval_times=[0, 0.5])
         parsed = ExperimentConfig.from_dict(doc)
         assert parsed == direct
+        assert type(direct.seed) is int and direct.seed == 3
         assert parsed.reference_data == ((1, 1.0),) and parsed.eval_times == (0.0, 0.5)
         assert (parsed.mode_count, parsed.trials, parsed.n_steps, parsed.rho) == (
             8, 3, 1024, "certified")
@@ -400,12 +407,16 @@ class TestRunExperiment:
 
     def test_csv_column_layout(self):
         cfg = ExperimentConfig.from_dict(config_doc())
-        text = run_experiment(cfg).to_csv()
+        report = run_experiment(cfg)
+        text = report.to_csv()
         header = text.splitlines()[0]
         assert header == ("t,delta,seed,N,measured_error,truncation_bound,"
                           "noise_bound,total_bound,iterations,residual")
         first = text.splitlines()[1].split(",")
         assert len(first) == 10
+        # each column parses back to the first row's field, in field order
+        values = [getattr(report.rows[0], f.name) for f in dataclasses.fields(ExperimentRow)]
+        assert [type(v)(x) for v, x in zip(values, first)] == values
 
 
 def count_solves(monkeypatch) -> list:

@@ -19,7 +19,7 @@ from fvptrunc import (BoundInputs, ChoiceInputs, ConfigError, EigenModel, Experi
                       SpectralField, TimeGrid, Trajectory, UnsupportedRegimeError, add_noise,
                       apply_spectral_growth, choose_n_holder, closed_form_solution, fit_rate,
                       gronwall_comparison_solution, holder_bound_staircase, illposed_pair,
-                      mode_roots, zeta, zeta_inverse)
+                      mode_coefficient, mode_roots, zeta, zeta_inverse)
 from fvptrunc.param_choice import HOLDER_RULE, LOG_RULE
 
 PI2 = math.pi ** 2
@@ -65,6 +65,10 @@ def choice(**over):
     "zeta-s-one": (lambda: zeta(1.0, 1.0, 1.0, 1.0), ValueError, "s"),
     "zeta-inverse-a-one": (lambda: zeta_inverse(0.1, 1.0, 1.0, 1.0, a=1.0), ValueError, "a"),
     "zeta-inverse-a-zero": (lambda: zeta_inverse(0.1, 1.0, 1.0, 1.0, a=0.0), ValueError, "a"),
+    "zeta-b-nan": (lambda: zeta(0.5, math.nan, 1.0, 1.0), ValueError, "b"),
+    "zeta-dcoef-negative": (lambda: zeta(0.5, 1.0, 0.5, -1.0), ValueError, "dcoef"),
+    "zeta-inverse-dcoef-inf": (lambda: zeta_inverse(0.01, 1.0, 1.0, math.inf), ValueError,
+                               "dcoef"),
 })
 def test_param_choice(call, exc, field):
     check(call, exc, field)
@@ -173,6 +177,18 @@ def test_problem(call, exc, field):
     "mode-roots-lam-nan": (lambda: mode_roots(math.nan, 1.0), ValueError, "lam"),
     "illposed-tau-nan": (lambda: illposed_pair(MODEL, 1, math.nan), ValueError, "tau"),
     "illposed-tau-negative": (lambda: illposed_pair(MODEL, 1, -1.0), ValueError, "tau"),
+    "solution-norm-t-past-tau": (lambda: illposed_pair(MODEL, 1, 1.0).solution_norm(2.0),
+                                 ValueError, "t"),
+    "lower-bound-t-nan": (lambda: illposed_pair(MODEL, 1, 1.0).lower_bound(math.nan),
+                          ValueError, "t"),
+    "lower-bound-t-array-negative": (
+        lambda: illposed_pair(MODEL, 1, 1.0).lower_bound(np.array([0.5, -0.5])), ValueError,
+        "t"),
+    "mode-coefficient-t-array-past-tau": (
+        lambda: mode_coefficient(mode_roots(PI2, 1.0), 1.0, np.array([0.0, 1.5])), ValueError,
+        "t"),
+    "mode-coefficient-tau-nan": (lambda: mode_coefficient(mode_roots(PI2, 1.0), math.nan, 0.0),
+                                 ValueError, "tau"),
 })
 def test_reference(call, exc, field):
     check(call, exc, field)
@@ -218,6 +234,9 @@ def parsed(**over):
     "section-a-list": (parsed(noise=[1e-4]), ConfigError, "noise"),
     "subsection-a-string": (parsed(**{"instance.source": "sin"}), ConfigError,
                             "instance.source"),
+    # an integer literal past the double range
+    "tau-400-digits": (parsed(**{"instance.tau": 10 ** 400}), ConfigError, "instance.tau"),
+    "q-400-digits": (parsed(**{"choice.q": 10 ** 400}), ConfigError, "choice.q"),
 })
 def test_harness_config_reader(call, exc, field):
     check(call, exc, field)
@@ -255,8 +274,10 @@ BAD_VALUES = [math.nan, math.inf, -math.inf, True, 2.5, "1"]
 @st.composite
 def bad_scalar_inputs(draw):
     what, name, call = draw(st.sampled_from(SCALAR_CASES))
-    # a mode index is also tried just outside 1..mode_count
-    extra = [0, MODEL.mode_count + 1] if name == "mode index" else []
+    # a mode index is also tried just outside 1..mode_count, and a real
+    # field with an int past the double range (an int field takes any int)
+    extra = ([0, MODEL.mode_count + 1] if name == "mode index"
+             else [] if name in INT_FIELDS else [10 ** 400])
     return what, name, call, draw(st.sampled_from(BAD_VALUES + extra))
 
 
