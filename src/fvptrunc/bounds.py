@@ -147,8 +147,6 @@ def truncation_bound(b: BoundInputs) -> float:
 
 def noise_bound(b: BoundInputs) -> float:
     """Bound on the noise-propagation error: delta e^{(lambda_N + kappa1)(tau-t)}."""
-    if b.delta == 0.0:
-        return 0.0
     return exp_checked(log_noise_bound(b), "noise bound")
 
 

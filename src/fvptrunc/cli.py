@@ -108,7 +108,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_demo_illposed(args) -> int:
-    model = EigenModel.dirichlet_1d(args.modes)
+    try:
+        model = EigenModel.dirichlet_1d(args.modes)
+    except (MemoryError, ValueError) as exc:    # "Maximum allowed size exceeded"
+        raise ConfigError(f"--modes {args.modes} is too large to build: {exc}") from exc
     # every row before the first line: a norm past the range prints no table
     pairs = [illposed_pair(model, n, args.tau) for n in range(1, args.modes + 1)]
     rows = [(pair.mode, pair.data_norm, float(pair.solution_norm(0.0)),
@@ -146,9 +149,7 @@ def _cmd_experiment(args) -> int:
     _write(outdir / "experiment.csv", report.to_csv())
     _write(outdir / "summary.txt", report.summary())
     sys.stdout.write(report.summary())
-    if report.dominance is not None and not report.dominance.ok:
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return EXIT_OK if report.dominance.ok else EXIT_VIOLATION
 
 
 def _cmd_gronwall_check(args) -> int:

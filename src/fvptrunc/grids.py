@@ -81,12 +81,8 @@ class Trajectory:
         """Sup-over-time L2 distance; grids must span one interval and nest."""
         if abs(self.grid.tau - other.grid.tau) > 1e-12 * max(self.grid.tau, 1.0):
             raise ValueError("trajectories live on different time intervals")
-        if self.grid.n_steps == other.grid.n_steps:
-            d = self.states - other.states
-        else:
-            fine, coarse = (self, other) if self.grid.n_steps > other.grid.n_steps else (other, self)
-            r, rem = divmod(fine.grid.n_steps, coarse.grid.n_steps)
-            if rem != 0:
-                raise ValueError("grids are not nested; cannot compare trajectories")
-            d = fine.states[:, ::r] - coarse.states
-        return sup_over_time(d)
+        fine, coarse = (self, other) if self.grid.n_steps >= other.grid.n_steps else (other, self)
+        r, rem = divmod(fine.grid.n_steps, coarse.grid.n_steps)
+        if rem != 0:
+            raise ValueError("grids are not nested; cannot compare trajectories")
+        return sup_over_time(fine.states[:, ::r] - coarse.states)

@@ -196,7 +196,9 @@ class ExperimentConfig:
     def from_json(text: str) -> "ExperimentConfig":
         try:
             doc = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:    # or nested too deep
+        # a JSONDecodeError is a ValueError, and so is an integer literal past
+        # Python's digit limit; a RecursionError is a document nested too deep
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"invalid JSON: {exc}") from exc
         return ExperimentConfig.from_dict(doc)
 
@@ -354,14 +356,14 @@ class ExperimentRow:
     residual: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentReport:
-    rows: list = field(default_factory=list)
-    fits: dict = field(default_factory=dict)          # t -> RateFit | None
-    flags: list = field(default_factory=list)
-    dominance: DominanceReport | None = None
-    rho: float = math.nan
-    reference: ReferenceSolution | None = None
+    rows: list
+    fits: dict          # t -> RateFit | None
+    flags: list
+    dominance: DominanceReport
+    rho: float
+    reference: ReferenceSolution
 
     CSV_HEADER = ("t,delta,seed,N,measured_error,truncation_bound,"
                   "noise_bound,total_bound,iterations,residual")
@@ -382,10 +384,9 @@ class ExperimentReport:
             else:
                 lines.append(f"t = {t:g}: fitted slope {fit.slope:.4f} "
                              f"(95% CI {fit.ci95[0]:.4f}..{fit.ci95[1]:.4f}, r2 {fit.r2:.4f})")
-        if self.dominance is not None:
-            lines.append(f"dominance: {self.dominance.total - len(self.dominance.violations)}"
-                         f"/{self.dominance.total} rows below bound"
-                         + ("" if self.dominance.ok else "  [VIOLATIONS]"))
+        lines.append(f"dominance: {self.dominance.total - len(self.dominance.violations)}"
+                     f"/{self.dominance.total} rows below bound"
+                     + ("" if self.dominance.ok else "  [VIOLATIONS]"))
         for fl in self.flags:
             lines.append(f"flag: {fl}")
         return "\n".join(lines) + "\n"
@@ -430,6 +431,18 @@ def noisy_solve(cfg: ExperimentConfig, g: SpectralField, level: int, delta: floa
     return picard_solve(instance, cfg.solver(level, n_steps), noisy)
 
 
+def _plan_cell(model: EigenModel, rule: str, rho: float, delta: float, t: float, tau: float,
+               kappa: float, p: float = 0.0, q: float = 0.0) -> tuple[int, BoundInputs]:
+    """The level `rule` chooses at (delta, t), and the `BoundInputs` of that
+    level capped at the model's mode count, in the bound regime of the rule."""
+    ci = ChoiceInputs(regime=rule, rho=rho, delta=delta, t=t, tau=tau, d=model.dimension,
+                      e1=model.e1, e2=model.e2, p=p, q=q)
+    level = choose_level(ci).level
+    regime = {LOG_RULE: "gevrey_p", HOLDER_RULE: "gevrey_q"}[rule]
+    return level, BoundInputs(model=model, level=min(level, model.mode_count), t=t, tau=tau,
+                              delta=delta, rho=rho, kappa=kappa, regime=regime, p=p, q=q)
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Solve every (t, delta, trial) cell with the rule-chosen level.
 
@@ -453,8 +466,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     source = cfg.source()
     reference = build_reference(cfg)
     g = reference.final_data
-    regime = "gevrey_p" if cfg.regime == LOG_RULE else "gevrey_q"
-    gp = GevreyParams(cfg.p, cfg.tau) if regime == "gevrey_p" \
+    gp = GevreyParams(cfg.p, cfg.tau) if cfg.regime == LOG_RULE \
         else GevreyParams(0.0, cfg.q + cfg.tau)
     rho = _certified_rho(reference, gp) if cfg.rho == "certified" else cfg.rho
     eval_idx = {t: reference.trajectory.grid.index_of(t) for t in cfg.eval_times}
@@ -469,15 +481,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     plan, keys = [], {}
     for t in cfg.eval_times:
         for di, delta in enumerate(cfg.deltas):
-            ci = ChoiceInputs(regime=cfg.regime, rho=rho, delta=delta,
-                              t=t, tau=cfg.tau, d=model.dimension,
-                              e1=model.e1, e2=model.e2, p=cfg.p, q=cfg.q)
-            level = choose_level(ci).level
+            level, bi = _plan_cell(model, cfg.regime, rho, delta, t, cfg.tau, source.kappa,
+                                   cfg.p, cfg.q)
             if level > model.mode_count:
                 flags[t].append(f"level capped at mode_count for t={t:g}, delta={delta:g}")
-            bi = BoundInputs(model=model, level=min(level, model.mode_count), t=t,
-                             tau=cfg.tau, delta=delta, rho=rho, kappa=source.kappa,
-                             regime=regime, p=cfg.p, q=cfg.q)
             bounds = dict(truncation_bound=truncation_bound(bi),
                           noise_bound=noise_bound(bi), total_bound=total_bound(bi))
             for trial, seed in enumerate(seeds[di]):
@@ -513,26 +520,26 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         del fine    # hold one trajectory at a time
 
     # emit: fits and flags in (t, delta, trial) order
-    report = ExperimentReport(rows=rows, rho=rho, reference=reference)
+    fits, report_flags = {}, []
     for t, t_rows in groupby(rows, key=lambda row: row.t):
         series = {}                  # delta -> worst error over its trials
         for row in t_rows:
             series[row.delta] = max(series.get(row.delta, -math.inf), row.measured_error)
         if len(series) >= 4 and all(e > 0 for e in series.values()):
-            report.fits[t] = fit_rate(series.items())
+            fits[t] = fit_rate(series.items())
         else:
-            report.fits[t] = None
+            fits[t] = None
             flags[t].append(f"insufficient ladder for a rate fit at t={t:g}")
         errs = list(series.values())
         if any(b > a * (1 + 1e-12) for a, b in zip(errs, errs[1:])):
             flags[t].append(f"errors not non-increasing along the ladder at t={t:g}")
-        report.flags += flags[t]
+        report_flags += flags[t]
 
-    report.dominance = check_dominance(samples)
-    if not report.dominance.ok:
-        report.flags.append(
-            f"dominance violated on {len(report.dominance.violations)} rows")
-    return report
+    dominance = check_dominance(samples)
+    if not dominance.ok:
+        report_flags.append(f"dominance violated on {len(dominance.violations)} rows")
+    return ExperimentReport(rows=rows, fits=fits, flags=report_flags, dominance=dominance,
+                            rho=rho, reference=reference)
 
 
 # --------------------------------------------------------------------------
@@ -570,13 +577,9 @@ def holder_bound_staircase(model: EigenModel, tau: float, t: float, q: float,
         delta = math.exp(math.log(rho) - denom * r ** (2.0 / model.dimension))
         if delta < sys.float_info.min:  # a subnormal delta lost digits; 0 has no log
             raise ValueError("ladder delta is not a normal double; reduce r_max")
-        ci = ChoiceInputs(regime=HOLDER_RULE, rho=rho, delta=delta, t=t, tau=tau,
-                          d=model.dimension, e1=model.e1, e2=model.e2, q=q)
-        level = min(choose_level(ci).level, model.mode_count)
-        bi = BoundInputs(model=model, level=level, t=t, tau=tau, delta=delta,
-                         rho=rho, kappa=kappa, regime="gevrey_q", q=q)
+        _, bi = _plan_cell(model, HOLDER_RULE, rho, delta, t, tau, kappa, q=q)
         deltas.append(delta)
-        levels.append(level)
+        levels.append(bi.level)
         log_bounds.append(log_total_bound(bi))
     fit = fit_rate_logs(np.log(deltas), np.array(log_bounds))
     theo = model.e1 * (q + t) / denom

@@ -136,8 +136,6 @@ def zeta(s: float, b: float, c: float, dcoef: float) -> float:
     require_finite("b", b, "positive")
     require_finite("c", c, ">= 0")
     require_finite("dcoef", dcoef, "positive")
-    if c == 0.0:
-        return s ** b
     return s ** b * (dcoef * math.log(1.0 / s)) ** (-c)
 
 

@@ -197,11 +197,12 @@ def picard_solve(instance: FvpInstance, cfg: SolverConfig, data: SpectralField) 
     mode-ordered sum of squares: the increments, stop decisions and defect
     are those of the loop over all N rows, bit for bit.  The result is
     scattered into the model's mode count once, at the end, each zero-data
-    row taking its leading-term row.  The leading term and the
-    `QuadraturePlan` are built for all N modes (`_solve_setup`), so a range
-    error names the mode a loop over all N rows would name.  Both are built
-    once per solve, so the checks, weight tables, banded solves and scratch
-    row of the quadratures are not repeated per iteration.
+    row holding its datum, which is its leading-term row.  The leading
+    term and the `QuadraturePlan` are built for all N modes
+    (`_solve_setup`), so a range error names the mode a loop over all N
+    rows would name.  Both are built once per solve, so the checks, weight
+    tables, banded solves and scratch row of the quadratures are not
+    repeated per iteration.
 
     The defect is fixed_point_defect of the result taken on the live rows,
     since the other modes are fixed by the map.  It costs one more map, so
@@ -210,8 +211,6 @@ def picard_solve(instance: FvpInstance, cfg: SolverConfig, data: SpectralField) 
     """
     grid = cfg.grid(instance.tau)
     increments: list[float] = []
-    converged = False
-    its = 0
     # Every warning off, not only overflow and invalid: with all of them
     # ignored numpy skips reading the floating-point status after each
     # ufunc call (a map at n = 128 measured up to 1% faster).  A division
@@ -222,9 +221,13 @@ def picard_solve(instance: FvpInstance, cfg: SolverConfig, data: SpectralField) 
         if live.size == 0:
             live = np.arange(cfg.level)
         modes = live.tolist()
-        if live.size < cfg.level:
-            lead = lead[live]
+        lead = lead[live]
         v = lead
+
+        def defect_of() -> float:
+            with np.errstate(all="ignore"):
+                return sup_over_time(v - _map_retained(v, instance, plan, lead, modes))
+
         bound = sup_over_time(v)  # an upper bound of sup_over_time(v)
         for its in range(1, cfg.max_iters + 1):
             image = _map_retained(v, instance, plan, lead, modes)
@@ -236,23 +239,16 @@ def picard_solve(instance: FvpInstance, cfg: SolverConfig, data: SpectralField) 
             if inc <= cfg.picard_tol * (1.0 + bound):
                 bound = sup_over_time(v)
                 if inc <= cfg.picard_tol * (1.0 + bound):
-                    converged = True
                     break
-
-    def defect_of() -> float:
-        with np.errstate(all="ignore"):
-            return sup_over_time(v - _map_retained(v, instance, plan, lead, modes))
-
-    if not converged:
-        raise NonConvergenceError(
-            f"no convergence after {cfg.max_iters} iterations "
-            f"(last increment {increments[-1]:.3e})",
-            increments=increments, defect=defect_of())
-    states = v
-    if len(modes) < cfg.level:
-        # a zero-data row is its leading term, +-0 with the datum's sign
-        states = np.repeat(data.coeffs[:cfg.level, None], grid.n_steps + 1, axis=1)
-        states[live] = v
-    return PicardResult(trajectory=_padded(grid, instance.model, states), iterations=its,
+        else:
+            raise NonConvergenceError(
+                f"no convergence after {cfg.max_iters} iterations "
+                f"(last increment {increments[-1]:.3e})",
+                increments=increments, defect=defect_of())
+    # a zero-data row is its leading term, +-0 with the datum's sign
+    states = np.zeros((instance.model.mode_count, grid.n_steps + 1))
+    states[:cfg.level] = data.coeffs[:cfg.level, None]
+    states[live] = v
+    return PicardResult(trajectory=Trajectory(grid, instance.model, states), iterations=its,
                         defect_of=defect_of, increments=increments,
                         modes=tuple(j + 1 for j in modes))

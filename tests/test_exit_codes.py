@@ -4,6 +4,7 @@ and outputs that cannot be written."""
 
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -125,3 +126,26 @@ def test_grid_or_model_too_large_to_build_exits_2(tmp_path, config_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error:") and len(err.splitlines()) == 1
     assert f"{section}.{key} is too large to build" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "experiment"])
+def test_integer_literal_past_the_digit_limit_exits_2(tmp_path, capsys, command):
+    # json.loads refuses an integer literal of more than 4300 digits with a
+    # plain ValueError, not a JSONDecodeError (on Pythons with that limit)
+    path = tmp_path / "config.json"
+    path.write_text('{"instance": {"tau": 1' + "0" * 5000 + "}}")
+    where = ["--level", "1"] if command == "solve" else ["--output-dir", str(tmp_path / "out")]
+    assert main([command, "--config", str(path)] + where) == 2
+    err = capsys.readouterr().err
+    limited = hasattr(sys, "get_int_max_str_digits")
+    assert err.startswith("config error: invalid JSON" if limited else "config error:")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("modes", ["100000000000000", "100000000000000000000"])
+def test_demo_model_too_large_to_build_exits_2(capsys, modes):
+    # sizes numpy refuses to allocate before it touches memory
+    assert main(["demo-illposed", "--modes", modes]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: --modes {modes} is too large to build")
+    assert len(err.splitlines()) == 1

@@ -39,6 +39,19 @@ class TestZetaInverse:
         assert inv.root == 1e-3
         assert inv.asymptotic == inv.root
 
+    def test_zeta_is_the_pure_power_when_c_is_zero(self):
+        # at c = 0 the log factor is x ** -0.0, which is 1.0 for every x
+        # (0, inf and NaN too), so zeta is s ** b bit for bit, also where
+        # 1/s overflows to inf
+        rng = np.random.default_rng(47)
+        ss = [5e-324, 1e-310, sys.float_info.min, 0.5, 1.0 - 2.0 ** -53]
+        ss += [float(x) for x in rng.uniform(0.0, 1.0, 100)]
+        ss += [float(10.0 ** x) for x in rng.uniform(-323.0, 0.0, 100)]
+        assert sum(1.0 / s == math.inf for s in ss) >= 3
+        for s in ss:
+            b, d = (float(x) for x in rng.uniform(0.1, 4.0, 2))
+            assert np.float64(zeta(s, b, 0.0, d)).tobytes() == np.float64(s ** b).tobytes()
+
     def test_asymptotic_agreement_improves_monotonically(self):
         # b = c = dcoef = 1: ~18% off at s = 1e-8, converging to 1 from above
         devs = []

@@ -294,6 +294,20 @@ class TestPicard:
         assert len(exc.value.increments) == 2
         assert exc.value.defect > 0
 
+    def test_converging_on_the_last_allowed_iteration_returns(self, model):
+        # a solve that converges on exactly max_iters maps returns; one
+        # iteration fewer raises with the increments it had and a defect
+        data = SpectralField.basis(model, 1) + 0.5 * SpectralField.basis(model, 3)
+        inst = make_instance(model, SourceFunction("sin"), data, tau=0.25)
+        its = picard_solve(inst, SolverConfig(level=3, n_steps=64), data).iterations
+        assert its >= 2
+        last = picard_solve(inst, SolverConfig(level=3, n_steps=64, max_iters=its), data)
+        assert last.iterations == its and len(last.increments) == its
+        with pytest.raises(NonConvergenceError) as exc:
+            picard_solve(inst, SolverConfig(level=3, n_steps=64, max_iters=its - 1), data)
+        assert exc.value.increments == last.increments[:-1]
+        assert math.isfinite(exc.value.defect) and exc.value.defect > 0.0
+
     @pytest.mark.parametrize("field, value", [
         ("level", 2.0), ("level", True), ("n_steps", 64.5), ("n_steps", np.float64(64.0)),
         ("max_iters", 10.0), ("max_iters", False)])
