@@ -28,37 +28,10 @@ from .errors import ConfigError, FvptruncError
 from .harness import ExperimentConfig, noisy_solve, run_experiment
 from .param_choice import (HOLDER_RULE, LOG_RULE, ChoiceInputs, choose_level)
 from .reference import illposed_pair
-from .spectral import EigenModel
+from .spectral import EigenModel, require_int
 
 EXIT_OK = 0
 EXIT_VIOLATION = 4
-
-
-def _number(text: str, admits, meaning: str) -> float:
-    """Parse a finite float that satisfies `admits`, or fail with a usage error."""
-    try:
-        x = float(text)
-    except ValueError:
-        x = math.nan
-    if not (math.isfinite(x) and admits(x)):
-        raise argparse.ArgumentTypeError(f"expected {meaning}, got {text!r}")
-    return x
-
-
-def _positive(text: str) -> float:
-    return _number(text, lambda x: x > 0.0, "a finite number > 0")
-
-
-def _non_negative(text: str) -> float:
-    return _number(text, lambda x: x >= 0.0, "a finite number >= 0")
-
-
-def _positive_int(text: str) -> int:
-    return int(_number(text, lambda x: x >= 1.0 and x.is_integer(), "an integer >= 1"))
-
-
-def _non_negative_int(text: str) -> int:
-    return int(_number(text, lambda x: x >= 0.0 and x.is_integer(), "an integer >= 0"))
 
 
 def _fmt(x: float) -> str:
@@ -87,8 +60,8 @@ def _write(path: Path, text: str | None = None):
 
 def _cmd_solve(args) -> int:
     cfg = _load_config(args.config)
-    if args.level > cfg.mode_count:
-        raise ConfigError(f"--level {args.level} exceeds instance.mode_count {cfg.mode_count}")
+    # before the noise: add_noise's worst-case direction reads mode `level`
+    require_int("level", args.level, high=cfg.mode_count)
     res = noisy_solve(cfg, cfg.final_data(), args.level, args.delta, cfg.seed, cfg.n_steps)
     traj = res.trajectory
     header = "t," + ",".join(f"c{j}" for j in range(1, cfg.mode_count + 1)) + ",l2_norm"
@@ -108,12 +81,14 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_demo_illposed(args) -> int:
+    require_int("--modes", args.modes)
     try:
         model = EigenModel.dirichlet_1d(args.modes)
     except (MemoryError, ValueError) as exc:    # "Maximum allowed size exceeded"
         raise ConfigError(f"--modes {args.modes} is too large to build: {exc}") from exc
-    # every row before the first line: a norm past the range prints no table
-    pairs = [illposed_pair(model, n, args.tau) for n in range(1, args.modes + 1)]
+    # each pair is evaluated as it is built, and every row before the first
+    # line prints: a norm past the range stops the build and prints no table
+    pairs = (illposed_pair(model, n, args.tau) for n in range(1, args.modes + 1))
     rows = [(pair.mode, pair.data_norm, float(pair.solution_norm(0.0)),
              float(pair.lower_bound(0.0))) for pair in pairs]
     print(f"{'n':>3} {'data_norm':>24} {'solution_norm(0)':>24} {'lower_bound(0)':>24}")
@@ -129,8 +104,6 @@ def _cmd_demo_illposed(args) -> int:
 
 
 def _cmd_choose_n(args) -> int:
-    if args.t > args.tau:
-        raise ConfigError(f"--t {args.t:g} lies past --tau {args.tau:g}")
     regime = LOG_RULE if args.rule == "log" else HOLDER_RULE
     ci = ChoiceInputs(regime=regime, rho=args.rho, delta=args.delta, t=args.t,
                       tau=args.tau, d=args.d, e1=args.e1, e2=args.e2,
@@ -153,6 +126,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_gronwall_check(args) -> int:
+    require_int("--samples", args.samples)
+    require_int("--seed", args.seed, low=0)
     rng = np.random.default_rng(args.seed)
     violations = 0
     for _ in range(args.samples):
@@ -177,28 +152,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve one instance, write the trajectory CSV")
     p.add_argument("--config", required=True, help="experiment JSON document")
-    p.add_argument("--level", type=_positive_int, required=True, help="truncation level N")
-    p.add_argument("--delta", type=_non_negative, default=0.0,
-                   help="noise level (0 = exact data)")
+    p.add_argument("--level", type=int, required=True, help="truncation level N")
+    p.add_argument("--delta", type=float, default=0.0, help="noise level (0 = exact data)")
     p.add_argument("--output", default=None, help="CSV path (stdout if omitted)")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("demo-illposed", help="print the instability table")
-    p.add_argument("--modes", type=_positive_int, default=8)
-    p.add_argument("--tau", type=_positive, default=1.0)
+    p.add_argument("--modes", type=int, default=8)
+    p.add_argument("--tau", type=float, default=1.0)
     p.set_defaults(func=_cmd_demo_illposed)
 
     p = sub.add_parser("choose-n", help="print the rule-chosen truncation level")
     p.add_argument("--rule", choices=("log", "holder"), required=True)
-    p.add_argument("--delta", type=_positive, required=True)
-    p.add_argument("--rho", type=_positive, required=True)
-    p.add_argument("--t", type=_non_negative, default=0.0)
-    p.add_argument("--tau", type=_positive, default=1.0)
-    p.add_argument("--d", type=_positive_int, default=1)
-    p.add_argument("--e1", type=_positive, default=math.pi ** 2)
-    p.add_argument("--e2", type=_positive, default=math.pi ** 2)
-    p.add_argument("--p", type=_non_negative, default=0.0)
-    p.add_argument("--q", type=_non_negative, default=0.0)
+    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--rho", type=float, required=True)
+    p.add_argument("--t", type=float, default=0.0)
+    p.add_argument("--tau", type=float, default=1.0)
+    p.add_argument("--d", type=int, default=1)
+    p.add_argument("--e1", type=float, default=math.pi ** 2)
+    p.add_argument("--e2", type=float, default=math.pi ** 2)
+    p.add_argument("--p", type=float, default=0.0)
+    p.add_argument("--q", type=float, default=0.0)
     p.set_defaults(func=_cmd_choose_n)
 
     p = sub.add_parser("experiment", help="run a delta-ladder experiment")
@@ -207,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("gronwall-check", help="sweep the iterated-integral inequality")
-    p.add_argument("--samples", type=_positive_int, default=100)
-    p.add_argument("--seed", type=_non_negative_int, default=7)
+    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=_cmd_gronwall_check)
     return parser
 

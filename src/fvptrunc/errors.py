@@ -59,6 +59,8 @@ class BracketError(FvptruncError, ValueError):
 
 
 class ConfigError(FvptruncError, ValueError):
-    """Invalid or unknown experiment configuration content."""
+    """An input refused by its check: a config key, a CLI option or a
+    library argument (the input policy's `spectral.require_*` raise it),
+    or invalid or unknown configuration content."""
 
     label = "config error"

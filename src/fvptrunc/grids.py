@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import (EigenModel, SpectralField, _readonly, require_finite, require_int,
-                       scaled_norm_rows, sup_over_time)
+                       require_time, scaled_norm_rows, sup_over_time)
 
 
 @dataclass(frozen=True)
@@ -34,9 +34,7 @@ class TimeGrid:
     def index_of(self, t: float) -> int:
         """Grid index of t; t must lie in [0, tau] and be a grid point (up to
         rounding, 1e-9 max(tau, 1))."""
-        if not 0.0 <= t <= self.tau:    # NaN included
-            raise ValueError(f"t = {t} lies outside [0, tau = {self.tau}]")
-        i = int(round(t / self.h))
+        i = int(round(require_time(t, self.tau) / self.h))
         if abs(self.points[i] - t) > 1e-9 * max(self.tau, 1.0):
             raise ValueError(f"t = {t} is not a grid point of {self}")
         return i

@@ -43,11 +43,12 @@ def add_noise(g: SpectralField, delta: float, direction: str = "seeded_random",
 
     direction 'worst_case_mode' sets e to the basis mode `mode` (the
     direction the noise bound amplifies hardest); 'seeded_random' draws a
-    deterministic direction over all model modes from `seed`.  The noise
-    vector is rescaled once after rounding so its stored norm equals delta
-    to a few ulp.
+    deterministic direction over all model modes from `seed`, an int >= 0.
+    The noise vector is rescaled once after rounding so its stored norm
+    equals delta to a few ulp.
     """
     require_finite("delta", delta, ">= 0")
+    require_int("seed", seed, low=0)
     if delta == 0.0:
         return g
     if direction == "worst_case_mode":
@@ -91,22 +92,14 @@ def _section(value, where: str) -> dict:
 # and range are those of the input policy (`require_finite`, `require_int`),
 # so a refusal reads `<key> must be ..., got <value>`.
 
-def _policy(require, value, where: str, rule):
-    """require(where, value, rule), its ValueError a ConfigError."""
-    try:
-        return require(where, value, rule)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _number(sign: str | None = None):
     """A finite real of the given sign (see `require_finite`), stored as a float."""
-    return lambda value, where: float(_policy(require_finite, value, where, sign))
+    return lambda value, where: float(require_finite(where, value, sign))
 
 
 def _integer(low: int = 1):
     """An int >= low, stored as an int."""
-    return lambda value, where: int(_policy(require_int, value, where, low))
+    return lambda value, where: int(require_int(where, value, low))
 
 
 def _list(value, where: str) -> list | tuple:

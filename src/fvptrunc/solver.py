@@ -102,8 +102,7 @@ def _solve_setup(instance: FvpInstance, cfg: SolverConfig, grid: TimeGrid,
                  data: SpectralField) -> tuple[np.ndarray, QuadraturePlan]:
     """The map's leading term G_N(tau - t) data on `grid`, as (N, n+1) rows,
     and the `QuadraturePlan` of the N modes: what every map of a solve shares."""
-    if cfg.level > instance.model.mode_count:
-        raise ValueError("truncation level exceeds the model mode count")
+    require_int("level", cfg.level, high=instance.model.mode_count)
     lams = instance.model.lambdas[:cfg.level]
     lead = _growth_rows(lams, instance.tau - grid.points, data.coeffs[:cfg.level])
     return lead, QuadraturePlan(lams, grid.h, grid.n_steps)

@@ -12,7 +12,10 @@ finite double, and there is no exponent cap.  Input: `require_finite`,
 `require_int`, `require_mode` and `require_time` are the one check of a
 scalar argument, a finite real in its range or an int count or mode
 index (never a bool), and `require_times` the array form of
-`require_time`; each refusal reads `<name> must be ..., got <value>`.
+`require_time`.  Each refusal reads `<name> must be ..., got <value>` and
+is a `ConfigError`, whether the value came from a config key, a CLI
+option or a library argument; only `require_mode` raises IndexError, for
+an int mode index out of range.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ExponentOverflowError
+from .errors import ConfigError, ExponentOverflowError
 
 
 #: the sign rules of `require_finite`, by the words its refusal uses
@@ -36,7 +39,7 @@ _REALS = (float, np.floating) + _INTS
 
 def require_finite(name: str, value, sign: str | None = None):
     """`value` if it is a finite real (a numpy number too, never a bool) of
-    the given sign, "positive", ">= 0" or None for any, else ValueError
+    the given sign, "positive", ">= 0" or None for any, else ConfigError
     naming `name`."""
     try:
         ok = (not isinstance(value, bool) and isinstance(value, _REALS)
@@ -45,28 +48,28 @@ def require_finite(name: str, value, sign: str | None = None):
         ok = False
     if not ok:
         rule = "finite" if sign is None else f"finite and {sign}"
-        raise ValueError(f"{name} must be {rule}, got {value!r}")
+        raise ConfigError(f"{name} must be {rule}, got {value!r}")
     return value
 
 
 def _require_int_type(name: str, value) -> None:
     # a float indexes nothing and a bool is no count
     if isinstance(value, bool) or not isinstance(value, _INTS):
-        raise ValueError(f"{name} must be an int, got {value!r}")
+        raise ConfigError(f"{name} must be an int, got {value!r}")
 
 
 def require_int(name: str, value, low: int = 1, high: int | None = None):
     """`value` if it is an int (a numpy integer too, never a bool) in
-    low..high (no upper limit for None), else ValueError naming `name`."""
+    low..high (no upper limit for None), else ConfigError naming `name`."""
     _require_int_type(name, value)
     if value < low or (high is not None and value > high):
         rule = f">= {low}" if high is None else f"in {low}..{high}"
-        raise ValueError(f"{name} must be an int {rule}, got {value!r}")
+        raise ConfigError(f"{name} must be an int {rule}, got {value!r}")
     return value
 
 
 def require_mode(j, mode_count: int):
-    """`j` if it is a 1-based mode index in 1..mode_count: ValueError for a
+    """`j` if it is a 1-based mode index in 1..mode_count: ConfigError for a
     non-int, IndexError for an int out of range."""
     _require_int_type("mode index", j)
     if not 1 <= j <= mode_count:
@@ -75,21 +78,21 @@ def require_mode(j, mode_count: int):
 
 
 def require_time(t, tau: float):
-    """`t` if it is finite and 0 <= t <= tau, else ValueError naming t."""
+    """`t` if it is finite and 0 <= t <= tau, else ConfigError naming t."""
     require_finite("t", t)
     if not 0.0 <= t <= tau:
-        raise ValueError(f"t must lie in [0, tau = {tau!r}], got {t!r}")
+        raise ConfigError(f"t must lie in [0, tau = {tau!r}], got {t!r}")
     return t
 
 
 def require_times(t, tau: float) -> np.ndarray:
     """`t`, a real scalar or array, as a float array if tau is finite and
     positive and every entry of t lies in [0, tau] (so is finite), else
-    ValueError naming tau or t."""
+    ConfigError naming tau or t."""
     require_finite("tau", tau, "positive")
     ts = np.asarray(t)
     if ts.dtype.kind not in "iuf" or not np.all((ts >= 0.0) & (ts <= tau)):    # NaN included
-        raise ValueError(f"t must lie in [0, tau = {tau!r}], got {t!r}")
+        raise ConfigError(f"t must lie in [0, tau = {tau!r}], got {t!r}")
     return ts.astype(float, copy=False)
 
 
@@ -144,6 +147,7 @@ class EigenModel:
     @staticmethod
     def dirichlet_1d(mode_count: int = 64) -> "EigenModel":
         """The built-in model on (0,1): lambda_j = j^2 pi^2, e1 = e2 = pi^2."""
+        require_int("mode_count", mode_count)
         j = np.arange(1, mode_count + 1, dtype=float)
         return EigenModel(dimension=1, lambdas=j ** 2 * math.pi ** 2,
                           e1=math.pi ** 2, e2=math.pi ** 2)

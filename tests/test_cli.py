@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from fvptrunc.cli import main
 from fvptrunc.harness import ExperimentConfig, noisy_solve
+from fvptrunc.reference import illposed_pair
 
 
 @pytest.fixture()
@@ -77,17 +79,37 @@ def test_choose_n_unused_rule_parameter_exits_2(argv, capsys):
     assert captured.err.startswith("unsupported input:") and len(captured.err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["choose-n", "--rule", "holder", "--delta", "0", "--rho", "1.0"],
-    ["choose-n", "--rule", "holder", "--delta", "1e-8", "--rho", "-1"],
-    ["solve", "--config", "unused.json", "--level", "1", "--delta", "-1"],
+def names(line: str, argument: str) -> bool:
+    """Whether `line` names `argument`, as `argument` or `--argument`."""
+    return re.search(rf"(?<![\w.]){re.escape(argument)}(?![\w])", line) is not None
+
+
+@pytest.mark.parametrize("argv, argument", [
+    (["choose-n", "--rule", "holder", "--delta", "0", "--rho", "1.0"], "delta"),
+    (["choose-n", "--rule", "holder", "--delta", "1e-8", "--rho", "-1"], "rho"),
+    (["solve", "--config", "CONFIG", "--level", "1", "--delta", "-1"], "delta"),
 ])
-def test_out_of_range_option_is_a_usage_error(argv, capsys):
+def test_out_of_range_option_is_one_config_error_line(argv, argument, config_path, capsys):
+    # the library call that reads the value refuses it, not argparse
+    argv = [str(config_path) if a == "CONFIG" else a for a in argv]
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), lines
+    assert names(lines[0], argument), lines
+
+
+@pytest.mark.parametrize("argv", [
+    "solve --config CONFIG --level abc",
+    "solve --config CONFIG --level 2.5",
+    "demo-illposed --modes 1e3",
+    "gronwall-check --samples 3.0",
+    "choose-n --rule holder --delta abc --rho 1",
+])
+def test_option_that_is_not_a_number_is_a_usage_error(argv, config_path, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main([str(config_path) if a == "CONFIG" else a for a in argv.split()])
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage:") and "expected a finite number" in err
+    assert capsys.readouterr().err.startswith("usage:")
 
 
 CHOOSE_N = ["choose-n", "--rule", "holder", "--delta", "1e-8", "--rho", "1.0"]
@@ -107,16 +129,39 @@ CHOOSE_N = ["choose-n", "--rule", "holder", "--delta", "1e-8", "--rho", "1.0"]
     ["demo-illposed", "--tau", "0"],
     ["demo-illposed", "--tau", "-1"],
     ["demo-illposed", "--modes", "0"],
+    ["choose-n", "--rule", "holder", "--delta", "1e-8", "--rho", "0"],
+    ["choose-n", "--rule", "holder", "--rho", "1.0", "--delta", "nan"],
+    CHOOSE_N + ["--e2", "inf"],
+    CHOOSE_N + ["--t", "-1"],
+    ["gronwall-check", "--samples", "0"],
+    ["solve", "--config", "CONFIG", "--level", "1", "--delta", "-1"],
 ], ids=" ".join)
 def test_bad_option_value_exits_2_with_one_message(argv, config_path, capsys):
-    argv = [str(config_path) if a == "CONFIG" else a for a in argv]
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # an argparse usage error
-        code = exc.code
-    assert code == 2
+    # the bad value is the last option's
+    argument = [a for a in argv if a.startswith("--")][-1][2:]
+    # no argparse usage error: that would raise SystemExit
+    assert main([str(config_path) if a == "CONFIG" else a for a in argv]) == 2
     lines = capsys.readouterr().err.splitlines()
-    assert [line for line in lines if "error:" in line] == lines[-1:]
+    assert len(lines) == 1 and lines[0].startswith("config error:"), lines
+    assert names(lines[0], argument), lines
+
+
+def test_demo_illposed_stops_building_at_the_first_norm_past_the_range(monkeypatch, capsys):
+    # at tau = 1 the solution norm of mode 9 already leaves the double range
+    import fvptrunc.cli
+    built = []
+
+    def counting(model, mode, tau):
+        built.append(mode)
+        return illposed_pair(model, mode, tau)
+
+    monkeypatch.setattr(fvptrunc.cli, "illposed_pair", counting)
+    assert main(["demo-illposed", "--modes", "1000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("range error:"), lines
+    assert len(built) <= 9, len(built)
 
 
 @pytest.mark.parametrize("modes", ["6", "8"])

@@ -47,16 +47,16 @@ def choice(**over):
 
 @cases({
     "regime": (lambda: choice(regime="ridge"), ValueError, "regime"),
-    "delta-zero": (lambda: choice(delta=0.0), ValueError, "delta"),
-    "rho-negative": (lambda: choice(rho=-1.0), ValueError, "rho"),
-    "t-past-tau": (lambda: choice(t=1.5), ValueError, "t"),
-    "t-negative": (lambda: choice(t=-0.1), ValueError, "t"),
-    "d-zero": (lambda: choice(d=0), ValueError, "d"),
-    "d-not-an-int": (lambda: choice(d=1.5), ValueError, "d"),
-    "e1-zero": (lambda: choice(e1=0.0), ValueError, "e1"),
-    "e2-negative": (lambda: choice(e2=-1.0), ValueError, "e2"),
-    "p-negative-log": (lambda: choice(regime=LOG_RULE, p=-1.0, q=0.0), ValueError, "p"),
-    "q-negative-holder": (lambda: choice(q=-1.0), ValueError, "q"),
+    "delta-zero": (lambda: choice(delta=0.0), ConfigError, "delta"),
+    "rho-negative": (lambda: choice(rho=-1.0), ConfigError, "rho"),
+    "t-past-tau": (lambda: choice(t=1.5), ConfigError, "t"),
+    "t-negative": (lambda: choice(t=-0.1), ConfigError, "t"),
+    "d-zero": (lambda: choice(d=0), ConfigError, "d"),
+    "d-not-an-int": (lambda: choice(d=1.5), ConfigError, "d"),
+    "e1-zero": (lambda: choice(e1=0.0), ConfigError, "e1"),
+    "e2-negative": (lambda: choice(e2=-1.0), ConfigError, "e2"),
+    "p-negative-log": (lambda: choice(regime=LOG_RULE, p=-1.0, q=0.0), ConfigError, "p"),
+    "q-negative-holder": (lambda: choice(q=-1.0), ConfigError, "q"),
     "p-under-holder": (lambda: choice(p=3.0), UnsupportedRegimeError, "p"),
     "q-under-log": (lambda: choice(regime=LOG_RULE, p=1.0, q=0.5), UnsupportedRegimeError, "q"),
     "holder-on-log-inputs": (lambda: choose_n_holder(choice(regime=LOG_RULE, p=1.0, q=0.0)),
@@ -65,9 +65,9 @@ def choice(**over):
     "zeta-s-one": (lambda: zeta(1.0, 1.0, 1.0, 1.0), ValueError, "s"),
     "zeta-inverse-a-one": (lambda: zeta_inverse(0.1, 1.0, 1.0, 1.0, a=1.0), ValueError, "a"),
     "zeta-inverse-a-zero": (lambda: zeta_inverse(0.1, 1.0, 1.0, 1.0, a=0.0), ValueError, "a"),
-    "zeta-b-nan": (lambda: zeta(0.5, math.nan, 1.0, 1.0), ValueError, "b"),
-    "zeta-dcoef-negative": (lambda: zeta(0.5, 1.0, 0.5, -1.0), ValueError, "dcoef"),
-    "zeta-inverse-dcoef-inf": (lambda: zeta_inverse(0.01, 1.0, 1.0, math.inf), ValueError,
+    "zeta-b-nan": (lambda: zeta(0.5, math.nan, 1.0, 1.0), ConfigError, "b"),
+    "zeta-dcoef-negative": (lambda: zeta(0.5, 1.0, 0.5, -1.0), ConfigError, "dcoef"),
+    "zeta-inverse-dcoef-inf": (lambda: zeta_inverse(0.01, 1.0, 1.0, math.inf), ConfigError,
                                "dcoef"),
 })
 def test_param_choice(call, exc, field):
@@ -82,30 +82,30 @@ def bound(**over):
 
 @cases({
     "regime": (lambda: bound(regime="gevrey_r"), UnsupportedRegimeError, "regime"),
-    "level-zero": (lambda: bound(level=0), ValueError, "level"),
-    "level-past-modes": (lambda: bound(level=5), ValueError, "level"),
-    "level-not-an-int": (lambda: bound(level=1.5), ValueError, "level"),
-    "level-a-bool": (lambda: bound(level=True), ValueError, "level"),
-    "t-past-tau": (lambda: bound(t=2.0), ValueError, "t"),
-    "t-negative": (lambda: bound(t=-0.5), ValueError, "t"),
+    "level-zero": (lambda: bound(level=0), ConfigError, "level"),
+    "level-past-modes": (lambda: bound(level=5), ConfigError, "level"),
+    "level-not-an-int": (lambda: bound(level=1.5), ConfigError, "level"),
+    "level-a-bool": (lambda: bound(level=True), ConfigError, "level"),
+    "t-past-tau": (lambda: bound(t=2.0), ConfigError, "t"),
+    "t-negative": (lambda: bound(t=-0.5), ConfigError, "t"),
     "comparison-n_steps-zero": (lambda: gronwall_comparison_solution(1.0, 1.0, 1.0, n_steps=0),
-                                ValueError, "n_steps"),
+                                ConfigError, "n_steps"),
     "comparison-n_steps-not-an-int": (
-        lambda: gronwall_comparison_solution(1.0, 1.0, 1.0, n_steps=2.5), ValueError, "n_steps"),
+        lambda: gronwall_comparison_solution(1.0, 1.0, 1.0, n_steps=2.5), ConfigError, "n_steps"),
 })
 def test_bounds(call, exc, field):
     check(call, exc, field)
 
 
 @cases({
-    "level-zero": (lambda: SolverConfig(level=0, n_steps=8), ValueError, "level"),
-    "n_steps-zero": (lambda: SolverConfig(level=1, n_steps=0), ValueError, "n_steps"),
-    "max_iters-zero": (lambda: SolverConfig(level=1, n_steps=8, max_iters=0), ValueError,
+    "level-zero": (lambda: SolverConfig(level=0, n_steps=8), ConfigError, "level"),
+    "n_steps-zero": (lambda: SolverConfig(level=1, n_steps=0), ConfigError, "n_steps"),
+    "max_iters-zero": (lambda: SolverConfig(level=1, n_steps=8, max_iters=0), ConfigError,
                        "max_iters"),
     "growth-level-zero": (lambda: apply_spectral_growth(0.0, SpectralField.basis(MODEL, 1), 0),
-                          ValueError, "level"),
+                          ConfigError, "level"),
     "growth-level-past-modes": (
-        lambda: apply_spectral_growth(0.0, SpectralField.basis(MODEL, 1), 5), ValueError,
+        lambda: apply_spectral_growth(0.0, SpectralField.basis(MODEL, 1), 5), ConfigError,
         "level"),
 })
 def test_solver(call, exc, field):
@@ -113,24 +113,26 @@ def test_solver(call, exc, field):
 
 
 @cases({
-    "dimension-zero": (lambda: EigenModel(0, np.array([PI2]), PI2, PI2), ValueError,
+    "dimension-zero": (lambda: EigenModel(0, np.array([PI2]), PI2, PI2), ConfigError,
                        "dimension"),
-    "dimension-not-an-int": (lambda: EigenModel(1.5, np.array([PI2]), PI2, PI2), ValueError,
+    "dimension-not-an-int": (lambda: EigenModel(1.5, np.array([PI2]), PI2, PI2), ConfigError,
                              "dimension"),
     "lambdas-empty": (lambda: EigenModel(1, np.array([]), PI2, PI2), ValueError, "lambdas"),
-    "e1-zero": (lambda: EigenModel(1, np.array([PI2]), 0.0, PI2), ValueError, "e1"),
-    "e2-negative": (lambda: EigenModel(1, np.array([PI2]), PI2, -1.0), ValueError, "e2"),
-    "gevrey-p-negative": (lambda: GevreyParams(-1.0, 0.0), ValueError, "p"),
-    "gevrey-q-negative": (lambda: GevreyParams(0.0, -1.0), ValueError, "q"),
+    "e1-zero": (lambda: EigenModel(1, np.array([PI2]), 0.0, PI2), ConfigError, "e1"),
+    "e2-negative": (lambda: EigenModel(1, np.array([PI2]), PI2, -1.0), ConfigError, "e2"),
+    "gevrey-p-negative": (lambda: GevreyParams(-1.0, 0.0), ConfigError, "p"),
+    "gevrey-q-negative": (lambda: GevreyParams(0.0, -1.0), ConfigError, "q"),
     "coeffs-length": (lambda: SpectralField(MODEL, np.zeros(3)), ValueError, "coeffs"),
     "basis-index-zero": (lambda: SpectralField.basis(MODEL, 0), IndexError, "mode index"),
     "basis-index-past-modes": (lambda: SpectralField.basis(MODEL, 5), IndexError,
                                "mode index"),
-    **{f"{name}-mode-{j!r}": (lambda call=call, j=j: call(j), ValueError, "mode index")
+    **{f"{name}-mode-{j!r}": (lambda call=call, j=j: call(j), ConfigError, "mode index")
        for name, call in (("from-coeffs", lambda j: SpectralField.from_coeffs(MODEL, [(j, 1.0)])),
                           ("eigenvalue", MODEL.eigenvalue),
                           ("basis", lambda j: SpectralField.basis(MODEL, j)))
        for j in (1.5, True)},
+    **{f"dirichlet-1d-mode-count-{n!r}": (lambda n=n: EigenModel.dirichlet_1d(n), ConfigError,
+                                          "mode_count") for n in (2.5, True, 0)},
 })
 def test_spectral(call, exc, field):
     check(call, exc, field)
@@ -141,7 +143,7 @@ def trajectory(n_steps: int) -> Trajectory:
 
 
 @cases({
-    "n_steps-zero": (lambda: TimeGrid(1.0, 0), ValueError, "n_steps"),
+    "n_steps-zero": (lambda: TimeGrid(1.0, 0), ConfigError, "n_steps"),
     "grids-not-nested": (lambda: trajectory(64).sup_distance(trajectory(24)), ValueError,
                          "grids"),
 })
@@ -159,7 +161,7 @@ def test_grids(call, exc, field):
         lambda: FvpInstance(MODEL, 1.0, SourceFunction.zero(),
                             final_data=SpectralField.zero(MODEL),
                             noisy_data=SpectralField.zero(OTHER)), ValueError, "noisy_data"),
-    "source-c-a-bool": (lambda: SourceFunction("linear", True), ValueError, "c"),
+    "source-c-a-bool": (lambda: SourceFunction("linear", True), ConfigError, "c"),
 })
 def test_problem(call, exc, field):
     check(call, exc, field)
@@ -171,24 +173,24 @@ def test_problem(call, exc, field):
     "state-at-tau": (lambda: ReferenceSolution(trajectory(8), SpectralField.basis(MODEL, 1),
                                                "closed_form"), ValueError, "final_data"),
     "closed-form-tau-nan": (lambda: closed_form_solution(MODEL, 1, 1.0, math.nan,
-                                                         TimeGrid(1.0, 8)), ValueError, "tau"),
+                                                         TimeGrid(1.0, 8)), ConfigError, "tau"),
     "closed-form-c-nan": (lambda: closed_form_solution(MODEL, 1, math.nan, 1.0,
-                                                       TimeGrid(1.0, 8)), ValueError, "c"),
-    "mode-roots-lam-nan": (lambda: mode_roots(math.nan, 1.0), ValueError, "lam"),
-    "illposed-tau-nan": (lambda: illposed_pair(MODEL, 1, math.nan), ValueError, "tau"),
-    "illposed-tau-negative": (lambda: illposed_pair(MODEL, 1, -1.0), ValueError, "tau"),
+                                                       TimeGrid(1.0, 8)), ConfigError, "c"),
+    "mode-roots-lam-nan": (lambda: mode_roots(math.nan, 1.0), ConfigError, "lam"),
+    "illposed-tau-nan": (lambda: illposed_pair(MODEL, 1, math.nan), ConfigError, "tau"),
+    "illposed-tau-negative": (lambda: illposed_pair(MODEL, 1, -1.0), ConfigError, "tau"),
     "solution-norm-t-past-tau": (lambda: illposed_pair(MODEL, 1, 1.0).solution_norm(2.0),
-                                 ValueError, "t"),
+                                 ConfigError, "t"),
     "lower-bound-t-nan": (lambda: illposed_pair(MODEL, 1, 1.0).lower_bound(math.nan),
-                          ValueError, "t"),
+                          ConfigError, "t"),
     "lower-bound-t-array-negative": (
-        lambda: illposed_pair(MODEL, 1, 1.0).lower_bound(np.array([0.5, -0.5])), ValueError,
+        lambda: illposed_pair(MODEL, 1, 1.0).lower_bound(np.array([0.5, -0.5])), ConfigError,
         "t"),
     "mode-coefficient-t-array-past-tau": (
-        lambda: mode_coefficient(mode_roots(PI2, 1.0), 1.0, np.array([0.0, 1.5])), ValueError,
+        lambda: mode_coefficient(mode_roots(PI2, 1.0), 1.0, np.array([0.0, 1.5])), ConfigError,
         "t"),
     "mode-coefficient-tau-nan": (lambda: mode_coefficient(mode_roots(PI2, 1.0), math.nan, 0.0),
-                                 ValueError, "tau"),
+                                 ConfigError, "tau"),
 })
 def test_reference(call, exc, field):
     check(call, exc, field)
@@ -197,11 +199,14 @@ def test_reference(call, exc, field):
 @cases({
     **{f"add-noise-mode-{j!r}": (
         lambda j=j: add_noise(SpectralField.basis(MODEL, 1), 1e-3, "worst_case_mode", mode=j),
-        ValueError, "mode index") for j in (1.5, True)},
+        ConfigError, "mode index") for j in (1.5, True)},
+    **{f"add-noise-seed-{seed!r}": (
+        lambda seed=seed: add_noise(SpectralField.basis(MODEL, 1), 1e-3, seed=seed),
+        ConfigError, "seed") for seed in (None, True, -1, 2.5)},
     "fit-rate-delta-nan": (lambda: fit_rate([(math.nan, 1.0), (1e-2, 0.1), (1e-3, 0.01),
-                                             (1e-4, 1e-3)]), ValueError, "delta"),
+                                             (1e-4, 1e-3)]), ConfigError, "delta"),
     "staircase-n_points-not-an-int": (
-        lambda: holder_bound_staircase(MODEL, 1.0, 0.0, 0.5, 1.0, 1.0, n_points=2.5), ValueError,
+        lambda: holder_bound_staircase(MODEL, 1.0, 0.0, 0.5, 1.0, 1.0, n_points=2.5), ConfigError,
         "n_points"),
 })
 def test_harness(call, exc, field):

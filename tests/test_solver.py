@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from fvptrunc import (EigenModel, ExponentOverflowError, FvpInstance,
+from fvptrunc import (ConfigError, EigenModel, ExponentOverflowError, FvpInstance,
                       NonConvergenceError, SolverConfig, SourceFunction,
                       SpectralField, TimeGrid, Trajectory, apply_spectral_growth,
                       closed_form_solution, fixed_point_defect, fixed_point_map,
@@ -115,10 +115,12 @@ class TestTimeGrid:
     def test_numpy_integer_step_count_accepted(self):
         assert TimeGrid(1.0, np.int64(8)).points.shape == (9,)
 
-    @pytest.mark.parametrize("t", [1.0 + 1e-12, -1e-12, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("t", [1.0 + 1e-12, -1e-12, math.nan, math.inf, -math.inf,
+                                   True, "0.5"])
     def test_index_of_refuses_t_outside_the_interval(self, t):
         # before any rounding: 1 + 1e-12 and -1e-12 lie within its tolerance
-        with pytest.raises(ValueError, match=re.escape(f"t = {t} lies outside [0, tau = 1.0]")):
+        rule = "lie in [0, tau = 1.0]" if t in (1.0 + 1e-12, -1e-12) else "be finite"
+        with pytest.raises(ConfigError, match=f"^{re.escape(f't must {rule}, got {t!r}')}$"):
             TimeGrid(1.0, 128).index_of(t)
 
     def test_index_of_rounds_inside_the_interval(self):
@@ -320,7 +322,7 @@ class TestPicard:
         data = SpectralField.basis(model, 1)
         inst = make_instance(model, SourceFunction.zero(), data)
         cfg = SolverConfig(level=model.mode_count + 1, n_steps=16)
-        with pytest.raises(ValueError, match="exceeds the model mode count"):
+        with pytest.raises(ConfigError, match=r"^level must be an int in 1\.\.8, got 9$"):
             picard_solve(inst, cfg, data)
 
 
