@@ -28,8 +28,8 @@ from .reference import (ReferenceSolution, combined_closed_form, richardson_esti
                         self_convergent_reference)
 from .solver import DEFAULT_MAX_ITERS, DEFAULT_PICARD_TOL, PicardResult, SolverConfig, picard_solve
 from .spectral import (EigenModel, GevreyParams, SpectralField, checked, exp_checked,
-                       gevrey_log_norms, l2_norm, require_finite, require_int,
-                       scaled_norm_rows)
+                       gevrey_log_norms, l2_norm, require_buildable, require_finite,
+                       require_int, scaled_norm_rows)
 
 RHO_SAFETY = 1.01                # grid-max to essential-sup safety factor
 
@@ -237,7 +237,7 @@ class ExperimentConfig:
             object.__setattr__(self, f.name, f.metadata["check"](getattr(self, f.name),
                                                                   f.metadata["path"]))
         need = self._need
-        model = self._built("mode_count", self.model)
+        model = require_buildable(self._path("mode_count"), self.model)
         try:  # each mode in 1..mode_count, at most once
             SpectralField.from_coeffs(model, self.reference_data)
         except (IndexError, ValueError) as exc:
@@ -253,7 +253,7 @@ class ExperimentConfig:
         need(self.regime != HOLDER_RULE or self.q > 0.0, "q", "must be > 0 under the holder rule")
         need(self.regime != LOG_RULE or self.q == 0.0, "q", "is not used by the log rule")
         need(len(set(self.eval_times)) == len(self.eval_times), "eval_times", "must not repeat")
-        grid = self._built("n_steps", lambda: TimeGrid(self.tau, self.n_steps))
+        grid = require_buildable(self._path("n_steps"), lambda: TimeGrid(self.tau, self.n_steps))
         for t in self.eval_times:
             try:
                 grid.index_of(t)
@@ -262,18 +262,14 @@ class ExperimentConfig:
         need(self.reference_kind == "closed_form" or self.n_steps >= 64 and self.n_steps % 4 == 0,
              "n_steps", "must be divisible by 4 and >= 64 for a self_convergent reference")
 
-    def _built(self, name: str, build):
-        """build(), or a refusal of field `name` when numpy cannot allocate
-        an array of that size."""
-        try:
-            return build()
-        except (MemoryError, ValueError) as exc:    # "Maximum allowed size exceeded"
-            self._need(False, name, f"is too large to build: {exc}")
+    def _path(self, name: str) -> str:
+        """The JSON path of field `name`, the name its refusals use."""
+        return self.__dataclass_fields__[name].metadata["path"]
 
     def _need(self, ok: bool, name: str, what: str):
         """Refuse the value of field `name`, by its JSON path, unless `ok`."""
         if not ok:
-            raise ConfigError(f"{self.__dataclass_fields__[name].metadata['path']} {what}")
+            raise ConfigError(f"{self._path(name)} {what}")
 
     @property
     def reference_kind(self) -> str:

@@ -15,7 +15,9 @@ index (never a bool), and `require_times` the array form of
 `require_time`.  Each refusal reads `<name> must be ..., got <value>` and
 is a `ConfigError`, whether the value came from a config key, a CLI
 option or a library argument; only `require_mode` raises IndexError, for
-an int mode index out of range.
+an int mode index out of range.  `require_buildable` refuses a size that
+numpy cannot allocate, `<name> is too large to build: ...`, also a
+`ConfigError`.
 """
 
 from __future__ import annotations
@@ -66,6 +68,15 @@ def require_int(name: str, value, low: int = 1, high: int | None = None):
         rule = f">= {low}" if high is None else f"in {low}..{high}"
         raise ConfigError(f"{name} must be an int {rule}, got {value!r}")
     return value
+
+
+def require_buildable(name: str, build):
+    """build(), or a ConfigError `<name> is too large to build: ...` when
+    numpy cannot allocate an array of the size the input `name` asks for."""
+    try:
+        return build()
+    except (MemoryError, ValueError) as exc:    # "Maximum allowed size exceeded"
+        raise ConfigError(f"{name} is too large to build: {exc}") from exc
 
 
 def require_mode(j, mode_count: int):

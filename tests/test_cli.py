@@ -102,7 +102,6 @@ def test_out_of_range_option_is_one_config_error_line(argv, argument, config_pat
     "solve --config CONFIG --level abc",
     "solve --config CONFIG --level 2.5",
     "demo-illposed --modes 1e3",
-    "gronwall-check --samples 3.0",
     "choose-n --rule holder --delta abc --rho 1",
 ])
 def test_option_that_is_not_a_number_is_a_usage_error(argv, config_path, capsys):
@@ -125,7 +124,6 @@ CHOOSE_N = ["choose-n", "--rule", "holder", "--delta", "1e-8", "--rho", "1.0"]
     CHOOSE_N + ["--p", "-1"],
     CHOOSE_N + ["--q", "nan"],
     CHOOSE_N + ["--tau", "0"],
-    ["gronwall-check", "--seed", "-1"],
     ["demo-illposed", "--tau", "0"],
     ["demo-illposed", "--tau", "-1"],
     ["demo-illposed", "--modes", "0"],
@@ -133,7 +131,6 @@ CHOOSE_N = ["choose-n", "--rule", "holder", "--delta", "1e-8", "--rho", "1.0"]
     ["choose-n", "--rule", "holder", "--rho", "1.0", "--delta", "nan"],
     CHOOSE_N + ["--e2", "inf"],
     CHOOSE_N + ["--t", "-1"],
-    ["gronwall-check", "--samples", "0"],
     ["solve", "--config", "CONFIG", "--level", "1", "--delta", "-1"],
 ], ids=" ".join)
 def test_bad_option_value_exits_2_with_one_message(argv, config_path, capsys):
@@ -164,23 +161,44 @@ def test_demo_illposed_stops_building_at_the_first_norm_past_the_range(monkeypat
     assert len(built) <= 9, len(built)
 
 
+def test_help_lists_the_four_commands(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    commands = re.search(r"\{([^}]*)\}", capsys.readouterr().out).group(1)
+    assert commands.split(",") == ["solve", "demo-illposed", "choose-n", "experiment"]
+
+
+# `demo-illposed --modes 8` at the default tau = 1
+DEMO_TABLE = [
+    "  n                data_norm         solution_norm(0)           lower_bound(0)",
+    "  1      0.11421537026850374       734.24907631231747       724.67235661482175",
+    "  2     0.026006171335752237       1303287837991816.8         1302406397126303",
+    "  3     0.011387569405982498   1.5634352073306853e+36   1.5632324661545255e+36",
+    "  4    0.0063731898877196994   8.8786687823271882e+65   8.8783081525598053e+65",
+    "  5    0.0040694071471022901  2.1445924936418838e+104  2.1445569790303545e+104",
+    "  6    0.0028224434471294914  2.1010613489127187e+151  2.1010446114650887e+151",
+    "  7    0.0020720727249887157  8.1401846261841862e+206  8.1401496764205211e+206",
+    "  8    0.0015856577987545448  1.2284858343806322e+271  1.2284827455856097e+271",
+]
+
+
 @pytest.mark.parametrize("modes", ["6", "8"])
 def test_demo_illposed(modes, capsys):
     code = main(["demo-illposed", "--modes", modes])
-    out = capsys.readouterr().out
     assert code == 0
-    assert len(out.splitlines()) == int(modes) + 4
-    assert "strictly decreasing: True" in out
-    assert "strictly increasing: True" in out
-    assert "solution >= lower bound everywhere: True" in out
+    assert capsys.readouterr().out.splitlines() == DEMO_TABLE[:int(modes) + 1]
 
 
-def test_gronwall_check(capsys):
-    code = main(["gronwall-check", "--samples", "20", "--seed", "3"])
-    out = capsys.readouterr().out
-    assert code == 0
-    # no margin: at t = tau it is 0 by construction
-    assert out == "samples: 20, violations: 0\n"
+@pytest.mark.parametrize("tau", ["0.01", "0.02", "0.03", "1e-17"])
+def test_demo_illposed_prints_the_table_and_exits_0_at_small_tau(tau, capsys):
+    # the solution norms do not increase with n here, which is no violation
+    code = main(["demo-illposed", "--tau", tau])
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert (code, captured.err) == (0, "")
+    assert lines[0] == DEMO_TABLE[0]
+    assert [line.split()[0] for line in lines[1:]] == [str(n) for n in range(1, 9)]
 
 
 def test_experiment_and_determinism(tmp_path, config_path, capsys):

@@ -58,8 +58,8 @@ def test_main_reports_an_error_by_its_code_and_label(cls, monkeypatch, capsys):
     def fail(args):
         raise cls("the message")
 
-    monkeypatch.setattr(fvptrunc.cli, "_cmd_gronwall_check", fail)
-    assert main(["gronwall-check"]) == cls.exit_code
+    monkeypatch.setattr(fvptrunc.cli, "_cmd_choose_n", fail)
+    assert main(["choose-n", "--rule", "log", "--delta", "1", "--rho", "1"]) == cls.exit_code
     assert capsys.readouterr().err == f"{cls.label}: the message\n"
 
 

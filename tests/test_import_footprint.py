@@ -8,13 +8,13 @@ its banded solve binds dtbsv in the OpenBLAS that numpy's wheels bundle.
 A numpy built without that library (MKL, Accelerate) falls back to
 scipy's dtbsv, loaded at import with scipy.linalg.  Two checks hold on
 every numpy: no module of scipy.signal, scipy.integrate, scipy.stats or
-scipy.optimize loads, on import or in `gronwall-check`.  The checks that
-no scipy module loads at all are skipped on such a numpy, and the skip
-says so.  Importing numpy.random costs 10-14 ms, about a quarter of a
-linear-ladder benchmark body, and the noise must stay its PCG64 draws:
-numpy loads it on first use, so only `solve --delta`, `experiment` and
-`gronwall-check` pay for it.  Each check runs in a fresh interpreter,
-since this test process may have imported anything already.
+scipy.optimize loads, on import or in the closed-form Gronwall comparison
+solution.  The checks that no scipy module loads at all are skipped on
+such a numpy, and the skip says so.  Importing numpy.random costs 10-14
+ms, about a quarter of a linear-ladder benchmark body, and the noise must
+stay its PCG64 draws: numpy loads it on first use, so only `solve
+--delta` and `experiment` pay for it.  Each check runs in a fresh
+interpreter, since this test process may have imported anything already.
 """
 
 import json
@@ -74,9 +74,10 @@ def test_import_leaves_heavy_scipy_subpackages_unloaded():
     assert heavy(modules_loaded_by("pass")) == []
 
 
-def test_gronwall_check_needs_no_ode_solver():
+def test_gronwall_comparison_needs_no_ode_solver():
     # the comparison solution is a closed form, not an integration
-    assert heavy(command_loads(["gronwall-check", "--samples", "3"])) == []
+    statement = "fvptrunc.bounds.gronwall_comparison_solution(1.0, 1.0, 1.0)"
+    assert heavy(modules_loaded_by(statement)) == []
 
 
 @needs_bundled_dtbsv
@@ -86,7 +87,6 @@ def test_import_loads_no_scipy():
 
 @needs_bundled_dtbsv
 @pytest.mark.parametrize("argv", [
-    ["gronwall-check", "--samples", "3"],
     ["choose-n", "--rule", "holder", "--delta", "1e-40", "--rho", "1.0", "--q", "0.5"],
     ["demo-illposed", "--modes", "8"],
 ], ids=lambda argv: argv[0])
