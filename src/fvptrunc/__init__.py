@@ -5,9 +5,8 @@ from .bounds import (BoundInputs, DominanceReport, DominanceSample, check_domina
                      gronwall_bound, gronwall_comparison_solution, log_noise_bound,
                      log_total_bound, log_truncation_bound, noise_bound, total_bound,
                      truncation_bound)
-from .errors import (BracketError, ConfigError, ExponentOverflowError, FvptruncError,
-                     NoiseTooLargeError, NonConvergenceError, ReferenceRejectedError,
-                     UnsupportedRegimeError)
+from .errors import (ConfigError, ExponentOverflowError, FvptruncError, NonConvergenceError,
+                     ReferenceRejectedError)
 from .grids import TimeGrid, Trajectory
 from .harness import (ExperimentConfig, ExperimentReport, ExperimentRow, RateFit,
                       StaircaseResult, add_noise, fit_rate, holder_bound_staircase,
@@ -27,14 +26,14 @@ from .spectral import EigenModel, GevreyParams, SpectralField, gevrey_norm, l2_n
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundInputs", "BracketError", "ChoiceInputs", "ConfigError", "DominanceReport",
+    "BoundInputs", "ChoiceInputs", "ConfigError", "DominanceReport",
     "DominanceSample", "EigenModel", "ExperimentConfig", "ExperimentReport",
     "ExperimentRow", "ExponentOverflowError", "FvpInstance", "FvptruncError",
     "GevreyParams", "HOLDER_RULE", "IllposedPair", "LOG_RULE", "LevelChoice",
-    "LinearModeRoots", "NoiseTooLargeError", "NonConvergenceError", "PicardResult",
+    "LinearModeRoots", "NonConvergenceError", "PicardResult",
     "RateFit", "ReferenceRejectedError", "ReferenceSolution", "SolverConfig",
     "SourceFunction", "SpectralField", "StaircaseResult", "TimeGrid", "Trajectory",
-    "UnsupportedRegimeError", "ZetaInverse", "add_noise",
+    "ZetaInverse", "add_noise",
     "apply_spectral_growth", "backward_cumulative",
     "check_dominance", "choose_level", "choose_n_holder", "choose_n_log",
     "closed_form_solution", "combined_closed_form",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedRegimeError
+from .errors import ConfigError
 from .spectral import (EigenModel, checked, exp_checked, exp_or_inf, require_finite,
                        require_int, require_time)
 
@@ -95,7 +95,7 @@ class BoundInputs:
 
     def __post_init__(self):
         if self.regime not in REGIMES:
-            raise UnsupportedRegimeError(f"regime must be one of {REGIMES}")
+            raise ConfigError(f"regime must be one of {REGIMES}")
         require_int("level", self.level, high=self.model.mode_count)
         for name in ("tau", "p", "q"):
             require_finite(name, getattr(self, name))
@@ -105,9 +105,9 @@ class BoundInputs:
         require_finite("delta", self.delta, ">= 0")
         require_finite("rho", self.rho, "positive")
         if self.regime == "gevrey_p" and not (self.p > 0.0 and self.q == 0.0):
-            raise UnsupportedRegimeError("gevrey_p regime needs p > 0 and q = 0")
+            raise ConfigError("gevrey_p regime needs p > 0 and q = 0")
         if self.regime == "gevrey_q" and not (self.q > 0.0 and self.p == 0.0):
-            raise UnsupportedRegimeError("gevrey_q regime needs q > 0 and p = 0")
+            raise ConfigError("gevrey_q regime needs q > 0 and p = 0")
 
     @property
     def kappa0(self) -> float:

@@ -1,7 +1,12 @@
 """Exception types shared across the package.
 
 Each type carries the CLI's exit code for it and the label that starts its
-one stderr line (`fvptrunc.cli.main`; the table is in the README).
+one stderr line (`fvptrunc.cli.main`; the table is in the README).  An
+input outside what an operation covers is a `ConfigError`, whichever
+check refuses it: a value out of its range, a parameter-choice rule given
+the other rule's parameter or noise at or above rho, a bound regime mixed
+with the other's parameter, a linear mode with complex roots, or a value
+outside the range `zeta_inverse` inverts.
 """
 
 
@@ -9,7 +14,6 @@ class FvptruncError(Exception):
     """Base class for all package-specific errors."""
 
     exit_code = 2
-    label = "unsupported input"
 
 
 class ExponentOverflowError(FvptruncError, ArithmeticError):
@@ -19,11 +23,6 @@ class ExponentOverflowError(FvptruncError, ArithmeticError):
     large to represent' from an actual numeric result."""
 
     label = "range error"
-
-
-class UnsupportedRegimeError(FvptruncError, ValueError):
-    """Inputs fall outside the parameter regime an operation covers
-    (e.g. non-real mode roots, mixed smoothness regimes)."""
 
 
 class NonConvergenceError(FvptruncError, RuntimeError):
@@ -48,19 +47,10 @@ class ReferenceRejectedError(FvptruncError, RuntimeError):
     label = "reference rejected"
 
 
-class NoiseTooLargeError(FvptruncError, ValueError):
-    """Noise level too large for the parameter-choice rule to apply."""
-
-    label = "config error"
-
-
-class BracketError(FvptruncError, ValueError):
-    """Root bracketing failed (no sign change on the given interval)."""
-
-
 class ConfigError(FvptruncError, ValueError):
     """An input refused by its check: a config key, a CLI option or a
     library argument (the input policy's `spectral.require_*` raise it),
-    or invalid or unknown configuration content."""
+    an input outside the regime an operation covers, or invalid or
+    unknown configuration content."""
 
     label = "config error"

@@ -2,9 +2,10 @@
 
 A single JSON document configures an experiment; see `ExperimentConfig`.
 Each (noise level, trial) draws its noise from a deterministic seed, the
-same at every evaluation time.  Rows that share a level, a noise level and
-a seed share one solve, so identical configurations reproduce
-byte-identical CSV output.
+same at every evaluation time.  Rows that share a level and noisy data
+share one solve: a level, a noise level and a seed, or in the worst-case
+direction, which reads no seed, a level and a noise level.  Identical
+configurations reproduce byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -438,7 +439,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     Plan: per (t, delta), choose N by the configured rule and compute the
     bounds its rows share, so a rule or bound error (a delta not below rho
     among them) comes before any solve.
-    Solve: one noisy solve per (level, delta, seed), read by every row
+    Solve: one noisy solve per level and noisy data, read by every row
     that shares it, against the reference at the row's t; each row and its
     dominance sample are built there.  Emit: per t a fit of ln(error) vs
     ln(delta) over the ladder (max error across trials) when it has >= 4
@@ -464,9 +465,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
               for trial in range(cfg.trials)] for di in range(len(cfg.deltas))]
     flags = {t: [] for t in cfg.eval_times}
 
-    # plan: the bound inputs, bounds and trial of each row in (t, delta,
-    # trial) order, and the rows of each solve key (level, delta, seed) by
-    # first use
+    # plan: the bound inputs, bounds, trial and seed of each row in (t,
+    # delta, trial) order, and the rows of each solve key by first use.  A
+    # key is what the noisy data depend on: (level, delta, seed), where the
+    # worst-case direction reads no seed, so its trials share the first one
     plan, keys = [], {}
     for t in cfg.eval_times:
         for di, delta in enumerate(cfg.deltas):
@@ -477,8 +479,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             bounds = dict(truncation_bound=truncation_bound(bi),
                           noise_bound=noise_bound(bi), total_bound=total_bound(bi))
             for trial, seed in enumerate(seeds[di]):
-                keys.setdefault((bi.level, delta, seed), []).append(len(plan))
-                plan.append((bi, bounds, trial))
+                data_seed = seed if cfg.direction == "seeded_random" else seeds[di][0]
+                keys.setdefault((bi.level, delta, data_seed), []).append(len(plan))
+                plan.append((bi, bounds, trial, seed))
 
     # solve: one noisy solve per key, and one n/2 solve only for a key
     # with a row above its total bound
@@ -488,22 +491,23 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         try:
             fine = noisy_solve(cfg, g, level, delta, seed, cfg.n_steps)
             errs = [l2_norm(reference.trajectory.state(idx) - fine.trajectory.state(idx))
-                    for idx in (eval_idx[bi.t] for bi, _, _ in cells)]
+                    for idx in (eval_idx[bi.t] for bi, _, _, _ in cells)]
             # a NaN error fails this test, so it takes the slack path too
-            above = [not err <= bounds["total_bound"] for (_, bounds, _), err in zip(cells, errs)]
+            above = [not err <= bounds["total_bound"]
+                     for (_, bounds, _, _), err in zip(cells, errs)]
             slack = 0.0
             if any(above):
                 coarse = noisy_solve(cfg, g, level, delta, seed, cfg.n_steps // 2)
                 rich = richardson_estimate(fine.trajectory.sup_distance(coarse.trajectory))
                 slack = 10.0 * rich + reference.error_estimate
         except NonConvergenceError as exc:
-            bi, _, trial = cells[0]
+            bi, _, trial, _ = cells[0]
             raise NonConvergenceError(
                 f"cell (t={bi.t:g}, delta={delta:g}, trial={trial}) did not "
                 f"converge: {exc}", increments=exc.increments, defect=exc.defect) from exc
-        for i, (bi, bounds, _), err, over in zip(members, cells, errs, above):
+        for i, (bi, bounds, _, row_seed), err, over in zip(members, cells, errs, above):
             samples[i] = DominanceSample(inputs=bi, measured=err, slack=slack if over else 0.0)
-            rows[i] = ExperimentRow(t=bi.t, delta=delta, seed=seed, level=level,
+            rows[i] = ExperimentRow(t=bi.t, delta=delta, seed=row_seed, level=level,
                                     measured_error=err, **bounds, iterations=fine.iterations,
                                     residual=fine.defect)
         del fine    # hold one trajectory at a time

@@ -13,6 +13,12 @@ r < 1, which the rules clamp and flag.  The n-th root inversion behind the
 first rule (inverse of s -> s^b (d ln(1/s))^{-c}) is exposed separately,
 with both a rigorous bisection inverse and its closed-form asymptotic, so
 the asymptotic agreement can be verified rather than assumed.
+
+Every input a rule cannot take is a `ConfigError`: a value out of its
+range, noise at or above rho or too large for the log rule's inner
+logarithm, the other rule's parameter or inputs, and a value outside the
+range `zeta_inverse` inverts.  A rule value past the double range is an
+`ExponentOverflowError`.
 """
 
 from __future__ import annotations
@@ -23,8 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (BracketError, ExponentOverflowError, NoiseTooLargeError,
-                     UnsupportedRegimeError)
+from .errors import ConfigError, ExponentOverflowError
 from .spectral import checked, require_finite, require_int, require_time
 
 LOG_RULE = "log_rule"
@@ -53,7 +58,7 @@ class ChoiceInputs:
 
     def __post_init__(self):
         if self.regime not in RULES:
-            raise ValueError(f"regime must be one of {RULES}")
+            raise ConfigError(f"regime must be one of {RULES}")
         # an inf leaves the rules past the double range
         for name in ("rho", "delta", "tau", "e1", "e2"):
             require_finite(name, getattr(self, name), "positive")
@@ -62,11 +67,11 @@ class ChoiceInputs:
         require_int("d", self.d)
         require_time(self.t, self.tau)
         if self.delta >= self.rho:
-            raise NoiseTooLargeError("rules require delta < rho (ln(rho/delta) > 0)")
+            raise ConfigError("rules require delta < rho (ln(rho/delta) > 0)")
         if self.regime == HOLDER_RULE and self.p != 0.0:
-            raise UnsupportedRegimeError("p is not used by the holder rule")
+            raise ConfigError("p is not used by the holder rule")
         if self.regime == LOG_RULE and self.q != 0.0:
-            raise UnsupportedRegimeError("q is not used by the log rule")
+            raise ConfigError("q is not used by the log rule")
 
     @property
     def eta(self) -> float:
@@ -100,7 +105,7 @@ def _finish(base: float, d: int) -> LevelChoice:
 def choose_n_log(ci: ChoiceInputs) -> LevelChoice:
     """Level for the power regime (logarithmic rate)."""
     if ci.regime != LOG_RULE:
-        raise ValueError(f"inputs are not for the log rule: regime {ci.regime!r}")
+        raise ConfigError(f"inputs are not for the log rule: regime {ci.regime!r}")
     eta = ci.eta
     big_l = math.log(ci.rho) - math.log(ci.delta)  # rho/delta can overflow
     # ln of (delta/rho)^{-1/eta} ((1/eta) ln(rho/delta))^{-p/eta}
@@ -110,7 +115,7 @@ def choose_n_log(ci: ChoiceInputs) -> LevelChoice:
             raise ExponentOverflowError("ln(rho/delta) / eta underflows to 0")
         inner = (big_l - ci.p * math.log(inner)) / eta
         if inner <= 0.0:
-            raise NoiseTooLargeError(
+            raise ConfigError(
                 "noise too large for the log rule (inner logarithm argument <= 1)")
     return _finish(inner, ci.d)
 
@@ -118,7 +123,7 @@ def choose_n_log(ci: ChoiceInputs) -> LevelChoice:
 def choose_n_holder(ci: ChoiceInputs) -> LevelChoice:
     """Level for the exponential regime (Holder rate)."""
     if ci.regime != HOLDER_RULE:
-        raise ValueError(f"inputs are not for the holder rule: regime {ci.regime!r}")
+        raise ConfigError(f"inputs are not for the holder rule: regime {ci.regime!r}")
     denom = ci.e1 * (ci.q + ci.t) + ci.e2 * (ci.tau - ci.t)
     big_l = math.log(ci.rho) - math.log(ci.delta)  # rho/delta can overflow
     return _finish(_ratio(big_l, denom), ci.d)
@@ -132,7 +137,7 @@ def choose_level(ci: ChoiceInputs) -> LevelChoice:
 def zeta(s: float, b: float, c: float, dcoef: float) -> float:
     """s^b (dcoef ln(1/s))^{-c} on (0, 1), for b > 0, c >= 0 and dcoef > 0."""
     if not 0.0 < s < 1.0:
-        raise ValueError(f"zeta is defined on (0, 1), got s = {s!r}")
+        raise ConfigError(f"zeta is defined on (0, 1), got s = {s!r}")
     require_finite("b", b, "positive")
     require_finite("c", c, ">= 0")
     require_finite("dcoef", dcoef, "positive")
@@ -154,10 +159,9 @@ def zeta_inverse(s: float, b: float, c: float, dcoef: float,
     trusting the limit.
     """
     if not 0.0 < a < 1.0:
-        raise ValueError("domain endpoint a must lie in (0, 1)")
+        raise ConfigError("domain endpoint a must lie in (0, 1)")
     if not 0.0 < s <= zeta(a, b, c, dcoef):    # zeta checks b, c and dcoef
-        raise BracketError(
-            f"s = {s:.6g} outside the range of zeta on (0, {a}]")
+        raise ConfigError(f"s = {s:.6g} outside the range of zeta on (0, {a}]")
     if c == 0.0:
         root = s ** (1.0 / b)
         return ZetaInverse(root=root, asymptotic=root)

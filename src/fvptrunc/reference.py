@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ReferenceRejectedError, UnsupportedRegimeError
+from .errors import ConfigError, ReferenceRejectedError
 from .grids import TimeGrid, Trajectory
 from .problem import FvpInstance
 from .quadrature import SCHEME_ORDER
@@ -57,7 +57,7 @@ def mode_roots(lam: float, c: float) -> LinearModeRoots:
     s = lam - c
     disc = s * s - 4.0
     if disc <= 0.0:
-        raise UnsupportedRegimeError(
+        raise ConfigError(
             f"(lambda - c)^2 must exceed 4 for real distinct roots; got lambda={lam}, c={c}")
     beta = -0.5 * (s + math.sqrt(disc))
     alpha = 1.0 / beta

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fvptrunc import (BoundInputs, ChoiceInputs, DominanceSample, EigenModel, ExponentOverflowError,
-                      FvpInstance, GevreyParams, SolverConfig, SourceFunction,
-                      SpectralField, TimeGrid, UnsupportedRegimeError, add_noise,
+from fvptrunc import (BoundInputs, ChoiceInputs, ConfigError, DominanceSample, EigenModel,
+                      ExponentOverflowError, FvpInstance, GevreyParams, SolverConfig,
+                      SourceFunction, SpectralField, TimeGrid, add_noise,
                       apply_spectral_growth, check_dominance, closed_form_solution,
                       gevrey_norm, gronwall_bound, gronwall_comparison_solution, l2_norm,
                       log_total_bound, noise_bound, picard_solve, total_bound,
@@ -180,11 +180,11 @@ class TestBoundFormulas:
         assert lo < hi
 
     def test_mixed_regime_rejected(self, model):
-        with pytest.raises(UnsupportedRegimeError):
+        with pytest.raises(ConfigError):
             binputs(model, regime="gevrey_p", p=1.0, q=0.5)
-        with pytest.raises(UnsupportedRegimeError):
+        with pytest.raises(ConfigError):
             binputs(model, regime="gevrey_q", p=1.0, q=0.5)
-        with pytest.raises(UnsupportedRegimeError):
+        with pytest.raises(ConfigError):
             binputs(model, regime="gevrey_p", p=0.0, q=0.0)
 
     def test_noise_bound_trivial_cases(self, model):

@@ -70,13 +70,14 @@ def test_choose_n_noise_too_large_exits_2(capsys):
 @pytest.mark.parametrize("argv", [
     "choose-n --rule holder --delta 1e-8 --rho 1 --q 0.5 --p 3",
     "choose-n --rule log --delta 1e-8 --rho 1 --p 1 --q 0.5",
+    "choose-n --rule holder --delta 1e-4 --rho 1 --q 0.5 --p 1",
 ])
 def test_choose_n_unused_rule_parameter_exits_2(argv, capsys):
     # the holder rule reads q alone and the log rule p alone
     assert main(argv.split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("unsupported input:") and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("config error:") and len(captured.err.splitlines()) == 1
 
 
 def names(line: str, argument: str) -> bool:
@@ -360,7 +361,17 @@ def test_unsupported_regime_exits_2(tmp_path, config_path, capsys):
     doc["instance"]["source"]["c"] = 9.8696
     assert run_experiment_cli(tmp_path, doc) == 2
     err = capsys.readouterr().err
-    assert err.startswith("unsupported input:") and "real distinct roots" in err
+    assert err.startswith("config error:") and "real distinct roots" in err
+
+
+def test_complex_mode_roots_print_one_config_error_line(tmp_path, config_path, capsys):
+    # (lambda_1 - c)^2 = (pi^2 - 8)^2 < 4, the README config with "c": 8.0
+    doc = json.loads(config_path.read_text())
+    doc["instance"]["source"]["c"] = 8.0
+    assert run_experiment_cli(tmp_path, doc) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert "real distinct roots" in err
 
 
 def test_rejected_reference_exits_3(tmp_path, config_path, capsys, monkeypatch):

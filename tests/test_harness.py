@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fvptrunc.harness import ExperimentRow, build_reference
 from fvptrunc.reference import richardson_estimate
 
 PI2 = math.pi ** 2
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -494,6 +496,21 @@ class TestDeferredSlack:
             above = dataclasses.replace(s, measured=math.nextafter(bound, math.inf))
             assert check_dominance([dataclasses.replace(s, measured=bound)]).ok
             assert not check_dominance([above]).ok
+
+    @pytest.mark.parametrize("direction, solves", [("worst_case_mode", 4),
+                                                   ("seeded_random", 12)])
+    def test_readme_config_solves_once_per_noisy_data(self, monkeypatch, direction, solves):
+        # 4 noise levels x 3 trials, each read at 2 times, all below their
+        # bound; worst-case noise reads no seed, so the trials share a solve
+        block, = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+        doc = json.loads(block)
+        doc["noise"]["direction"] = direction
+        steps = count_solves(monkeypatch)
+        cfg = ExperimentConfig.from_dict(doc)
+        report = run_experiment(cfg)
+        assert len(report.rows) == 24 and len({r.seed for r in report.rows}) == 12
+        assert report.dominance.ok
+        assert steps == [cfg.n_steps] * solves
 
     def test_nan_error_takes_the_slack_path_and_fails(self, monkeypatch):
         steps = count_solves(monkeypatch)

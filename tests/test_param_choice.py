@@ -4,8 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from fvptrunc import (BoundInputs, BracketError, ChoiceInputs, EigenModel,
-                      NoiseTooLargeError, choose_level, choose_n_holder,
+from fvptrunc import (BoundInputs, ChoiceInputs, ConfigError, EigenModel,
+                      choose_level, choose_n_holder,
                       choose_n_log, holder_bound_staircase, log_total_bound, zeta,
                       zeta_inverse)
 
@@ -63,7 +63,7 @@ class TestZetaInverse:
         assert all(b < a for a, b in zip(devs, devs[1:]))
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(BracketError):
+        with pytest.raises(ConfigError):
             zeta_inverse(0.9, 1.0, 1.0, 1.0, a=0.5)  # above zeta(a)
         with pytest.raises(ValueError):
             zeta_inverse(1e-3, -1.0, 1.0, 1.0)
@@ -87,9 +87,9 @@ class TestLogRule:
 
     def test_noise_too_large_rejected(self):
         # heavy smoothness weight flips the inner logarithm argument below 1
-        with pytest.raises(NoiseTooLargeError):
+        with pytest.raises(ConfigError):
             choose_n_log(log_inputs(math.exp(-15.0), p=50.0))
-        with pytest.raises(NoiseTooLargeError):
+        with pytest.raises(ConfigError):
             log_inputs(2.0)  # delta >= rho
 
     def test_p_to_zero_limit_matches_holder_q_zero(self):

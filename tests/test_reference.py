@@ -4,9 +4,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fvptrunc import (EigenModel, ExponentOverflowError, FvpInstance,
+from fvptrunc import (ConfigError, EigenModel, ExponentOverflowError, FvpInstance,
                       ReferenceRejectedError, SolverConfig,
-                      SourceFunction, TimeGrid, UnsupportedRegimeError,
+                      SourceFunction, TimeGrid,
                       closed_form_solution, combined_closed_form, illposed_pair,
                       mode_roots, self_convergent_reference)
 from fvptrunc.reference import richardson_estimate
@@ -63,7 +63,7 @@ class TestModeRoots:
         assert abs(r.alpha) <= abs(r.beta)
 
     def test_degenerate_discriminant_rejected(self):
-        with pytest.raises(UnsupportedRegimeError):
+        with pytest.raises(ConfigError):
             mode_roots(3.0, 1.0)  # (lam - c)^2 = 4
 
 
