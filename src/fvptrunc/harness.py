@@ -1,10 +1,12 @@
 """Experiment runner: noise injection, delta ladders, rate fits, CSV output.
 
 A single JSON document configures an experiment; see `ExperimentConfig`.
-Each (noise level, trial) draws its noise from a deterministic seed, the
-same at every evaluation time.  Rows that share a level and noisy data
-share one solve: a level, a noise level and a seed, or in the worst-case
-direction, which reads no seed, a level and a noise level.  Identical
+Its reference is exact final data, `data` or the `mode` shorthand, for
+every source; the source picks how the reference is built, in closed form
+or by a self-convergent ladder.  Each (noise level, trial) draws its noise
+from a deterministic seed, the same at every evaluation time; the
+worst-case direction reads no seed, so it takes one trial.  Rows that
+share a level, a noise level and a seed share one solve.  Identical
 configurations reproduce byte-identical CSV output.
 """
 
@@ -160,11 +162,14 @@ class ExperimentConfig:
     refused like a parsed one.  Those rules: the deltas decrease, n_steps
     is even (and suits a self_convergent reference), the reference modes
     and eval times fit the model and the grid, whose sizes numpy must be
-    able to allocate, and `c` is for the linear source only, `p` for the
-    log rule and `q` for the holder rule, an unused one holding only its
-    default, 0.
-    The reference kind follows from the source, and a closed_form
-    reference's `{"mode": k}` is the data `[[k, 1.0]]`.
+    able to allocate, worst_case_mode noise takes one trial, and `c` is
+    for the linear source only, `p` for the log rule and `q` for the
+    holder rule, an unused one holding only its default, 0.
+    Every source reads `instance.reference` alike: `{"data": [[mode,
+    coeff], ...]}`, or `{"mode": k}` for `[[k, 1.0]]`, where neither is
+    phi_1.  The reference kind follows from the source (closed_form for
+    zero and linear, self_convergent for sin); a `kind` key is optional
+    and refused when it contradicts the source.
     """
 
     tau: float = _key("instance.tau", _number("positive"), 1.0)
@@ -212,11 +217,9 @@ class ExperimentConfig:
             _check_keys(objects[section], {p[len(section) + 1:].split(".")[0] for p in paths
                                            if p.startswith(section + ".")}, section)
         ref = objects["instance.reference"]
-        rkind = ref.get("kind")
-        if rkind not in ("closed_form", "self_convergent"):
-            raise ConfigError("instance.reference.kind must be 'closed_form' or 'self_convergent'")
-        _check_keys(ref, {"kind", "mode" if rkind == "closed_form" else "data"},
-                    "instance.reference")
+        _check_keys(ref, {"kind", "mode", "data"}, "instance.reference")
+        if "mode" in ref and "data" in ref:
+            raise ConfigError("instance.reference takes data or its mode shorthand, not both")
 
         values = {}
         for f, path in zip(fields(ExperimentConfig), paths):
@@ -225,12 +228,11 @@ class ExperimentConfig:
                 values[f.name] = objects[parent][key]
             elif f.default is MISSING:
                 raise ConfigError(f"missing config key {path!r}")
-        values["reference_data"] = (ref.get("data") if rkind == "self_convergent"
-                                    else [[ref.get("mode", 1), 1.0]])
+        values["reference_data"] = ref["data"] if "data" in ref else [[ref.get("mode", 1), 1.0]]
         cfg = ExperimentConfig(**values)
-        if rkind != cfg.reference_kind:
-            raise ConfigError("the zero and linear sources take a closed_form reference, "
-                              "the sin source a self_convergent one")
+        if ref.get("kind", cfg.reference_kind) != cfg.reference_kind:
+            raise ConfigError("instance.reference.kind: the zero and linear sources take a "
+                              "closed_form reference, the sin source a self_convergent one")
         return cfg
 
     def __post_init__(self):
@@ -246,6 +248,8 @@ class ExperimentConfig:
         need(all(b < a for a, b in zip(self.deltas, self.deltas[1:])), "deltas",
              "must be strictly decreasing")
         need(self.n_steps % 2 == 0, "n_steps", "must be even")
+        need(self.direction == "seeded_random" or self.trials == 1, "trials",
+             "must be 1 under worst_case_mode, whose noise reads no seed")
         # a key that its source or rule does not use may hold only its default, 0
         need(self.source_kind == "linear" or self.source_c == 0.0, "source_c",
              "is used by the linear source only")
@@ -439,7 +443,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     Plan: per (t, delta), choose N by the configured rule and compute the
     bounds its rows share, so a rule or bound error (a delta not below rho
     among them) comes before any solve.
-    Solve: one noisy solve per level and noisy data, read by every row
+    Solve: one noisy solve per (level, delta, seed), read by every row
     that shares it, against the reference at the row's t; each row and its
     dominance sample are built there.  Emit: per t a fit of ln(error) vs
     ln(delta) over the ladder (max error across trials) when it has >= 4
@@ -466,9 +470,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     flags = {t: [] for t in cfg.eval_times}
 
     # plan: the bound inputs, bounds, trial and seed of each row in (t,
-    # delta, trial) order, and the rows of each solve key by first use.  A
-    # key is what the noisy data depend on: (level, delta, seed), where the
-    # worst-case direction reads no seed, so its trials share the first one
+    # delta, trial) order, and the rows of each (level, delta, seed) solve
+    # key by first use
     plan, keys = [], {}
     for t in cfg.eval_times:
         for di, delta in enumerate(cfg.deltas):
@@ -479,8 +482,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             bounds = dict(truncation_bound=truncation_bound(bi),
                           noise_bound=noise_bound(bi), total_bound=total_bound(bi))
             for trial, seed in enumerate(seeds[di]):
-                data_seed = seed if cfg.direction == "seeded_random" else seeds[di][0]
-                keys.setdefault((bi.level, delta, data_seed), []).append(len(plan))
+                keys.setdefault((bi.level, delta, seed), []).append(len(plan))
                 plan.append((bi, bounds, trial, seed))
 
     # solve: one noisy solve per key, and one n/2 solve only for a key

@@ -10,8 +10,9 @@ import pytest
 import fvptrunc.cli
 import fvptrunc.harness
 from fvptrunc import (ConfigError, EigenModel, ExperimentConfig, ExponentOverflowError,
-                      FvpInstance, SpectralField, add_noise, check_dominance, fit_rate,
-                      l2_norm, picard_solve, run_experiment, total_bound)
+                      FvpInstance, SpectralField, TimeGrid, add_noise, check_dominance,
+                      combined_closed_form, fit_rate, l2_norm, picard_solve, run_experiment,
+                      total_bound)
 from fvptrunc.harness import ExperimentRow, build_reference
 from fvptrunc.reference import richardson_estimate
 
@@ -260,10 +261,52 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=re.escape(f"missing config key '{'.'.join(path)}'")):
             ExperimentConfig.from_dict(doc)
 
-    def test_self_convergent_reference_needs_data(self):
-        doc = config_doc(instance=dict(SIN_INSTANCE, reference={"kind": "self_convergent"}))
-        with pytest.raises(ConfigError, match="instance.reference data must be a non-empty list"):
+    def test_closed_form_reference_takes_data_without_kind(self):
+        # the README document with a two-mode reference: the source picks
+        # the closed form, which reads the data's weights
+        block, = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+        doc = json.loads(block)
+        doc["instance"]["reference"] = {"data": [[1, 1.0], [3, 0.01]]}
+        cfg = ExperimentConfig.from_dict(doc)
+        assert cfg.reference_kind == "closed_form"
+        assert cfg.reference_data == ((1, 1.0), (3, 0.01))
+        ref = build_reference(cfg)
+        exact = combined_closed_form(cfg.model(), [(1, 1.0), (3, 0.01)], cfg.source_c,
+                                     cfg.tau, TimeGrid(cfg.tau, cfg.n_steps))
+        assert np.array_equal(ref.trajectory.states, exact.trajectory.states)
+        assert np.array_equal(ref.final_data.coeffs, exact.final_data.coeffs)
+        assert (ref.provenance, ref.error_estimate) == (exact.provenance, exact.error_estimate)
+
+    def test_mode_shorthand_and_default_reference(self):
+        sin = dict(SIN_INSTANCE, reference={"mode": 2})
+        shorthand = ExperimentConfig.from_dict(config_doc(instance=sin, eval_times=[0.0]))
+        sin["reference"] = {"data": [[2, 1.0]]}
+        assert shorthand == ExperimentConfig.from_dict(config_doc(instance=sin,
+                                                                  eval_times=[0.0]))
+        # neither data nor mode is phi_1, for every source
+        for source in ({"kind": "zero"}, {"kind": "linear", "c": 1.0}, {"kind": "sin"}):
+            doc = config_doc(instance=dict(SIN_INSTANCE, source=source, reference={}),
+                             eval_times=[0.0])
+            assert ExperimentConfig.from_dict(doc).reference_data == ((1, 1.0),)
+
+    def test_reference_with_mode_and_data_rejected(self):
+        doc = config_doc()
+        doc["instance"]["reference"] = {"mode": 1, "data": [[1, 1.0]]}
+        with pytest.raises(ConfigError, match=r"^instance\.reference takes data") as info:
             ExperimentConfig.from_dict(doc)
+        assert len(str(info.value).splitlines()) == 1
+
+    def test_worst_case_noise_takes_one_trial(self, tmp_path, capsys):
+        # the worst-case direction reads no seed, so a second trial would
+        # repeat the first; refused before any solve
+        doc = config_doc()
+        doc["noise"]["trials"] = 2
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert fvptrunc.cli.main(["experiment", "--config", str(path),
+                                  "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: noise.trials") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("t", [-1e-12, 1.0 + 1e-12])
     def test_eval_time_just_outside_the_interval_rejected(self, t):
@@ -372,12 +415,34 @@ class TestRunExperiment:
         doc["noise"]["deltas"] = [1e-4, math.exp(-134)]  # raw level 3 > mode_count
         doc["choice"] = {"regime": "holder_rule", "q": 0.5, "rho": 1.0}
         doc["eval_times"] = [0.0]
+        doc["noise"]["direction"] = "seeded_random"
         doc["noise"]["trials"] = 3
         report = run_experiment(ExperimentConfig.from_dict(doc))
         # one flag for the one capped (t, delta), however many trials
         assert [f for f in report.flags if "capped" in f] == [
             f"level capped at mode_count for t=0, delta={math.exp(-134):g}"]
         assert max(r.level for r in report.rows) == 2
+
+    @pytest.mark.parametrize("seed", [0, 7919])
+    def test_truncating_ladder_moves_the_level_and_holds_dominance(self, seed):
+        # a closed-form reference spread over 8 modes, g_j = e^{-(q + 2 tau)
+        # lambda_j}: the rule's level steps through several values along
+        # the ladder, so the rows carry a truncation error
+        tau, q = 0.05, 0.01
+        data = [[j, math.exp(-(q + 2 * tau) * j * j * PI2)] for j in range(1, 9)]
+        doc = config_doc(
+            instance={"tau": tau, "mode_count": 8, "source": {"kind": "linear", "c": 1.0},
+                      "reference": {"data": data}},
+            noise={"deltas": [1e-2, 1e-4, 1e-6, 1e-8, 1e-10], "direction": "seeded_random",
+                   "seed": seed, "trials": 2},
+            solver={"n_steps": 1024, "picard_tol": 1e-11, "max_iters": 500},
+            choice={"regime": "holder_rule", "q": q, "rho": "certified"},
+            eval_times=[0.0, tau / 2])
+        report = run_experiment(ExperimentConfig.from_json(json.dumps(doc)))
+        assert len(report.rows) == 20
+        for t in doc["eval_times"]:
+            assert len({r.level for r in report.rows if r.t == t}) >= 3
+        assert report.dominance.ok
 
     def test_delta_not_below_rho_exits_2_before_any_cell_solve(self, tmp_path, monkeypatch,
                                                                capsys):
@@ -500,15 +565,16 @@ class TestDeferredSlack:
     @pytest.mark.parametrize("direction, solves", [("worst_case_mode", 4),
                                                    ("seeded_random", 12)])
     def test_readme_config_solves_once_per_noisy_data(self, monkeypatch, direction, solves):
-        # 4 noise levels x 3 trials, each read at 2 times, all below their
-        # bound; worst-case noise reads no seed, so the trials share a solve
+        # 4 noise levels x 1 trial (worst case) or 3 trials (seeded), each
+        # read at 2 times, all below their bound: one solve per seed
         block, = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
         doc = json.loads(block)
         doc["noise"]["direction"] = direction
+        doc["noise"]["trials"] = solves // 4
         steps = count_solves(monkeypatch)
         cfg = ExperimentConfig.from_dict(doc)
         report = run_experiment(cfg)
-        assert len(report.rows) == 24 and len({r.seed for r in report.rows}) == 12
+        assert len(report.rows) == 2 * solves and len({r.seed for r in report.rows}) == solves
         assert report.dominance.ok
         assert steps == [cfg.n_steps] * solves
 
