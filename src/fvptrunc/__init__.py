@@ -9,8 +9,7 @@ from .errors import (ConfigError, ExponentOverflowError, FvptruncError, NonConve
                      ReferenceRejectedError)
 from .grids import TimeGrid, Trajectory
 from .harness import (ExperimentConfig, ExperimentReport, ExperimentRow, RateFit,
-                      StaircaseResult, add_noise, fit_rate, holder_bound_staircase,
-                      run_experiment)
+                      add_noise, fit_rate, run_experiment)
 from .param_choice import (HOLDER_RULE, LOG_RULE, ChoiceInputs, LevelChoice,
                            ZetaInverse, choose_level, choose_n_holder, choose_n_log,
                            zeta, zeta_inverse)
@@ -32,14 +31,14 @@ __all__ = [
     "GevreyParams", "HOLDER_RULE", "IllposedPair", "LOG_RULE", "LevelChoice",
     "LinearModeRoots", "NonConvergenceError", "PicardResult",
     "RateFit", "ReferenceRejectedError", "ReferenceSolution", "SolverConfig",
-    "SourceFunction", "SpectralField", "StaircaseResult", "TimeGrid", "Trajectory",
+    "SourceFunction", "SpectralField", "TimeGrid", "Trajectory",
     "ZetaInverse", "add_noise",
     "apply_spectral_growth", "backward_cumulative",
     "check_dominance", "choose_level", "choose_n_holder", "choose_n_log",
     "closed_form_solution", "combined_closed_form",
     "exp_kernel_profile", "fit_rate", "fixed_point_defect",
     "fixed_point_map", "gevrey_norm", "gronwall_bound",
-    "gronwall_comparison_solution", "holder_bound_staircase", "illposed_pair",
+    "gronwall_comparison_solution", "illposed_pair",
     "l2_norm", "log_noise_bound", "log_total_bound",
     "log_truncation_bound", "mode_coefficient", "mode_roots", "noise_bound",
     "picard_solve", "run_experiment", "self_convergent_reference", "total_bound",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import groupby
 from typing import NamedTuple
@@ -22,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import (BoundInputs, DominanceReport, DominanceSample, check_dominance,
-                     log_total_bound, noise_bound, total_bound, truncation_bound)
+                     noise_bound, total_bound, truncation_bound)
 from .errors import ConfigError, NonConvergenceError
 from .grids import TimeGrid
 from .param_choice import (HOLDER_RULE, LOG_RULE, ChoiceInputs, choose_level)
@@ -308,11 +307,28 @@ class RateFit(NamedTuple):
     ci95: tuple
 
 
-def fit_rate_logs(log_x: np.ndarray, log_y: np.ndarray) -> RateFit:
-    log_x = np.asarray(log_x, dtype=float)
-    log_y = np.asarray(log_y, dtype=float)
-    if log_x.size < 4:
+# 97.5% quantiles of Student's t at 2, 3 and 4 degrees of freedom; past
+# them, the normal quantile's Cornish-Fisher series in 1/dof (four terms)
+# is within 3e-4 of the true quantile
+_T975 = {2: 4.303, 3: 3.182, 4: 2.776}
+_T975_SERIES = (1.959964, 2.372271, 2.822499, 2.555850, 1.589534)
+
+
+def _t975(dof: int) -> float:
+    """Student's t 97.5% quantile at `dof` >= 2 degrees of freedom, within 1e-3."""
+    return _T975.get(dof) or sum(c / dof ** k for k, c in enumerate(_T975_SERIES))
+
+
+def fit_rate(points) -> RateFit:
+    """Least squares on (ln delta, ln error); needs >= 4 finite positive pairs.
+
+    The 95% CI is slope +- _t975(points - 2) * stderr.
+    """
+    pts = [(require_finite("delta", d, "positive"), require_finite("error", e, "positive"))
+           for d, e in points]
+    if len(pts) < 4:
         raise ValueError("rate fits need at least 4 points")
+    log_x, log_y = np.log([d for d, _ in pts]), np.log([e for _, e in pts])
     slope, intercept = np.polyfit(log_x, log_y, 1)
     fitted = slope * log_x + intercept
     ss_res = float(np.sum((log_y - fitted) ** 2))
@@ -320,17 +336,10 @@ def fit_rate_logs(log_x: np.ndarray, log_y: np.ndarray) -> RateFit:
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     dof = log_x.size - 2
     sxx = float(np.sum((log_x - log_x.mean()) ** 2))
-    stderr = math.sqrt(ss_res / dof / sxx) if dof > 0 and sxx > 0 else 0.0
-    half = 1.96 * stderr
+    stderr = math.sqrt(ss_res / dof / sxx) if sxx > 0 else 0.0
+    half = _t975(dof) * stderr
     return RateFit(slope=float(slope), intercept=float(intercept), r2=r2,
                    stderr=stderr, ci95=(float(slope - half), float(slope + half)))
-
-
-def fit_rate(points) -> RateFit:
-    """Least squares on (ln delta, ln error); needs >= 4 finite positive pairs."""
-    pts = [(require_finite("delta", d, "positive"), require_finite("error", e, "positive"))
-           for d, e in points]
-    return fit_rate_logs(np.log([d for d, _ in pts]), np.log([e for _, e in pts]))
 
 
 # --------------------------------------------------------------------------
@@ -425,18 +434,6 @@ def noisy_solve(cfg: ExperimentConfig, g: SpectralField, level: int, delta: floa
     return picard_solve(instance, cfg.solver(level, n_steps), noisy)
 
 
-def _plan_cell(model: EigenModel, rule: str, rho: float, delta: float, t: float, tau: float,
-               kappa: float, p: float = 0.0, q: float = 0.0) -> tuple[int, BoundInputs]:
-    """The level `rule` chooses at (delta, t), and the `BoundInputs` of that
-    level capped at the model's mode count, in the bound regime of the rule."""
-    ci = ChoiceInputs(regime=rule, rho=rho, delta=delta, t=t, tau=tau, d=model.dimension,
-                      e1=model.e1, e2=model.e2, p=p, q=q)
-    level = choose_level(ci).level
-    regime = {LOG_RULE: "gevrey_p", HOLDER_RULE: "gevrey_q"}[rule]
-    return level, BoundInputs(model=model, level=min(level, model.mode_count), t=t, tau=tau,
-                              delta=delta, rho=rho, kappa=kappa, regime=regime, p=p, q=q)
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Solve every (t, delta, trial) cell with the rule-chosen level.
 
@@ -460,8 +457,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     source = cfg.source()
     reference = build_reference(cfg)
     g = reference.final_data
-    gp = GevreyParams(cfg.p, cfg.tau) if cfg.regime == LOG_RULE \
-        else GevreyParams(0.0, cfg.q + cfg.tau)
+    # the rule's bound regime, and the Gevrey weight its rho is certified in
+    regime, gp = ("gevrey_p", GevreyParams(cfg.p, cfg.tau)) if cfg.regime == LOG_RULE \
+        else ("gevrey_q", GevreyParams(0.0, cfg.q + cfg.tau))
     rho = _certified_rho(reference, gp) if cfg.rho == "certified" else cfg.rho
     eval_idx = {t: reference.trajectory.grid.index_of(t) for t in cfg.eval_times}
     # the noise seed of delta number di, trial `trial`: the same at every t
@@ -475,10 +473,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     plan, keys = [], {}
     for t in cfg.eval_times:
         for di, delta in enumerate(cfg.deltas):
-            level, bi = _plan_cell(model, cfg.regime, rho, delta, t, cfg.tau, source.kappa,
-                                   cfg.p, cfg.q)
+            level = choose_level(ChoiceInputs(
+                regime=cfg.regime, rho=rho, delta=delta, t=t, tau=cfg.tau, d=model.dimension,
+                e1=model.e1, e2=model.e2, p=cfg.p, q=cfg.q)).level
             if level > model.mode_count:
                 flags[t].append(f"level capped at mode_count for t={t:g}, delta={delta:g}")
+            bi = BoundInputs(model=model, level=min(level, model.mode_count), t=t, tau=cfg.tau,
+                             delta=delta, rho=rho, kappa=source.kappa, regime=regime,
+                             p=cfg.p, q=cfg.q)
             bounds = dict(truncation_bound=truncation_bound(bi),
                           noise_bound=noise_bound(bi), total_bound=total_bound(bi))
             for trial, seed in enumerate(seeds[di]):
@@ -535,50 +537,3 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         report_flags.append(f"dominance violated on {len(dominance.violations)} rows")
     return ExperimentReport(rows=rows, fits=fits, flags=report_flags, dominance=dominance,
                             rho=rho, reference=reference)
-
-
-# --------------------------------------------------------------------------
-# theory-side rate check (bound staircase under the holder rule)
-
-@dataclass(frozen=True)
-class StaircaseResult:
-    deltas: tuple
-    levels: tuple
-    log_bounds: tuple
-    fit: RateFit
-    theoretical_slope: float
-
-    @property
-    def non_increasing(self) -> bool:
-        lb = self.log_bounds
-        return all(b <= a + 1e-12 for a, b in zip(lb, lb[1:]))
-
-
-def holder_bound_staircase(model: EigenModel, tau: float, t: float, q: float,
-                           rho: float, kappa: float, n_points: int = 8,
-                           r_min: float = 1.5, r_max: float = 5.2) -> StaircaseResult:
-    """Total-bound decay along a ladder sampled uniformly in the rule variable.
-
-    The rule floor makes the chosen level a staircase in delta, so the
-    bound's decay only approximates the theoretical delta-power; sampling
-    uniformly in r = (ln(rho/delta)/denom)^{d/2} spreads the ladder evenly
-    across level transitions.  Deltas stay within the double range.
-    """
-    require_int("n_points", n_points)
-    denom = model.e1 * (q + t) + model.e2 * (tau - t)
-    rs = np.linspace(r_min, r_max, n_points)
-    deltas, levels, log_bounds = [], [], []
-    for r in rs:
-        delta = math.exp(math.log(rho) - denom * r ** (2.0 / model.dimension))
-        if delta < sys.float_info.min:  # a subnormal delta lost digits; 0 has no log
-            raise ValueError("ladder delta is not a normal double; reduce r_max")
-        _, bi = _plan_cell(model, HOLDER_RULE, rho, delta, t, tau, kappa, q=q)
-        deltas.append(delta)
-        levels.append(bi.level)
-        log_bounds.append(log_total_bound(bi))
-    fit = fit_rate_logs(np.log(deltas), np.array(log_bounds))
-    theo = model.e1 * (q + t) / denom
-    return StaircaseResult(deltas=tuple(deltas), levels=tuple(levels),
-                           log_bounds=tuple(log_bounds), fit=fit,
-                           theoretical_slope=theo)
-

@@ -13,10 +13,9 @@ import pytest
 from fvptrunc import (BoundInputs, DominanceSample, EigenModel, FvpInstance,
                       GevreyParams, SolverConfig, SourceFunction, SpectralField,
                       TimeGrid, add_noise, apply_spectral_growth, check_dominance,
-                      closed_form_solution, fixed_point_defect, gevrey_norm,
-                      gronwall_bound, gronwall_comparison_solution,
-                      holder_bound_staircase, illposed_pair, l2_norm, picard_solve,
-                      zeta, zeta_inverse)
+                      closed_form_solution, fit_rate, fixed_point_defect, gevrey_norm,
+                      gronwall_bound, gronwall_comparison_solution, illposed_pair,
+                      l2_norm, picard_solve, zeta, zeta_inverse)
 from fvptrunc.harness import ExperimentConfig, run_experiment
 from fvptrunc.reference import richardson_estimate
 
@@ -164,26 +163,40 @@ class TestCriterion5BoundDominance:
 
 
 class TestCriterion6HolderRateExponent:
-    def test_staircase_slope_and_monotonicity(self):
-        # the rule's level staircase is exercised on the bound over a ladder
-        # spanning its transitions; measured errors at fp64-reachable deltas
-        # keep the level pinned at 1 (see the experiment tests), so the
-        # theory-side staircase carries the rate content of this criterion
-        tau, q, t = 1.0, 0.5, 0.0
-        grid = TimeGrid(tau, 512)
-        ref = closed_form_solution(MODEL, 1, 1.0, tau, grid)
-        gp = GevreyParams(0.0, q + tau)
-        rho = 1.01 * max(gevrey_norm(ref.trajectory.state(i), gp)
-                         for i in range(513))
-        sc = holder_bound_staircase(MODEL, tau=tau, t=t, q=q, rho=rho, kappa=1.0,
-                                    n_points=8)
-        target = q / (q + tau)
-        assert target == pytest.approx(1.0 / 3.0, rel=1e-12)
-        assert abs(sc.fit.slope - target) <= 0.2
-        assert sc.non_increasing
-        assert len(set(sc.levels)) >= 3  # the staircase actually steps
-        report(6, f"8-point ladder, fitted slope {sc.fit.slope:.3f} within "
-                  f"1/3 +- 0.2, bound non-increasing, levels {sc.levels}")
+    def test_truncating_ladder_bound_rate(self):
+        # a closed-form reference spread over 8 modes, g_j = e^{-(q + 2 tau)
+        # lambda_j}: the rule's level steps along the ladder, and at each t
+        # the experiment's own total bound decays at the theorem's exponent
+        # e = e1 (q+t) / (e1 (q+t) + e2 (tau-t)) within the staircase
+        # tolerance the rule's floor leaves on five deltas
+        tau, q = 0.05, 0.01
+        doc = {
+            "instance": {"tau": tau, "mode_count": 8, "source": {"kind": "linear", "c": 1.0},
+                         "reference": {"data": [[j, math.exp(-(q + 2 * tau) * j * j * PI2)]
+                                                for j in range(1, 9)]}},
+            "noise": {"deltas": [1e-2, 1e-4, 1e-6, 1e-8, 1e-10],
+                      "direction": "seeded_random", "seed": 0, "trials": 2},
+            "solver": {"n_steps": 1024, "picard_tol": 1e-11, "max_iters": 500},
+            "choice": {"regime": "holder_rule", "q": q, "rho": "certified"},
+            "eval_times": [0.0, tau / 2],
+        }
+        rep = run_experiment(ExperimentConfig.from_dict(doc))
+        details = []
+        for t in doc["eval_times"]:
+            rows = [r for r in rep.rows if r.t == t]
+            bounds = {r.delta: r.total_bound for r in rows}    # one bound per delta
+            levels = tuple(dict.fromkeys(r.level for r in rows))
+            e = MODEL.e1 * (q + t) / (MODEL.e1 * (q + t) + MODEL.e2 * (tau - t))
+            slope = fit_rate(bounds.items()).slope
+            assert abs(slope - e) <= 0.2, (t, slope, e)
+            ladder = list(bounds.values())
+            assert all(b <= a for a, b in zip(ladder, ladder[1:])), ladder
+            assert len(levels) >= 3  # the staircase actually steps
+            fit = rep.fits[t]
+            details.append(f"t={t:g}: bound slope {slope:.3f} vs e {e:.3f}, measured "
+                           f"{fit.slope:.3f} (CI {fit.ci95[0]:.3f}..{fit.ci95[1]:.3f}), "
+                           f"N {levels}")
+        report(6, "; ".join(details))
 
 
 class TestCriterion7QuadratureOrder:

@@ -103,6 +103,28 @@ class TestFitRate:
         assert fit.slope == pytest.approx(0.5, abs=1e-12)
         assert fit.intercept == pytest.approx(math.log(3.0), abs=1e-10)
 
+    def test_ci_is_student_t_on_a_hand_computed_fit(self):
+        # ln delta = -1..-5 (mean -3, Sxx = 10) and ln error = ln delta + r
+        # with r = (0, 0.1, -0.2, 0.1, 0): r sums to 0 and is orthogonal to
+        # ln delta, so slope 1, intercept 0, SSres = 0.06 and dof 3, stderr
+        # = sqrt(0.06 / 3 / 10); the half-width is t(0.975, 3) = 3.182 times it
+        r = (0.0, 0.1, -0.2, 0.1, 0.0)
+        fit = fit_rate([(math.exp(-k), math.exp(-k + rk)) for k, rk in zip(range(1, 6), r)])
+        stderr = math.sqrt(0.002)
+        assert fit.slope == pytest.approx(1.0, abs=1e-12)
+        assert fit.intercept == pytest.approx(0.0, abs=1e-12)
+        assert fit.stderr == pytest.approx(stderr, rel=1e-12)
+        assert fit.ci95 == pytest.approx((1.0 - 3.182 * stderr, 1.0 + 3.182 * stderr),
+                                         rel=1e-12)
+
+    @pytest.mark.parametrize("dof, quantile", [
+        (2, 4.302653), (3, 3.182446), (4, 2.776445), (5, 2.570582), (6, 2.446912),
+        (10, 2.228139), (30, 2.042272), (100, 1.983972), (1000, 1.962339),
+        (10 ** 9, 1.959964)])
+    def test_student_t_quantile_within_1e_3(self, dof, quantile):
+        # the 97.5% quantiles of Student's t, to 6 decimals
+        assert abs(fvptrunc.harness._t975(dof) - quantile) <= 1e-3
+
     def test_contract_errors(self):
         with pytest.raises(ValueError):
             fit_rate([(1e-1, 1e-1), (1e-2, 1e-2), (1e-3, 1e-3)])

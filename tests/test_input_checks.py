@@ -18,7 +18,7 @@ from fvptrunc import (BoundInputs, ChoiceInputs, ConfigError, EigenModel, Experi
                       FvpInstance, GevreyParams, ReferenceSolution, SolverConfig, SourceFunction,
                       SpectralField, TimeGrid, Trajectory, add_noise,
                       apply_spectral_growth, choose_n_holder, closed_form_solution, fit_rate,
-                      gronwall_comparison_solution, holder_bound_staircase, illposed_pair,
+                      gronwall_comparison_solution, illposed_pair,
                       mode_coefficient, mode_roots, zeta, zeta_inverse)
 from fvptrunc.param_choice import HOLDER_RULE, LOG_RULE
 
@@ -206,9 +206,6 @@ def test_reference(call, exc, field):
         ConfigError, "seed") for seed in (None, True, -1, 2.5)},
     "fit-rate-delta-nan": (lambda: fit_rate([(math.nan, 1.0), (1e-2, 0.1), (1e-3, 0.01),
                                              (1e-4, 1e-3)]), ConfigError, "delta"),
-    "staircase-n_points-not-an-int": (
-        lambda: holder_bound_staircase(MODEL, 1.0, 0.0, 0.5, 1.0, 1.0, n_points=2.5), ConfigError,
-        "n_points"),
 })
 def test_harness(call, exc, field):
     check(call, exc, field)

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from fvptrunc import (BoundInputs, ChoiceInputs, ConfigError, EigenModel,
-                      choose_level, choose_n_holder,
-                      choose_n_log, holder_bound_staircase, log_total_bound, zeta,
+                      choose_level, choose_n_holder, choose_n_log, log_total_bound, zeta,
                       zeta_inverse)
 
 PI2 = math.pi ** 2
@@ -133,28 +132,6 @@ class TestHolderRule:
 
 
 class TestRateConsistency:
-    def test_holder_bound_staircase_exponent(self):
-        # the rule's floor makes the bound a staircase; over a ladder spread
-        # across transitions the fitted decay matches the theoretical
-        # delta-exponent within the staircase tolerance
-        model = EigenModel.dirichlet_1d(8)
-        rho = 1.7455e10  # a certified single-mode budget
-        sc = holder_bound_staircase(model, tau=1.0, t=0.0, q=0.5, rho=rho, kappa=1.0)
-        assert len(sc.deltas) == 8
-        assert sc.theoretical_slope == pytest.approx(1.0 / 3.0, rel=1e-12)
-        assert abs(sc.fit.slope - sc.theoretical_slope) <= 0.2
-        assert sc.non_increasing
-
-    def test_holder_bound_staircase_deltas_stay_normal_doubles(self):
-        # denom = 1.5 pi^2: r = 6.9 gives delta ~ e^{-704.8}, a normal double;
-        # r = 7 gives e^{-725.4}, a subnormal one
-        model = EigenModel.dirichlet_1d(8)
-        args = dict(tau=1.0, t=0.0, q=0.5, rho=1.0, kappa=1.0, n_points=4, r_min=6.0)
-        sc = holder_bound_staircase(model, r_max=6.9, **args)
-        assert min(sc.deltas) >= sys.float_info.min
-        with pytest.raises(ValueError, match="not a normal double"):
-            holder_bound_staircase(model, r_max=7.0, **args)
-
     def test_log_regime_bound_matches_form(self):
         # with N from the log rule, the bound divided by the theoretical
         # factor (ln(rho/delta)/eta)^{-p} stays constant along a ladder
@@ -174,3 +151,36 @@ class TestRateConsistency:
                             rho=rho, kappa=1.0, regime="gevrey_p", p=p)
             ratios.append(log_total_bound(b) + p * math.log(big_l / eta))
         assert max(ratios) - min(ratios) <= 0.05
+
+
+class TestGrowthConstantsEnterTheirTerms:
+    # hand-built inputs with e1 < e2, q + t != tau - t and t != tau / 2, so
+    # a rule that swaps e1 and e2 picks another value and breaks its balance
+    E1, E2, TAU, T, RHO, DELTA = 2.0, 5.0, 1.0, 0.3, 10.0, 1e-6
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_holder_rule_balances_truncation_against_noise(self, d):
+        # at r = LevelChoice.raw the truncation term, which decays with the
+        # lower growth constant, equals the noise term, which grows with the
+        # upper one: rho e^{-(q+t) e1 r^{2/d}} = delta e^{(tau-t) e2 r^{2/d}}
+        q = 0.5
+        ci = ChoiceInputs(regime="holder_rule", rho=self.RHO, delta=self.DELTA, t=self.T,
+                          tau=self.TAU, d=d, e1=self.E1, e2=self.E2, q=q)
+        s = choose_n_holder(ci).raw ** (2 / d)
+        truncation = math.log(self.RHO) - (q + self.T) * self.E1 * s
+        noise = math.log(self.DELTA) + (self.TAU - self.T) * self.E2 * s
+        assert truncation == pytest.approx(noise, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_log_rule_balance_with_its_weight(self, d):
+        # the module docstring's r = (ln((delta/rho)^{-1/eta} ((1/eta)
+        # ln(rho/delta))^{-p/eta}))^{d/2}, with L = ln(rho/delta), reads
+        # eta r^{2/d} = L - p ln(L/eta), where eta = e1 t + e2 (tau - t)
+        p = 1.0
+        ci = ChoiceInputs(regime="log_rule", rho=self.RHO, delta=self.DELTA, t=self.T,
+                          tau=self.TAU, d=d, e1=self.E1, e2=self.E2, p=p)
+        eta = self.E1 * self.T + self.E2 * (self.TAU - self.T)
+        big_l = math.log(self.RHO / self.DELTA)
+        raw = choose_n_log(ci).raw
+        assert eta * raw ** (2 / d) == pytest.approx(big_l - p * math.log(big_l / eta),
+                                                     rel=1e-12)
