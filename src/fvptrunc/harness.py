@@ -429,17 +429,18 @@ def noisy_solve(cfg: ExperimentConfig, g: SpectralField, level: int, delta: floa
     """Solve at level `level` on n_steps from g plus noise of size delta drawn
     from `seed` (along mode `level` in the worst case; g itself at delta 0)."""
     noisy = add_noise(g, delta, cfg.direction, seed=seed, mode=level)
-    instance = FvpInstance(model=g.model, tau=cfg.tau, source=cfg.source(),
-                           final_data=g, noisy_data=noisy, delta=delta)
+    instance = FvpInstance(g.model, cfg.tau, cfg.source(), final_data=g)
     return picard_solve(instance, cfg.solver(level, n_steps), noisy)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Solve every (t, delta, trial) cell with the rule-chosen level.
 
-    Plan: per (t, delta), choose N by the configured rule and compute the
-    bounds its rows share, so a rule or bound error (a delta not below rho
-    among them) comes before any solve.
+    Reference: built first, since a certified rho reads it; a sin source's
+    ladder solves run here.  Plan: per (t, delta), choose N by the
+    configured rule and compute the bounds its rows share, so a rule or
+    bound error (a delta not below rho among them) comes before any
+    cell's solve.
     Solve: one noisy solve per (level, delta, seed), read by every row
     that shares it, against the reference at the row's t; each row and its
     dominance sample are built there.  Emit: per t a fit of ln(error) vs
@@ -453,10 +454,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     error estimate.  So `dominance.min_margin` leaves out the slack on the
     rows that met the bare bound.
     """
-    model = cfg.model()
     source = cfg.source()
     reference = build_reference(cfg)
     g = reference.final_data
+    model = g.model
     # the rule's bound regime, and the Gevrey weight its rho is certified in
     regime, gp = ("gevrey_p", GevreyParams(cfg.p, cfg.tau)) if cfg.regime == LOG_RULE \
         else ("gevrey_q", GevreyParams(0.0, cfg.q + cfg.tau))

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import EigenModel, SpectralField, require_finite
+from .spectral import EigenModel, SpectralField, require_finite, require_same_model
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,8 @@ class FvpInstance:
     """A final-value problem: recover u on [0, tau] from data at t = tau.
 
     `final_data` is the exact final value g; `noisy_data`, when present, is
-    a measurement g_delta with ||g_delta - g|| <= delta.
+    a measurement g_delta with ||g_delta - g|| <= delta.  Both live over
+    `model` (see `require_same_model`).
     """
 
     model: EigenModel
@@ -85,5 +86,5 @@ class FvpInstance:
             raise ValueError("an instance needs final_data and/or noisy_data")
         for name in ("final_data", "noisy_data"):
             f = getattr(self, name)
-            if f is not None and f.model.mode_count != self.model.mode_count:
-                raise ValueError(f"{name} must live over the instance model")
+            if f is not None:
+                require_same_model(name, f.model, self.model)

@@ -84,23 +84,17 @@ def mode_coefficient(roots: LinearModeRoots, tau: float, t) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReferenceSolution:
-    """Ground-truth trajectory with its final data.
-
-    provenance 'closed_form' means exact up to rounding; 'self_convergent'
-    means a fine-grid solve whose accuracy is the attached Richardson
-    estimate.  The trajectory at t = tau equals final_data coefficient-wise.
+    """A ground-truth trajectory and its error estimate: 0 for the closed
+    form, exact up to rounding, and the Richardson estimate for a
+    self-convergent ladder.  Its final data g is the trajectory at t = tau.
     """
 
     trajectory: Trajectory
-    final_data: SpectralField
-    provenance: str
     error_estimate: float = 0.0
 
-    def __post_init__(self):
-        if self.provenance not in ("closed_form", "self_convergent"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-        if not np.array_equal(self.trajectory.states[:, -1], self.final_data.coeffs):
-            raise ValueError("trajectory at tau must equal final_data exactly")
+    @property
+    def final_data(self) -> SpectralField:
+        return self.trajectory.state(self.trajectory.grid.n_steps)
 
 
 def closed_form_solution(model: EigenModel, n: int, c: float, tau: float,
@@ -119,7 +113,7 @@ def combined_closed_form(model: EigenModel, weights, c: float, tau: float,
     require_finite("tau", tau, "positive")
     if abs(grid.tau - tau) > 1e-12 * max(tau, 1.0):
         raise ValueError("grid must span [0, tau]")
-    data = SpectralField.from_coeffs(model, weights)  # checks the mode indices
+    SpectralField.from_coeffs(model, weights)  # checks the mode indices
     states = np.zeros((model.mode_count, grid.n_steps + 1))
     for n, w in weights:
         if w == 0.0:
@@ -128,10 +122,7 @@ def combined_closed_form(model: EigenModel, weights, c: float, tau: float,
         # the last point (grid.tau, within rounding of tau) is set exactly
         states[n - 1, :-1] = w * mode_coefficient(roots, tau, grid.points[:-1])
         states[n - 1, -1] = w  # w (alpha - beta)/(alpha - beta), exactly
-    return ReferenceSolution(
-        trajectory=Trajectory(grid, model, states),
-        final_data=data,
-        provenance="closed_form")
+    return ReferenceSolution(Trajectory(grid, model, states))
 
 
 @dataclass(frozen=True)
@@ -210,10 +201,4 @@ def self_convergent_reference(instance: FvpInstance, cfg: SolverConfig) -> Refer
     diffs = [solves[i + 1].sup_distance(solves[i]) for i in range(len(solves) - 1)]
     floor = 1e-13 * max(s.sup_norm() for s in solves)  # rounding floor: treat as converged
     check_ladder_contraction(diffs, floor)
-
-    finest = solves[-1]
-    return ReferenceSolution(
-        trajectory=finest,
-        final_data=finest.state(finest.grid.n_steps),
-        provenance="self_convergent",
-        error_estimate=float(richardson_estimate(diffs[-1])))
+    return ReferenceSolution(solves[-1], float(richardson_estimate(diffs[-1])))

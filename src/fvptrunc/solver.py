@@ -35,7 +35,7 @@ from .errors import NonConvergenceError
 from .grids import TimeGrid, Trajectory
 from .problem import FvpInstance
 from .spectral import (EigenModel, SpectralField, checked, require_finite, require_int,
-                       sup_over_time)
+                       require_same_model, sup_over_time)
 from .quadrature import QuadraturePlan
 
 DEFAULT_PICARD_TOL = 1e-11
@@ -101,8 +101,10 @@ def _growth_rows(lam: np.ndarray, back: np.ndarray, data: np.ndarray) -> np.ndar
 def _solve_setup(instance: FvpInstance, cfg: SolverConfig, grid: TimeGrid,
                  data: SpectralField) -> tuple[np.ndarray, QuadraturePlan]:
     """The map's leading term G_N(tau - t) data on `grid`, as (N, n+1) rows,
-    and the `QuadraturePlan` of the N modes: what every map of a solve shares."""
+    and the `QuadraturePlan` of the N modes: what every map of a solve shares.
+    `data` must live over the instance's model."""
     require_int("level", cfg.level, high=instance.model.mode_count)
+    require_same_model("data", data.model, instance.model)
     lams = instance.model.lambdas[:cfg.level]
     lead = _growth_rows(lams, instance.tau - grid.points, data.coeffs[:cfg.level])
     return lead, QuadraturePlan(lams, grid.h, grid.n_steps)

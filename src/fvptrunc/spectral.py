@@ -17,7 +17,8 @@ is a `ConfigError`, whether the value came from a config key, a CLI
 option or a library argument; only `require_mode` raises IndexError, for
 an int mode index out of range.  `require_buildable` refuses a size that
 numpy cannot allocate, `<name> is too large to build: ...`, also a
-`ConfigError`.
+`ConfigError`.  `require_same_model` is the one test that a field lives
+over a given eigenvalue model; it raises ValueError naming the field.
 """
 
 from __future__ import annotations
@@ -164,6 +165,14 @@ class EigenModel:
                           e1=math.pi ** 2, e2=math.pi ** 2)
 
 
+def require_same_model(name: str, model: EigenModel, expected: EigenModel):
+    """ValueError naming `name` unless `model` is `expected`, or has its
+    dimension and eigenvalues: the one test that two models agree."""
+    if model is not expected and not (model.dimension == expected.dimension
+                                      and np.array_equal(model.lambdas, expected.lambdas)):
+        raise ValueError(f"{name} lives over another eigenvalue model")
+
+
 @dataclass(frozen=True)
 class GevreyParams:
     """Weights of the smoothness norm sum lambda^{2p} e^{2q lambda} |c_j|^2."""
@@ -212,19 +221,12 @@ class SpectralField:
             c[j - 1] = val
         return SpectralField(model, c)
 
-    def _check_same_model(self, other: "SpectralField"):
-        if other.model is not self.model and not (
-            other.model.dimension == self.model.dimension
-            and np.array_equal(other.model.lambdas, self.model.lambdas)
-        ):
-            raise ValueError("fields over different eigenvalue models cannot be combined")
-
     def __add__(self, other: "SpectralField") -> "SpectralField":
-        self._check_same_model(other)
+        require_same_model("right operand", other.model, self.model)
         return SpectralField(self.model, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
-        self._check_same_model(other)
+        require_same_model("right operand", other.model, self.model)
         return SpectralField(self.model, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar: float) -> "SpectralField":

@@ -1,15 +1,19 @@
-"""Every fvptrunc name the benchmark under `bench/` reads still exists.
+"""Every fvptrunc name the benchmark under `bench/` reads still exists,
+and the benchmark's calls into the package still work.
 
 The bench scripts import the package inside their workload bodies, so a
 deleted or renamed name would only show when a workload runs.  Here their
-source is parsed, not run: every `import fvptrunc...` and
+source is parsed: every `import fvptrunc...` and
 `from fvptrunc... import name` must resolve, and so must every traced
 callable in `bench/spans.py`'s TARGETS, which the tracer otherwise skips
-without failing.
+without failing.  A name that resolves can still be called or read in a
+way the package no longer supports, so the acceptance-solves body runs
+here too, and the ladder documents are parsed at both golden seeds.
 """
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -59,3 +63,21 @@ def test_traced_targets_resolve():
 
 def test_scheme_order_the_bench_reads():
     assert SCHEME_ORDER[DEFAULT_QUADRATURE_ORDER] == 6
+
+
+def load_workloads():
+    """bench/workloads.py as a module; it loads only the standard library at import."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_bodies_run_on_the_package():
+    from fvptrunc import ExperimentConfig
+    workloads = load_workloads()
+    cfg = workloads.make_config("acceptance-solves", 0)
+    assert workloads.check_acceptance(cfg, workloads.run_acceptance(cfg)) == (45, 0)
+    for workload in workloads.LADDERS:
+        for seed in (workloads.DEFAULT_SEED, workloads.HELD_OUT_SEED):
+            ExperimentConfig.from_dict(workloads.ladder_config(workload, seed))

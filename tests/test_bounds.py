@@ -160,13 +160,29 @@ class TestBoundFormulas:
     def test_truncation_at_final_time_gevrey_p(self, model):
         b = binputs(model, regime="gevrey_p", p=1.0, q=0.0, t=1.0, level=2, rho=2.0)
         lam2 = model.eigenvalue(2)
+        # about 4e-19, far below pytest.approx's default abs tolerance
         assert truncation_bound(b) == pytest.approx(2.0 * lam2 ** -1.0 * math.exp(-lam2),
-                                                    rel=1e-12)
+                                                    rel=1e-12, abs=0.0)
 
     def test_truncation_frozen_value(self, model):
         # N=2, p=1, rho=1, t=0, tau=1, kappa0=1: e^2 / (4 pi^2)
         b = binputs(model, regime="gevrey_p", p=1.0, q=0.0, level=2)
         assert truncation_bound(b) == pytest.approx(math.exp(2.0) / (4.0 * PI2), rel=1e-12)
+
+    def test_truncation_frozen_value_inside_the_interval_gevrey_p(self, model):
+        # N=2, p=1, rho=1, t=1/4, tau=1, kappa0=1:
+        # e^{2 (3/4)} (4 pi^2)^{-1} e^{-4 pi^2 / 4} = e^{3/2 - pi^2} / (4 pi^2)
+        b = binputs(model, regime="gevrey_p", p=1.0, q=0.0, level=2, t=0.25)
+        assert truncation_bound(b) == pytest.approx(math.exp(1.5 - PI2) / (4.0 * PI2),
+                                                    rel=1e-12, abs=0.0)
+
+    def test_truncation_frozen_value_inside_the_interval_gevrey_q(self, model):
+        # N=2, q=1/2, rho=1, t=1/4, tau=1, kappa0=1:
+        # e^{2 (3/4)} e^{-(1/2 + 1/4) 4 pi^2} = e^{3/2 - 3 pi^2}
+        b = binputs(model, level=2, t=0.25)
+        # about 6e-13: pytest.approx's default abs tolerance, 1e-12, would pass any value
+        assert truncation_bound(b) == pytest.approx(math.exp(1.5 - 3.0 * PI2), rel=1e-12,
+                                                    abs=0.0)
 
     def test_truncation_decreases_in_level(self, model):
         for regime, p, q in (("gevrey_p", 1.0, 0.0), ("gevrey_q", 0.0, 0.5)):

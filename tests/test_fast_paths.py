@@ -442,8 +442,7 @@ def per_row_rho(reference: ReferenceSolution, gp: GevreyParams) -> float:
 def synthetic_reference(states: np.ndarray, tau: float = 0.5) -> ReferenceSolution:
     model = EigenModel.dirichlet_1d(states.shape[0])
     grid = TimeGrid(tau, states.shape[1] - 1)
-    return ReferenceSolution(Trajectory(grid, model, states),
-                             SpectralField(model, states[:, -1]), "self_convergent")
+    return ReferenceSolution(Trajectory(grid, model, states))
 
 
 def random_states(seed: int) -> np.ndarray:

@@ -297,7 +297,7 @@ class TestExperimentConfig:
                                      cfg.tau, TimeGrid(cfg.tau, cfg.n_steps))
         assert np.array_equal(ref.trajectory.states, exact.trajectory.states)
         assert np.array_equal(ref.final_data.coeffs, exact.final_data.coeffs)
-        assert (ref.provenance, ref.error_estimate) == (exact.provenance, exact.error_estimate)
+        assert ref.error_estimate == exact.error_estimate == 0.0
 
     def test_mode_shorthand_and_default_reference(self):
         sin = dict(SIN_INSTANCE, reference={"mode": 2})

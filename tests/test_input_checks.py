@@ -15,16 +15,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fvptrunc import (BoundInputs, ChoiceInputs, ConfigError, EigenModel, ExperimentConfig,
-                      FvpInstance, GevreyParams, ReferenceSolution, SolverConfig, SourceFunction,
+                      FvpInstance, GevreyParams, SolverConfig, SourceFunction,
                       SpectralField, TimeGrid, Trajectory, add_noise,
                       apply_spectral_growth, choose_n_holder, closed_form_solution, fit_rate,
-                      gronwall_comparison_solution, illposed_pair,
-                      mode_coefficient, mode_roots, zeta, zeta_inverse)
+                      fixed_point_defect, gronwall_comparison_solution, illposed_pair,
+                      mode_coefficient, mode_roots, picard_solve, zeta, zeta_inverse)
 from fvptrunc.param_choice import HOLDER_RULE, LOG_RULE
 
 PI2 = math.pi ** 2
 MODEL = EigenModel.dirichlet_1d(4)
 OTHER = EigenModel.dirichlet_1d(3)
+MODEL8 = EigenModel.dirichlet_1d(8)
+# as many modes as MODEL8, other eigenvalues
+SCALED8 = EigenModel(1, 4.0 * MODEL8.lambdas, 4.0 * PI2, 4.0 * PI2)
 
 
 def cases(table: dict):
@@ -98,6 +101,16 @@ def test_bounds(call, exc, field):
     check(call, exc, field)
 
 
+def solve_from(model: EigenModel, defect: bool = False):
+    """A level-4 solve, or a defect, of an instance over MODEL8 from phi_1 over `model`."""
+    inst = FvpInstance(MODEL8, 1.0, SourceFunction.linear(1.0),
+                       final_data=SpectralField.basis(MODEL8, 1))
+    cfg, data = SolverConfig(level=4, n_steps=64), SpectralField.basis(model, 1)
+    if defect:
+        return fixed_point_defect(Trajectory.zero(TimeGrid(1.0, 64), MODEL8), inst, cfg, data)
+    return picard_solve(inst, cfg, data)
+
+
 @cases({
     "level-zero": (lambda: SolverConfig(level=0, n_steps=8), ConfigError, "level"),
     "n_steps-zero": (lambda: SolverConfig(level=1, n_steps=0), ConfigError, "n_steps"),
@@ -108,6 +121,11 @@ def test_bounds(call, exc, field):
     "growth-level-past-modes": (
         lambda: apply_spectral_growth(0.0, SpectralField.basis(MODEL, 1), 5), ConfigError,
         "level"),
+    # data over a model the instance does not live over: fewer modes, or
+    # as many with other eigenvalues
+    "solve-data-fewer-modes": (lambda: solve_from(OTHER), ValueError, "data"),
+    "defect-data-fewer-modes": (lambda: solve_from(OTHER, defect=True), ValueError, "data"),
+    "solve-data-other-eigenvalues": (lambda: solve_from(SCALED8), ValueError, "data"),
 })
 def test_solver(call, exc, field):
     check(call, exc, field)
@@ -124,6 +142,9 @@ def test_solver(call, exc, field):
     "gevrey-p-negative": (lambda: GevreyParams(-1.0, 0.0), ConfigError, "p"),
     "gevrey-q-negative": (lambda: GevreyParams(0.0, -1.0), ConfigError, "q"),
     "coeffs-length": (lambda: SpectralField(MODEL, np.zeros(3)), ValueError, "coeffs"),
+    "sum-over-other-eigenvalues": (
+        lambda: SpectralField.zero(MODEL8) + SpectralField.zero(SCALED8), ValueError,
+        "right operand"),
     "basis-index-zero": (lambda: SpectralField.basis(MODEL, 0), IndexError, "mode index"),
     "basis-index-past-modes": (lambda: SpectralField.basis(MODEL, 5), IndexError,
                                "mode index"),
@@ -162,6 +183,9 @@ def test_grids(call, exc, field):
         lambda: FvpInstance(MODEL, 1.0, SourceFunction.zero(),
                             final_data=SpectralField.zero(MODEL),
                             noisy_data=SpectralField.zero(OTHER)), ValueError, "noisy_data"),
+    "final-data-other-eigenvalues": (
+        lambda: FvpInstance(MODEL8, 1.0, SourceFunction.zero(),
+                            final_data=SpectralField.zero(SCALED8)), ValueError, "final_data"),
     "source-c-a-bool": (lambda: SourceFunction("linear", True), ConfigError, "c"),
 })
 def test_problem(call, exc, field):
@@ -169,10 +193,6 @@ def test_problem(call, exc, field):
 
 
 @cases({
-    "provenance": (lambda: ReferenceSolution(trajectory(8), SpectralField.zero(MODEL), "guess"),
-                   ValueError, "provenance"),
-    "state-at-tau": (lambda: ReferenceSolution(trajectory(8), SpectralField.basis(MODEL, 1),
-                                               "closed_form"), ValueError, "final_data"),
     "closed-form-tau-nan": (lambda: closed_form_solution(MODEL, 1, 1.0, math.nan,
                                                          TimeGrid(1.0, 8)), ConfigError, "tau"),
     "closed-form-c-nan": (lambda: closed_form_solution(MODEL, 1, math.nan, 1.0,

@@ -91,7 +91,7 @@ class TestClosedForm:
         ref = closed_form_solution(model, 1, 1.0, 1.0, TimeGrid(1.0, 32))
         assert ref.trajectory.states[0, -1] == 1.0
         assert ref.final_data.coeffs[0] == 1.0
-        assert ref.provenance == "closed_form"
+        assert ref.error_estimate == 0.0
 
     def test_ode_residual_on_2001_point_grid(self):
         model = EigenModel.dirichlet_1d(4)
@@ -209,7 +209,7 @@ class TestSelfConvergentReference:
         ref = self_convergent_reference(inst, SolverConfig(level=2, n_steps=512))
         exact = closed_form_solution(model, 1, 1.0, 1.0, TimeGrid(1.0, 512))
         err = ref.trajectory.sup_distance(exact.trajectory)
-        assert ref.provenance == "self_convergent"
+        assert ref.error_estimate > 0.0
         # pre-asymptotic refinement understates the estimate; 10x covers it
         assert err <= 10.0 * ref.error_estimate + 1e-12 * exact.trajectory.sup_norm()
 
