@@ -13,8 +13,9 @@ U(t) <= c0 e^{(1+c1)(tau-t)}.  With kappa1 = 1 + max(kappa, 1):
 
 rho budgets the weighted-norm size of the exact solution over time; the
 two regimes correspond to weight pairs (p, tau) and (0, q+tau) and are not
-mixed.  All bounds have log-space variants so ladders can extend past the
-double range of the plain values.
+mixed.  The truncation and noise bounds are formed as logs and
+exponentiated once by `exp_checked`: a bound past the double range is a
+range error (`ExponentOverflowError`).
 """
 
 from __future__ import annotations
@@ -134,10 +135,6 @@ def log_noise_bound(b: BoundInputs) -> float:
     if b.delta == 0.0:
         return -math.inf
     return math.log(b.delta) + (b.lam_n + b.kappa1) * (b.tau - b.t)
-
-
-def log_total_bound(b: BoundInputs) -> float:
-    return float(np.logaddexp(log_truncation_bound(b), log_noise_bound(b)))
 
 
 def truncation_bound(b: BoundInputs) -> float:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .errors import ConfigError, FvptruncError
 from .harness import ExperimentConfig, noisy_solve, run_experiment
-from .param_choice import (HOLDER_RULE, LOG_RULE, ChoiceInputs, choose_level)
+from .param_choice import HOLDER_RULE, LOG_RULE, choose_level
 from .reference import illposed_pair
 from .spectral import EigenModel, require_buildable, require_int
 
@@ -92,10 +92,8 @@ def _cmd_demo_illposed(args) -> int:
 
 def _cmd_choose_n(args) -> int:
     regime = LOG_RULE if args.rule == "log" else HOLDER_RULE
-    ci = ChoiceInputs(regime=regime, rho=args.rho, delta=args.delta, t=args.t,
-                      tau=args.tau, d=args.d, e1=args.e1, e2=args.e2,
-                      p=args.p, q=args.q)
-    choice = choose_level(ci)
+    choice = choose_level(regime, rho=args.rho, delta=args.delta, t=args.t, tau=args.tau,
+                          d=args.d, e1=args.e1, e2=args.e2, p=args.p, q=args.q)
     print(f"N = {choice.level}  (raw rule value {choice.raw:.6g}"
           + (", clamped to 1" if choice.clamped else "") + ")")
     return EXIT_OK

@@ -24,7 +24,7 @@ from .bounds import (BoundInputs, DominanceReport, DominanceSample, check_domina
                      noise_bound, total_bound, truncation_bound)
 from .errors import ConfigError, NonConvergenceError
 from .grids import TimeGrid
-from .param_choice import (HOLDER_RULE, LOG_RULE, ChoiceInputs, choose_level)
+from .param_choice import HOLDER_RULE, LOG_RULE, choose_level
 from .problem import FvpInstance, SourceFunction
 from .reference import (ReferenceSolution, combined_closed_form, richardson_estimate,
                         self_convergent_reference)
@@ -474,9 +474,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     plan, keys = [], {}
     for t in cfg.eval_times:
         for di, delta in enumerate(cfg.deltas):
-            level = choose_level(ChoiceInputs(
-                regime=cfg.regime, rho=rho, delta=delta, t=t, tau=cfg.tau, d=model.dimension,
-                e1=model.e1, e2=model.e2, p=cfg.p, q=cfg.q)).level
+            level = choose_level(
+                cfg.regime, rho=rho, delta=delta, t=t, tau=cfg.tau, d=model.dimension,
+                e1=model.e1, e2=model.e2, p=cfg.p, q=cfg.q).level
             if level > model.mode_count:
                 flags[t].append(f"level capped at mode_count for t={t:g}, delta={delta:g}")
             bi = BoundInputs(model=model, level=min(level, model.mode_count), t=t, tau=cfg.tau,

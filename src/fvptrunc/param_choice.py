@@ -16,15 +16,15 @@ the asymptotic agreement can be verified rather than assumed.
 
 Every input a rule cannot take is a `ConfigError`: a value out of its
 range, noise at or above rho or too large for the log rule's inner
-logarithm, the other rule's parameter or inputs, and a value outside the
-range `zeta_inverse` inverts.  A rule value past the double range is an
+logarithm, the other rule's parameter, and a value outside the range
+`zeta_inverse` inverts.  A rule value past the double range is an
 `ExponentOverflowError`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -37,101 +37,57 @@ HOLDER_RULE = "holder_rule"
 RULES = (LOG_RULE, HOLDER_RULE)
 
 
-@dataclass(frozen=True)
-class ChoiceInputs:
-    """Inputs of a parameter-choice rule at one evaluation time.
-
-    The log rule reads p and the holder rule q; the other one may hold
-    only its default, 0 (p = 0 under the log rule is valid).
-    """
-
-    regime: str
-    rho: float
-    delta: float
-    t: float
-    tau: float
-    d: int
-    e1: float
-    e2: float
-    p: float = 0.0
-    q: float = 0.0
-
-    def __post_init__(self):
-        if self.regime not in RULES:
-            raise ConfigError(f"regime must be one of {RULES}")
-        # an inf leaves the rules past the double range
-        for name in ("rho", "delta", "tau", "e1", "e2"):
-            require_finite(name, getattr(self, name), "positive")
-        for name in ("p", "q"):
-            require_finite(name, getattr(self, name), ">= 0")
-        require_int("d", self.d)
-        require_time(self.t, self.tau)
-        if self.delta >= self.rho:
-            raise ConfigError("rules require delta < rho (ln(rho/delta) > 0)")
-        if self.regime == HOLDER_RULE and self.p != 0.0:
-            raise ConfigError("p is not used by the holder rule")
-        if self.regime == LOG_RULE and self.q != 0.0:
-            raise ConfigError("q is not used by the log rule")
-
-    @property
-    def eta(self) -> float:
-        """e1 t + e2 (tau - t)."""
-        return self.e1 * self.t + self.e2 * (self.tau - self.t)
-
-
 class LevelChoice(NamedTuple):
     level: int
     raw: float      # the rule's value before flooring/clamping
     clamped: bool   # True when floor(raw) < 1
 
 
-def _ratio(big_l: float, denom: float) -> float:
-    """ln(rho/delta) / denom; a denom > 0 that underflowed to 0, or a
-    quotient past the double range, is a range error."""
+def choose_level(regime: str, rho: float, delta: float, t: float, tau: float, d: int,
+                 e1: float, e2: float, p: float = 0.0, q: float = 0.0) -> LevelChoice:
+    """The level the rule `regime` picks at time t.
+
+    The log rule reads p and the holder rule q; the other one may hold
+    only its default, 0 (p = 0 under the log rule is valid).
+    """
+    if regime not in RULES:
+        raise ConfigError(f"regime must be one of {RULES}")
+    # an inf leaves the rules past the double range
+    for name, value in (("rho", rho), ("delta", delta), ("tau", tau), ("e1", e1), ("e2", e2)):
+        require_finite(name, value, "positive")
+    for name, value in (("p", p), ("q", q)):
+        require_finite(name, value, ">= 0")
+    require_int("d", d, high=sys.float_info.max)    # the rule divides d as a double
+    require_time(t, tau)
+    if delta >= rho:
+        raise ConfigError("rules require delta < rho (ln(rho/delta) > 0)")
+    if regime == HOLDER_RULE and p != 0.0:
+        raise ConfigError("p is not used by the holder rule")
+    if regime == LOG_RULE and q != 0.0:
+        raise ConfigError("q is not used by the log rule")
+
+    big_l = math.log(rho) - math.log(delta)  # rho/delta can overflow
+    eta = e1 * t + e2 * (tau - t)
+    denom = eta if regime == LOG_RULE else e1 * (q + t) + e2 * (tau - t)
+    # a denom > 0 that underflowed to 0, or a quotient past the double
+    # range, is a range error
     if denom == 0.0:
         raise ExponentOverflowError("the rule's denominator underflows to 0")
-    return checked(big_l / denom, "ln(rho/delta) / %.6g leaves the double range", denom)
-
-
-def _finish(base: float, d: int) -> LevelChoice:
-    """The level of rule value base^{d/2}; ExponentOverflowError past the double range."""
+    base = checked(big_l / denom, "ln(rho/delta) / %.6g leaves the double range", denom)
+    # the log rule: ln of (delta/rho)^{-1/eta} ((1/eta) ln(rho/delta))^{-p/eta};
+    # at p = 0 the second factor is 1, whatever its base
+    if regime == LOG_RULE and p != 0.0:
+        if base == 0.0:  # math.log(0) raises
+            raise ExponentOverflowError("ln(rho/delta) / eta underflows to 0")
+        base = (big_l - p * math.log(base)) / eta
+        if base <= 0.0:
+            raise ConfigError(
+                "noise too large for the log rule (inner logarithm argument <= 1)")
     with np.errstate(over="ignore", invalid="ignore"):
         raw = float(np.float64(base) ** (d / 2.0))  # libm pow, as float's `**`
     checked(raw, "rule value %.6g^(%d/2) leaves the double range", base, d)
     floored = math.floor(raw)
     return LevelChoice(level=max(1, floored), raw=raw, clamped=floored < 1)
-
-
-def choose_n_log(ci: ChoiceInputs) -> LevelChoice:
-    """Level for the power regime (logarithmic rate)."""
-    if ci.regime != LOG_RULE:
-        raise ConfigError(f"inputs are not for the log rule: regime {ci.regime!r}")
-    eta = ci.eta
-    big_l = math.log(ci.rho) - math.log(ci.delta)  # rho/delta can overflow
-    # ln of (delta/rho)^{-1/eta} ((1/eta) ln(rho/delta))^{-p/eta}
-    inner = _ratio(big_l, eta)
-    if ci.p != 0.0:  # at p = 0 the second factor is 1, whatever its base
-        if inner == 0.0:  # math.log(0) raises
-            raise ExponentOverflowError("ln(rho/delta) / eta underflows to 0")
-        inner = (big_l - ci.p * math.log(inner)) / eta
-        if inner <= 0.0:
-            raise ConfigError(
-                "noise too large for the log rule (inner logarithm argument <= 1)")
-    return _finish(inner, ci.d)
-
-
-def choose_n_holder(ci: ChoiceInputs) -> LevelChoice:
-    """Level for the exponential regime (Holder rate)."""
-    if ci.regime != HOLDER_RULE:
-        raise ConfigError(f"inputs are not for the holder rule: regime {ci.regime!r}")
-    denom = ci.e1 * (ci.q + ci.t) + ci.e2 * (ci.tau - ci.t)
-    big_l = math.log(ci.rho) - math.log(ci.delta)  # rho/delta can overflow
-    return _finish(_ratio(big_l, denom), ci.d)
-
-
-def choose_level(ci: ChoiceInputs) -> LevelChoice:
-    """Dispatch on the configured regime."""
-    return choose_n_log(ci) if ci.regime == LOG_RULE else choose_n_holder(ci)
 
 
 def zeta(s: float, b: float, c: float, dcoef: float) -> float:

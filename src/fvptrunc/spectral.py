@@ -24,6 +24,7 @@ over a given eigenvalue model; it raises ValueError naming the field.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -61,7 +62,7 @@ def _require_int_type(name: str, value) -> None:
         raise ConfigError(f"{name} must be an int, got {value!r}")
 
 
-def require_int(name: str, value, low: int = 1, high: int | None = None):
+def require_int(name: str, value, low: int = 1, high: float | None = None):
     """`value` if it is an int (a numpy integer too, never a bool) in
     low..high (no upper limit for None), else ConfigError naming `name`."""
     _require_int_type(name, value)
@@ -129,7 +130,8 @@ class EigenModel:
 
     def __post_init__(self):
         object.__setattr__(self, "lambdas", _readonly(self.lambdas))
-        require_int("dimension", self.dimension)
+        # the growth check below divides by dimension as a double
+        require_int("dimension", self.dimension, high=sys.float_info.max)
         require_finite("e1", self.e1, "positive")
         require_finite("e2", self.e2, "positive")
         lam = self.lambdas

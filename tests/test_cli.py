@@ -89,6 +89,9 @@ def names(line: str, argument: str) -> bool:
     (["choose-n", "--rule", "holder", "--delta", "0", "--rho", "1.0"], "delta"),
     (["choose-n", "--rule", "holder", "--delta", "1e-8", "--rho", "-1"], "rho"),
     (["solve", "--config", "CONFIG", "--level", "1", "--delta", "-1"], "delta"),
+    # a d past the double range, which the rule divides as a double
+    (["choose-n", "--rule", "holder", "--delta", "1e-8", "--rho", "1", "--q", "0.5",
+      "--d", "1" + "0" * 309], "d"),
 ])
 def test_out_of_range_option_is_one_config_error_line(argv, argument, config_path, capsys):
     # the library call that reads the value refuses it, not argparse

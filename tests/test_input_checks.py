@@ -5,7 +5,7 @@ Each case asserts the exception type and that its message names the
 offending field.
 """
 
-import dataclasses
+import inspect
 import math
 import re
 
@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fvptrunc import (BoundInputs, ChoiceInputs, ConfigError, EigenModel, ExperimentConfig,
+from fvptrunc import (BoundInputs, ConfigError, EigenModel, ExperimentConfig,
                       FvpInstance, GevreyParams, SolverConfig, SourceFunction,
                       SpectralField, TimeGrid, Trajectory, add_noise,
-                      apply_spectral_growth, choose_n_holder, closed_form_solution, fit_rate,
+                      apply_spectral_growth, choose_level, closed_form_solution, fit_rate,
                       fixed_point_defect, gronwall_comparison_solution, illposed_pair,
                       mode_coefficient, mode_roots, picard_solve, zeta, zeta_inverse)
 from fvptrunc.param_choice import HOLDER_RULE, LOG_RULE
@@ -45,7 +45,7 @@ def check(call, exc, field):
 def choice(**over):
     kw = dict(regime=HOLDER_RULE, rho=1.0, delta=1e-6, t=0.0, tau=1.0, d=1,
               e1=PI2, e2=PI2, q=0.5)
-    return ChoiceInputs(**{**kw, **over})
+    return choose_level(**{**kw, **over})
 
 
 @cases({
@@ -62,8 +62,6 @@ def choice(**over):
     "q-negative-holder": (lambda: choice(q=-1.0), ConfigError, "q"),
     "p-under-holder": (lambda: choice(p=3.0), ConfigError, "p"),
     "q-under-log": (lambda: choice(regime=LOG_RULE, p=1.0, q=0.5), ConfigError, "q"),
-    "holder-on-log-inputs": (lambda: choose_n_holder(choice(regime=LOG_RULE, p=1.0, q=0.0)),
-                             ConfigError, "regime"),
     "zeta-s-zero": (lambda: zeta(0.0, 1.0, 1.0, 1.0), ConfigError, "s"),
     "zeta-s-one": (lambda: zeta(1.0, 1.0, 1.0, 1.0), ConfigError, "s"),
     "zeta-inverse-a-one": (lambda: zeta_inverse(0.1, 1.0, 1.0, 1.0, a=1.0), ConfigError, "a"),
@@ -280,14 +278,14 @@ BUILDERS = {
     EigenModel: lambda **kw: EigenModel(**{"dimension": 1, "lambdas": MODEL.lambdas,
                                            "e1": PI2, "e2": PI2, **kw}),
     BoundInputs: bound,
-    ChoiceInputs: choice,
+    choose_level: choice,
 }
 NOT_SCALAR = {"model", "source", "final_data", "noisy_data", "kind", "lambdas", "regime"}
 INT_FIELDS = {"n_steps", "level", "max_iters", "dimension", "d", "mode index"}
 #: (what, field, call of the value)
-SCALAR_CASES = [(cls.__name__, f.name, lambda v, b=build, name=f.name: b(**{name: v}))
-                for cls, build in BUILDERS.items() for f in dataclasses.fields(cls)
-                if f.name not in NOT_SCALAR] + [
+SCALAR_CASES = [(what.__name__, name, lambda v, b=build, name=name: b(**{name: v}))
+                for what, build in BUILDERS.items() for name in inspect.signature(what).parameters
+                if name not in NOT_SCALAR] + [
     ("SpectralField.basis", "mode index", lambda v: SpectralField.basis(MODEL, v)),
     ("EigenModel.eigenvalue", "mode index", MODEL.eigenvalue),
 ]
@@ -298,9 +296,10 @@ BAD_VALUES = [math.nan, math.inf, -math.inf, True, 2.5, "1"]
 def bad_scalar_inputs(draw):
     what, name, call = draw(st.sampled_from(SCALAR_CASES))
     # a mode index is also tried just outside 1..mode_count, and a real
-    # field with an int past the double range (an int field takes any int)
+    # field, d and dimension (both divided as doubles) with an int past the
+    # double range (another int field takes any int)
     extra = ([0, MODEL.mode_count + 1] if name == "mode index"
-             else [] if name in INT_FIELDS else [10 ** 400])
+             else [] if name in INT_FIELDS - {"d", "dimension"} else [10 ** 400])
     return what, name, call, draw(st.sampled_from(BAD_VALUES + extra))
 
 

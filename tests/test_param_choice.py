@@ -4,21 +4,20 @@ import sys
 import numpy as np
 import pytest
 
-from fvptrunc import (BoundInputs, ChoiceInputs, ConfigError, EigenModel,
-                      choose_level, choose_n_holder, choose_n_log, log_total_bound, zeta,
-                      zeta_inverse)
+from fvptrunc import (HOLDER_RULE, LOG_RULE, BoundInputs, ConfigError, EigenModel,
+                      choose_level, total_bound, zeta, zeta_inverse)
 
 PI2 = math.pi ** 2
 
 
-def log_inputs(delta, p=1.0, rho=1.0, t=0.0, tau=1.0):
-    return ChoiceInputs(regime="log_rule", rho=rho, delta=delta, t=t, tau=tau,
-                        d=1, e1=PI2, e2=PI2, p=p)
+def log_rule(delta, p=1.0, rho=1.0, t=0.0, tau=1.0):
+    return choose_level(LOG_RULE, rho=rho, delta=delta, t=t, tau=tau, d=1, e1=PI2, e2=PI2,
+                        p=p)
 
 
-def holder_inputs(delta, q=0.5, rho=1.0, t=0.0, tau=1.0):
-    return ChoiceInputs(regime="holder_rule", rho=rho, delta=delta, t=t, tau=tau,
-                        d=1, e1=PI2, e2=PI2, q=q)
+def holder_rule(delta, q=0.5, rho=1.0, t=0.0, tau=1.0):
+    return choose_level(HOLDER_RULE, rho=rho, delta=delta, t=t, tau=tau, d=1, e1=PI2,
+                        e2=PI2, q=q)
 
 
 class TestZetaInverse:
@@ -71,7 +70,7 @@ class TestZetaInverse:
 class TestLogRule:
     def test_frozen_regression(self):
         # direct evaluation of the rule at delta = 1e-12, p = 1, rho = 1
-        choice = choose_n_log(log_inputs(1e-12))
+        choice = log_rule(1e-12)
         big_l = math.log(1e12)
         manual = math.sqrt((big_l - math.log(big_l / PI2)) / PI2)
         assert choice.raw == pytest.approx(manual, rel=1e-14)
@@ -79,7 +78,7 @@ class TestLogRule:
         assert choice.level == 1
 
     def test_monotone_and_unbounded_in_shrinking_delta(self):
-        levels = [choose_n_log(log_inputs(math.exp(-ld))).level
+        levels = [log_rule(math.exp(-ld)).level
                   for ld in (5, 30, 60, 120, 240, 480)]
         assert all(b >= a for a, b in zip(levels, levels[1:]))
         assert levels[-1] >= 5
@@ -87,48 +86,40 @@ class TestLogRule:
     def test_noise_too_large_rejected(self):
         # heavy smoothness weight flips the inner logarithm argument below 1
         with pytest.raises(ConfigError):
-            choose_n_log(log_inputs(math.exp(-15.0), p=50.0))
+            log_rule(math.exp(-15.0), p=50.0)
         with pytest.raises(ConfigError):
-            log_inputs(2.0)  # delta >= rho
+            log_rule(2.0)  # delta >= rho
 
     def test_p_to_zero_limit_matches_holder_q_zero(self):
         # at p = 0 the log rule reduces to the holder rule with q = 0
         delta = 1e-10
-        lvl_log = choose_n_log(log_inputs(delta, p=0.0, t=0.3))
-        ci = ChoiceInputs(regime="holder_rule", rho=1.0, delta=delta, t=0.3,
-                          tau=1.0, d=1, e1=PI2, e2=PI2, q=0.0)
-        lvl_holder = choose_n_holder(ci)
+        lvl_log = log_rule(delta, p=0.0, t=0.3)
+        lvl_holder = holder_rule(delta, q=0.0, t=0.3)
         assert lvl_log.raw == pytest.approx(lvl_holder.raw, rel=1e-13)
 
     def test_clamping_flagged(self):
-        choice = choose_n_log(log_inputs(1e-2))
+        choice = log_rule(1e-2)
         assert choice.level == 1 and choice.clamped
 
 
 class TestHolderRule:
     def test_frozen_small_delta(self):
-        choice = choose_n_holder(holder_inputs(1e-6))
+        choice = holder_rule(1e-6)
         manual = math.sqrt(math.log(1e6) / (PI2 * 1.5))
         assert choice.raw == pytest.approx(manual, rel=1e-14)
         assert choice.raw == pytest.approx(0.9660241136935642, rel=1e-13)
         assert choice.level == 1 and choice.clamped
 
     def test_frozen_tiny_delta(self):
-        choice = choose_n_holder(holder_inputs(1e-40))
+        choice = holder_rule(1e-40)
         assert choice.raw == pytest.approx(2.4942635362466365, rel=1e-13)
         assert choice.level == 2 and not choice.clamped
 
     def test_monotone_unbounded(self):
-        levels = [choose_n_holder(holder_inputs(math.exp(-ld))).level
+        levels = [holder_rule(math.exp(-ld)).level
                   for ld in (10, 60, 150, 300, 600)]
         assert all(b >= a for a, b in zip(levels, levels[1:]))
         assert levels[-1] >= 6
-
-    def test_dispatch(self):
-        assert choose_level(holder_inputs(1e-6)) == choose_n_holder(holder_inputs(1e-6))
-        assert choose_level(log_inputs(1e-6)) == choose_n_log(log_inputs(1e-6))
-        with pytest.raises(ValueError):
-            choose_n_log(holder_inputs(1e-6))
 
 
 class TestRateConsistency:
@@ -146,10 +137,10 @@ class TestRateConsistency:
             for _ in range(60):
                 big_l = target + p * math.log(big_l / eta)
             delta = rho * math.exp(-big_l)
-            level = min(choose_n_log(log_inputs(delta, p=p)).level, model.mode_count)
+            level = min(log_rule(delta, p=p).level, model.mode_count)
             b = BoundInputs(model=model, level=level, t=t, tau=tau, delta=delta,
                             rho=rho, kappa=1.0, regime="gevrey_p", p=p)
-            ratios.append(log_total_bound(b) + p * math.log(big_l / eta))
+            ratios.append(math.log(total_bound(b)) + p * math.log(big_l / eta))
         assert max(ratios) - min(ratios) <= 0.05
 
 
@@ -164,9 +155,8 @@ class TestGrowthConstantsEnterTheirTerms:
         # lower growth constant, equals the noise term, which grows with the
         # upper one: rho e^{-(q+t) e1 r^{2/d}} = delta e^{(tau-t) e2 r^{2/d}}
         q = 0.5
-        ci = ChoiceInputs(regime="holder_rule", rho=self.RHO, delta=self.DELTA, t=self.T,
-                          tau=self.TAU, d=d, e1=self.E1, e2=self.E2, q=q)
-        s = choose_n_holder(ci).raw ** (2 / d)
+        s = choose_level(HOLDER_RULE, rho=self.RHO, delta=self.DELTA, t=self.T, tau=self.TAU,
+                         d=d, e1=self.E1, e2=self.E2, q=q).raw ** (2 / d)
         truncation = math.log(self.RHO) - (q + self.T) * self.E1 * s
         noise = math.log(self.DELTA) + (self.TAU - self.T) * self.E2 * s
         assert truncation == pytest.approx(noise, rel=1e-12)
@@ -177,10 +167,23 @@ class TestGrowthConstantsEnterTheirTerms:
         # ln(rho/delta))^{-p/eta}))^{d/2}, with L = ln(rho/delta), reads
         # eta r^{2/d} = L - p ln(L/eta), where eta = e1 t + e2 (tau - t)
         p = 1.0
-        ci = ChoiceInputs(regime="log_rule", rho=self.RHO, delta=self.DELTA, t=self.T,
-                          tau=self.TAU, d=d, e1=self.E1, e2=self.E2, p=p)
         eta = self.E1 * self.T + self.E2 * (self.TAU - self.T)
         big_l = math.log(self.RHO / self.DELTA)
-        raw = choose_n_log(ci).raw
+        raw = choose_level(LOG_RULE, rho=self.RHO, delta=self.DELTA, t=self.T, tau=self.TAU,
+                           d=d, e1=self.E1, e2=self.E2, p=p).raw
         assert eta * raw ** (2 / d) == pytest.approx(big_l - p * math.log(big_l / eta),
                                                      rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    @pytest.mark.parametrize("delta", [1e-6, 1e-12, 1e-40])
+    def test_log_rule_is_the_asymptotic_inverse_of_zeta(self, d, p, delta):
+        # zeta(s) = s ((1/eta) ln(1/s))^{-p} has the asymptotic inverse
+        # x ((1/eta) ln(1/x))^p, whose -ln at x = delta/rho is the log
+        # rule's eta r^{2/d} = L - p ln(L/eta)
+        rho = 1.0
+        eta = self.E1 * self.T + self.E2 * (self.TAU - self.T)
+        raw = choose_level(LOG_RULE, rho=rho, delta=delta, t=self.T, tau=self.TAU, d=d,
+                           e1=self.E1, e2=self.E2, p=p).raw
+        inverse = zeta_inverse(delta / rho, 1.0, p, 1.0 / eta)
+        assert eta * raw ** (2 / d) == pytest.approx(-math.log(inverse.asymptotic), rel=1e-12)
