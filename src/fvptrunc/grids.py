@@ -6,8 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import (EigenModel, SpectralField, _readonly, require_finite, require_int,
-                       require_time, scaled_norm_rows, sup_over_time)
+from .spectral import (EigenModel, SpectralField, _readonly, require_buildable, require_finite,
+                       require_int, require_time, scaled_norm_rows, sup_over_time)
 
 
 @dataclass(frozen=True)
@@ -20,7 +20,7 @@ class TimeGrid:
     def __post_init__(self):
         require_finite("tau", self.tau, "positive")
         require_int("n_steps", self.n_steps)
-        pts = np.linspace(0.0, self.tau, self.n_steps + 1)
+        pts = require_buildable("n_steps", lambda: np.linspace(0.0, self.tau, self.n_steps + 1))
         object.__setattr__(self, "_points", _readonly(pts))
 
     @property
@@ -30,6 +30,10 @@ class TimeGrid:
     @property
     def h(self) -> float:
         return self.tau / self.n_steps
+
+    def spans(self, tau: float) -> bool:
+        """Whether the grid spans [0, tau], up to rounding (1e-12 max(tau, 1))."""
+        return abs(self.tau - tau) <= 1e-12 * max(tau, 1.0)
 
     def index_of(self, t: float) -> int:
         """Grid index of t; t must lie in [0, tau] and be a grid point (up to
@@ -77,7 +81,7 @@ class Trajectory:
 
     def sup_distance(self, other: "Trajectory") -> float:
         """Sup-over-time L2 distance; grids must span one interval and nest."""
-        if abs(self.grid.tau - other.grid.tau) > 1e-12 * max(self.grid.tau, 1.0):
+        if not other.grid.spans(self.grid.tau):
             raise ValueError("trajectories live on different time intervals")
         fine, coarse = (self, other) if self.grid.n_steps >= other.grid.n_steps else (other, self)
         r, rem = divmod(fine.grid.n_steps, coarse.grid.n_steps)

@@ -412,16 +412,14 @@ def _certified_rho(reference: ReferenceSolution, gp: GevreyParams) -> float:
 
 
 def build_reference(cfg: ExperimentConfig) -> ReferenceSolution:
-    grid = TimeGrid(cfg.tau, cfg.n_steps)
     if cfg.reference_kind == "closed_form":
         # source_c is 0.0 for the zero source (checked by ExperimentConfig)
         return combined_closed_form(cfg.model(), cfg.reference_data, cfg.source_c,
-                                    cfg.tau, grid)
+                                    TimeGrid(cfg.tau, cfg.n_steps))
     data = cfg.final_data()
-    instance = FvpInstance(model=data.model, tau=cfg.tau, source=cfg.source(),
-                           final_data=data)
+    instance = FvpInstance(data.model, cfg.tau, cfg.source())
     level = max(m for m, _ in cfg.reference_data)
-    return self_convergent_reference(instance, cfg.solver(level, cfg.n_steps))
+    return self_convergent_reference(instance, cfg.solver(level, cfg.n_steps), data)
 
 
 def noisy_solve(cfg: ExperimentConfig, g: SpectralField, level: int, delta: float,
@@ -429,8 +427,8 @@ def noisy_solve(cfg: ExperimentConfig, g: SpectralField, level: int, delta: floa
     """Solve at level `level` on n_steps from g plus noise of size delta drawn
     from `seed` (along mode `level` in the worst case; g itself at delta 0)."""
     noisy = add_noise(g, delta, cfg.direction, seed=seed, mode=level)
-    instance = FvpInstance(g.model, cfg.tau, cfg.source(), final_data=g)
-    return picard_solve(instance, cfg.solver(level, n_steps), noisy)
+    return picard_solve(FvpInstance(g.model, cfg.tau, cfg.source()),
+                        cfg.solver(level, n_steps), noisy)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:

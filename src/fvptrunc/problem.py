@@ -65,11 +65,15 @@ class SourceFunction:
 
 @dataclass(frozen=True)
 class FvpInstance:
-    """A final-value problem: recover u on [0, tau] from data at t = tau.
+    """A final-value problem's equation: recover u on [0, tau] from data
+    at t = tau, under `source`, over `model`.
 
-    `final_data` is the exact final value g; `noisy_data`, when present, is
-    a measurement g_delta with ||g_delta - g|| <= delta.  Both live over
-    `model` (see `require_same_model`).
+    The data is not part of the equation: every solve takes it as an
+    argument (`picard_solve`, `fixed_point_map`, `self_convergent_reference`).
+    `final_data` (an exact final value g), `noisy_data` (a measurement
+    g_delta with ||g_delta - g|| <= delta) and `delta` are optional
+    records that no solve reads; each is checked when given, the fields
+    over `model` (see `require_same_model`).
     """
 
     model: EigenModel
@@ -82,8 +86,6 @@ class FvpInstance:
     def __post_init__(self):
         require_finite("tau", self.tau, "positive")
         require_finite("delta", self.delta, ">= 0")
-        if self.final_data is None and self.noisy_data is None:
-            raise ValueError("an instance needs final_data and/or noisy_data")
         for name in ("final_data", "noisy_data"):
             f = getattr(self, name)
             if f is not None:

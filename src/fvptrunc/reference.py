@@ -42,7 +42,6 @@ class LinearModeRoots:
     alpha: float
     beta: float
     lam: float
-    c: float
 
 
 def mode_roots(lam: float, c: float) -> LinearModeRoots:
@@ -61,7 +60,7 @@ def mode_roots(lam: float, c: float) -> LinearModeRoots:
             f"(lambda - c)^2 must exceed 4 for real distinct roots; got lambda={lam}, c={c}")
     beta = -0.5 * (s + math.sqrt(disc))
     alpha = 1.0 / beta
-    return LinearModeRoots(alpha=alpha, beta=beta, lam=lam, c=c)
+    return LinearModeRoots(alpha=alpha, beta=beta, lam=lam)
 
 
 #: the message of a closed-form value past the double range: the growth
@@ -99,28 +98,29 @@ class ReferenceSolution:
 
 def closed_form_solution(model: EigenModel, n: int, c: float, tau: float,
                          grid: TimeGrid) -> ReferenceSolution:
-    """Single-mode exact solution with final data phi_n."""
-    return combined_closed_form(model, ((n, 1.0),), c, tau, grid)
-
-
-def combined_closed_form(model: EigenModel, weights, c: float, tau: float,
-                         grid: TimeGrid) -> ReferenceSolution:
-    """Exact solution with final data sum_n w_n phi_n (linear source only).
-
-    `weights` holds (1-based mode, w_n) pairs, each mode at most once; the
-    grid must span [0, tau].
-    """
+    """Single-mode exact solution with final data phi_n; the grid must
+    span [0, tau]."""
     require_finite("tau", tau, "positive")
-    if abs(grid.tau - tau) > 1e-12 * max(tau, 1.0):
+    if not grid.spans(tau):
         raise ValueError("grid must span [0, tau]")
+    return combined_closed_form(model, ((n, 1.0),), c, grid)
+
+
+def combined_closed_form(model: EigenModel, weights, c: float,
+                         grid: TimeGrid) -> ReferenceSolution:
+    """Exact solution on [0, grid.tau] with final data sum_n w_n phi_n
+    (linear source only).
+
+    `weights` holds (1-based mode, w_n) pairs, each mode at most once.
+    """
     SpectralField.from_coeffs(model, weights)  # checks the mode indices
     states = np.zeros((model.mode_count, grid.n_steps + 1))
     for n, w in weights:
         if w == 0.0:
             continue
         roots = mode_roots(model.eigenvalue(n), c)
-        # the last point (grid.tau, within rounding of tau) is set exactly
-        states[n - 1, :-1] = w * mode_coefficient(roots, tau, grid.points[:-1])
+        # the last point, tau, is set exactly
+        states[n - 1, :-1] = w * mode_coefficient(roots, grid.tau, grid.points[:-1])
         states[n - 1, -1] = w  # w (alpha - beta)/(alpha - beta), exactly
     return ReferenceSolution(Trajectory(grid, model, states))
 
@@ -182,22 +182,21 @@ def richardson_estimate(diff: float) -> float:
     return diff / (2.0 ** SCHEME_ORDER[DEFAULT_QUADRATURE_ORDER] - 1.0)
 
 
-def self_convergent_reference(instance: FvpInstance, cfg: SolverConfig) -> ReferenceSolution:
+def self_convergent_reference(instance: FvpInstance, cfg: SolverConfig,
+                              data: SpectralField) -> ReferenceSolution:
     """Reference by grid refinement for sources without a closed form.
 
-    Solves at cfg.n_steps / 4, / 2 and / 1 steps at cfg's truncation level,
-    from exact data (delta = 0); cfg.n_steps must be divisible by 4.  Each
-    halving must shrink the sup-norm difference by at least 3, otherwise
-    the ladder is rejected.  The finest solve is returned, tagged with a
+    Solves the instance's equation from `data`, the exact final data g, at
+    cfg.n_steps / 4, / 2 and / 1 steps at cfg's truncation level, as
+    `picard_solve` does; cfg.n_steps must be divisible by 4.  Each halving
+    must shrink the sup-norm difference by at least 3, otherwise the
+    ladder is rejected.  The finest solve is returned, tagged with a
     Richardson error estimate from the last difference.
     """
     if cfg.n_steps % 4:
         raise ValueError(f"the reference ladder needs n_steps divisible by 4, got {cfg.n_steps}")
-    if instance.delta != 0.0 or instance.final_data is None:
-        raise ValueError("self-convergent references require exact data (delta = 0)")
-
-    solves = [picard_solve(instance, replace(cfg, n_steps=cfg.n_steps // k),
-                           instance.final_data).trajectory for k in (4, 2, 1)]
+    solves = [picard_solve(instance, replace(cfg, n_steps=cfg.n_steps // k), data).trajectory
+              for k in (4, 2, 1)]
     diffs = [solves[i + 1].sup_distance(solves[i]) for i in range(len(solves) - 1)]
     floor = 1e-13 * max(s.sup_norm() for s in solves)  # rounding floor: treat as converged
     check_ladder_contraction(diffs, floor)

@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import NonConvergenceError
 from .grids import TimeGrid, Trajectory
-from .problem import FvpInstance
-from .spectral import (EigenModel, SpectralField, checked, require_finite, require_int,
+from .problem import FvpInstance, SourceFunction
+from .spectral import (SpectralField, checked, require_finite, require_int,
                        require_same_model, sup_over_time)
 from .quadrature import QuadraturePlan
 
@@ -110,7 +110,7 @@ def _solve_setup(instance: FvpInstance, cfg: SolverConfig, grid: TimeGrid,
     return lead, QuadraturePlan(lams, grid.h, grid.n_steps)
 
 
-def _map_retained(rows: np.ndarray, instance: FvpInstance, plan: QuadraturePlan,
+def _map_retained(rows: np.ndarray, source: SourceFunction, plan: QuadraturePlan,
                   lead: np.ndarray, modes: Sequence[int]) -> np.ndarray:
     """fixed_point_map on some retained modes, mode-major: (m, n+1) rows to
     their (m, n+1) image.  Row k is mode modes[k] + 1; `lead` holds the
@@ -119,7 +119,7 @@ def _map_retained(rows: np.ndarray, instance: FvpInstance, plan: QuadraturePlan,
     The source is coefficient-wise, so the rows map independently of the
     modes left out.  Callers run it with numpy's warnings off: an overflow
     anywhere in the map reaches the profiles' I_0 check as inf or NaN."""
-    integrand = instance.source.apply(rows)  # F, a new array
+    integrand = source.apply(rows)  # F, a new array
     out = np.empty_like(lead)
     for k, (j, row) in enumerate(zip(modes, rows)):
         image = out[k]
@@ -130,25 +130,25 @@ def _map_retained(rows: np.ndarray, instance: FvpInstance, plan: QuadraturePlan,
     return out
 
 
-def _padded(grid: TimeGrid, model: EigenModel, rows: np.ndarray) -> Trajectory:
-    """The trajectory whose first modes are `rows`, the rest zero."""
-    out = np.zeros((model.mode_count, grid.n_steps + 1))
-    out[:rows.shape[0]] = rows
-    return Trajectory(grid, model, out)
-
-
 def fixed_point_map(v: Trajectory, instance: FvpInstance, cfg: SolverConfig,
                     data: SpectralField) -> Trajectory:
     """One application of the regularized integral-equation map to v.
 
     Per retained mode j:  e^{lambda_j (tau - t)} data_j  minus the kernel
     integral of F_j(s, v(s)) + W_j(s), where W_j(s) = int_s^tau v_j.
-    Modes beyond the truncation level are zero.
+    Modes beyond the truncation level are zero.  v must live over the
+    instance's model and span [0, tau]; ValueError naming the trajectory
+    otherwise.
     """
+    require_same_model("trajectory", v.model, instance.model)
+    if not v.grid.spans(instance.tau):
+        raise ValueError(f"trajectory spans [0, {v.grid.tau!r}], not [0, tau = {instance.tau!r}]")
     with np.errstate(all="ignore"):
         lead, plan = _solve_setup(instance, cfg, v.grid, data)
-        image = _map_retained(v.states[:cfg.level], instance, plan, lead, range(cfg.level))
-    return _padded(v.grid, instance.model, image)
+        image = _map_retained(v.states[:cfg.level], instance.source, plan, lead, range(cfg.level))
+    states = np.zeros(v.states.shape)
+    states[:cfg.level] = image
+    return Trajectory(v.grid, instance.model, states)
 
 
 def fixed_point_defect(v: Trajectory, instance: FvpInstance, cfg: SolverConfig,
@@ -227,11 +227,11 @@ def picard_solve(instance: FvpInstance, cfg: SolverConfig, data: SpectralField) 
 
         def defect_of() -> float:
             with np.errstate(all="ignore"):
-                return sup_over_time(v - _map_retained(v, instance, plan, lead, modes))
+                return sup_over_time(v - _map_retained(v, instance.source, plan, lead, modes))
 
         bound = sup_over_time(v)  # an upper bound of sup_over_time(v)
         for its in range(1, cfg.max_iters + 1):
-            image = _map_retained(v, instance, plan, lead, modes)
+            image = _map_retained(v, instance.source, plan, lead, modes)
             inc = sup_over_time(v - image)
             increments.append(inc)
             v = image

@@ -74,11 +74,14 @@ def require_int(name: str, value, low: int = 1, high: float | None = None):
 
 def require_buildable(name: str, build):
     """build(), or a ConfigError `<name> is too large to build: ...` when
-    numpy cannot allocate an array of the size the input `name` asks for."""
+    numpy cannot allocate an array of the size the input `name` asks for.
+    A refusal from a nested call is raised again under `name`, with
+    numpy's message alone."""
     try:
         return build()
     except (MemoryError, ValueError) as exc:    # "Maximum allowed size exceeded"
-        raise ConfigError(f"{name} is too large to build: {exc}") from exc
+        reason = exc.__cause__ or exc  # numpy's refusal, under a nested one too
+        raise ConfigError(f"{name} is too large to build: {reason}") from reason
 
 
 def require_mode(j, mode_count: int):
@@ -162,7 +165,7 @@ class EigenModel:
     def dirichlet_1d(mode_count: int = 64) -> "EigenModel":
         """The built-in model on (0,1): lambda_j = j^2 pi^2, e1 = e2 = pi^2."""
         require_int("mode_count", mode_count)
-        j = np.arange(1, mode_count + 1, dtype=float)
+        j = require_buildable("mode_count", lambda: np.arange(1, mode_count + 1, dtype=float))
         return EigenModel(dimension=1, lambdas=j ** 2 * math.pi ** 2,
                           e1=math.pi ** 2, e2=math.pi ** 2)
 

@@ -294,7 +294,7 @@ class TestExperimentConfig:
         assert cfg.reference_data == ((1, 1.0), (3, 0.01))
         ref = build_reference(cfg)
         exact = combined_closed_form(cfg.model(), [(1, 1.0), (3, 0.01)], cfg.source_c,
-                                     cfg.tau, TimeGrid(cfg.tau, cfg.n_steps))
+                                     TimeGrid(cfg.tau, cfg.n_steps))
         assert np.array_equal(ref.trajectory.states, exact.trajectory.states)
         assert np.array_equal(ref.final_data.coeffs, exact.final_data.coeffs)
         assert ref.error_estimate == exact.error_estimate == 0.0
@@ -532,6 +532,18 @@ def capture_samples(monkeypatch) -> list:
     return seen
 
 
+def eager_slack(cfg: ExperimentConfig, reference, sample, seed: int) -> float:
+    """The slack of an above-bound sample, computed eagerly: 10x the Richardson
+    estimate of its cell's solves on n and n/2 steps, plus the reference's
+    error estimate."""
+    level, delta = sample.inputs.level, sample.inputs.delta
+    noisy = add_noise(reference.final_data, delta, cfg.direction, seed=seed, mode=level)
+    inst = FvpInstance(model=noisy.model, tau=cfg.tau, source=cfg.source())
+    fine, coarse = (picard_solve(inst, cfg.solver(level, n), noisy).trajectory
+                    for n in (cfg.n_steps, cfg.n_steps // 2))
+    return 10.0 * richardson_estimate(fine.sup_distance(coarse)) + reference.error_estimate
+
+
 class TestDeferredSlack:
     """The n/2 solve of a cell runs only for a row above its total bound."""
 
@@ -567,22 +579,34 @@ class TestDeferredSlack:
 
         # the deferred slack is the eagerly computed one, bit for bit
         reference = build_reference(cfg)
-        g = reference.final_data
         seeds = {r.delta: r.seed for r in report.rows}
         for s in over:
-            level, delta = s.inputs.level, s.inputs.delta
-            noisy = add_noise(g, delta, cfg.direction, seed=seeds[delta], mode=level)
-            inst = FvpInstance(model=g.model, tau=cfg.tau, source=cfg.source(),
-                               final_data=g, noisy_data=noisy, delta=delta)
-            fine, coarse = (picard_solve(inst, cfg.solver(level, n), noisy).trajectory
-                            for n in (64, 32))
-            rich = richardson_estimate(fine.sup_distance(coarse))
-            assert s.slack == 10.0 * rich + reference.error_estimate
+            assert s.slack == eager_slack(cfg, reference, s, seeds[s.inputs.delta])
             # an error just above the bound plus slack still fails
             bound = total_bound(s.inputs) + s.slack
             above = dataclasses.replace(s, measured=math.nextafter(bound, math.inf))
             assert check_dominance([dataclasses.replace(s, measured=bound)]).ok
             assert not check_dominance([above]).ok
+
+    def test_slack_adds_the_self_convergent_reference_estimate(self, monkeypatch):
+        # a sin source's ladder reference has a nonzero error estimate; on 64
+        # steps at rho 1.0 the two rows at delta 1e-12 (N = 1) sit above
+        # their bound, and their slack adds the estimate
+        samples = capture_samples(monkeypatch)
+        doc = dict(self.SLACK_DOC, eval_times=[0.0, 0.125],
+                   choice={"regime": "holder_rule", "q": 0.5, "rho": 1.0})
+        doc["instance"] = {"tau": 0.25, "mode_count": 6, "source": {"kind": "sin"},
+                           "reference": {"data": [[1, 0.2], [2, 1e-4]]}}
+        cfg = ExperimentConfig.from_dict(doc)
+        report = run_experiment(cfg)
+        reference = build_reference(cfg)
+        assert reference.error_estimate == pytest.approx(4.3e-8, rel=0.01)
+        over = [s for s in samples if not s.measured <= total_bound(s.inputs)]
+        assert [(s.inputs.t, s.inputs.delta, s.inputs.level) for s in over] == [
+            (0.0, 1e-12, 1), (0.125, 1e-12, 1)]
+        seed, = {r.seed for r in report.rows if r.delta == 1e-12}
+        for s in over:
+            assert s.slack == eager_slack(cfg, reference, s, seed)
 
     @pytest.mark.parametrize("direction, solves", [("worst_case_mode", 4),
                                                    ("seeded_random", 12)])

@@ -26,8 +26,11 @@ PI2 = math.pi ** 2
 MODEL = EigenModel.dirichlet_1d(4)
 OTHER = EigenModel.dirichlet_1d(3)
 MODEL8 = EigenModel.dirichlet_1d(8)
-# as many modes as MODEL8, other eigenvalues
+# as many modes as MODEL8 and MODEL, other eigenvalues
 SCALED8 = EigenModel(1, 4.0 * MODEL8.lambdas, 4.0 * PI2, 4.0 * PI2)
+SCALED4 = EigenModel(1, 4.0 * MODEL.lambdas, 4.0 * PI2, 4.0 * PI2)
+#: a size numpy refuses to allocate (728 TiB of doubles), before it touches memory
+HUGE = 10 ** 14
 
 
 def cases(table: dict):
@@ -109,6 +112,14 @@ def solve_from(model: EigenModel, defect: bool = False):
     return picard_solve(inst, cfg, data)
 
 
+def closed_form_defect(model: EigenModel, tau: float = 1.0):
+    """The defect of the closed form of phi_1 over MODEL on [0, 1], against an
+    instance over `model` on [0, tau] from phi_1 over `model`."""
+    ref = closed_form_solution(MODEL, 1, 1.0, 1.0, TimeGrid(1.0, 64))
+    return fixed_point_defect(ref.trajectory, FvpInstance(model, tau, SourceFunction.linear(1.0)),
+                              SolverConfig(level=1, n_steps=64), SpectralField.basis(model, 1))
+
+
 @cases({
     "level-zero": (lambda: SolverConfig(level=0, n_steps=8), ConfigError, "level"),
     "n_steps-zero": (lambda: SolverConfig(level=1, n_steps=0), ConfigError, "n_steps"),
@@ -124,6 +135,18 @@ def solve_from(model: EigenModel, defect: bool = False):
     "solve-data-fewer-modes": (lambda: solve_from(OTHER), ValueError, "data"),
     "defect-data-fewer-modes": (lambda: solve_from(OTHER, defect=True), ValueError, "data"),
     "solve-data-other-eigenvalues": (lambda: solve_from(SCALED8), ValueError, "data"),
+    # a trajectory of another problem: another interval, other eigenvalues,
+    # more modes
+    "defect-trajectory-other-tau": (lambda: closed_form_defect(MODEL, tau=2.0), ValueError,
+                                    "trajectory"),
+    "defect-trajectory-other-eigenvalues": (lambda: closed_form_defect(SCALED4), ValueError,
+                                            "trajectory"),
+    "defect-trajectory-other-mode-count": (lambda: closed_form_defect(MODEL8), ValueError,
+                                           "trajectory"),
+    "solve-n_steps-unallocatable": (
+        lambda: picard_solve(FvpInstance(MODEL, 1.0, SourceFunction.zero()),
+                             SolverConfig(level=1, n_steps=HUGE), SpectralField.basis(MODEL, 1)),
+        ConfigError, "n_steps"),
 })
 def test_solver(call, exc, field):
     check(call, exc, field)
@@ -152,7 +175,7 @@ def test_solver(call, exc, field):
                           ("basis", lambda j: SpectralField.basis(MODEL, j)))
        for j in (1.5, True)},
     **{f"dirichlet-1d-mode-count-{n!r}": (lambda n=n: EigenModel.dirichlet_1d(n), ConfigError,
-                                          "mode_count") for n in (2.5, True, 0)},
+                                          "mode_count") for n in (2.5, True, 0, HUGE)},
 })
 def test_spectral(call, exc, field):
     check(call, exc, field)
@@ -166,14 +189,15 @@ def trajectory(n_steps: int) -> Trajectory:
     "n_steps-zero": (lambda: TimeGrid(1.0, 0), ConfigError, "n_steps"),
     "grids-not-nested": (lambda: trajectory(64).sup_distance(trajectory(24)), ValueError,
                          "grids"),
+    # sizes numpy cannot allocate: past its maximum array size, and past memory
+    "n_steps-past-numpy": (lambda: TimeGrid(1.0, 10 ** 400), ConfigError, "n_steps"),
+    "n_steps-unallocatable": (lambda: TimeGrid(1.0, HUGE), ConfigError, "n_steps"),
 })
 def test_grids(call, exc, field):
     check(call, exc, field)
 
 
 @cases({
-    "no-data": (lambda: FvpInstance(MODEL, 1.0, SourceFunction.zero()), ValueError,
-                "final_data"),
     "final-data-other-model": (
         lambda: FvpInstance(MODEL, 1.0, SourceFunction.zero(),
                             final_data=SpectralField.zero(OTHER)), ValueError, "final_data"),

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -118,7 +119,7 @@ class TestClosedForm:
     def test_combined_modes_solve_the_same_odes(self):
         model = EigenModel.dirichlet_1d(4)
         grid = TimeGrid(1.0, 64)
-        ref = combined_closed_form(model, [(1, 0.5), (2, 2.0)], 1.0, 1.0, grid)
+        ref = combined_closed_form(model, [(1, 0.5), (2, 2.0)], 1.0, grid)
         one = closed_form_solution(model, 1, 1.0, 1.0, grid)
         two = closed_form_solution(model, 2, 1.0, 1.0, grid)
         assert ref.trajectory.states[0] == pytest.approx(0.5 * one.trajectory.states[0])
@@ -128,17 +129,15 @@ class TestClosedForm:
         # the second weight of mode 1 would overwrite the first
         model = EigenModel.dirichlet_1d(4)
         with pytest.raises(ValueError, match="mode 1 is given twice"):
-            combined_closed_form(model, [(1, 1.0), (1, 0.5)], 1.0, 1.0, TimeGrid(1.0, 16))
+            combined_closed_form(model, [(1, 1.0), (1, 0.5)], 1.0, TimeGrid(1.0, 16))
 
     def test_modes_and_grid_span_checked(self):
         model = EigenModel.dirichlet_1d(4)
         grid = TimeGrid(1.0, 16)
         with pytest.raises(IndexError):
-            combined_closed_form(model, [(1, 1.0), (5, 0.0)], 1.0, 1.0, grid)
+            combined_closed_form(model, [(1, 1.0), (5, 0.0)], 1.0, grid)
         with pytest.raises(IndexError):
             closed_form_solution(model, 0, 1.0, 1.0, grid)
-        with pytest.raises(ValueError, match="span"):
-            combined_closed_form(model, [(1, 1.0)], 1.0, 1.0, TimeGrid(2.0, 64))
         with pytest.raises(ValueError, match="span"):
             closed_form_solution(model, 1, 1.0, 1.0, TimeGrid(2.0, 64))
 
@@ -195,9 +194,10 @@ class TestIllposedPair:
 
 class TestSelfConvergentReference:
     def make_instance(self, model, source, data_pairs, tau):
+        """The equation and its exact final data."""
         from fvptrunc import SpectralField
-        return FvpInstance(model=model, tau=tau, source=source,
-                           final_data=SpectralField.from_coeffs(model, data_pairs))
+        return (FvpInstance(model=model, tau=tau, source=source),
+                SpectralField.from_coeffs(model, data_pairs))
 
     def test_richardson_estimate_at_sixth_order(self):
         # diff = err(h) - err(h / 2) with err ~ h^6: err(h / 2) = diff / (2^6 - 1)
@@ -205,8 +205,8 @@ class TestSelfConvergentReference:
 
     def test_linear_cross_validates_against_closed_form(self):
         model = EigenModel.dirichlet_1d(4)
-        inst = self.make_instance(model, SourceFunction.linear(1.0), [(1, 1.0)], 1.0)
-        ref = self_convergent_reference(inst, SolverConfig(level=2, n_steps=512))
+        inst, g = self.make_instance(model, SourceFunction.linear(1.0), [(1, 1.0)], 1.0)
+        ref = self_convergent_reference(inst, SolverConfig(level=2, n_steps=512), g)
         exact = closed_form_solution(model, 1, 1.0, 1.0, TimeGrid(1.0, 512))
         err = ref.trajectory.sup_distance(exact.trajectory)
         assert ref.error_estimate > 0.0
@@ -215,17 +215,17 @@ class TestSelfConvergentReference:
 
     def test_zero_source_cross_validates(self):
         model = EigenModel.dirichlet_1d(4)
-        inst = self.make_instance(model, SourceFunction.zero(), [(1, 1.0)], 1.0)
-        ref = self_convergent_reference(inst, SolverConfig(level=2, n_steps=512))
+        inst, g = self.make_instance(model, SourceFunction.zero(), [(1, 1.0)], 1.0)
+        ref = self_convergent_reference(inst, SolverConfig(level=2, n_steps=512), g)
         exact = closed_form_solution(model, 1, 0.0, 1.0, TimeGrid(1.0, 512))
         err = ref.trajectory.sup_distance(exact.trajectory)
         assert err <= 10.0 * ref.error_estimate + 1e-12 * exact.trajectory.sup_norm()
 
     def test_nonlinear_source_ladder_contracts(self):
         model = EigenModel.dirichlet_1d(4)
-        inst = self.make_instance(model, SourceFunction("sin"),
-                                  [(1, 0.2), (2, 1e-4)], 0.25)
-        ref = self_convergent_reference(inst, SolverConfig(level=2, n_steps=256))
+        inst, g = self.make_instance(model, SourceFunction("sin"),
+                                     [(1, 0.2), (2, 1e-4)], 0.25)
+        ref = self_convergent_reference(inst, SolverConfig(level=2, n_steps=256), g)
         assert ref.error_estimate < 1e-9
         assert ref.trajectory.grid.n_steps == 256
         assert np.array_equal(ref.trajectory.states[:, -1], ref.final_data.coeffs)
@@ -233,19 +233,9 @@ class TestSelfConvergentReference:
     def test_n_steps_not_divisible_by_4_rejected(self):
         # n / 4, n / 2 and n steps nest only when 4 divides n
         model = EigenModel.dirichlet_1d(4)
-        inst = self.make_instance(model, SourceFunction.zero(), [(1, 1.0)], 1.0)
+        inst, g = self.make_instance(model, SourceFunction.zero(), [(1, 1.0)], 1.0)
         with pytest.raises(ValueError, match="divisible by 4, got 510"):
-            self_convergent_reference(inst, SolverConfig(level=2, n_steps=510))
-
-    def test_noisy_instance_rejected(self):
-        from fvptrunc import SpectralField, add_noise
-        model = EigenModel.dirichlet_1d(4)
-        g = SpectralField.basis(model, 1)
-        inst = FvpInstance(model=model, tau=1.0, source=SourceFunction.zero(),
-                           final_data=g, noisy_data=add_noise(g, 0.1, seed=1),
-                           delta=0.1)
-        with pytest.raises(ValueError):
-            self_convergent_reference(inst, SolverConfig(level=2, n_steps=512))
+            self_convergent_reference(inst, SolverConfig(level=2, n_steps=510), g)
 
     def test_non_contracting_diffs_rejected(self):
         from fvptrunc.reference import check_ladder_contraction
@@ -254,6 +244,25 @@ class TestSelfConvergentReference:
         # shrink 4 >= 3 passes; floor-level tails pass regardless
         check_ladder_contraction([1e-3, 2.5e-4])
         check_ladder_contraction([1e-3, 1e-15], floor=1e-14)
+
+    def test_rounding_floor_is_relative_1e_13(self, monkeypatch):
+        # three solves that stay 1e-9 sup||v|| apart: far above the rounding
+        # floor, 1e-13 sup||v||, so their differences must shrink, and do not
+        import fvptrunc.reference
+        from fvptrunc import Trajectory
+        inst, g = self.make_instance(EigenModel.dirichlet_1d(4), SourceFunction("sin"),
+                                     [(1, 1.0)], 1.0)
+        offsets = iter((0.0, 1e-9, 2e-9))
+
+        def solve(instance, cfg, data):
+            grid = cfg.grid(instance.tau)
+            states = np.zeros((instance.model.mode_count, grid.n_steps + 1))
+            states[0] = 1.0 + next(offsets)
+            return SimpleNamespace(trajectory=Trajectory(grid, instance.model, states))
+
+        monkeypatch.setattr(fvptrunc.reference, "picard_solve", solve)
+        with pytest.raises(ReferenceRejectedError, match="shrink by 1.00 < required 3.00"):
+            self_convergent_reference(inst, SolverConfig(level=1, n_steps=64), g)
 
     @pytest.mark.parametrize("diffs", [[1.0, math.nan], [math.nan, 1e-3]])
     def test_nan_difference_rejected(self, diffs):
