@@ -7,10 +7,9 @@ from .bounds import (BoundInputs, DominanceReport, DominanceSample, check_domina
 from .errors import (ConfigError, ExponentOverflowError, FvptruncError, NonConvergenceError,
                      ReferenceRejectedError)
 from .grids import TimeGrid, Trajectory
-from .harness import (ExperimentConfig, ExperimentReport, ExperimentRow, RateFit,
-                      add_noise, fit_rate, run_experiment)
-from .param_choice import (HOLDER_RULE, LOG_RULE, LevelChoice, ZetaInverse, choose_level,
-                           zeta, zeta_inverse)
+from .harness import (HOLDER_RULE, LOG_RULE, ExperimentConfig, ExperimentReport,
+                      ExperimentRow, RateFit, add_noise, fit_rate, run_experiment)
+from .param_choice import LevelChoice, ZetaInverse, choose_level, zeta, zeta_inverse
 from .problem import FvpInstance, SourceFunction
 from .quadrature import backward_cumulative, exp_kernel_profile
 from .reference import (IllposedPair, LinearModeRoots, ReferenceSolution,

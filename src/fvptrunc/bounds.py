@@ -4,18 +4,18 @@ The bounds follow from a Gronwall inequality for iterated integrals: if
 U(t) <= c0 + c1 int_t^tau (U(s) + int_s^tau U) ds then
 U(t) <= c0 e^{(1+c1)(tau-t)}.  With kappa1 = 1 + max(kappa, 1):
 
-  truncation (power regime,  smoothness parameter p > 0):
-      e^{kappa1 (tau-t)} * rho * lambda_N^{-p} * e^{-lambda_N t}
-  truncation (exponential regime, margin q > 0):
-      e^{kappa1 (tau-t)} * rho * e^{-(q+t) lambda_N}
+  truncation:
+      e^{kappa1 (tau-t)} * rho * lambda_N^{-p} * e^{-(q+t) lambda_N}
   noise:
       delta * e^{lambda_N (tau-t)} * e^{kappa1 (tau-t)}
 
-rho budgets the weighted-norm size of the exact solution over time; the
-two regimes correspond to weight pairs (p, tau) and (0, q+tau) and are not
-mixed.  The truncation and noise bounds are formed as logs and
-exponentiated once by `exp_checked`: a bound past the double range is a
-range error (`ExponentOverflowError`).
+rho budgets the norm of the exact solution over time in the Gevrey weight
+(p, q + tau).  The two smoothness regimes are that one weight with one
+parameter 0: 'gevrey_p' (power regime, p > 0 and q = 0) and 'gevrey_q'
+(exponential regime, margin q > 0 and p = 0); they are not mixed.  The
+truncation and noise bounds are formed as logs and exponentiated once by
+`exp_checked`: a bound past the double range is a range error
+(`ExponentOverflowError`).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .grids import TimeGrid
 from .spectral import (EigenModel, checked, exp_checked, exp_or_inf, require_finite,
                        require_int, require_time)
 
@@ -60,9 +61,7 @@ def gronwall_comparison_solution(c0: float, c1: float, tau: float,
     leaves the double range.
     """
     _check_gronwall_constants(c0, c1, tau)
-    # at n_steps = 0 the one point t = 0 would be set to X(tau) = c0 below
-    require_int("n_steps", n_steps)
-    pts = np.linspace(0.0, tau, n_steps + 1)
+    pts = TimeGrid(tau, n_steps).points
     w = tau - pts
     r1 = 0.5 * (c1 + math.sqrt(c1 * c1 + 4.0 * c1))
     r2 = -c1 / r1  # the product of the roots; r1 + r2 would cancel
@@ -78,8 +77,8 @@ def gronwall_comparison_solution(c0: float, c1: float, tau: float,
 class BoundInputs:
     """Everything the error bounds need at one (N, delta, t) sample.
 
-    For regime 'gevrey_p' the smoothness pair is (p, tau) and q must be 0;
-    for 'gevrey_q' it is (0, q + tau) and p must be 0.  Mixed regimes are
+    The smoothness weight is (p, q + tau).  Regime 'gevrey_p' needs p > 0
+    and q = 0, 'gevrey_q' needs q > 0 and p = 0: mixed regimes are
     rejected, matching the two separate estimates that exist.
     """
 
@@ -124,11 +123,9 @@ class BoundInputs:
 
 
 def log_truncation_bound(b: BoundInputs) -> float:
+    """kappa1 (tau - t) + ln rho - p ln lambda_N - (q + t) lambda_N."""
     lam = b.lam_n
-    base = b.kappa1 * (b.tau - b.t) + math.log(b.rho)
-    if b.regime == "gevrey_p":
-        return base - b.p * math.log(lam) - lam * b.t
-    return base - (b.q + b.t) * lam
+    return b.kappa1 * (b.tau - b.t) + math.log(b.rho) - b.p * math.log(lam) - (b.q + b.t) * lam
 
 
 def log_noise_bound(b: BoundInputs) -> float:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .errors import ConfigError, FvptruncError
 from .harness import ExperimentConfig, noisy_solve, run_experiment
-from .param_choice import HOLDER_RULE, LOG_RULE, choose_level
+from .param_choice import choose_level
 from .reference import illposed_pair
 from .spectral import EigenModel, require_buildable, require_int
 
@@ -91,8 +91,7 @@ def _cmd_demo_illposed(args) -> int:
 
 
 def _cmd_choose_n(args) -> int:
-    regime = LOG_RULE if args.rule == "log" else HOLDER_RULE
-    choice = choose_level(regime, rho=args.rho, delta=args.delta, t=args.t, tau=args.tau,
+    choice = choose_level(rho=args.rho, delta=args.delta, t=args.t, tau=args.tau,
                           d=args.d, e1=args.e1, e2=args.e2, p=args.p, q=args.q)
     print(f"N = {choice.level}  (raw rule value {choice.raw:.6g}"
           + (", clamped to 1" if choice.clamped else "") + ")")
@@ -130,7 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_demo_illposed)
 
     p = sub.add_parser("choose-n", help="print the rule-chosen truncation level")
-    p.add_argument("--rule", choices=("log", "holder"), required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--t", type=float, default=0.0)
@@ -138,8 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--e1", type=float, default=math.pi ** 2)
     p.add_argument("--e2", type=float, default=math.pi ** 2)
-    p.add_argument("--p", type=float, default=0.0)
-    p.add_argument("--q", type=float, default=0.0)
+    p.add_argument("--p", type=float, default=0.0, help="the log rule's smoothness")
+    p.add_argument("--q", type=float, default=0.0, help="the Holder rule's margin")
     p.set_defaults(func=_cmd_choose_n)
 
     p = sub.add_parser("experiment", help="run a delta-ladder experiment")

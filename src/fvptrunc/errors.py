@@ -4,8 +4,8 @@ Each type carries the CLI's exit code for it and the label that starts its
 one stderr line (`fvptrunc.cli.main`; the table is in the README).  An
 input outside what an operation covers is a `ConfigError`, whichever
 check refuses it: a value out of its range, a parameter-choice rule given
-the other rule's parameter or noise at or above rho, a bound regime mixed
-with the other's parameter, a linear mode with complex roots, or a value
+both p and q or noise at or above rho, a bound regime mixed with the
+other's parameter, a linear mode with complex roots, or a value
 outside the range `zeta_inverse` inverts.
 """
 

@@ -24,7 +24,7 @@ from .bounds import (BoundInputs, DominanceReport, DominanceSample, check_domina
                      noise_bound, total_bound, truncation_bound)
 from .errors import ConfigError, NonConvergenceError
 from .grids import TimeGrid
-from .param_choice import HOLDER_RULE, LOG_RULE, choose_level
+from .param_choice import choose_level
 from .problem import FvpInstance, SourceFunction
 from .reference import (ReferenceSolution, combined_closed_form, richardson_estimate,
                         self_convergent_reference)
@@ -148,6 +148,11 @@ def _key(path: str, check, default=MISSING):
     """A field read from the document at the dotted `path`, where a missing
     key takes `default`, and checked by `check` on construction."""
     return field(default=default, metadata={"path": path, "check": check})
+
+
+#: the two values of `choice.regime`: the log rule reads p, the Holder rule q
+LOG_RULE = "log_rule"
+HOLDER_RULE = "holder_rule"
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -320,7 +325,8 @@ def _t975(dof: int) -> float:
 
 
 def fit_rate(points) -> RateFit:
-    """Least squares on (ln delta, ln error); needs >= 4 finite positive pairs.
+    """Least squares on (ln delta, ln error); needs >= 4 finite positive pairs
+    at >= 2 distinct deltas.
 
     The 95% CI is slope +- _t975(points - 2) * stderr.
     """
@@ -329,6 +335,8 @@ def fit_rate(points) -> RateFit:
     if len(pts) < 4:
         raise ValueError("rate fits need at least 4 points")
     log_x, log_y = np.log([d for d, _ in pts]), np.log([e for _, e in pts])
+    if log_x.min() == log_x.max():    # no slope to fit
+        raise ValueError("rate fits need at least 2 distinct deltas")
     slope, intercept = np.polyfit(log_x, log_y, 1)
     fitted = slope * log_x + intercept
     ss_res = float(np.sum((log_y - fitted) ** 2))
@@ -336,7 +344,7 @@ def fit_rate(points) -> RateFit:
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     dof = log_x.size - 2
     sxx = float(np.sum((log_x - log_x.mean()) ** 2))
-    stderr = math.sqrt(ss_res / dof / sxx) if sxx > 0 else 0.0
+    stderr = math.sqrt(ss_res / dof / sxx)
     half = _t975(dof) * stderr
     return RateFit(slope=float(slope), intercept=float(intercept), r2=r2,
                    stderr=stderr, ci95=(float(slope - half), float(slope + half)))
@@ -456,10 +464,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     reference = build_reference(cfg)
     g = reference.final_data
     model = g.model
-    # the rule's bound regime, and the Gevrey weight its rho is certified in
-    regime, gp = ("gevrey_p", GevreyParams(cfg.p, cfg.tau)) if cfg.regime == LOG_RULE \
-        else ("gevrey_q", GevreyParams(0.0, cfg.q + cfg.tau))
-    rho = _certified_rho(reference, gp) if cfg.rho == "certified" else cfg.rho
+    regime = "gevrey_p" if cfg.regime == LOG_RULE else "gevrey_q"    # the bound's name
+    rho = (_certified_rho(reference, GevreyParams(cfg.p, cfg.q + cfg.tau))
+           if cfg.rho == "certified" else cfg.rho)
     eval_idx = {t: reference.trajectory.grid.index_of(t) for t in cfg.eval_times}
     # the noise seed of delta number di, trial `trial`: the same at every t
     seeds = [[int(np.random.SeedSequence(cfg.seed, spawn_key=(di, trial)).generate_state(1)[0])
@@ -472,9 +479,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     plan, keys = [], {}
     for t in cfg.eval_times:
         for di, delta in enumerate(cfg.deltas):
-            level = choose_level(
-                cfg.regime, rho=rho, delta=delta, t=t, tau=cfg.tau, d=model.dimension,
-                e1=model.e1, e2=model.e2, p=cfg.p, q=cfg.q).level
+            level = choose_level(rho=rho, delta=delta, t=t, tau=cfg.tau, d=model.dimension,
+                                 e1=model.e1, e2=model.e2, p=cfg.p, q=cfg.q).level
             if level > model.mode_count:
                 flags[t].append(f"level capped at mode_count for t={t:g}, delta={delta:g}")
             bi = BoundInputs(model=model, level=min(level, model.mode_count), t=t, tau=cfg.tau,

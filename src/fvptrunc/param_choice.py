@@ -1,23 +1,29 @@
 """A-priori rules tying the truncation level to the noise level.
 
 Both rules minimize the two competing bound terms using the eigenvalue
-growth constants e1, e2 (lambda_n between e1 n^{2/d} and e2 n^{2/d}):
+growth constants e1, e2 (lambda_n between e1 n^{2/d} and e2 n^{2/d}), for
+the Gevrey weight (p, q + tau) of `bounds.log_truncation_bound`, in which
+p or q is 0.  With eta = e1 (q + t) + e2 (tau - t) and L = ln(rho/delta),
+one formula covers both:
 
-  power-regime (logarithmic rate), weight eta(t) = e1 t + e2 (tau - t):
+  r = ( (L - p ln(L / eta)) / eta )^{d/2}
+
+  q = 0, the log rule (logarithmic rate), eta = e1 t + e2 (tau - t):
       r = ( ln( (delta/rho)^{-1/eta} * ((1/eta) ln(rho/delta))^{-p/eta} ) )^{d/2}
-  exponential-regime (Holder rate delta^{e1(q+t)/(e1(q+t)+e2(tau-t))}):
+  p = 0, the Holder rule (rate delta^{e1(q+t)/(e1(q+t)+e2(tau-t))}):
       r = ( ln(rho/delta) / (e1 (q+t) + e2 (tau - t)) )^{d/2}
 
-The returned level is max(1, floor(r)); noise close to rho often produces
-r < 1, which the rules clamp and flag.  The n-th root inversion behind the
-first rule (inverse of s -> s^b (d ln(1/s))^{-c}) is exposed separately,
-with both a rigorous bisection inverse and its closed-form asymptotic, so
-the asymptotic agreement can be verified rather than assumed.
+At p = q = 0 the two are one rule.  The returned level is
+max(1, floor(r)); noise close to rho often produces r < 1, which the
+rules clamp and flag.  The n-th root inversion behind the log rule
+(inverse of s -> s^b (d ln(1/s))^{-c}) is exposed separately, with both a
+rigorous bisection inverse and its closed-form asymptotic, so the
+asymptotic agreement can be verified rather than assumed.
 
 Every input a rule cannot take is a `ConfigError`: a value out of its
-range, noise at or above rho or too large for the log rule's inner
-logarithm, the other rule's parameter, and a value outside the range
-`zeta_inverse` inverts.  A rule value past the double range is an
+range, both p and q nonzero, noise at or above rho or too large for the
+log rule's inner logarithm, and a value outside the range `zeta_inverse`
+inverts.  A rule value past the double range is an
 `ExponentOverflowError`.
 """
 
@@ -32,9 +38,8 @@ import numpy as np
 from .errors import ConfigError, ExponentOverflowError
 from .spectral import checked, require_finite, require_int, require_time
 
-LOG_RULE = "log_rule"
-HOLDER_RULE = "holder_rule"
-RULES = (LOG_RULE, HOLDER_RULE)
+#: zeta_inverse brackets its root in (0, ZETA_INVERSE_END]
+ZETA_INVERSE_END = 0.5
 
 
 class LevelChoice(NamedTuple):
@@ -43,15 +48,10 @@ class LevelChoice(NamedTuple):
     clamped: bool   # True when floor(raw) < 1
 
 
-def choose_level(regime: str, rho: float, delta: float, t: float, tau: float, d: int,
+def choose_level(rho: float, delta: float, t: float, tau: float, d: int,
                  e1: float, e2: float, p: float = 0.0, q: float = 0.0) -> LevelChoice:
-    """The level the rule `regime` picks at time t.
-
-    The log rule reads p and the holder rule q; the other one may hold
-    only its default, 0 (p = 0 under the log rule is valid).
-    """
-    if regime not in RULES:
-        raise ConfigError(f"regime must be one of {RULES}")
+    """The level the rule picks at time t: the log rule for p, the Holder
+    rule for q; at most one of them may be nonzero."""
     # an inf leaves the rules past the double range
     for name, value in (("rho", rho), ("delta", delta), ("tau", tau), ("e1", e1), ("e2", e2)):
         require_finite(name, value, "positive")
@@ -61,22 +61,20 @@ def choose_level(regime: str, rho: float, delta: float, t: float, tau: float, d:
     require_time(t, tau)
     if delta >= rho:
         raise ConfigError("rules require delta < rho (ln(rho/delta) > 0)")
-    if regime == HOLDER_RULE and p != 0.0:
-        raise ConfigError("p is not used by the holder rule")
-    if regime == LOG_RULE and q != 0.0:
-        raise ConfigError("q is not used by the log rule")
+    if p != 0.0 and q != 0.0:
+        raise ConfigError(f"p and q cannot both be nonzero (the log rule reads p, the "
+                          f"Holder rule q), got p = {p!r} and q = {q!r}")
 
     big_l = math.log(rho) - math.log(delta)  # rho/delta can overflow
-    eta = e1 * t + e2 * (tau - t)
-    denom = eta if regime == LOG_RULE else e1 * (q + t) + e2 * (tau - t)
-    # a denom > 0 that underflowed to 0, or a quotient past the double
+    eta = e1 * (q + t) + e2 * (tau - t)
+    # an eta > 0 that underflowed to 0, or a quotient past the double
     # range, is a range error
-    if denom == 0.0:
+    if eta == 0.0:
         raise ExponentOverflowError("the rule's denominator underflows to 0")
-    base = checked(big_l / denom, "ln(rho/delta) / %.6g leaves the double range", denom)
-    # the log rule: ln of (delta/rho)^{-1/eta} ((1/eta) ln(rho/delta))^{-p/eta};
+    base = checked(big_l / eta, "ln(rho/delta) / %.6g leaves the double range", eta)
+    # the log rule's ln of (delta/rho)^{-1/eta} ((1/eta) ln(rho/delta))^{-p/eta};
     # at p = 0 the second factor is 1, whatever its base
-    if regime == LOG_RULE and p != 0.0:
+    if p != 0.0:
         if base == 0.0:  # math.log(0) raises
             raise ExponentOverflowError("ln(rho/delta) / eta underflows to 0")
         base = (big_l - p * math.log(base)) / eta
@@ -92,7 +90,7 @@ def choose_level(regime: str, rho: float, delta: float, t: float, tau: float, d:
 
 def zeta(s: float, b: float, c: float, dcoef: float) -> float:
     """s^b (dcoef ln(1/s))^{-c} on (0, 1), for b > 0, c >= 0 and dcoef > 0."""
-    if not 0.0 < s < 1.0:
+    if not 0.0 < require_finite("s", s) < 1.0:
         raise ConfigError(f"zeta is defined on (0, 1), got s = {s!r}")
     require_finite("b", b, "positive")
     require_finite("c", c, ">= 0")
@@ -105,18 +103,17 @@ class ZetaInverse(NamedTuple):
     asymptotic: float  # s^{1/b} ((dcoef/b) ln(1/s))^{c/b}
 
 
-def zeta_inverse(s: float, b: float, c: float, dcoef: float,
-                 a: float = 0.5) -> ZetaInverse:
-    """Invert zeta on (0, a] by bisection; also return the asymptotic form.
+def zeta_inverse(s: float, b: float, c: float, dcoef: float) -> ZetaInverse:
+    """Invert zeta on (0, ZETA_INVERSE_END] by bisection; also return the
+    asymptotic form.
 
     zeta is strictly increasing on (0, 1) for b, c, dcoef > 0, so the
-    bracket is (tiny, a].  The asymptotic value tends to the true inverse
-    as s -> 0; exposing both lets callers check the ratio instead of
-    trusting the limit.
+    bracket is (tiny, ZETA_INVERSE_END].  The asymptotic value tends to
+    the true inverse as s -> 0; exposing both lets callers check the ratio
+    instead of trusting the limit.
     """
-    if not 0.0 < a < 1.0:
-        raise ConfigError("domain endpoint a must lie in (0, 1)")
-    if not 0.0 < s <= zeta(a, b, c, dcoef):    # zeta checks b, c and dcoef
+    a = ZETA_INVERSE_END
+    if not 0.0 < require_finite("s", s) <= zeta(a, b, c, dcoef):    # zeta checks b, c, dcoef
         raise ConfigError(f"s = {s:.6g} outside the range of zeta on (0, {a}]")
     if c == 0.0:
         root = s ** (1.0 / b)

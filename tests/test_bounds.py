@@ -107,7 +107,7 @@ BOUND_FIELDS = ("t", "tau", "kappa", "p", "q")
 
 
 def cinputs(**kw):
-    base = dict(regime="holder_rule", rho=1.0, delta=1e-3, t=0.0, tau=1.0, d=1,
+    base = dict(rho=1.0, delta=1e-3, t=0.0, tau=1.0, d=1,
                 e1=PI2, e2=PI2, q=0.5)
     base.update(kw)
     return choose_level(**base)

@@ -33,8 +33,7 @@ def config_path(tmp_path):
 
 
 def test_choose_n(capsys):
-    code = main(["choose-n", "--rule", "holder", "--delta", "1e-40", "--rho", "1.0",
-                 "--q", "0.5"])
+    code = main(["choose-n", "--delta", "1e-40", "--rho", "1.0", "--q", "0.5"])
     out = capsys.readouterr().out
     assert code == 0
     assert "N = 2" in out
@@ -44,12 +43,12 @@ def test_choose_n(capsys):
 #: p = 0 and at p > 0, where it is no "noise too large"), a `**` that
 #: overflows, a denominator and a log argument that underflow to 0
 CHOOSE_N_PAST_THE_RANGE = [
-    "choose-n --rule log --delta 1e-300 --rho 1 --p 0 --e1 1e-308 --e2 1e-308",
-    "choose-n --rule log --delta 1e-300 --rho 1 --p 1e-3 --e1 1e-308 --e2 1e-308",
-    "choose-n --rule holder --delta 1e-300 --rho 1 --q 1 --e1 1e-320 --e2 1e-320",
-    "choose-n --rule holder --delta 1e-300 --rho 1 --q 0.5 --d 4 --e1 1e-200 --e2 1e-200",
-    "choose-n --rule holder --delta 1e-10 --rho 1 --t 1e-10 --tau 1e-10 --e1 1e-320 --e2 1e-320",
-    "choose-n --rule log --delta 0.5 --rho 1 --p 1 --t 1e300 --tau 1e300 --e1 1e300",
+    "choose-n --delta 1e-300 --rho 1 --p 0 --e1 1e-308 --e2 1e-308",
+    "choose-n --delta 1e-300 --rho 1 --p 1e-3 --e1 1e-308 --e2 1e-308",
+    "choose-n --delta 1e-300 --rho 1 --q 1 --e1 1e-320 --e2 1e-320",
+    "choose-n --delta 1e-300 --rho 1 --q 0.5 --d 4 --e1 1e-200 --e2 1e-200",
+    "choose-n --delta 1e-10 --rho 1 --t 1e-10 --tau 1e-10 --e1 1e-320 --e2 1e-320",
+    "choose-n --delta 0.5 --rho 1 --p 1 --t 1e300 --tau 1e300 --e1 1e300",
 ]
 
 
@@ -62,22 +61,22 @@ def test_choose_n_past_the_double_range_exits_2(argv, capsys):
 
 
 def test_choose_n_noise_too_large_exits_2(capsys):
-    code = main(["choose-n", "--rule", "holder", "--delta", "2.0", "--rho", "1.0",
-                 "--q", "0.5"])
+    code = main(["choose-n", "--delta", "2.0", "--rho", "1.0", "--q", "0.5"])
     assert code == 2
 
 
 @pytest.mark.parametrize("argv", [
-    "choose-n --rule holder --delta 1e-8 --rho 1 --q 0.5 --p 3",
-    "choose-n --rule log --delta 1e-8 --rho 1 --p 1 --q 0.5",
-    "choose-n --rule holder --delta 1e-4 --rho 1 --q 0.5 --p 1",
+    "choose-n --delta 1e-8 --rho 1 --q 0.5 --p 3",
+    "choose-n --delta 1e-8 --rho 1 --p 1 --q 0.5",
+    "choose-n --delta 1e-4 --rho 1 --q 0.5 --p 1",
 ])
-def test_choose_n_unused_rule_parameter_exits_2(argv, capsys):
-    # the holder rule reads q alone and the log rule p alone
+def test_choose_n_both_p_and_q_exits_2(argv, capsys):
+    # p selects the log rule and q the Holder rule: one line names both
     assert main(argv.split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error:") and len(captured.err.splitlines()) == 1
+    assert names(captured.err, "p") and names(captured.err, "q"), captured.err
 
 
 def names(line: str, argument: str) -> bool:
@@ -86,11 +85,11 @@ def names(line: str, argument: str) -> bool:
 
 
 @pytest.mark.parametrize("argv, argument", [
-    (["choose-n", "--rule", "holder", "--delta", "0", "--rho", "1.0"], "delta"),
-    (["choose-n", "--rule", "holder", "--delta", "1e-8", "--rho", "-1"], "rho"),
+    (["choose-n", "--delta", "0", "--rho", "1.0"], "delta"),
+    (["choose-n", "--delta", "1e-8", "--rho", "-1"], "rho"),
     (["solve", "--config", "CONFIG", "--level", "1", "--delta", "-1"], "delta"),
     # a d past the double range, which the rule divides as a double
-    (["choose-n", "--rule", "holder", "--delta", "1e-8", "--rho", "1", "--q", "0.5",
+    (["choose-n", "--delta", "1e-8", "--rho", "1", "--q", "0.5",
       "--d", "1" + "0" * 309], "d"),
 ])
 def test_out_of_range_option_is_one_config_error_line(argv, argument, config_path, capsys):
@@ -106,7 +105,7 @@ def test_out_of_range_option_is_one_config_error_line(argv, argument, config_pat
     "solve --config CONFIG --level abc",
     "solve --config CONFIG --level 2.5",
     "demo-illposed --modes 1e3",
-    "choose-n --rule holder --delta abc --rho 1",
+    "choose-n --delta abc --rho 1",
 ])
 def test_option_that_is_not_a_number_is_a_usage_error(argv, config_path, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -115,7 +114,7 @@ def test_option_that_is_not_a_number_is_a_usage_error(argv, config_path, capsys)
     assert capsys.readouterr().err.startswith("usage:")
 
 
-CHOOSE_N = ["choose-n", "--rule", "holder", "--delta", "1e-8", "--rho", "1.0"]
+CHOOSE_N = ["choose-n", "--delta", "1e-8", "--rho", "1.0"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -131,8 +130,8 @@ CHOOSE_N = ["choose-n", "--rule", "holder", "--delta", "1e-8", "--rho", "1.0"]
     ["demo-illposed", "--tau", "0"],
     ["demo-illposed", "--tau", "-1"],
     ["demo-illposed", "--modes", "0"],
-    ["choose-n", "--rule", "holder", "--delta", "1e-8", "--rho", "0"],
-    ["choose-n", "--rule", "holder", "--rho", "1.0", "--delta", "nan"],
+    ["choose-n", "--delta", "1e-8", "--rho", "0"],
+    ["choose-n", "--rho", "1.0", "--delta", "nan"],
     CHOOSE_N + ["--e2", "inf"],
     CHOOSE_N + ["--t", "-1"],
     ["solve", "--config", "CONFIG", "--level", "1", "--delta", "-1"],
@@ -523,7 +522,7 @@ NON_NEGATIVE = st.one_of(st.just(0.0), MAGNITUDES)
 
 @st.composite
 def choose_n_argvs(draw) -> list:
-    argv = ["choose-n", "--rule", draw(st.sampled_from(["log", "holder"]))]
+    argv = ["choose-n"]
     for name in ("delta", "rho", "tau", "e1", "e2"):
         argv += [f"--{name}", repr(draw(MAGNITUDES))]
     for name in ("t", "p", "q"):

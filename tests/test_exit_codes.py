@@ -59,7 +59,7 @@ def test_main_reports_an_error_by_its_code_and_label(cls, monkeypatch, capsys):
         raise cls("the message")
 
     monkeypatch.setattr(fvptrunc.cli, "_cmd_choose_n", fail)
-    assert main(["choose-n", "--rule", "log", "--delta", "1", "--rho", "1"]) == cls.exit_code
+    assert main(["choose-n", "--delta", "1", "--rho", "1"]) == cls.exit_code
     assert capsys.readouterr().err == f"{cls.label}: the message\n"
 
 

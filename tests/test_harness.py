@@ -10,10 +10,10 @@ import pytest
 import fvptrunc.cli
 import fvptrunc.harness
 from fvptrunc import (ConfigError, EigenModel, ExperimentConfig, ExponentOverflowError,
-                      FvpInstance, SpectralField, TimeGrid, add_noise, check_dominance,
-                      combined_closed_form, fit_rate, l2_norm, picard_solve, run_experiment,
-                      total_bound)
-from fvptrunc.harness import ExperimentRow, build_reference
+                      FvpInstance, GevreyParams, SpectralField, TimeGrid, add_noise,
+                      check_dominance, combined_closed_form, fit_rate, gevrey_norm, l2_norm,
+                      picard_solve, run_experiment, total_bound)
+from fvptrunc.harness import RHO_SAFETY, ExperimentRow, build_reference
 from fvptrunc.reference import richardson_estimate
 
 PI2 = math.pi ** 2
@@ -38,6 +38,13 @@ def config_doc(**over):
     }
     doc.update(over)
     return doc
+
+
+def certified_rho(doc: dict, gp: GevreyParams) -> float:
+    """RHO_SAFETY times the largest Gevrey norm, in weight gp, of the
+    closed-form reference's grid states."""
+    traj = build_reference(ExperimentConfig.from_dict(doc)).trajectory
+    return RHO_SAFETY * max(gevrey_norm(traj.state(i), gp) for i in range(traj.grid.n_steps + 1))
 
 
 SIN_INSTANCE = {"tau": 0.25, "mode_count": 4, "source": {"kind": "sin"},
@@ -130,6 +137,12 @@ class TestFitRate:
             fit_rate([(1e-1, 1e-1), (1e-2, 1e-2), (1e-3, 1e-3)])
         with pytest.raises(ValueError):
             fit_rate([(1e-1, 1.0), (1e-2, -1.0), (1e-3, 1.0), (1e-4, 1.0)])
+
+    def test_one_distinct_delta_refused(self):
+        # four points at one delta have no slope: numpy's polyfit would warn
+        # (RankWarning) and the fit read a zero-width CI
+        with pytest.raises(ValueError, match="at least 2 distinct deltas"):
+            fit_rate([(0.1, 1e-3), (0.1, 2e-3), (0.1, 3e-3), (0.1, 5e-3)])
 
 
 class TestExperimentConfig:
@@ -359,6 +372,9 @@ class TestRunExperiment:
     def test_rows_bounds_and_fits(self):
         cfg = ExperimentConfig.from_dict(config_doc())
         report = run_experiment(cfg)
+        # the holder rule's rho is certified in the weight (0, q + tau)
+        assert report.rho == pytest.approx(certified_rho(config_doc(), GevreyParams(0.0, 1.5)),
+                                           rel=1e-12)
         assert len(report.rows) == 10  # 2 times x 5 deltas x 1 trial
         for row in report.rows:
             assert math.isfinite(row.measured_error)
@@ -420,6 +436,7 @@ class TestRunExperiment:
         report = run_experiment(ExperimentConfig.from_dict(doc))
         assert report.dominance.ok
         assert all(r.level >= 1 for r in report.rows)
+        assert report.rho == pytest.approx(certified_rho(doc, GevreyParams(1.0, 1.0)), rel=1e-12)
 
     def test_desk_scale_guard_rejects_overflowing_level(self):
         doc = config_doc()

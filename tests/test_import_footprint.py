@@ -87,7 +87,7 @@ def test_import_loads_no_scipy():
 
 @needs_bundled_dtbsv
 @pytest.mark.parametrize("argv", [
-    ["choose-n", "--rule", "holder", "--delta", "1e-40", "--rho", "1.0", "--q", "0.5"],
+    ["choose-n", "--delta", "1e-40", "--rho", "1.0", "--q", "0.5"],
     ["demo-illposed", "--modes", "8"],
 ], ids=lambda argv: argv[0])
 def test_command_loads_no_scipy(argv):
@@ -119,7 +119,7 @@ def test_import_leaves_numpy_random_unloaded(lazy_numpy_random):
 
 
 @pytest.mark.parametrize("argv", [
-    ["choose-n", "--rule", "holder", "--delta", "1e-40", "--rho", "1.0", "--q", "0.5"],
+    ["choose-n", "--delta", "1e-40", "--rho", "1.0", "--q", "0.5"],
     ["demo-illposed", "--modes", "8"],
 ], ids=lambda argv: argv[0])
 def test_noise_free_command_leaves_numpy_random_unloaded(lazy_numpy_random, argv):

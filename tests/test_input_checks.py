@@ -18,9 +18,9 @@ from fvptrunc import (BoundInputs, ConfigError, EigenModel, ExperimentConfig,
                       FvpInstance, GevreyParams, SolverConfig, SourceFunction,
                       SpectralField, TimeGrid, Trajectory, add_noise,
                       apply_spectral_growth, choose_level, closed_form_solution, fit_rate,
-                      fixed_point_defect, gronwall_comparison_solution, illposed_pair,
-                      mode_coefficient, mode_roots, picard_solve, zeta, zeta_inverse)
-from fvptrunc.param_choice import HOLDER_RULE, LOG_RULE
+                      fixed_point_defect, gronwall_bound, gronwall_comparison_solution,
+                      illposed_pair, mode_coefficient, mode_roots, picard_solve, zeta,
+                      zeta_inverse)
 
 PI2 = math.pi ** 2
 MODEL = EigenModel.dirichlet_1d(4)
@@ -46,13 +46,12 @@ def check(call, exc, field):
 
 
 def choice(**over):
-    kw = dict(regime=HOLDER_RULE, rho=1.0, delta=1e-6, t=0.0, tau=1.0, d=1,
+    kw = dict(rho=1.0, delta=1e-6, t=0.0, tau=1.0, d=1,
               e1=PI2, e2=PI2, q=0.5)
     return choose_level(**{**kw, **over})
 
 
 @cases({
-    "regime": (lambda: choice(regime="ridge"), ConfigError, "regime"),
     "delta-zero": (lambda: choice(delta=0.0), ConfigError, "delta"),
     "rho-negative": (lambda: choice(rho=-1.0), ConfigError, "rho"),
     "t-past-tau": (lambda: choice(t=1.5), ConfigError, "t"),
@@ -61,15 +60,17 @@ def choice(**over):
     "d-not-an-int": (lambda: choice(d=1.5), ConfigError, "d"),
     "e1-zero": (lambda: choice(e1=0.0), ConfigError, "e1"),
     "e2-negative": (lambda: choice(e2=-1.0), ConfigError, "e2"),
-    "p-negative-log": (lambda: choice(regime=LOG_RULE, p=-1.0, q=0.0), ConfigError, "p"),
+    "p-negative-log": (lambda: choice(p=-1.0, q=0.0), ConfigError, "p"),
     "q-negative-holder": (lambda: choice(q=-1.0), ConfigError, "q"),
-    "p-under-holder": (lambda: choice(p=3.0), ConfigError, "p"),
-    "q-under-log": (lambda: choice(regime=LOG_RULE, p=1.0, q=0.5), ConfigError, "q"),
+    # p selects the log rule and q the holder rule: one refusal names both
+    "p-and-q-names-p": (lambda: choice(p=3.0), ConfigError, "p"),
+    "p-and-q-names-q": (lambda: choice(p=1.0, q=0.5), ConfigError, "q"),
     "zeta-s-zero": (lambda: zeta(0.0, 1.0, 1.0, 1.0), ConfigError, "s"),
     "zeta-s-one": (lambda: zeta(1.0, 1.0, 1.0, 1.0), ConfigError, "s"),
-    "zeta-inverse-a-one": (lambda: zeta_inverse(0.1, 1.0, 1.0, 1.0, a=1.0), ConfigError, "a"),
-    "zeta-inverse-a-zero": (lambda: zeta_inverse(0.1, 1.0, 1.0, 1.0, a=0.0), ConfigError,
-                            "a"),
+    "zeta-s-a-string": (lambda: zeta("1", 1.0, 1.0, 1.0), ConfigError, "s"),
+    "zeta-inverse-s-a-string": (lambda: zeta_inverse("1", 1.0, 1.0, 1.0), ConfigError, "s"),
+    "zeta-inverse-s-400-digits": (lambda: zeta_inverse(10 ** 400, 1.0, 1.0, 1.0), ConfigError,
+                                  "s"),
     "zeta-b-nan": (lambda: zeta(0.5, math.nan, 1.0, 1.0), ConfigError, "b"),
     "zeta-dcoef-negative": (lambda: zeta(0.5, 1.0, 0.5, -1.0), ConfigError, "dcoef"),
     "zeta-inverse-dcoef-inf": (lambda: zeta_inverse(0.01, 1.0, 1.0, math.inf), ConfigError,
@@ -97,6 +98,10 @@ def bound(**over):
                                 ConfigError, "n_steps"),
     "comparison-n_steps-not-an-int": (
         lambda: gronwall_comparison_solution(1.0, 1.0, 1.0, n_steps=2.5), ConfigError, "n_steps"),
+    # sizes numpy refuses to allocate, before it touches memory
+    **{f"comparison-n_steps-{name}": (
+        lambda n=n: gronwall_comparison_solution(1.0, 1.0, 1.0, n_steps=n), ConfigError,
+        "n_steps") for name, n in (("huge", HUGE), ("400-digits", 10 ** 400))},
 })
 def test_bounds(call, exc, field):
     check(call, exc, field)
@@ -303,6 +308,15 @@ BUILDERS = {
                                            "e1": PI2, "e2": PI2, **kw}),
     BoundInputs: bound,
     choose_level: choice,
+    zeta: lambda **kw: zeta(**{"s": 0.5, "b": 1.0, "c": 1.0, "dcoef": 1.0, **kw}),
+    zeta_inverse: lambda **kw: zeta_inverse(**{"s": 0.01, "b": 1.0, "c": 1.0, "dcoef": 1.0,
+                                               **kw}),
+    gronwall_bound: lambda **kw: gronwall_bound(**{"c0": 1.0, "c1": 1.0, "t": 0.0, "tau": 1.0,
+                                                   **kw}),
+    gronwall_comparison_solution: lambda **kw: gronwall_comparison_solution(
+        **{"c0": 1.0, "c1": 1.0, "tau": 1.0, "n_steps": 8, **kw}),
+    # (lam - c)^2 > 4 at lam or c = 2.5 too
+    mode_roots: lambda **kw: mode_roots(**{"lam": 20.0, "c": 10.0, **kw}),
 }
 NOT_SCALAR = {"model", "source", "final_data", "noisy_data", "kind", "lambdas", "regime"}
 INT_FIELDS = {"n_steps", "level", "max_iters", "dimension", "d", "mode index"}

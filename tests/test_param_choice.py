@@ -4,20 +4,18 @@ import sys
 import numpy as np
 import pytest
 
-from fvptrunc import (HOLDER_RULE, LOG_RULE, BoundInputs, ConfigError, EigenModel,
-                      choose_level, total_bound, zeta, zeta_inverse)
+from fvptrunc import (BoundInputs, ConfigError, EigenModel, choose_level, total_bound, zeta,
+                      zeta_inverse)
 
 PI2 = math.pi ** 2
 
 
 def log_rule(delta, p=1.0, rho=1.0, t=0.0, tau=1.0):
-    return choose_level(LOG_RULE, rho=rho, delta=delta, t=t, tau=tau, d=1, e1=PI2, e2=PI2,
-                        p=p)
+    return choose_level(rho=rho, delta=delta, t=t, tau=tau, d=1, e1=PI2, e2=PI2, p=p)
 
 
 def holder_rule(delta, q=0.5, rho=1.0, t=0.0, tau=1.0):
-    return choose_level(HOLDER_RULE, rho=rho, delta=delta, t=t, tau=tau, d=1, e1=PI2,
-                        e2=PI2, q=q)
+    return choose_level(rho=rho, delta=delta, t=t, tau=tau, d=1, e1=PI2, e2=PI2, q=q)
 
 
 class TestZetaInverse:
@@ -62,7 +60,7 @@ class TestZetaInverse:
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
-            zeta_inverse(0.9, 1.0, 1.0, 1.0, a=0.5)  # above zeta(a)
+            zeta_inverse(0.9, 1.0, 1.0, 1.0)  # above zeta(ZETA_INVERSE_END)
         with pytest.raises(ValueError):
             zeta_inverse(1e-3, -1.0, 1.0, 1.0)
 
@@ -91,11 +89,13 @@ class TestLogRule:
             log_rule(2.0)  # delta >= rho
 
     def test_p_to_zero_limit_matches_holder_q_zero(self):
-        # at p = 0 the log rule reduces to the holder rule with q = 0
+        # the log rule as p -> 0 and the holder rule as q -> 0 tend to the
+        # one rule at p = q = 0, ln(rho/delta) / eta with eta = e1 t + e2 (tau - t)
         delta = 1e-10
-        lvl_log = log_rule(delta, p=0.0, t=0.3)
-        lvl_holder = holder_rule(delta, q=0.0, t=0.3)
-        assert lvl_log.raw == pytest.approx(lvl_holder.raw, rel=1e-13)
+        at_zero = log_rule(delta, p=0.0, t=0.3).raw
+        assert at_zero == pytest.approx(math.sqrt(math.log(1.0 / delta) / PI2), rel=1e-14)
+        assert log_rule(delta, p=1e-12, t=0.3).raw == pytest.approx(at_zero, rel=1e-11)
+        assert holder_rule(delta, q=1e-12, t=0.3).raw == pytest.approx(at_zero, rel=1e-11)
 
     def test_clamping_flagged(self):
         choice = log_rule(1e-2)
@@ -155,8 +155,8 @@ class TestGrowthConstantsEnterTheirTerms:
         # lower growth constant, equals the noise term, which grows with the
         # upper one: rho e^{-(q+t) e1 r^{2/d}} = delta e^{(tau-t) e2 r^{2/d}}
         q = 0.5
-        s = choose_level(HOLDER_RULE, rho=self.RHO, delta=self.DELTA, t=self.T, tau=self.TAU,
-                         d=d, e1=self.E1, e2=self.E2, q=q).raw ** (2 / d)
+        s = choose_level(rho=self.RHO, delta=self.DELTA, t=self.T, tau=self.TAU, d=d,
+                         e1=self.E1, e2=self.E2, q=q).raw ** (2 / d)
         truncation = math.log(self.RHO) - (q + self.T) * self.E1 * s
         noise = math.log(self.DELTA) + (self.TAU - self.T) * self.E2 * s
         assert truncation == pytest.approx(noise, rel=1e-12)
@@ -169,8 +169,8 @@ class TestGrowthConstantsEnterTheirTerms:
         p = 1.0
         eta = self.E1 * self.T + self.E2 * (self.TAU - self.T)
         big_l = math.log(self.RHO / self.DELTA)
-        raw = choose_level(LOG_RULE, rho=self.RHO, delta=self.DELTA, t=self.T, tau=self.TAU,
-                           d=d, e1=self.E1, e2=self.E2, p=p).raw
+        raw = choose_level(rho=self.RHO, delta=self.DELTA, t=self.T, tau=self.TAU, d=d,
+                           e1=self.E1, e2=self.E2, p=p).raw
         assert eta * raw ** (2 / d) == pytest.approx(big_l - p * math.log(big_l / eta),
                                                      rel=1e-12)
 
@@ -183,7 +183,7 @@ class TestGrowthConstantsEnterTheirTerms:
         # rule's eta r^{2/d} = L - p ln(L/eta)
         rho = 1.0
         eta = self.E1 * self.T + self.E2 * (self.TAU - self.T)
-        raw = choose_level(LOG_RULE, rho=rho, delta=delta, t=self.T, tau=self.TAU, d=d,
+        raw = choose_level(rho=rho, delta=delta, t=self.T, tau=self.TAU, d=d,
                            e1=self.E1, e2=self.E2, p=p).raw
         inverse = zeta_inverse(delta / rho, 1.0, p, 1.0 / eta)
         assert eta * raw ** (2 / d) == pytest.approx(-math.log(inverse.asymptotic), rel=1e-12)
