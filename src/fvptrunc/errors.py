@@ -5,8 +5,7 @@ one stderr line (`fvptrunc.cli.main`; the table is in the README).  An
 input outside what an operation covers is a `ConfigError`, whichever
 check refuses it: a value out of its range, a parameter-choice rule given
 both p and q or noise at or above rho, a bound regime mixed with the
-other's parameter, a linear mode with complex roots, or a value
-outside the range `zeta_inverse` inverts.
+other's parameter, or a linear mode with complex roots.
 """
 
 

@@ -15,16 +15,14 @@ one formula covers both:
 
 At p = q = 0 the two are one rule.  The returned level is
 max(1, floor(r)); noise close to rho often produces r < 1, which the
-rules clamp and flag.  The n-th root inversion behind the log rule
-(inverse of s -> s^b (d ln(1/s))^{-c}) is exposed separately, with both a
-rigorous bisection inverse and its closed-form asymptotic, so the
-asymptotic agreement can be verified rather than assumed.
+rules clamp and flag.  The log rule is the closed-form asymptotic
+inverse of s -> s^b (d ln(1/s))^{-c}; the tests check it against a
+bisection inverse in tests/oracle.py rather than assume the limit.
 
 Every input a rule cannot take is a `ConfigError`: a value out of its
-range, both p and q nonzero, noise at or above rho or too large for the
-log rule's inner logarithm, and a value outside the range `zeta_inverse`
-inverts.  A rule value past the double range is an
-`ExponentOverflowError`.
+range, both p and q nonzero, and noise at or above rho or too large for
+the log rule's inner logarithm.  A rule value past the double range is
+an `ExponentOverflowError`.
 """
 
 from __future__ import annotations
@@ -37,10 +35,6 @@ import numpy as np
 
 from .errors import ConfigError, ExponentOverflowError
 from .spectral import checked, require_finite, require_int, require_time
-
-#: zeta_inverse brackets its root in (0, ZETA_INVERSE_END]
-ZETA_INVERSE_END = 0.5
-
 
 class LevelChoice(NamedTuple):
     level: int
@@ -86,48 +80,3 @@ def choose_level(rho: float, delta: float, t: float, tau: float, d: int,
     checked(raw, "rule value %.6g^(%d/2) leaves the double range", base, d)
     floored = math.floor(raw)
     return LevelChoice(level=max(1, floored), raw=raw, clamped=floored < 1)
-
-
-def zeta(s: float, b: float, c: float, dcoef: float) -> float:
-    """s^b (dcoef ln(1/s))^{-c} on (0, 1), for b > 0, c >= 0 and dcoef > 0."""
-    if not 0.0 < require_finite("s", s) < 1.0:
-        raise ConfigError(f"zeta is defined on (0, 1), got s = {s!r}")
-    require_finite("b", b, "positive")
-    require_finite("c", c, ">= 0")
-    require_finite("dcoef", dcoef, "positive")
-    return s ** b * (dcoef * math.log(1.0 / s)) ** (-c)
-
-
-class ZetaInverse(NamedTuple):
-    root: float        # bisection inverse, relative accuracy ~1e-13
-    asymptotic: float  # s^{1/b} ((dcoef/b) ln(1/s))^{c/b}
-
-
-def zeta_inverse(s: float, b: float, c: float, dcoef: float) -> ZetaInverse:
-    """Invert zeta on (0, ZETA_INVERSE_END] by bisection; also return the
-    asymptotic form.
-
-    zeta is strictly increasing on (0, 1) for b, c, dcoef > 0, so the
-    bracket is (tiny, ZETA_INVERSE_END].  The asymptotic value tends to
-    the true inverse as s -> 0; exposing both lets callers check the ratio
-    instead of trusting the limit.
-    """
-    a = ZETA_INVERSE_END
-    if not 0.0 < require_finite("s", s) <= zeta(a, b, c, dcoef):    # zeta checks b, c, dcoef
-        raise ConfigError(f"s = {s:.6g} outside the range of zeta on (0, {a}]")
-    if c == 0.0:
-        root = s ** (1.0 / b)
-        return ZetaInverse(root=root, asymptotic=root)
-    asym = s ** (1.0 / b) * ((dcoef / b) * math.log(1.0 / s)) ** (c / b)
-    lo, hi = 1e-300, a
-    # log-space bisection: zeta is increasing
-    for _ in range(300):
-        mid = math.sqrt(lo * hi)
-        if zeta(mid, b, c, dcoef) < s:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * hi:
-            break
-    root = math.sqrt(lo * hi)
-    return ZetaInverse(root=root, asymptotic=asym)

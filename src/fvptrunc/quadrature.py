@@ -172,27 +172,11 @@ def _exp_moments(z: float, mmax: int) -> np.ndarray:
     return checked(vals, "exponential moments overflow at z = %.6g", z)
 
 
-def lagrange_exp_weights(offsets: np.ndarray, z: float) -> np.ndarray:
-    """Quadrature weights a_o with int_0^1 L_o(s) e^{z s} ds = a_o.
-
-    `offsets` are the stencil node positions in units of the grid spacing,
-    relative to the left end of the unit interval being integrated.  The
-    solver's tables (`_interval_weight_table`) form the same rows for
-    several stencils from one moment vector; this one-stencil form is the
-    reference they are tested against.
-    """
-    offsets = np.asarray(offsets, dtype=float)
-    k = offsets.size
-    V = np.vander(offsets, k, increasing=True)
-    # column o of V^{-1} holds the monomial coefficients of L_o
-    Vinv = np.linalg.inv(V)
-    return Vinv.T @ _exp_moments(z, k - 1)
-
-
 @lru_cache(maxsize=1)
 def _stencil_inverses() -> tuple[np.ndarray, ...]:
-    """V^{-1} of the 5 stencils s .. s+5, s = -4..0, as `lagrange_exp_weights`
-    forms it; they do not depend on z, so they are built once, on first use."""
+    """V^{-1} of the 5 stencils s .. s+5, s = -4..0, as the one-stencil
+    reference `lagrange_exp_weights` of tests/oracle.py forms it; they do
+    not depend on z, so they are built once, on first use."""
     return tuple(np.linalg.inv(np.vander(np.arange(s, s + 6, dtype=float), 6, increasing=True))
                  for s in range(-4, 1))
 
@@ -206,9 +190,9 @@ def _interval_weight_table(z: float) -> np.ndarray:
     use s = -2 (centred); intervals 0, 1 use s = 0, -1 and the last two use
     s = -3, -4, so every stencil stays on the grid.  The rows depend only
     on lam * h, not on the grid size, and are cached because they are
-    reused across fixed-point iterations.  Row s + 4 is
-    `lagrange_exp_weights(np.arange(s, s + 6), z)` bit for bit, from one
-    moment vector for all 5 rows.
+    reused across fixed-point iterations.  Row s + 4 is, bit for bit,
+    tests/oracle.py's `lagrange_exp_weights(np.arange(s, s + 6), z)`,
+    formed from one moment vector for all 5 rows.
     """
     moments = _exp_moments(z, 5)
     table = np.array([inv.T @ moments for inv in _stencil_inverses()])

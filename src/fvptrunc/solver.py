@@ -63,29 +63,15 @@ class SolverConfig:
         return TimeGrid(tau, self.n_steps)
 
 
-def apply_spectral_growth(t: float, psi: SpectralField, level: int) -> SpectralField:
-    """Keep modes 1..level and multiply mode j by e^{lambda_j t}.
-
-    At t = 0 this is the rank-`level` orthogonal projection.  Raises
-    ExponentOverflowError naming the first mode whose growth factor leaves
-    the double range while its coefficient is nonzero.
-    """
-    model = psi.model
-    require_int("level", level, high=model.mode_count)
-    require_finite("t", t, ">= 0")
-    out = np.zeros(model.mode_count)
-    with np.errstate(all="ignore"):
-        out[:level] = _growth_rows(model.lambdas[:level], np.array([t]), psi.coeffs[:level])[:, 0]
-    return SpectralField(model, out)
-
-
 def _growth_rows(lam: np.ndarray, back: np.ndarray, data: np.ndarray) -> np.ndarray:
     """G_N on a grid, mode-major: e^{lam_j * back_i} * data_j at [j, i].
 
-    A growth factor past the double range is harmless on a zero coefficient
-    (its row is zero); a value past it raises ExponentOverflowError naming
-    the first such mode.  Every e^{lam_j s} is largest at the largest s, so
-    that column alone is checked.  Callers run it with numpy's warnings off.
+    The package's one G_N (tests/oracle.py wraps it for one time and one
+    field).  A growth factor past the double range is harmless on a zero
+    coefficient (its row is zero); a value past it raises
+    ExponentOverflowError naming the first such mode.  Every e^{lam_j s}
+    is largest at the largest s, so that column alone is checked.  Callers
+    run it with numpy's warnings off.
     """
     rows = np.exp(np.outer(lam, back)) * data[:, None]
     edge = rows[:, int(np.argmax(back))]  # a view of the column

@@ -5,11 +5,10 @@ import pytest
 
 from fvptrunc import (BoundInputs, ConfigError, DominanceSample, EigenModel,
                       ExponentOverflowError, FvpInstance, GevreyParams, SolverConfig,
-                      SourceFunction, SpectralField, TimeGrid, add_noise,
-                      apply_spectral_growth, check_dominance, choose_level,
-                      closed_form_solution, gevrey_norm, gronwall_bound,
-                      gronwall_comparison_solution, l2_norm, noise_bound, picard_solve,
-                      total_bound, truncation_bound)
+                      SourceFunction, SpectralField, TimeGrid, add_noise, check_dominance,
+                      choose_level, closed_form_solution, gevrey_norm, l2_norm, noise_bound,
+                      picard_solve, total_bound, truncation_bound)
+from oracle import apply_spectral_growth, gronwall_bound, gronwall_comparison_solution
 
 PI2 = math.pi ** 2
 

@@ -26,11 +26,12 @@ from fvptrunc import (ConfigError, EigenModel, ExponentOverflowError, GevreyPara
 from fvptrunc.harness import RHO_SAFETY, _certified_rho
 from fvptrunc.quadrature import (SCHEME_ORDER, QuadraturePlan, _interval_integrals,
                                  _interval_weight_table, _openblas_dtbsv, _scipy_dtbsv,
-                                 backward_cumulative, exp_kernel_profile, lagrange_exp_weights)
+                                 backward_cumulative, exp_kernel_profile)
 from fvptrunc.reference import ReferenceSolution
 from fvptrunc.spectral import (FAST_NORM_MAX, FAST_NORM_MIN, _gevrey_weights, _row_logsumexp,
                                exp_checked, gevrey_log_norms, scaled_norm_rows,
                                sup_over_time)
+from oracle import lagrange_exp_weights
 
 
 # --------------------------------------------------------------------------

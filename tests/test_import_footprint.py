@@ -6,11 +6,10 @@ subpackages costs several times numpy's own import.  The package needs
 numpy only: the quadrature's weight moments are computed in numpy, and
 its banded solve binds dtbsv in the OpenBLAS that numpy's wheels bundle.
 A numpy built without that library (MKL, Accelerate) falls back to
-scipy's dtbsv, loaded at import with scipy.linalg.  Two checks hold on
+scipy's dtbsv, loaded at import with scipy.linalg.  One check holds on
 every numpy: no module of scipy.signal, scipy.integrate, scipy.stats or
-scipy.optimize loads, on import or in the closed-form Gronwall comparison
-solution.  The checks that no scipy module loads at all are skipped on
-such a numpy, and the skip says so.  Importing numpy.random costs 10-14
+scipy.optimize loads on import.  The checks that no scipy module loads
+at all are skipped on such a numpy, and the skip says so.  Importing numpy.random costs 10-14
 ms, about a quarter of a linear-ladder benchmark body, and the noise must
 stay its PCG64 draws: numpy loads it on first use, so only `solve
 --delta` and `experiment` pay for it.  Each check runs in a fresh
@@ -72,12 +71,6 @@ def heavy(modules: list) -> list:
 
 def test_import_leaves_heavy_scipy_subpackages_unloaded():
     assert heavy(modules_loaded_by("pass")) == []
-
-
-def test_gronwall_comparison_needs_no_ode_solver():
-    # the comparison solution is a closed form, not an integration
-    statement = "fvptrunc.bounds.gronwall_comparison_solution(1.0, 1.0, 1.0)"
-    assert heavy(modules_loaded_by(statement)) == []
 
 
 @needs_bundled_dtbsv

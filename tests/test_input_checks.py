@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 
 from fvptrunc import (BoundInputs, ConfigError, EigenModel, ExperimentConfig,
                       FvpInstance, GevreyParams, SolverConfig, SourceFunction,
-                      SpectralField, TimeGrid, Trajectory, add_noise,
-                      apply_spectral_growth, choose_level, closed_form_solution, fit_rate,
-                      fixed_point_defect, gronwall_bound, gronwall_comparison_solution,
-                      illposed_pair, mode_coefficient, mode_roots, picard_solve, zeta,
-                      zeta_inverse)
+                      SpectralField, TimeGrid, Trajectory, add_noise, choose_level,
+                      closed_form_solution, fit_rate, fixed_point_defect, illposed_pair,
+                      mode_coefficient, mode_roots, picard_solve)
+from oracle import (apply_spectral_growth, gronwall_bound, gronwall_comparison_solution, zeta,
+                    zeta_inverse)
 
 PI2 = math.pi ** 2
 MODEL = EigenModel.dirichlet_1d(4)

@@ -4,8 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from fvptrunc import (BoundInputs, ConfigError, EigenModel, choose_level, total_bound, zeta,
-                      zeta_inverse)
+from fvptrunc import BoundInputs, ConfigError, EigenModel, choose_level, total_bound
+from oracle import zeta, zeta_inverse
 
 PI2 = math.pi ** 2
 
@@ -57,6 +57,19 @@ class TestZetaInverse:
             devs.append(abs(ratio - 1.0))
         assert devs[0] <= 0.20
         assert all(b < a for a, b in zip(devs, devs[1:]))
+
+    @pytest.mark.parametrize("s", [1e-200, 1e-300])
+    def test_inverse_of_a_tiny_s(self, s):
+        # the roots lie near 460 s and 690 s, far below the bisection's
+        # start of 0.5, where a midpoint sqrt(lo * hi) underflows to 0
+        inv = zeta_inverse(s, 1.0, 1.0, 1.0)
+        assert zeta(inv.root, 1.0, 1.0, 1.0) == pytest.approx(s, rel=1e-12)
+
+    def test_root_below_the_bracket_is_refused_by_s(self):
+        # the root of 1e-305 lies near 7e-303, below the bracket's 1e-300:
+        # refused by s, not answered with the bracket's end
+        with pytest.raises(ConfigError, match=r"^s = 1e-305 lies below"):
+            zeta_inverse(1e-305, 1.0, 1.0, 1.0)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ConfigError):

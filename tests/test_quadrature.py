@@ -6,9 +6,9 @@ import pytest
 from scipy.integrate import quad
 
 from fvptrunc import ExponentOverflowError, TimeGrid, backward_cumulative, quadrature
-from fvptrunc.quadrature import (SCHEME_ORDER, QuadraturePlan, _exp_moments,
-                                 exp_kernel_profile, lagrange_exp_weights)
+from fvptrunc.quadrature import SCHEME_ORDER, QuadraturePlan, _exp_moments, exp_kernel_profile
 from fvptrunc.solver import DEFAULT_QUADRATURE_ORDER
+from oracle import lagrange_exp_weights
 
 PI2 = math.pi ** 2
 

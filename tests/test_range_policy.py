@@ -17,10 +17,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fvptrunc import (BoundInputs, EigenModel, ExponentOverflowError, SpectralField,
-                      apply_spectral_growth, gronwall_bound, gronwall_comparison_solution,
                       illposed_pair, mode_coefficient, mode_roots, noise_bound, total_bound,
                       truncation_bound)
 from fvptrunc.spectral import exp_checked
+from oracle import apply_spectral_growth, gronwall_bound, gronwall_comparison_solution
 
 LOGS = st.floats(min_value=700.0, max_value=720.0)
 #: decimal exponents of factors multiplied onto a growth e^x

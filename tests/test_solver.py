@@ -6,12 +6,12 @@ import pytest
 
 from fvptrunc import (ConfigError, EigenModel, ExponentOverflowError, FvpInstance,
                       NonConvergenceError, SolverConfig, SourceFunction,
-                      SpectralField, TimeGrid, Trajectory, apply_spectral_growth,
-                      closed_form_solution, fixed_point_defect, fixed_point_map,
-                      l2_norm, picard_solve)
+                      SpectralField, TimeGrid, Trajectory, closed_form_solution,
+                      fixed_point_defect, fixed_point_map, l2_norm, picard_solve)
 from fvptrunc.quadrature import SCHEME_ORDER, backward_cumulative, exp_kernel_profile
 from fvptrunc.solver import DEFAULT_PICARD_TOL, DEFAULT_QUADRATURE_ORDER
 from fvptrunc.spectral import scaled_norm_rows
+from oracle import apply_spectral_growth
 
 PI2 = math.pi ** 2
 
