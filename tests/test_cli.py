@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import re
+import shlex
 import tempfile
 from pathlib import Path
 
@@ -34,9 +35,13 @@ def config_path(tmp_path):
 
 def test_choose_n(capsys):
     code = main(["choose-n", "--delta", "1e-40", "--rho", "1.0", "--q", "0.5"])
-    out = capsys.readouterr().out
     assert code == 0
-    assert "N = 2" in out
+    assert capsys.readouterr().out == "N = 2  (raw rule value 2.49426)\n"
+
+
+def test_choose_n_log_rule(capsys):
+    assert main(["choose-n", "--delta", "1e-12", "--rho", "1.0", "--p", "1"]) == 0
+    assert capsys.readouterr().out == "N = 1  (raw rule value 1.64174)\n"
 
 
 #: rule values past the double range: a 0 * inf, an infinite quotient (at
@@ -77,6 +82,8 @@ def test_choose_n_both_p_and_q_exits_2(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("config error:") and len(captured.err.splitlines()) == 1
     assert names(captured.err, "p") and names(captured.err, "q"), captured.err
+    options = dict(zip(argv.split()[1::2], argv.split()[2::2]))
+    assert f"p = {float(options['--p'])} and q = {float(options['--q'])}" in captured.err
 
 
 def names(line: str, argument: str) -> bool:
@@ -390,6 +397,31 @@ def test_rejected_reference_exits_3(tmp_path, config_path, capsys, monkeypatch):
     assert err.startswith("reference rejected:") and "do not shrink" in err
 
 
+def readme_sin_document(doc: dict, tau: float) -> dict:
+    """The README document `doc` with the sin source, whose reference the
+    self-convergent ladder builds from the sin-ladder's data."""
+    doc["instance"].update(tau=tau, source={"kind": "sin"},
+                           reference={"data": [[1, 0.2], [2, 1e-4]]})
+    doc["eval_times"] = [0.0, 0.125]
+    return doc
+
+
+def test_readme_document_with_a_sin_source_runs(tmp_path, readme_document, capsys):
+    assert run_experiment_cli(tmp_path, readme_sin_document(readme_document, 0.25)) == 0
+    assert "dominance: 8/8 rows below bound" in capsys.readouterr().out.splitlines()
+    assert len((tmp_path / "out" / "experiment.csv").read_text().splitlines()) == 9
+
+
+def test_readme_document_with_a_sin_source_at_tau_1_rejects_its_reference(
+        tmp_path, readme_document, capsys):
+    # a real ladder, on 128, 256 and 512 steps, whose differences shrink
+    # by less than the factor 3 a reference needs
+    assert run_experiment_cli(tmp_path, readme_sin_document(readme_document, 1.0)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("reference rejected:") and len(err.splitlines()) == 1
+    assert "shrink by 2.46 < required 3.00" in err, err
+
+
 def test_solve_does_not_build_the_reference_ladder(tmp_path, capsys, monkeypatch):
     # solve reads the final data off the config; the reference's ladder
     # solves (and their rejection, exit 3) are the experiment's business
@@ -421,6 +453,38 @@ def test_demo_illposed_past_the_double_range_exits_2(capsys):
     assert main(["demo-illposed", "--modes", "40"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("range error:") and "overflows" in err
+
+
+# --------------------------------------------------------------------------
+# the README's examples
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_commands_exit_0(tmp_path, monkeypatch, readme_document):
+    # each `fvptrunc` line of the README's ```sh blocks, run where
+    # examples.json is the README's config document, as the README asks
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    commands = [shlex.split(line)[1:] for block in blocks for line in block.splitlines()
+                if line.startswith("fvptrunc ")]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "examples.json").write_text(json.dumps(readme_document))
+    codes = {" ".join(argv): main(argv) for argv in commands}
+    assert codes and set(codes.values()) == {0}, codes
+
+
+def test_readme_solve_at_level_4_writes_level_1s_trajectory(tmp_path, readme_document):
+    # the data is phi_1 alone and the source coefficient-wise, so the modes
+    # decouple: level 4 writes level 1's trajectory byte for byte
+    config = tmp_path / "examples.json"
+    config.write_text(json.dumps(readme_document))
+    written = []
+    for level in ("1", "4"):
+        out = tmp_path / f"level{level}.csv"
+        assert main(["solve", "--config", str(config), "--level", level,
+                     "--output", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
 
 
 # --------------------------------------------------------------------------

@@ -64,10 +64,9 @@ def test_main_reports_an_error_by_its_code_and_label(cls, monkeypatch, capsys):
 
 
 @pytest.fixture
-def config_path(tmp_path):
-    block, = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+def config_path(tmp_path, readme_document):
     path = tmp_path / "examples.json"
-    path.write_text(block)
+    path.write_text(json.dumps(readme_document))
     return path
 
 

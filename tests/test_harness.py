@@ -2,7 +2,6 @@ import dataclasses
 import json
 import math
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from fvptrunc.harness import RHO_SAFETY, ExperimentRow, build_reference
 from fvptrunc.reference import richardson_estimate
 
 PI2 = math.pi ** 2
-README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -296,13 +294,11 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=re.escape(f"missing config key '{'.'.join(path)}'")):
             ExperimentConfig.from_dict(doc)
 
-    def test_closed_form_reference_takes_data_without_kind(self):
+    def test_closed_form_reference_takes_data_without_kind(self, readme_document):
         # the README document with a two-mode reference: the source picks
         # the closed form, which reads the data's weights
-        block, = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
-        doc = json.loads(block)
-        doc["instance"]["reference"] = {"data": [[1, 1.0], [3, 0.01]]}
-        cfg = ExperimentConfig.from_dict(doc)
+        readme_document["instance"]["reference"] = {"data": [[1, 1.0], [3, 0.01]]}
+        cfg = ExperimentConfig.from_dict(readme_document)
         assert cfg.reference_kind == "closed_form"
         assert cfg.reference_data == ((1, 1.0), (3, 0.01))
         ref = build_reference(cfg)
@@ -311,6 +307,8 @@ class TestExperimentConfig:
         assert np.array_equal(ref.trajectory.states, exact.trajectory.states)
         assert np.array_equal(ref.final_data.coeffs, exact.final_data.coeffs)
         assert ref.error_estimate == exact.error_estimate == 0.0
+        # and its experiment runs, every row below its bound
+        assert run_experiment(cfg).dominance.ok
 
     def test_mode_shorthand_and_default_reference(self):
         sin = dict(SIN_INSTANCE, reference={"mode": 2})
@@ -627,15 +625,14 @@ class TestDeferredSlack:
 
     @pytest.mark.parametrize("direction, solves", [("worst_case_mode", 4),
                                                    ("seeded_random", 12)])
-    def test_readme_config_solves_once_per_noisy_data(self, monkeypatch, direction, solves):
+    def test_readme_config_solves_once_per_noisy_data(self, monkeypatch, readme_document,
+                                                      direction, solves):
         # 4 noise levels x 1 trial (worst case) or 3 trials (seeded), each
         # read at 2 times, all below their bound: one solve per seed
-        block, = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
-        doc = json.loads(block)
-        doc["noise"]["direction"] = direction
-        doc["noise"]["trials"] = solves // 4
+        readme_document["noise"]["direction"] = direction
+        readme_document["noise"]["trials"] = solves // 4
         steps = count_solves(monkeypatch)
-        cfg = ExperimentConfig.from_dict(doc)
+        cfg = ExperimentConfig.from_dict(readme_document)
         report = run_experiment(cfg)
         assert len(report.rows) == 2 * solves and len({r.seed for r in report.rows}) == solves
         assert report.dominance.ok

@@ -9,7 +9,9 @@ A numpy built without that library (MKL, Accelerate) falls back to
 scipy's dtbsv, loaded at import with scipy.linalg.  One check holds on
 every numpy: no module of scipy.signal, scipy.integrate, scipy.stats or
 scipy.optimize loads on import.  The checks that no scipy module loads
-at all are skipped on such a numpy, and the skip says so.  Importing numpy.random costs 10-14
+at all are skipped on such a numpy, and the skip says so; where numpy
+does bundle the library, a dtbsv that fails to bind from it fails a
+test instead.  Importing numpy.random costs 10-14
 ms, about a quarter of a linear-ladder benchmark body, and the noise must
 stay its PCG64 draws: numpy loads it on first use, so only `solve
 --delta` and `experiment` pay for it.  Each check runs in a fresh
@@ -67,6 +69,16 @@ def command_loads(argv: list, package: str = "scipy") -> list:
 
 def heavy(modules: list) -> list:
     return [m for m in modules if m.startswith(HEAVY)]
+
+
+def test_bundled_openblas_binds_dtbsv():
+    # where numpy's wheel bundles its OpenBLAS, a lost bundled path would
+    # only skip the no-scipy checks below; a conda numpy bundles none
+    root = Path(np.__file__).parent
+    if not [*root.parent.glob("numpy.libs/libscipy_openblas64_*"),
+            *root.glob(".dylibs/libscipy_openblas64_*")]:
+        pytest.skip(f"numpy {np.__version__} bundles no OpenBLAS here")
+    assert quadrature._openblas_dtbsv() is not None
 
 
 def test_import_leaves_heavy_scipy_subpackages_unloaded():

@@ -6,14 +6,14 @@ Here `oracle.ode_solution` integrates each mode's backward problem with
 scipy's DOP853 from the data of the sin-ladder's reference (sin, tau 0.25,
 data [[1, 0.2], [2, 1e-4]], level 2; mode 2 grows to 1.5 at t = 0).  Both
 `picard_solve` and the self-convergent reference's error estimate are
-held to it.
+held to it, and the oracle itself to the linear source's closed form.
 """
 
 import numpy as np
 import pytest
 
 from fvptrunc import (EigenModel, FvpInstance, SolverConfig, SourceFunction, SpectralField,
-                      TimeGrid, picard_solve, self_convergent_reference)
+                      TimeGrid, combined_closed_form, picard_solve, self_convergent_reference)
 from fvptrunc.quadrature import SCHEME_ORDER
 from fvptrunc.solver import DEFAULT_PICARD_TOL, DEFAULT_QUADRATURE_ORDER
 from fvptrunc.spectral import sup_over_time
@@ -39,9 +39,9 @@ def solve(n_steps: int) -> np.ndarray:
                         DATA).trajectory.states
 
 
-@pytest.mark.parametrize("n_steps", [16, 64, 256, 1024])
+@pytest.mark.parametrize("n_steps", [16, 64, 256, 1024, 4096])
 def test_sin_solve_matches_the_ode_oracle(n_steps):
-    # lambda_N h runs from 0.62 (n 16) to 0.0096 (n 1024).  The allowance
+    # lambda_N h runs from 0.62 (n 16) to 0.0024 (n 4096).  The allowance
     # comes from the scheme's order and the stop test, not from the error:
     # - while errors shrink at order p, the error of the n-step solve is
     #   RICHARDSON times its distance to the 2n-step solve; twice that
@@ -50,12 +50,26 @@ def test_sin_solve_matches_the_ode_oracle(n_steps):
     #   of its discrete fixed point, since the map contracts like x^m / m!;
     # - the oracle is good to about ODE_RTOL ||v||; ten times that.
     # A source 1e-6 off moves the solution by 5.7e-7, above the allowance
-    # at n 64, 256 and 1024.
+    # at n 64, 256, 1024 and 4096.
     v, fine = solve(n_steps), solve(2 * n_steps)
     stop = DEFAULT_PICARD_TOL * (1.0 + sup_over_time(v))
     allowance = (2.0 * RICHARDSON * sup_over_time(fine[:, ::2] - v) + 2.0 * stop
                  + 10.0 * ODE_RTOL * sup_over_time(v))
     assert sup_over_time(v - exact(n_steps)) <= allowance
+
+
+@pytest.mark.parametrize("c", [1.0, -3.0])
+@pytest.mark.parametrize("tau, data", [(1.0, [(1, 1.0), (3, 1e-2)]),
+                                       (0.25, [(1, 0.2), (2, 1e-4)])], ids=["tau1", "tau0.25"])
+def test_ode_oracle_matches_the_linear_closed_form(c, tau, data):
+    # pins the oracle's own term of the allowance above, 10 ODE_RTOL ||u||:
+    # the closed form's modes for F = c v, against the oracle's
+    model = EigenModel.dirichlet_1d(3)
+    grid = TimeGrid(tau, 256)
+    u = combined_closed_form(model, data, c, grid).trajectory.states
+    oracle = ode_solution(model.lambdas, lambda v: c * v, tau,
+                          SpectralField.from_coeffs(model, data).coeffs, grid.points)
+    assert sup_over_time(oracle - u) <= 10.0 * ODE_RTOL * sup_over_time(u)
 
 
 #: estimate over actual error; the Richardson estimate of a sixth-order
