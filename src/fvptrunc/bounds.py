@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .spectral import EigenModel, checked, exp_checked, require_finite, require_int, require_time
@@ -120,8 +121,7 @@ def total_bound(b: BoundInputs) -> float:
                    "total bound exceeds the floating range")
 
 
-@dataclass(frozen=True)
-class DominanceSample:
+class DominanceSample(NamedTuple):
     """One measured error with the bound inputs it must sit below."""
 
     inputs: BoundInputs
@@ -131,8 +131,7 @@ class DominanceSample:
     slack: float = 0.0
 
 
-@dataclass(frozen=True)
-class DominanceReport:
+class DominanceReport(NamedTuple):
     total: int
     violations: tuple
     # min over samples of (bound + slack - measured); NaN if any is.  On

@@ -64,10 +64,6 @@ class Trajectory:
             raise ValueError(f"states must have shape (mode_count, n_steps + 1) = {expected}, "
                              f"got {self.states.shape}")
 
-    @staticmethod
-    def zero(grid: TimeGrid, model: EigenModel) -> "Trajectory":
-        return Trajectory(grid, model, np.zeros((model.mode_count, grid.n_steps + 1)))
-
     def state(self, i: int) -> SpectralField:
         return SpectralField(self.model, self.states[:, i])
 

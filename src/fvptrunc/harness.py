@@ -353,8 +353,7 @@ def fit_rate(points) -> RateFit:
 # --------------------------------------------------------------------------
 # experiment runner
 
-@dataclass(frozen=True)
-class ExperimentRow:
+class ExperimentRow(NamedTuple):
     t: float
     delta: float
     seed: int
@@ -367,8 +366,7 @@ class ExperimentRow:
     residual: float
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(NamedTuple):
     rows: list
     fits: dict          # t -> RateFit | None
     flags: list
@@ -384,7 +382,7 @@ class ExperimentReport:
         one by `.17g`: the floats round-trip, and the ints (32-bit seeds,
         small levels and iteration counts) print exactly."""
         lines = [self.CSV_HEADER]
-        lines += [",".join(f"{x:.17g}" for x in vars(row).values()) for row in self.rows]
+        lines += [",".join(f"{x:.17g}" for x in row) for row in self.rows]
         return "\n".join(lines) + "\n"
 
     def summary(self) -> str:

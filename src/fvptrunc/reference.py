@@ -23,7 +23,8 @@ there; the ladder only certifies the discretization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +36,7 @@ from .solver import DEFAULT_QUADRATURE_ORDER, SolverConfig, picard_solve
 from .spectral import EigenModel, SpectralField, checked, require_finite, require_times
 
 
-@dataclass(frozen=True)
-class LinearModeRoots:
+class LinearModeRoots(NamedTuple):
     """Roots of r^2 + (lambda - c) r + 1 = 0, with alpha beta = 1."""
 
     alpha: float
@@ -81,8 +81,7 @@ def mode_coefficient(roots: LinearModeRoots, tau: float, t) -> np.ndarray:
     return checked(u, _GROWTH_OVERFLOW, abs(b) * float(np.max(w)), roots.lam)
 
 
-@dataclass(frozen=True)
-class ReferenceSolution:
+class ReferenceSolution(NamedTuple):
     """A ground-truth trajectory and its error estimate: 0 for the closed
     form, exact up to rounding, and the Richardson estimate for a
     self-convergent ladder.  Its final data g is the trajectory at t = tau.
@@ -125,8 +124,7 @@ def combined_closed_form(model: EigenModel, weights, c: float,
     return ReferenceSolution(Trajectory(grid, model, states))
 
 
-@dataclass(frozen=True)
-class IllposedPair:
+class IllposedPair(NamedTuple):
     """The instability example at one mode: small data, huge solution.
 
     data_norm = 1/|beta_n| shrinks with n while the solution norm at any

@@ -204,10 +204,6 @@ class SpectralField:
             raise ValueError("coeffs length must equal the model mode count")
 
     @staticmethod
-    def zero(model: EigenModel) -> "SpectralField":
-        return SpectralField(model, np.zeros(model.mode_count))
-
-    @staticmethod
     def basis(model: EigenModel, j: int) -> "SpectralField":
         """The eigenfunction phi_j as a field (1-based index)."""
         return SpectralField.from_coeffs(model, ((j, 1.0),))
@@ -226,18 +222,9 @@ class SpectralField:
             c[j - 1] = val
         return SpectralField(model, c)
 
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        require_same_model("right operand", other.model, self.model)
-        return SpectralField(self.model, self.coeffs + other.coeffs)
-
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         require_same_model("right operand", other.model, self.model)
         return SpectralField(self.model, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float) -> "SpectralField":
-        return SpectralField(self.model, self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
 
 
 # Row norms inside this range take the unscaled path (see scaled_norm_rows).

@@ -11,8 +11,9 @@ way the package no longer supports, so the acceptance-solves body runs
 here too, and the ladder documents are parsed at both golden seeds.
 
 The other direction is checked too: every top-level function and class
-of the package is read by other package code or by a bench script, so
-code only the tests read lives in `tests/oracle.py`, not in `src`.
+of the package, and every member of its classes, is read by other
+package code or by a bench script, so code only the tests read lives in
+`tests/oracle.py`, not in `src`.
 """
 
 import ast
@@ -114,6 +115,46 @@ def test_every_package_definition_is_on_the_run_path():
     bench = bench_reads()
     unread = sorted(d.name for d in defs if d.name not in bench
                     and not any(d.name in names for node, names in read_by if node is not d))
+    assert unread == []
+
+
+def class_members(cls: ast.ClassDef) -> list[tuple[str, ast.AST]]:
+    """(name, node) of each method, property and plain class attribute
+    that `cls` defines, dunders left out; dataclass and NamedTuple fields
+    are not members here."""
+    found = []
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.append((node.name, node))
+        elif isinstance(node, ast.Assign):
+            found += [(t.id, node) for t in node.targets if isinstance(t, ast.Name)]
+    return [(name, node) for name, node in found
+            if not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_every_class_member_is_on_the_run_path():
+    # a method, property or class attribute of a package class that no
+    # other package code and no bench script reads is test-only code too.
+    # A staticmethod counts as read only as `Class.name` (or
+    # `module.Class.name`), since `.name` alone also matches a namesake:
+    # SourceFunction.zero() reads no other class's `zero`.  Any other
+    # member counts as read as `.name`, and so does a traced target's path
+    package = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    reads = []    # (attribute node, the name it is read on, if a bare or dotted name)
+    for tree in package + [ast.parse(script.read_text()) for script in SCRIPTS]:
+        reads += [(node, getattr(node.value, "id", None) or getattr(node.value, "attr", None))
+                  for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    traced = {tuple(path.split(".")[-2:]) for _, _, path in traced_targets()}
+    unread = []
+    for cls in (node for tree in package for node in tree.body if isinstance(node, ast.ClassDef)):
+        for name, member in class_members(cls):
+            inside = {id(n) for n in ast.walk(member)}
+            static = any(getattr(d, "id", None) == "staticmethod"
+                         for d in getattr(member, "decorator_list", ()))
+            if (cls.name, name) not in traced and not any(
+                    node.attr == name and id(node) not in inside and (not static or on == cls.name)
+                    for node, on in reads):
+                unread.append(f"{cls.name}.{name}")
     assert unread == []
 
 

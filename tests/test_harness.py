@@ -66,7 +66,7 @@ class TestAddNoise:
     def test_norm_matches_tiny_delta(self, model, delta):
         # sums of squares of entries below ~1e-154 underflow
         for k in range(20):
-            d = add_noise(SpectralField.zero(model), delta, seed=k).coeffs
+            d = add_noise(SpectralField(model, np.zeros(model.mode_count)), delta, seed=k).coeffs
             assert np.all(np.isfinite(d)) and np.any(d != 0.0)
             norm = math.sqrt(math.fsum((x / delta) ** 2 for x in d))
             assert abs(norm - 1.0) <= 1e-14
@@ -519,7 +519,7 @@ class TestRunExperiment:
         first = text.splitlines()[1].split(",")
         assert len(first) == 10
         # each column parses back to the first row's field, in field order
-        values = [getattr(report.rows[0], f.name) for f in dataclasses.fields(ExperimentRow)]
+        values = [getattr(report.rows[0], name) for name in ExperimentRow._fields]
         assert [type(v)(x) for v, x in zip(values, first)] == values
 
 
@@ -599,8 +599,8 @@ class TestDeferredSlack:
             assert s.slack == eager_slack(cfg, reference, s, seeds[s.inputs.delta])
             # an error just above the bound plus slack still fails
             bound = total_bound(s.inputs) + s.slack
-            above = dataclasses.replace(s, measured=math.nextafter(bound, math.inf))
-            assert check_dominance([dataclasses.replace(s, measured=bound)]).ok
+            above = s._replace(measured=math.nextafter(bound, math.inf))
+            assert check_dominance([s._replace(measured=bound)]).ok
             assert not check_dominance([above]).ok
 
     def test_slack_adds_the_self_convergent_reference_estimate(self, monkeypatch):

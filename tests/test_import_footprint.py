@@ -9,15 +9,22 @@ A numpy built without that library (MKL, Accelerate) falls back to
 scipy's dtbsv, loaded at import with scipy.linalg.  One check holds on
 every numpy: no module of scipy.signal, scipy.integrate, scipy.stats or
 scipy.optimize loads on import.  The checks that no scipy module loads
-at all are skipped on such a numpy, and the skip says so; where numpy
-does bundle the library, a dtbsv that fails to bind from it fails a
-test instead.  Importing numpy.random costs 10-14
-ms, about a quarter of a linear-ladder benchmark body, and the noise must
-stay its PCG64 draws: numpy loads it on first use, so only `solve
---delta` and `experiment` pay for it.  Each check runs in a fresh
-interpreter, since this test process may have imported anything already.
+at all are skipped on such a numpy, and so are the numpy.random checks,
+since importing scipy.linalg loads numpy.random; the skip says so.
+Where numpy does bundle the library, a dtbsv that fails to bind from it
+fails a test instead.  Importing numpy.random costs 10-14 ms, about a
+quarter of a linear-ladder benchmark body, and the noise must stay its
+PCG64 draws: numpy loads it on first use, so only `solve --delta` and
+`experiment` pay for it.  Each check runs in a fresh interpreter, since
+this test process may have imported anything already.
+
+The package's records pay at import too: generating a ten-field frozen
+dataclass takes about 1 ms, several times a NamedTuple's class.  So a
+record is a frozen dataclass only when its `__post_init__` checks its
+inputs.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -32,9 +39,9 @@ from fvptrunc import quadrature
 
 HEAVY = ("scipy.signal", "scipy.integrate", "scipy.stats", "scipy.optimize")
 
-needs_bundled_dtbsv = pytest.mark.skipif(
-    quadrature._openblas_dtbsv() is None,
-    reason="numpy bundles no OpenBLAS here, so dtbsv comes from scipy.linalg")
+FALLBACK = "numpy bundles no OpenBLAS here, so dtbsv comes from scipy.linalg"
+BUNDLED_DTBSV = quadrature._openblas_dtbsv() is not None
+needs_bundled_dtbsv = pytest.mark.skipif(not BUNDLED_DTBSV, reason=FALLBACK)
 
 SMALL_CONFIG = {
     "instance": {"tau": 1.0, "mode_count": 6, "source": {"kind": "sin"},
@@ -111,7 +118,10 @@ def test_solve_loads_no_scipy(tmp_path):
 
 @pytest.fixture(scope="module")
 def lazy_numpy_random():
-    """Skip where `import numpy` itself loads numpy.random."""
+    """Skip where `import numpy` itself loads numpy.random, or where the
+    scipy dtbsv fallback's `import scipy.linalg` loads it."""
+    if not BUNDLED_DTBSV:
+        pytest.skip(f"{FALLBACK}, whose import loads numpy.random")
     proc = subprocess.run([sys.executable, "-c",
                            "import sys, numpy; print('numpy.random' in sys.modules)"],
                           capture_output=True, text=True, timeout=120, check=True)
@@ -139,3 +149,16 @@ def test_solve_loads_numpy_random_only_to_draw_noise(lazy_numpy_random, tmp_path
             "--output", str(tmp_path / "traj.csv")]
     loaded = command_loads(argv + (["--delta", delta] if delta else []), "numpy.random")
     assert ("numpy.random" in loaded) == (delta is not None)
+
+
+def test_every_dataclass_checks_its_inputs():
+    # a record whose construction checks nothing is a NamedTuple; the one
+    # exception, PicardResult, keeps instance state for its cached defect
+    src = Path(fvptrunc.__file__).parent
+    unchecked = sorted(
+        node.name for path in src.glob("*.py") for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.ClassDef)
+        and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+        and not any(isinstance(m, ast.FunctionDef) and m.name == "__post_init__"
+                    for m in node.body))
+    assert unchecked == ["PicardResult"]

@@ -113,7 +113,8 @@ def solve_from(model: EigenModel, defect: bool = False):
                        final_data=SpectralField.basis(MODEL8, 1))
     cfg, data = SolverConfig(level=4, n_steps=64), SpectralField.basis(model, 1)
     if defect:
-        return fixed_point_defect(Trajectory.zero(TimeGrid(1.0, 64), MODEL8), inst, cfg, data)
+        zero = Trajectory(TimeGrid(1.0, 64), MODEL8, np.zeros((MODEL8.mode_count, 65)))
+        return fixed_point_defect(zero, inst, cfg, data)
     return picard_solve(inst, cfg, data)
 
 
@@ -168,8 +169,8 @@ def test_solver(call, exc, field):
     "gevrey-p-negative": (lambda: GevreyParams(-1.0, 0.0), ConfigError, "p"),
     "gevrey-q-negative": (lambda: GevreyParams(0.0, -1.0), ConfigError, "q"),
     "coeffs-length": (lambda: SpectralField(MODEL, np.zeros(3)), ValueError, "coeffs"),
-    "sum-over-other-eigenvalues": (
-        lambda: SpectralField.zero(MODEL8) + SpectralField.zero(SCALED8), ValueError,
+    "difference-over-other-eigenvalues": (
+        lambda: SpectralField.basis(MODEL8, 1) - SpectralField.basis(SCALED8, 1), ValueError,
         "right operand"),
     "basis-index-zero": (lambda: SpectralField.basis(MODEL, 0), IndexError, "mode index"),
     "basis-index-past-modes": (lambda: SpectralField.basis(MODEL, 5), IndexError,
@@ -187,7 +188,7 @@ def test_spectral(call, exc, field):
 
 
 def trajectory(n_steps: int) -> Trajectory:
-    return Trajectory.zero(TimeGrid(1.0, n_steps), MODEL)
+    return Trajectory(TimeGrid(1.0, n_steps), MODEL, np.zeros((MODEL.mode_count, n_steps + 1)))
 
 
 @cases({
@@ -205,14 +206,14 @@ def test_grids(call, exc, field):
 @cases({
     "final-data-other-model": (
         lambda: FvpInstance(MODEL, 1.0, SourceFunction.zero(),
-                            final_data=SpectralField.zero(OTHER)), ValueError, "final_data"),
+                            final_data=SpectralField.basis(OTHER, 1)), ValueError, "final_data"),
     "noisy-data-other-model": (
         lambda: FvpInstance(MODEL, 1.0, SourceFunction.zero(),
-                            final_data=SpectralField.zero(MODEL),
-                            noisy_data=SpectralField.zero(OTHER)), ValueError, "noisy_data"),
+                            final_data=SpectralField.basis(MODEL, 1),
+                            noisy_data=SpectralField.basis(OTHER, 1)), ValueError, "noisy_data"),
     "final-data-other-eigenvalues": (
         lambda: FvpInstance(MODEL8, 1.0, SourceFunction.zero(),
-                            final_data=SpectralField.zero(SCALED8)), ValueError, "final_data"),
+                            final_data=SpectralField.basis(SCALED8, 1)), ValueError, "final_data"),
     "source-c-a-bool": (lambda: SourceFunction("linear", True), ConfigError, "c"),
 })
 def test_problem(call, exc, field):

@@ -166,7 +166,8 @@ class TestFixedPointMap:
         cfg = SolverConfig(level=2, n_steps=32)
         grid = cfg.grid(1.0)
         inst = make_instance(model, SourceFunction.zero(), data)
-        out = fixed_point_map(Trajectory.zero(grid, model), inst, cfg, data)
+        zero = Trajectory(grid, model, np.zeros((model.mode_count, grid.n_steps + 1)))
+        out = fixed_point_map(zero, inst, cfg, data)
         expected = np.exp(model.eigenvalue(2) * (1.0 - grid.points))
         assert out.states[1] == pytest.approx(expected, rel=1e-14)
 
@@ -188,10 +189,10 @@ class TestFixedPointMap:
 
 class TestDefect:
     def test_zero_everything_has_zero_defect(self, model):
-        data = SpectralField.zero(model)
+        data = SpectralField(model, np.zeros(model.mode_count))
         cfg = SolverConfig(level=2, n_steps=32)
         inst = make_instance(model, SourceFunction.zero(), data)
-        v = Trajectory.zero(cfg.grid(1.0), model)
+        v = Trajectory(cfg.grid(1.0), model, np.zeros((model.mode_count, cfg.n_steps + 1)))
         assert fixed_point_defect(v, inst, cfg, data) == 0.0
 
     def test_grid_endpoints_and_spacing(self):
@@ -237,7 +238,7 @@ class TestPicard:
         cfg = SolverConfig(level=2, n_steps=256)
         inst = make_instance(model, SourceFunction.linear(1.0), data)
         from_lead = picard_solve(inst, cfg, data)
-        v = Trajectory.zero(cfg.grid(1.0), model)
+        v = Trajectory(cfg.grid(1.0), model, np.zeros((model.mode_count, cfg.n_steps + 1)))
         for _ in range(cfg.max_iters):
             nxt = fixed_point_map(v, inst, cfg, data)
             inc = nxt.sup_distance(v)
@@ -261,7 +262,7 @@ class TestPicard:
     def test_linearity_for_zero_source(self, model):
         g1 = SpectralField.basis(model, 1)
         g2 = SpectralField.basis(model, 2)
-        combo = 2.0 * g1 + 3.0 * g2
+        combo = SpectralField(model, 2.0 * g1.coeffs + 3.0 * g2.coeffs)
         cfg = SolverConfig(level=2, n_steps=256)
 
         def solve(g):
@@ -299,7 +300,7 @@ class TestPicard:
     def test_converging_on_the_last_allowed_iteration_returns(self, model):
         # a solve that converges on exactly max_iters maps returns; one
         # iteration fewer raises with the increments it had and a defect
-        data = SpectralField.basis(model, 1) + 0.5 * SpectralField.basis(model, 3)
+        data = SpectralField.from_coeffs(model, [(1, 1.0), (3, 0.5)])
         inst = make_instance(model, SourceFunction("sin"), data, tau=0.25)
         its = picard_solve(inst, SolverConfig(level=3, n_steps=64), data).iterations
         assert its >= 2
