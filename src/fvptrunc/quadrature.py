@@ -23,7 +23,8 @@ dtbsv, transposed lower form); see `exp_kernel_profile` for why that form.
 The dtbsv is the one in the OpenBLAS that numpy's wheels bundle, called
 through ctypes, so the module needs no scipy; with a numpy built on
 another BLAS, or a library that fails a 2 x 2 probe solve, it is
-scipy's, chosen once at import.
+scipy's, chosen once at import.  Either way `_dtbsv(band, row)` checks
+both buffers and returns the solve as a plain zero-argument call.
 
 A solve runs these quadratures for every retained mode on every Picard
 iteration, so their checks, table lookups, banded solves and scratch row
@@ -60,28 +61,37 @@ def _address(a: np.ndarray) -> ctypes.c_void_p:
     return ptr
 
 
-def _solves_probe(bind) -> bool:
-    """Whether `bind` solves L^T y = (1, 1) for L = [[1, 0], [-2, 1]] to y = (3, 1).
+def _solves_probe(dtbsv) -> bool:
+    """Whether `dtbsv` solves L^T y = (1, 1) for L = [[1, 0], [-2, 1]] to y = (3, 1).
 
     A library whose dtbsv reads the flags, the integer width or the band
     otherwise than assumed gives another answer."""
     x = np.ones(2)
-    bind(np.full((2, 2), -2.0, order="F"))(x)()
+    dtbsv(np.full((2, 2), -2.0, order="F"), x)()
     return x.tolist() == [3.0, 1.0]
 
 
+def _check_buffers(band: np.ndarray, x: np.ndarray) -> None:
+    """Refuse a band or a row that a dtbsv call would misread."""
+    if not (band.dtype == x.dtype == np.float64 and band.ndim == 2 and band.shape[0] == 2
+            and band.flags.f_contiguous and x.shape == band.shape[1:]
+            and x.flags.c_contiguous and x.flags.writeable):
+        raise ValueError("dtbsv takes a (2, n) Fortran-order float band and a writeable "
+                         "contiguous float row of n")
+
+
 def _openblas_dtbsv():
-    """Binder for cblas_dtbsv of the ILP64 OpenBLAS bundled with numpy, or None.
+    """cblas_dtbsv of the ILP64 OpenBLAS bundled with numpy, or None.
 
     numpy's wheels ship `libscipy_openblas64_` and load it on import, so
     binding its dtbsv costs no further import.  A numpy built on another
     BLAS (MKL, Accelerate, a system OpenBLAS) has no such file, and a
-    library that fails `_solves_probe` is not used.  The binder takes `band`,
-    the (2, n) Fortran-order band of a unit lower bidiagonal L, and returns
-    a function of a contiguous float row `x` of n.  That gives the call
-    that overwrites `x` with the solution of L^T y = x.  Its ten arguments
-    are converted once, the band's when the band is bound; the two
-    addresses among them hold references to `band` and `x`.
+    library that fails `_solves_probe` is not used.  The function returned,
+    `dtbsv(band, x)`, takes `band`, the (2, n) Fortran-order band of a unit
+    lower bidiagonal L, and a writeable contiguous float row `x` of n, and
+    returns the call that overwrites `x` with the solution of L^T y = x:
+    a `partial` whose ten arguments are converted once, when it is made.
+    The two addresses among them hold references to `band` and `x`.
     """
     root = Path(np.__file__).parent
     # numpy.libs/ beside the package on Linux and Windows, .dylibs/ in it on macOS
@@ -96,40 +106,30 @@ def _openblas_dtbsv():
             ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
         fn.restype = None
 
-        def bind(band: np.ndarray):
-            if not (band.dtype == np.float64 and band.ndim == 2 and band.shape[0] == 2
-                    and band.flags.f_contiguous):
-                raise ValueError("dtbsv takes a (2, n) Fortran-order float band")
-            n = band.shape[1]
-            head = (*_CBLAS_FLAGS, ctypes.c_int64(n), _K, _address(band), _LDA)
-
-            def solve_on(x: np.ndarray):
-                if not (x.dtype == np.float64 and x.shape == (n,) and x.flags.c_contiguous
-                        and x.flags.writeable):
-                    raise ValueError("dtbsv takes a writeable contiguous float row "
-                                     "as long as the band")
-                return partial(fn, *head, _address(x), _INCX)
-            return solve_on
-        if _solves_probe(bind):
-            return bind
+        def dtbsv(band: np.ndarray, x: np.ndarray):
+            _check_buffers(band, x)
+            return partial(fn, *_CBLAS_FLAGS, ctypes.c_int64(x.size), _K, _address(band),
+                           _LDA, _address(x), _INCX)
+        if _solves_probe(dtbsv):
+            return dtbsv
     return None
 
 
 def _scipy_dtbsv():
-    """The binder of `_openblas_dtbsv` on scipy's dtbsv, for any other numpy."""
-    from scipy.linalg.blas import dtbsv
+    """The `dtbsv(band, x)` of `_openblas_dtbsv` on scipy's dtbsv, for any other numpy."""
+    from scipy.linalg.blas import dtbsv as scipy_dtbsv
 
-    def bind(band: np.ndarray):
-        def solve_on(x: np.ndarray):
-            def solve():
-                x[:] = dtbsv(1, band, x, lower=1, trans=1, diag=1, overwrite_x=1)
-            return solve
-        return solve_on
-    return bind
+    def dtbsv(band: np.ndarray, x: np.ndarray):
+        _check_buffers(band, x)
+
+        def solve():
+            x[:] = scipy_dtbsv(1, band, x, lower=1, trans=1, diag=1, overwrite_x=1)
+        return solve
+    return dtbsv
 
 
 #: chosen once, at import, so a fallback to scipy is paid here and not in a solve
-_bind_dtbsv = _openblas_dtbsv() or _scipy_dtbsv()
+_dtbsv = _openblas_dtbsv() or _scipy_dtbsv()
 
 #: convergence order of the composite scheme, keyed by its interpolation
 #: order (`solver.DEFAULT_QUADRATURE_ORDER`)
@@ -218,16 +218,18 @@ def _interval_integrals(w: np.ndarray, h: float, table: np.ndarray, out: np.ndar
 
 
 @lru_cache(maxsize=64)
-def _recurrence_band(z: float, n: int):
-    """The banded solve of the recurrence matrix of rate z on n steps.
+def _recurrence_band(z: float, n: int) -> np.ndarray:
+    """The read-only band of the recurrence matrix of rate z on n steps.
 
     L is n x n with 1 on the diagonal and -e^z on the subdiagonal.  In band
     storage row 1 holds the subdiagonal; row 0, the unit diagonal, is never
-    read (dtbsv with diag=1).  Returns `_bind_dtbsv(band)`, which holds the
-    band and binds the solve to a plan's row; every plan of this rate and
-    grid size shares it.
+    read (dtbsv with diag=1).  Every plan of this rate and grid size shares
+    the band, and each plan's solve holds it, so an eviction from this
+    cache frees it only once no plan uses it.
     """
-    return _bind_dtbsv(np.full((2, n), -math.exp(z), order="F"))
+    band = np.full((2, n), -math.exp(z), order="F")
+    band.flags.writeable = False
+    return band
 
 
 class QuadraturePlan:
@@ -235,8 +237,8 @@ class QuadraturePlan:
 
     For the kernel rates `lams` on a grid of n steps of width h, the plan
     looks up each rate's weight table, the table of the plain integral and
-    each rate's banded solve once, and owns the scratch row of interval
-    integrals, to which it binds each rate's solve.
+    each rate's band once, and owns the scratch row of interval integrals;
+    each rate's solve is `_dtbsv` of its band and that row.
     `cumulative` and `profile` then do only the arithmetic of
     `backward_cumulative` and `exp_kernel_profile`, which are these same
     calls on a one-off plan.  The rows passed in must be contiguous float
@@ -255,8 +257,8 @@ class QuadraturePlan:
         self.tables = [_interval_weight_table(z) for z in zs]
         self.plain_table = _interval_weight_table(0.0)
         self.scratch = np.empty(n)
-        # each rate's dtbsv call, holding its band, bound to the scratch row
-        self.solves = [_recurrence_band(z, n)(self.scratch) for z in zs]
+        # each rate's dtbsv call on the scratch row; it holds its band
+        self.solves = [_dtbsv(_recurrence_band(z, n), self.scratch) for z in zs]
 
     def cumulative(self, w: np.ndarray, out: np.ndarray) -> None:
         """out = W, W(t_k) = int_{t_k}^{tau} w_interp(s) ds at every grid point."""

@@ -26,8 +26,9 @@ independently of the loop.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,19 +144,18 @@ def fixed_point_defect(v: Trajectory, instance: FvpInstance, cfg: SolverConfig,
     return v.sup_distance(fixed_point_map(v, instance, cfg, data))
 
 
-@dataclass(frozen=True)
-class PicardResult:
+class PicardResult(NamedTuple):
     """A converged solve.  `defect` is fixed_point_defect of the trajectory;
-    it takes one more map, run when `defect` is first read and then kept.
-    `modes` lists the 1-based modes the loop iterated."""
+    it takes one more map, which `defect_of` runs when first called and
+    then remembers.  `modes` lists the 1-based modes the loop iterated."""
 
     trajectory: Trajectory
     iterations: int
-    defect_of: Callable[[], float] = field(repr=False, compare=False)
-    increments: list[float] = field(repr=False)
+    defect_of: Callable[[], float]
+    increments: list[float]
     modes: tuple[int, ...]
 
-    @cached_property
+    @property
     def defect(self) -> float:
         return self.defect_of()
 
@@ -195,6 +195,8 @@ def picard_solve(instance: FvpInstance, cfg: SolverConfig, data: SpectralField) 
     since the other modes are fixed by the map.  It costs one more map, so
     a converged solve runs it only when `PicardResult.defect` is first
     read: a solve whose defect nobody reads runs exactly `iterations` maps.
+    `defect_of` is that map behind `functools.cache`, so a second read
+    reuses it.
     """
     grid = cfg.grid(instance.tau)
     increments: list[float] = []
@@ -211,6 +213,7 @@ def picard_solve(instance: FvpInstance, cfg: SolverConfig, data: SpectralField) 
         lead = lead[live]
         v = lead
 
+        @cache
         def defect_of() -> float:
             with np.errstate(all="ignore"):
                 return sup_over_time(v - _map_retained(v, instance.source, plan, lead, modes))

@@ -662,13 +662,8 @@ def test_kernel_profile_is_the_rounded_recurrence(n, z):
 def test_scipy_fallback_is_the_rounded_recurrence(n, z, monkeypatch):
     """scipy's dtbsv, the fallback for a numpy without its bundled OpenBLAS,
     passes the recurrence test through the same plans, on every numpy."""
-    # the cached banded solves come from the binder: none may outlive the swap
-    quadrature._recurrence_band.cache_clear()
-    monkeypatch.setattr(quadrature, "_bind_dtbsv", _scipy_dtbsv())
-    try:
-        test_kernel_profile_is_the_rounded_recurrence(n, z)
-    finally:
-        quadrature._recurrence_band.cache_clear()
+    monkeypatch.setattr(quadrature, "_dtbsv", _scipy_dtbsv())
+    test_kernel_profile_is_the_rounded_recurrence(n, z)
 
 
 def test_bundled_dtbsv_refuses_buffers_of_another_layout():
@@ -677,20 +672,29 @@ def test_bundled_dtbsv_refuses_buffers_of_another_layout():
     bundled = _openblas_dtbsv()
     if bundled is None:
         pytest.skip("numpy bundles no OpenBLAS here: the fallback is the only path")
+    refuses_buffers_of_another_layout(bundled)
+
+
+def test_scipy_dtbsv_refuses_buffers_of_another_layout():
+    refuses_buffers_of_another_layout(_scipy_dtbsv())
+
+
+def refuses_buffers_of_another_layout(dtbsv):
+    """Both dtbsv bindings refuse a band or a row of another layout with one message."""
     band, x = np.full((2, 8), -1.5, order="F"), np.ones(8)
-    bundled(band)(x)
+    dtbsv(band, x)
     for bad_band in [np.full((2, 8), -1.5), np.full((3, 8), -1.5, order="F"),
                      np.full(8, -1.5), band.astype(np.float32, order="F")]:
         with pytest.raises(ValueError, match="dtbsv takes a"):
-            bundled(bad_band)
+            dtbsv(bad_band, x)
     for bad_x in [np.ones(9), np.ones(16)[::2], np.ones(8, dtype=np.float32),
                   np.ones((1, 8))]:
         with pytest.raises(ValueError, match="dtbsv takes a"):
-            bundled(band)(bad_x)
+            dtbsv(band, bad_x)
     read_only = np.ones(8)
     read_only.flags.writeable = False
     with pytest.raises(ValueError, match="dtbsv takes a"):
-        bundled(band)(read_only)
+        dtbsv(band, read_only)
 
 
 @pytest.mark.parametrize("order", ORDERS)

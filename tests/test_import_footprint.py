@@ -21,7 +21,8 @@ this test process may have imported anything already.
 The package's records pay at import too: generating a ten-field frozen
 dataclass takes about 1 ms, several times a NamedTuple's class.  So a
 record is a frozen dataclass only when its `__post_init__` checks its
-inputs.
+inputs, with no exception: a lazily computed value lives in a memoizing
+closure that a NamedTuple field holds, as `PicardResult`'s defect does.
 """
 
 import ast
@@ -152,8 +153,7 @@ def test_solve_loads_numpy_random_only_to_draw_noise(lazy_numpy_random, tmp_path
 
 
 def test_every_dataclass_checks_its_inputs():
-    # a record whose construction checks nothing is a NamedTuple; the one
-    # exception, PicardResult, keeps instance state for its cached defect
+    # a record whose construction checks nothing is a NamedTuple
     src = Path(fvptrunc.__file__).parent
     unchecked = sorted(
         node.name for path in src.glob("*.py") for node in ast.parse(path.read_text()).body
@@ -161,4 +161,4 @@ def test_every_dataclass_checks_its_inputs():
         and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
         and not any(isinstance(m, ast.FunctionDef) and m.name == "__post_init__"
                     for m in node.body))
-    assert unchecked == ["PicardResult"]
+    assert unchecked == []

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import mpmath
 import numpy as np
@@ -207,8 +209,8 @@ class TestValidation:
 
 class TestRecurrenceBand:
     def test_band_is_cached_and_reused(self):
-        # every plan of one rate and grid size shares one bound banded
-        # solve, and a plan's solve serves every profile call of the plan
+        # every plan of one rate and grid size shares one band, and a
+        # plan's solve serves every profile call of the plan
         h = 1.0 / 64
         lam = 0.75 / h
         w = np.linspace(0.0, 1.0, 65)
@@ -225,6 +227,30 @@ class TestRecurrenceBand:
         assert again.tobytes() == (2.0 * first).tobytes()
         assert second.tobytes() == first.tobytes()
         assert quadrature._recurrence_band.cache_info().hits == 2
+
+    @pytest.mark.parametrize("binding", ["active", "scipy"])
+    def test_a_plan_keeps_its_band_past_eviction(self, binding, monkeypatch):
+        # the ctypes call holds only the band's address: unless it also
+        # holds the array, an evicted band is freed under a live plan
+        if binding == "scipy":
+            monkeypatch.setattr(quadrature, "_dtbsv", quadrature._scipy_dtbsv())
+        h, n = 1.0 / 64, 64
+        lam = 0.75 / h
+        w = np.linspace(0.0, 1.0, n + 1)
+        want = exp_kernel_profile(lam, h, w)
+        plan = QuadraturePlan((lam,), h, n)
+        band = weakref.ref(quadrature._recurrence_band(lam * h, n))
+        quadrature._recurrence_band.cache_clear()
+        gc.collect()
+        assert band() is not None
+        # fresh bands of other values, which may take a freed band's memory
+        decoys = [np.zeros((2, n), order="F") for _ in range(8)]
+        got = np.empty(n + 1)
+        plan.profile(0, w, got)
+        assert got.tobytes() == want.tobytes()
+        del plan, decoys
+        gc.collect()
+        assert band() is None
 
 
 class TestQuadraturePlan:
